@@ -189,6 +189,20 @@ def test_block_subspace_infinity_chart():
                                       fromlist=["QQi"]).QQi(0)
 
 
+@pytest.mark.parametrize("n, k, finite", [(4, 1, (0, 1, 3)),
+                                          (6, 2, (0, 1, 3, 7, 15))])
+def test_block_subspace_infinity_chart_is_the_far_point_limit(n, k, finite):
+    # the block space with the last point at infinity is the limit of the
+    # block spaces with that point at R; the principal angle decays as 1/R
+    from scipy.linalg import subspace_angles
+    sys = tensor_system(A1, ((1,),) * n)
+    inf = block_subspace(sys, k, finite + (0,),
+                         at_infinity=n - 1).coeffs_complex()
+    for r in (10**2, 10**4, 10**8):
+        far = block_subspace(sys, k, finite + (r,)).coeffs_complex()
+        assert max(subspace_angles(inf, far)) < 5 / r
+
+
 def test_block_subspace_validation():
     sys = tensor_system(A1, ((1,),) * 4)
     with pytest.raises(CoincidentPointsError):
