@@ -278,20 +278,6 @@ def highest_root_lowering(rep):
     return root_vectors(rep)[1][-1]
 
 
-def nilpotent_step_matrix(system, points):
-    """F(z) = sum_i z_i f_theta^(i) as a sparse Gaussian-rational matrix."""
-    total = SRMatrix(system.total_dim, system.total_dim)
-    for s in range(system.n):
-        op = system.slot_operator({s: highest_root_lowering(
-            system.factors[s])})
-        z = points[s]
-        if not z:
-            continue
-        for (r, c), v in op.data.items():
-            total.add_at(r, c, z * v)
-    return total
-
-
 def block_subspace(system, k, points, at_infinity=None):
     """Compute the block subspace; its dimension must match the fusion rules.
 
@@ -322,12 +308,13 @@ def block_subspace(system, k, points, at_infinity=None):
     pts = tuple(pts)
     _require_distinct(pts)
 
-    step = nilpotent_step_matrix(system, pts)
-    power = step
-    for _ in range(k):
-        power = power @ step
-    basis = system.invariant_basis.map_values(lambda v: QQi(v))
-    image = power @ basis
+    # F(z) = sum_s z_s f_theta^(s), applied k+1 times to the basis columns
+    step = [highest_root_lowering(rep).scale(z)
+            for rep, z in zip(system.factors, pts)]
+    basis = system.invariant_basis.map_values(QQi)
+    image = basis
+    for _ in range(k + 1):
+        image = system.slot_sum(step, image)
     support = image.rows_with_support()
     rows = image.submatrix_rows(support).to_rows() if support else []
     if rows:

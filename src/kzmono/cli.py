@@ -46,11 +46,9 @@ from .exact import SRMatrix
 from .reps import (DEFAULT_DIMENSION_CAP, casimir_matrix, irrep, rep_to_json,
                    tensor_system)
 from .sections import verify_bbw
-from .transport import braid_word_transport, monodromy_to_json, \
-    parse_braid_word
-
-DEFAULT_TRANSPORT_TOL = 1e-10
-DEFAULT_COMPARE_TOL = 1e-8
+from .transport import (DEFAULT_BLOCK_TOL, DEFAULT_TOL,
+                        braid_word_transport, monodromy_to_json,
+                        parse_braid_word)
 
 
 def load_manifest(path):
@@ -94,8 +92,8 @@ def _manifest_system(doc):
 
 
 def _tolerances(doc):
-    return (float(doc.get("tol", DEFAULT_TRANSPORT_TOL)),
-            float(doc.get("compare_tol", DEFAULT_COMPARE_TOL)))
+    return (float(doc.get("tol", DEFAULT_TOL)),
+            float(doc.get("compare_tol", DEFAULT_BLOCK_TOL)))
 
 
 def _out_dir(args):

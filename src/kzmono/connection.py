@@ -99,9 +99,6 @@ def kz_form(system, k):
     return KZForm(system, k)
 
 
-evaluate_form = KZForm.evaluate
-
-
 @dataclass
 class FlatnessReport:
     """Exact Kohno-relation residuals; zero means flat, always exactly."""

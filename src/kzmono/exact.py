@@ -297,6 +297,15 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+def kron(a, b):
+    """Kronecker product a (x) b; the index of a is the major one."""
+    data = {}
+    for (r1, c1), v1 in a.data.items():
+        for (r2, c2), v2 in b.data.items():
+            data[(r1 * b.nrows + r2, c1 * b.ncols + c2)] = v1 * v2
+    return SRMatrix(a.nrows * b.nrows, a.ncols * b.ncols, data)
+
+
 def _row_denominator_lcm(row):
     d = 1
     for v in row:

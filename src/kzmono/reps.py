@@ -31,8 +31,9 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError)
-from .exact import (SRMatrix, bareiss_echelon, commutator, nullspace_rows,
-                    pivot_rows, restrict_operator, solve_rows)
+from .exact import (SRMatrix, bareiss_echelon, commutator, kron,
+                    nullspace_rows, pivot_rows, restrict_operator,
+                    solve_rows)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -342,7 +343,39 @@ def casimir_matrix(rep):
     return total
 
 
-casimir_scalar = la.casimir_scalar
+@lru_cache(maxsize=None)
+def local_omega(alg, lam, mu):
+    """Two-slot Casimir Omega on V_lam (x) V_mu (V_lam index major), exactly.
+
+    Assembled two independent ways which must agree exactly: the dual basis
+    sum over root vectors plus the Cartan term, and one half of (pair
+    Casimir - scalar Casimirs). Every pair of slots carrying (lam, mu)
+    embeds this one matrix.
+    """
+    ri, rj = irrep(alg, lam), irrep(alg, mu)
+    ei, fi = root_vectors(ri)
+    ej, fj = root_vectors(rj)
+    id_i, id_j = SRMatrix.identity(ri.dim), SRMatrix.identity(rj.dim)
+    shift = la.casimir_scalar(alg, lam) + la.casimir_scalar(alg, mu)
+    dim = ri.dim * rj.dim
+    full = SRMatrix(dim, dim)
+    pair = SRMatrix(dim, dim)
+    for a, wa in enumerate(ri.basis_weights):
+        for b, wb in enumerate(rj.basis_weights):
+            g = a * rj.dim + b
+            full.put(g, g, la.pairing(alg, wa, wb))
+            s = la.weight_add(wa, wb)
+            pair.put(g, g, la.pairing(alg, s, s) - shift)
+    for k, c in enumerate(casimir_constants(alg)):
+        inv_c = 1 / c
+        full = full + (kron(ei[k], fj[k]) + kron(fi[k], ej[k])).scale(inv_c)
+        ee = kron(ei[k], id_j) + kron(id_i, ej[k])
+        ff = kron(fi[k], id_j) + kron(id_i, fj[k])
+        pair = pair + (ee @ ff + ff @ ee).scale(inv_c)
+    if pair.scale(Fraction(1, 2)) != full:
+        raise ConstructionError(
+            f"Omega routes disagree on {alg.name} {lam} x {mu}")
+    return full
 
 
 class TensorSystem:
@@ -350,8 +383,10 @@ class TensorSystem:
 
     The invariant basis spans the joint kernel of the diagonal e_i and f_i
     actions (computed inside the zero-weight subspace, where it must live).
-    Two-slot Casimir operators are assembled factor-wise as sparse matrices;
-    no dense total-space matrix is ever formed in the exact layer.
+    Every operator acting on a few tensor factors (generators, two-slot
+    Casimirs, swaps, the contravariant form) goes through the one primitive
+    `apply_local`, which keeps it sparse; no dense total-space matrix is
+    ever formed in the exact layer.
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -379,38 +414,47 @@ class TensorSystem:
         self._pivots = None
         self._inv_gram = None
 
-    def digits(self, g):
-        out = []
-        for s in range(self.n):
-            out.append((g // self.strides[s]) % self.dims[s])
-        return tuple(out)
+    def apply_local(self, slots, local, cols=None):
+        """local (x) Id applied to the columns of cols (default: identity).
 
-    def index(self, digits):
-        return sum(d * s for d, s in zip(digits, self.strides))
+        local is a matrix on the tensor product of the listed slots, the
+        first listed slot major; cols is a matrix on the total space. This
+        is the only place a total index is split into slot digits.
+        """
+        dims = [self.dims[s] for s in slots]
+        strides = [self.strides[s] for s in slots]
+        offset = [sum(d * st for d, st in zip(digits, strides))
+                  for digits in itertools.product(*map(range, dims))]
+        if (local.nrows, local.ncols) != (len(offset), len(offset)):
+            raise ValueError(f"local matrix is not {len(offset)} square")
+        hits = local.columns_index()
+        if cols is None:
+            cols = SRMatrix.identity(self.total_dim)
+        out = SRMatrix(self.total_dim, cols.ncols)
+        for (g, c), v in cols.data.items():
+            loc = 0
+            for d, st in zip(dims, strides):
+                loc = loc * d + (g // st) % d
+            base = g - offset[loc]
+            for r, w in hits.get(loc, ()):
+                out.add_at(base + offset[r], c, w * v)
+        return out
 
-    def basis_weight(self, g):
-        rank = self.alg.rank
-        acc = [0] * rank
-        for s, d in enumerate(self.digits(g)):
-            w = self.factors[s].basis_weights[d]
-            for q in range(rank):
-                acc[q] += w[q]
-        return tuple(acc)
+    def slot_sum(self, mats, cols=None):
+        """Sum over slots s of mats[s] acting on slot s, via apply_local."""
+        out = None
+        for s, m in enumerate(mats):
+            term = self.apply_local((s,), m, cols)
+            out = term if out is None else out + term
+        return out
 
     # -- invariants ------------------------------------------------------
 
     def zero_weight_indices(self):
         zero = tuple(0 for _ in range(self.alg.rank))
-        out = []
-        for combo in itertools.product(*[range(d) for d in self.dims]):
-            acc = [0] * self.alg.rank
-            for s, d in enumerate(combo):
-                w = self.factors[s].basis_weights[d]
-                for q in range(self.alg.rank):
-                    acc[q] += w[q]
-            if tuple(acc) == zero:
-                out.append(self.index(combo))
-        return out
+        return [g for g, combo in enumerate(itertools.product(
+                    *[rep.basis_weights for rep in self.factors]))
+                if tuple(map(sum, zip(*combo))) == zero]
 
     @property
     def invariant_basis(self):
@@ -424,30 +468,17 @@ class TensorSystem:
 
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
-        local = {g: q for q, g in enumerate(zero_idx)}
         d0 = len(zero_idx)
-        row_key = {}
+        select = SRMatrix(self.total_dim, d0,
+                          {(g, q): _F1 for q, g in enumerate(zero_idx)})
         rows = []
-
-        def row_for(key):
-            q = row_key.get(key)
-            if q is None:
-                q = len(rows)
-                row_key[key] = q
-                rows.append([_F0] * d0)
-            return q
-
         for i in range(self.alg.rank):
-            for tag, mats in (("e", [rep.e[i] for rep in self.factors]),
-                              ("f", [rep.f[i] for rep in self.factors])):
-                cols = [m.columns_index() for m in mats]
-                for g in zero_idx:
-                    dg = self.digits(g)
-                    q = local[g]
-                    for s in range(self.n):
-                        for r, v in cols[s].get(dg[s], ()):
-                            g2 = g + (r - dg[s]) * self.strides[s]
-                            rows[row_for((tag, i, g2))][q] += v
+            for gens in ([rep.e[i] for rep in self.factors],
+                         [rep.f[i] for rep in self.factors]):
+                image = self.slot_sum(gens, select)
+                support = image.rows_with_support()
+                if support:
+                    rows.extend(image.submatrix_rows(support).to_rows())
         basis_cols = nullspace_rows(rows, d0) if rows else \
             [[_F1 if p == q else _F0 for p in range(d0)] for q in range(d0)]
         out = SRMatrix(self.total_dim, len(basis_cols))
@@ -471,10 +502,11 @@ class TensorSystem:
         duals of the raising-operator annihilator conditions.
         """
         if self._inv_gram is None:
-            total = self.slot_operator(
-                {s: rep.gram for s, rep in enumerate(self.factors)})
             b = self.invariant_basis
-            self._inv_gram = (b.transpose() @ (total @ b)).to_rows()
+            image = b
+            for s, rep in enumerate(self.factors):
+                image = self.apply_local((s,), rep.gram, image)
+            self._inv_gram = (b.transpose() @ image).to_rows()
         return self._inv_gram
 
     def restrict(self, op):
@@ -485,52 +517,18 @@ class TensorSystem:
         """
         return restrict_operator(op, self.invariant_basis, self._pivot_rows())
 
-    # -- slot operators --------------------------------------------------
-
-    def slot_operator(self, assignments):
-        """Sparse total-space matrix of a product of one-slot operators.
-
-        assignments maps slot -> small matrix on that factor; unassigned
-        slots act as identity.
-        """
-        items = sorted(assignments.items())
-        cols = [(s, m.columns_index()) for s, m in items]
-        out = SRMatrix(self.total_dim, self.total_dim)
-        for g in range(self.total_dim):
-            dg = self.digits(g)
-            partial = [(g, _F1)]
-            for s, colidx in cols:
-                hits = colidx.get(dg[s])
-                if not hits:
-                    partial = []
-                    break
-                partial = [(gb + (r - dg[s]) * self.strides[s], vb * v)
-                           for gb, vb in partial for r, v in hits]
-            for g2, v in partial:
-                out.add_at(g2, g, v)
-        return out
-
     def diagonal_generator(self, i, kind):
         """Sum over slots of e_i (kind 'e') or f_i (kind 'f')."""
-        out = SRMatrix(self.total_dim, self.total_dim)
-        for s in range(self.n):
-            rep = self.factors[s]
-            m = rep.e[i] if kind == "e" else rep.f[i]
-            cols = m.columns_index()
-            for g in range(self.total_dim):
-                d = self.digits(g)[s]
-                for r, v in cols.get(d, ()):
-                    out.add_at(g + (r - d) * self.strides[s], g, v)
-        return out
+        return self.slot_sum([rep.e[i] if kind == "e" else rep.f[i]
+                               for rep in self.factors])
 
     # -- Casimir pair operators ------------------------------------------
 
     def omega_pair(self, i, j):
         """Exact two-slot Casimir Omega^{ij}, full matrix and restriction.
 
-        Assembled two independent ways which must agree exactly: the dual
-        basis sum over root vectors plus the Cartan term, and one half of
-        (pair Casimir - scalar Casimirs). Cached per unordered pair.
+        The full matrix embeds `local_omega` of the two slot weights, where
+        both assembly routes are checked; cached per unordered pair.
         """
         if i == j:
             raise ValueError("slots must be distinct")
@@ -538,71 +536,11 @@ class TensorSystem:
             raise ValueError(f"slot out of range for n={self.n}")
         key = (min(i, j), max(i, j))
         if key not in self._omega:
-            self._omega[key] = self._build_omega(*key)
+            local = local_omega(self.alg, self.weights[key[0]],
+                                self.weights[key[1]])
+            full = self.apply_local(key, local)
+            self._omega[key] = (full, self.restrict(full))
         return self._omega[key]
-
-    def _cartan_diag(self, i, j):
-        out = SRMatrix(self.total_dim, self.total_dim)
-        wi = self.factors[i].basis_weights
-        wj = self.factors[j].basis_weights
-        cache = {}
-        for g in range(self.total_dim):
-            dg = self.digits(g)
-            key = (dg[i], dg[j])
-            v = cache.get(key)
-            if v is None:
-                v = la.pairing(self.alg, wi[dg[i]], wj[dg[j]])
-                cache[key] = v
-            if v:
-                out.data[(g, g)] = v
-        return out
-
-    def _build_omega(self, i, j):
-        alg = self.alg
-        cs = casimir_constants(alg)
-        ri, rj = self.factors[i], self.factors[j]
-        ei, fi = root_vectors(ri)
-        ej, fj = root_vectors(rj)
-
-        full = self._cartan_diag(i, j)
-        for k, c in enumerate(cs):
-            inv_c = 1 / c
-            for m in (self.slot_operator({i: ei[k], j: fj[k]}),
-                      self.slot_operator({i: fi[k], j: ej[k]})):
-                for (r, cc), v in m.data.items():
-                    full.add_at(r, cc, inv_c * v)
-
-        # independent route: half of (pair Casimir - scalars)
-        pair = SRMatrix(self.total_dim, self.total_dim)
-        wi = ri.basis_weights
-        wj = rj.basis_weights
-        for g in range(self.total_dim):
-            dg = self.digits(g)
-            s = la.weight_add(wi[dg[i]], wj[dg[j]])
-            v = la.pairing(alg, s, s)
-            if v:
-                pair.data[(g, g)] = v
-        for k, c in enumerate(cs):
-            inv_c = 1 / c
-            ee = self.slot_operator({i: ei[k]}) + self.slot_operator({j: ej[k]})
-            ff = self.slot_operator({i: fi[k]}) + self.slot_operator({j: fj[k]})
-            for m in (ee @ ff, ff @ ee):
-                for (r, cc), v in m.data.items():
-                    pair.add_at(r, cc, inv_c * v)
-        ci = la.casimir_scalar(alg, self.weights[i])
-        cj = la.casimir_scalar(alg, self.weights[j])
-        half = Fraction(1, 2)
-        other = pair
-        for g in range(self.total_dim):
-            other.add_at(g, g, -(ci + cj))
-        other = other.scale(half)
-        if other != full:
-            raise ConstructionError(
-                f"Omega^{{{i}{j}}} routes disagree on {alg.name} "
-                f"{self.weights}")
-
-        restricted = self.restrict(full)
-        return full, restricted
 
     def omega_restricted(self, i, j):
         return self.omega_pair(i, j)[1]
@@ -619,12 +557,10 @@ class TensorSystem:
             raise ValueError("swap slot out of range")
         if self.weights[i] != self.weights[i + 1]:
             raise ValueError("slot swap needs equal weights on both slots")
-        out = SRMatrix(self.total_dim, self.total_dim)
-        for g in range(self.total_dim):
-            dg = list(self.digits(g))
-            dg[i], dg[i + 1] = dg[i + 1], dg[i]
-            out.data[(self.index(dg), g)] = _F1
-        return out
+        d = self.dims[i]
+        flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): _F1
+                                       for a in range(d) for b in range(d)})
+        return self.apply_local((i, i + 1), flip)
 
     def swap_restricted(self, i):
         return self.restrict(self.swap_matrix(i))
