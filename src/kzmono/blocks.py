@@ -28,7 +28,7 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError)
-from .exact import QQi, SRMatrix, nullspace_rows
+from .exact import QQi, SRMatrix, nullspace
 from .reps import irrep, root_vectors
 
 _MAX_REFLECTIONS = 10_000
@@ -162,14 +162,8 @@ def fusion_ring(alg, k):
         raise ValueError("level must be a positive integer")
     weights = admissible_weights(alg, k)
     wset = set(weights)
-    table = {}
-    for lam in weights:
-        for mu in weights:
-            if (mu, lam) in table:
-                row = table[(mu, lam)]
-            else:
-                row = _fusion_row(alg, lam, mu, k)
-            table[(lam, mu)] = row
+    table = {(lam, mu): _fusion_row(alg, lam, mu, k)
+             for lam in weights for mu in weights}
 
     ring = FusionRing(alg, k, table, weights)
     vac = ring.vacuum
@@ -180,7 +174,7 @@ def fusion_ring(alg, k):
                 if n < 0 or nu not in wset:
                     raise FusionValidationError(
                         f"bad coefficient N_({lam},{mu})^{nu} = {n}")
-            if row != _fusion_row(alg, mu, lam, k):
+            if row != table[(mu, lam)]:
                 raise FusionValidationError(
                     f"fusion not symmetric at ({lam}, {mu})")
         if table[(lam, vac)] != {lam: 1}:
@@ -315,18 +309,7 @@ def block_subspace(system, k, points, at_infinity=None):
     image = basis
     for _ in range(k + 1):
         image = system.slot_sum(step, image)
-    support = image.rows_with_support()
-    rows = image.submatrix_rows(support).to_rows() if support else []
-    if rows:
-        cols = nullspace_rows(rows, basis.ncols)
-    else:
-        cols = [[QQi(int(p == q)) for p in range(basis.ncols)]
-                for q in range(basis.ncols)]
-    coeffs = SRMatrix(basis.ncols, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                coeffs.data[(i, j)] = QQi(v) if not isinstance(v, QQi) else v
+    coeffs = nullspace(image).map_values(QQi.from_complex)
 
     expected = block_dim(ring, weights)
     if coeffs.ncols != expected:

@@ -256,9 +256,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol", type=float, default=None,
                        help="override the transport tolerance")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (exact layer currently runs "
-                            "serially; accepted for interface stability)")
 
     p = sub.add_parser("blocks", help="invariant and block dimensions")
     common(p)
@@ -293,9 +290,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     if getattr(args, "out", None) is None and args.command in ("braid",):
         args.out = "."
     try:

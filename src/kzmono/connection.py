@@ -28,14 +28,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CoincidentPointsError, KzmonoError
-from .exact import commutator
+from .exact import SRMatrix, commutator
 
 
 class KZForm:
     """KZ connection data for a tensor system at level k.
 
-    Eagerly assembles every Omega^{ij} (exact) and keeps float copies of the
-    restrictions for the integrator.
+    Eagerly assembles every Omega^{ij} (exact SRMatrix, on the full space and
+    restricted to the invariants) and keeps float copies of the restrictions
+    for the integrator.
     """
 
     def __init__(self, system, k):
@@ -55,11 +56,7 @@ class KZForm:
         self.dim = d
         self._omega_float = np.zeros((len(self.pairs), d, d), dtype=complex)
         for idx, p in enumerate(self.pairs):
-            block = self.omega_inv[p]
-            for a in range(d):
-                for b in range(d):
-                    if block[a][b]:
-                        self._omega_float[idx, a, b] = float(block[a][b])
+            self._omega_float[idx] = self.omega_inv[p].to_complex()
 
     @property
     def n(self):
@@ -85,14 +82,7 @@ class KZForm:
         return np.tensordot(coef, self._omega_float, axes=(0, 0))
 
     def sum_omega_restricted(self):
-        d = self.dim
-        total = [[Fraction(0)] * d for _ in range(d)]
-        for p in self.pairs:
-            block = self.omega_inv[p]
-            for a in range(d):
-                for b in range(d):
-                    total[a][b] += block[a][b]
-        return total
+        return sum(self.omega_inv.values(), SRMatrix(self.dim, self.dim))
 
 
 def kz_form(system, k):
@@ -112,56 +102,36 @@ class FlatnessReport:
         return self.max_abs_full == 0 and self.max_abs_restricted == 0
 
 
+def _kohno_residual(omega, relations):
+    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly."""
+    worst = Fraction(0)
+    for p, qs in relations:
+        rest = sum((omega[q] for q in qs[1:]), omega[qs[0]])
+        worst = max(worst, commutator(omega[p], rest).max_abs())
+    return worst
+
+
 def flatness_check(form):
     """Verify the Kohno relations exactly; report the worst deviation.
 
-    A nonzero residual can only come from a defective Omega assembly, so
-    callers treat it as an internal failure, not a numerical tolerance.
+    Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
+    disjoint pairs, then every triple (i, j, k). The same list is checked
+    on the full tensor space and restricted to the invariants. A nonzero
+    residual can only come from a defective Omega assembly, so callers
+    treat it as an internal failure, not a numerical tolerance.
     """
-    system = form.system
-    n = form.n
-    checks = 0
-    worst_full = Fraction(0)
-    worst_restr = Fraction(0)
+    def pair(a, b):
+        return (min(a, b), max(a, b))
 
-    def restr_comm(p, qs):
-        d = form.dim
-        a = form.omega_inv[p]
-        b = [[sum(form.omega_inv[q][x][y] for q in qs)
-              for y in range(d)] for x in range(d)]
-        out = Fraction(0)
-        for x in range(d):
-            for y in range(d):
-                v = sum(a[x][t] * b[t][y] - b[x][t] * a[t][y]
-                        for t in range(d))
-                out = max(out, abs(v))
-        return out
-
-    for (i, j) in form.pairs:
-        for (k2, l2) in form.pairs:
-            if (k2, l2) <= (i, j):
-                continue
-            if {i, j} & {k2, l2}:
-                continue
-            c = commutator(form.omega_full[(i, j)], form.omega_full[(k2, l2)])
-            worst_full = max(worst_full, c.max_abs())
-            worst_restr = max(worst_restr, restr_comm((i, j), [(k2, l2)]))
-            checks += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k2 in range(n):
-                if k2 in (i, j):
-                    continue
-                om_ik = form.omega_full[(min(i, k2), max(i, k2))]
-                om_jk = form.omega_full[(min(j, k2), max(j, k2))]
-                c = commutator(form.omega_full[(i, j)], om_ik + om_jk)
-                worst_full = max(worst_full, c.max_abs())
-                worst_restr = max(worst_restr, restr_comm(
-                    (i, j), [(min(i, k2), max(i, k2)),
-                             (min(j, k2), max(j, k2))]))
-                checks += 1
-    return FlatnessReport(checks=checks, max_abs_full=worst_full,
-                          max_abs_restricted=worst_restr)
+    relations = [(p, [q]) for p in form.pairs for q in form.pairs
+                 if q > p and not set(p) & set(q)]
+    relations += [((i, j), [pair(i, k), pair(j, k)])
+                  for (i, j) in form.pairs for k in range(form.n)
+                  if k not in (i, j)]
+    return FlatnessReport(
+        checks=len(relations),
+        max_abs_full=_kohno_residual(form.omega_full, relations),
+        max_abs_restricted=_kohno_residual(form.omega_inv, relations))
 
 
 @dataclass
@@ -185,9 +155,7 @@ def rotation_monodromy(form):
         raise KzmonoError("invariant subspace is zero")
     csum = form.system.sum_casimirs()
     scalar = cmath.exp(1j * cmath.pi * float(csum / (form.k + form.h)))
-    total = form.sum_omega_restricted()
-    mat = np.array([[float(total[a][b]) for b in range(d)] for a in range(d)],
-                   dtype=complex)
+    mat = form.sum_omega_restricted().to_complex()
     result = expm(-2j * np.pi * float(form.prefactor) * mat)
     residual = float(np.max(np.abs(result - scalar * np.eye(d))))
     return RotationReport(scalar=scalar, matrix=result, max_residual=residual)

@@ -85,9 +85,6 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
     def __eq__(self, other):
         other = _coerce_qqi(other)
         if other is NotImplemented:
@@ -237,9 +234,6 @@ class SRMatrix:
 
     def rows_with_support(self):
         return sorted({r for (r, _c) in self.data})
-
-    def column(self, j):
-        return {r: v for (r, c), v in self.data.items() if c == j}
 
     def columns_index(self):
         cols = {}
@@ -459,7 +453,7 @@ def pivot_rows(mat):
 
 
 def restrict_operator(op, basis, rows=None):
-    """Matrix of `op` on the column span of `basis`, as dense exact rows.
+    """Matrix of `op` on the column span of `basis`, as an exact SRMatrix.
 
     Solves op @ basis == basis @ X using a nonsingular row selection, then
     verifies the identity exactly; failure means the span is not invariant.
@@ -473,4 +467,4 @@ def restrict_operator(op, basis, rows=None):
     xs = SRMatrix.from_rows(x, basis.ncols)
     if basis @ xs != image:
         raise ValueError("operator does not preserve the subspace")
-    return x
+    return xs

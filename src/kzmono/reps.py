@@ -479,8 +479,7 @@ class TensorSystem:
                 support = image.rows_with_support()
                 if support:
                     rows.extend(image.submatrix_rows(support).to_rows())
-        basis_cols = nullspace_rows(rows, d0) if rows else \
-            [[_F1 if p == q else _F0 for p in range(d0)] for q in range(d0)]
+        basis_cols = nullspace_rows(rows, d0)
         out = SRMatrix(self.total_dim, len(basis_cols))
         for j, col in enumerate(basis_cols):
             for q, v in enumerate(col):
@@ -494,7 +493,7 @@ class TensorSystem:
         return self._pivots
 
     def invariant_gram(self):
-        """Product contravariant form on the invariant basis, exactly.
+        """Product contravariant form on the invariant basis, an SRMatrix.
 
         Nondegenerate because the invariants are form-orthogonal to the
         image of the diagonal action; this is the pairing under which the
@@ -506,11 +505,11 @@ class TensorSystem:
             image = b
             for s, rep in enumerate(self.factors):
                 image = self.apply_local((s,), rep.gram, image)
-            self._inv_gram = (b.transpose() @ image).to_rows()
+            self._inv_gram = b.transpose() @ image
         return self._inv_gram
 
     def restrict(self, op):
-        """Exact matrix of op on the invariant subspace (dense rows).
+        """Exact matrix of op on the invariant subspace, as an SRMatrix.
 
         Raises if op does not preserve the subspace, which doubles as the
         subspace-preservation witness for every restricted operator.

@@ -44,7 +44,6 @@ from scipy.linalg import expm
 
 from .blocks import block_subspace
 from .errors import PathSingularError, TransportError, ValidationError
-from .exact import invert_rows
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
@@ -343,11 +342,8 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
 
     equal = system.weights[i - 1] == system.weights[i]
     if equal:
-        swap = system.swap_restricted(i - 1)
-        swap_inv = np.array(
-            [[float(v) for v in row] for row in invert_rows(swap)],
-            dtype=complex)
-        acting = swap_inv @ res.matrix
+        # the restricted flip squares to Id, so it is its own inverse
+        acting = system.swap_restricted(i - 1).to_complex() @ res.matrix
         target = cols
     else:
         acting = res.matrix

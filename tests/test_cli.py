@@ -167,11 +167,6 @@ def test_missing_manifest_exit_2(tmp_path, capsys):
     assert main(["blocks", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
-def test_bad_threads_exit_2(tmp_path, capsys):
-    path = write_manifest(tmp_path, A1_K1_MANIFEST)
-    assert main(["blocks", "--manifest", path, "--threads", "0"]) == 2
-
-
 def test_manifest_determinism(tmp_path):
     path = write_manifest(tmp_path, A1_K1_MANIFEST)
     o1, o2 = tmp_path / "d1", tmp_path / "d2"

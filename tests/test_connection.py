@@ -151,3 +151,52 @@ def test_rotation_scalar_matches_casimirs_generic():
         expect = np.exp(1j * np.pi * float(csum) / (k + 2))
         assert abs(report.scalar - expect) < 1e-13
         assert report.max_residual < 1e-9
+
+
+def ref_max_abs_restricted(form):
+    """Test-only copy of the old dense-row restricted Kohno residual."""
+    n, d = form.n, form.dim
+    rows = {p: m.to_rows() for p, m in form.omega_inv.items()}
+
+    def restr_comm(p, qs):
+        a = rows[p]
+        b = [[sum(rows[q][x][y] for q in qs) for y in range(d)]
+             for x in range(d)]
+        out = Fraction(0)
+        for x in range(d):
+            for y in range(d):
+                v = sum(a[x][t] * b[t][y] - b[x][t] * a[t][y]
+                        for t in range(d))
+                out = max(out, abs(v))
+        return out
+
+    worst = Fraction(0)
+    for (i, j) in form.pairs:
+        for (k2, l2) in form.pairs:
+            if (k2, l2) > (i, j) and not {i, j} & {k2, l2}:
+                worst = max(worst, restr_comm((i, j), [(k2, l2)]))
+        for k2 in range(n):
+            if k2 not in (i, j):
+                worst = max(worst, restr_comm(
+                    (i, j), [(min(i, k2), max(i, k2)),
+                             (min(j, k2), max(j, k2))]))
+    return worst
+
+
+@pytest.mark.parametrize("alg,weights,k", [
+    (A1, ((1,),) * 4, 1),
+    (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2),
+], ids=["A1^4", "A2-4pt"])
+def test_flatness_restricted_negative_control(alg, weights, k):
+    # a sign error in one restricted off-diagonal coefficient leaves the
+    # full space flat, so only the restricted residual can catch it
+    form = kz_form(tensor_system(alg, weights), k)
+    bad = form.omega_inv[(0, 1)].copy()
+    (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
+    bad.data[(r, c)] = -bad.data[(r, c)]
+    form.omega_inv[(0, 1)] = bad
+    report = flatness_check(form)
+    assert report.max_abs_restricted == ref_max_abs_restricted(form)
+    assert report.max_abs_restricted > 0
+    assert report.max_abs_full == 0
+    assert not report.exact

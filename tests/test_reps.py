@@ -214,20 +214,15 @@ def test_omega_pair_symmetric_and_trivial_slot():
 def test_sum_of_omegas_is_minus_half_casimir_sum_on_invariants():
     sys = tensor_system(A1, ((1,), (1,), (1,), (1,)))
     d = sys.invariant_dim
-    total = [[Fraction(0)] * d for _ in range(d)]
+    total = SRMatrix(d, d)
     for i in range(4):
         for j in range(i + 1, 4):
-            block = sys.omega_restricted(i, j)
-            for a in range(d):
-                for b in range(d):
-                    total[a][b] += block[a][b]
+            total = total + sys.omega_restricted(i, j)
     scalar = -sys.sum_casimirs() / 2
     assert scalar == -3
-    for a in range(d):
-        for b in range(d):
-            assert total[a][b] == (scalar if a == b else 0)
+    assert total == SRMatrix.identity(d).scale(scalar)
     # trace identity quoted for this case
-    assert sum(total[a][a] for a in range(d)) == -6
+    assert sum(total.get(a, a) for a in range(d)) == -6
 
 
 def test_omega_commutes_with_diagonal_action():
@@ -244,14 +239,13 @@ def test_omega_self_adjoint_for_invariant_gram():
     # contravariant form: Omega^T G = G Omega, exactly
     for sys in (tensor_system(A1, ((1,), (1,), (2,), (2,))),
                 tensor_system(A2, ((1, 0), (0, 1), (1, 0), (0, 1)))):
-        g = SRMatrix.from_rows(sys.invariant_gram(), sys.invariant_dim)
+        g = sys.invariant_gram()
         from kzmono.exact import rank_rows
         assert g.transpose() == g
         assert rank_rows(g.to_rows(), sys.invariant_dim) == sys.invariant_dim
         for i in range(sys.n):
             for j in range(i + 1, sys.n):
-                om = SRMatrix.from_rows(sys.omega_restricted(i, j),
-                                        sys.invariant_dim)
+                om = sys.omega_restricted(i, j)
                 assert om.transpose() @ g == g @ om
 
 
@@ -268,11 +262,7 @@ def test_kohno_relations_on_full_space():
 def test_swap_restricted_is_involution():
     sys = tensor_system(A1, ((1,), (1,), (1,), (1,)))
     m = sys.swap_restricted(0)
-    d = sys.invariant_dim
-    prod = [[sum(m[a][k] * m[k][b] for k in range(d)) for b in range(d)]
-            for a in range(d)]
-    assert prod == [[Fraction(int(a == b)) for b in range(d)]
-                    for a in range(d)]
+    assert m @ m == SRMatrix.identity(sys.invariant_dim)
     with pytest.raises(ValueError):
         tensor_system(A1, ((1,), (2,))).swap_matrix(0)
 

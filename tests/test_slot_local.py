@@ -140,7 +140,7 @@ def ref_invariant_basis(system):
 def ref_invariant_gram(system, basis):
     form = ref_slot_operator(
         system, {s: rep.gram for s, rep in enumerate(system.factors)})
-    return (basis.transpose() @ (form @ basis)).to_rows()
+    return basis.transpose() @ (form @ basis)
 
 
 def ref_block_coeffs(system, k, points, basis):
