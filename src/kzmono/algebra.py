@@ -62,7 +62,7 @@ class LieAlgebra:
     positive_roots / highest_root / weyl_vector are Dynkin-label tuples;
     positive_root_coords are the same roots in simple-root coordinates.
     gram is the Gram matrix of the fundamental weights under the normalised
-    invariant form.
+    invariant form; comarks are the integers <w_i, theta>.
     """
 
     series: str
@@ -76,6 +76,7 @@ class LieAlgebra:
     highest_root: tuple
     highest_root_coords: tuple
     weyl_vector: tuple
+    comarks: tuple
     dual_coxeter: int
 
     @property
@@ -228,8 +229,14 @@ def build_algebra(series, rank):
         raise InvalidAlgebraError(
             f"{series}{rank}: Weyl vector is not half the sum of "
             "positive roots")
-    h = 1 + form(rho, theta)
-    if h.denominator != 1 or int(h) != _DUAL_COXETER[series](rank):
+    comarks = tuple(form(tuple(int(i == j) for j in range(rank)), theta)
+                    for i in range(rank))
+    if any(a.denominator != 1 for a in comarks):
+        raise InvalidAlgebraError(f"{series}{rank}: comarks {comarks} are "
+                                  "not integers")
+    comarks = tuple(int(a) for a in comarks)
+    h = 1 + sum(comarks)
+    if h != _DUAL_COXETER[series](rank):
         raise InvalidAlgebraError(
             f"{series}{rank}: dual Coxeter number came out as {h}")
 
@@ -239,7 +246,7 @@ def build_algebra(series, rank):
         symmetrizers=d, gram=gram,
         positive_roots=labels, positive_root_coords=tuple(coords),
         highest_root=theta, highest_root_coords=theta_coords,
-        weyl_vector=rho, dual_coxeter=int(h))
+        weyl_vector=rho, comarks=comarks, dual_coxeter=h)
 
 
 def check_weight(alg, weight):
@@ -273,10 +280,11 @@ def pairing(alg, lam, mu):
 
 
 def theta_level(alg, lam):
-    """<lam, theta> as an integer (the level of the weight)."""
-    v = pairing(alg, lam, alg.highest_root)
-    assert v.denominator == 1
-    return int(v)
+    """<lam, theta> = sum_i lam_i <w_i, theta>, the level of the weight."""
+    if len(lam) != alg.rank:
+        raise NonDominantWeightError(
+            f"weight {lam} has length {len(lam)}, rank is {alg.rank}")
+    return sum(x * a for x, a in zip(lam, alg.comarks))
 
 
 def is_admissible(alg, lam, k):

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import algebra as la
@@ -39,8 +38,7 @@ def admissible_weights(alg, k):
     k = int(k)
     if k < 0:
         raise ValueError("level must be nonnegative")
-    comarks = [la.pairing(alg, tuple(int(i == j) for j in range(alg.rank)),
-                          alg.highest_root) for i in range(alg.rank)]
+    comarks = alg.comarks
     out = []
 
     def rec(prefix, used):
@@ -48,11 +46,11 @@ def admissible_weights(alg, k):
         if i == alg.rank:
             out.append(tuple(prefix))
             return
-        top = int((k - used) / comarks[i])
+        top = (k - used) // comarks[i]
         for c in range(top + 1):
             rec(prefix + [c], used + c * comarks[i])
 
-    rec([], Fraction(0))
+    rec([], 0)
     return tuple(sorted(out))
 
 
@@ -78,7 +76,7 @@ def _reflect_to_alcove(alg, xi, m):
         if any(x == 0 for x in xi):
             return None, 0
         if m > 0:
-            lvl = la.theta_level(alg, tuple(xi))
+            lvl = la.theta_level(alg, xi)
             if lvl == m:
                 return None, 0
             if lvl > m:

@@ -8,8 +8,8 @@ floating point as the very last step.
 Flatness is equivalent to the Kohno commutation relations
     [Omega^{ij}, Omega^{kl}] = 0            for disjoint pairs,
     [Omega^{ij}, Omega^{ik} + Omega^{jk}] = 0   for distinct i, j, k,
-which are verified exactly in rational arithmetic, on the full tensor space
-and restricted to the invariants.
+which are verified exactly (in integer arithmetic after clearing one common
+denominator), on the full tensor space and restricted to the invariants.
 
 Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 from scipy.linalg import expm
@@ -103,12 +104,20 @@ class FlatnessReport:
 
 
 def _kohno_residual(omega, relations):
-    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly."""
-    worst = Fraction(0)
+    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
+
+    The commutators run on the integer matrices D*Omega, with D the lcm of
+    all entry denominators in `omega`; [D A, D B] = D^2 [A, B], so the
+    largest integer residual divided by D^2 is the exact rational one.
+    """
+    denom = lcm(*{v.denominator for m in omega.values()
+                  for v in m.data.values()})
+    ints = {p: m.scale(denom).map_values(int) for p, m in omega.items()}
+    worst = 0
     for p, qs in relations:
-        rest = sum((omega[q] for q in qs[1:]), omega[qs[0]])
-        worst = max(worst, commutator(omega[p], rest).max_abs())
-    return worst
+        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
+        worst = max(worst, commutator(ints[p], rest).max_abs())
+    return Fraction(worst, denom * denom)
 
 
 def flatness_check(form):
@@ -116,9 +125,12 @@ def flatness_check(form):
 
     Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
     disjoint pairs, then every triple (i, j, k). The same list is checked
-    on the full tensor space and restricted to the invariants. A nonzero
-    residual can only come from a defective Omega assembly, so callers
-    treat it as an internal failure, not a numerical tolerance.
+    on the full tensor space and restricted to the invariants. Each side
+    is scaled by one common denominator D into integer matrices, and the
+    integer residual is divided by D^2; since [D A, D B] = D^2 [A, B] this
+    is the same exact rational residual, with no gcd paid per product. A
+    nonzero residual can only come from a defective Omega assembly, so
+    callers treat it as an internal failure, not a numerical tolerance.
     """
     def pair(a, b):
         return (min(a, b), max(a, b))

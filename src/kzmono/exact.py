@@ -1,9 +1,15 @@
 """Exact sparse linear algebra over the rationals and Gaussian rationals.
 
-Matrices are dict-of-keys sparse with `Fraction` (or `QQi`) entries; all
-elimination is fraction-free (Bareiss) after clearing row denominators, so
-intermediate entries stay integral and coefficient growth stays polynomial.
-Floating point never enters this module.
+Matrices are dict-of-keys sparse with `Fraction` (or `QQi`) entries. The
+elimination kernel runs on integers: `_clear_denominators` scales each row
+by the lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
+integers (over Q(i)), and Bareiss elimination divides with `//`. Every such
+division is exact by Sylvester's identity: each updated entry is a minor of
+the integral input, divisible by the previous pivot (Bareiss, Math. Comp.
+22, 1968). `Fraction`/`QQi` arithmetic happens only at the boundaries, in
+clearing denominators and in back-substitution, so coefficient growth stays
+polynomial and no gcd is paid per update. Floating point never enters this
+module.
 """
 
 from __future__ import annotations
@@ -102,6 +108,48 @@ class QQi:
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
+
+
+class ZZi:
+    """Gaussian integer real + imag*i with int parts, for elimination only.
+
+    The right operand may also be a plain int, which carries .real and
+    .imag too (Bareiss starts from the divisor 1). `//` is exact division:
+    the divisor must divide the dividend.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=0):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other):
+        return ZZi(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return ZZi(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other):
+        return ZZi(self.real * other.real - self.imag * other.imag,
+                   self.real * other.imag + self.imag * other.real)
+
+    def __floordiv__(self, other):
+        n = other.real * other.real + other.imag * other.imag
+        return ZZi((self.real * other.real + self.imag * other.imag) // n,
+                   (self.imag * other.real - self.real * other.imag) // n)
+
+    def __neg__(self):
+        return ZZi(-self.real, -self.imag)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __repr__(self):
+        return f"ZZi({self.real!r}, {self.imag!r})"
 
 
 def _coerce_qqi(x):
@@ -313,22 +361,49 @@ def _row_denominator_lcm(row):
     return d
 
 
+def _scaled(q, d):
+    """The integer q * d for a rational q whose denominator divides d."""
+    return q.numerator * (d // q.denominator)
+
+
 def _clear_denominators(rows):
+    """Rows scaled by the lcm of their denominators, as integral rows.
+
+    Entries become ints when every input entry is rational, and `ZZi` when
+    any entry is a `QQi`, so one matrix is always over one ring.
+    """
+    gaussian = any(isinstance(v, QQi) for row in rows for v in row)
     out = []
     for row in rows:
         d = _row_denominator_lcm(row)
-        out.append([v * d for v in row] if d != 1 else list(row))
+        if gaussian:
+            out.append([ZZi(_scaled(v.re, d), _scaled(v.im, d))
+                        if isinstance(v, QQi) else ZZi(_scaled(v, d))
+                        for v in row])
+        else:
+            out.append([_scaled(v, d) for v in row])
     return out
 
 
-def bareiss_echelon(rows, ncols, width=None):
-    """Fraction-free row echelon form, in place.
+def _lift(v):
+    """An integral echelon entry back in its field: Fraction or QQi."""
+    return QQi(v.real, v.imag) if type(v) is ZZi else Fraction(v)
 
-    Pivots are searched in the first `ncols` columns; the update runs out to
-    `width` (defaults to ncols) so augmented systems eliminate correctly.
-    Returns the list of pivot (row, col) pairs. Every division in the Bareiss
-    update is exact, so integral input stays integral.
+
+def bareiss_echelon(rows, ncols, width=None):
+    """Fraction-free row echelon form of integral rows, in place.
+
+    Entries must be all int or all `ZZi` (as `_clear_denominators` returns
+    them); anything else raises TypeError, since `//` on a non-integral
+    value would silently floor. Pivots are searched in the first `ncols`
+    columns; the update runs out to `width` (defaults to ncols) so augmented
+    systems eliminate correctly. Returns the list of pivot (row, col) pairs.
+    Every `//` is exact by Sylvester's identity, so entries stay integral.
     """
+    kinds = {type(v) for row in rows for v in row}
+    if not (kinds <= {int} or kinds <= {ZZi}):
+        raise TypeError("bareiss_echelon needs all-int or all-ZZi entries, "
+                        f"got {sorted(k.__name__ for k in kinds)}")
     nrows = len(rows)
     width = ncols if width is None else width
     pivots = []
@@ -351,12 +426,12 @@ def bareiss_echelon(rows, ncols, width=None):
             head = ri[c]
             if head:
                 for j in range(c + 1, width):
-                    ri[j] = (piv * ri[j] - head * rr[j]) / prev
-                ri[c] = 0
+                    ri[j] = (piv * ri[j] - head * rr[j]) // prev
+                ri[c] = head - head     # the zero of the same ring
             elif prev != piv:
                 for j in range(c + 1, width):
                     if ri[j]:
-                        ri[j] = (piv * ri[j]) / prev
+                        ri[j] = (piv * ri[j]) // prev
         pivots.append((r, c))
         prev = piv
         r += 1
@@ -373,18 +448,18 @@ def nullspace_rows(rows, ncols):
     """
     work = _clear_denominators(rows)
     pivots = bareiss_echelon(work, ncols)
-    pivot_cols = [c for (_r, c) in pivots]
-    pivot_set = set(pivot_cols)
+    echelon = [(c, [_lift(v) for v in work[r]]) for (r, c) in pivots]
+    pivot_set = {c for (c, _row) in echelon}
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     one = Fraction(1)
     for fc in free_cols:
-        x = [Fraction(0)] * ncols
+        x = [_ZERO] * ncols
         x[fc] = one
-        for (r, c) in reversed(pivots):
-            s = sum((work[r][j] * x[j] for j in range(c + 1, ncols) if x[j]),
-                    start=Fraction(0))
-            x[c] = -s / work[r][c]
+        for c, row in reversed(echelon):
+            s = sum((row[j] * x[j] for j in range(c + 1, ncols) if x[j]),
+                    start=_ZERO)
+            x[c] = -s / row[c]
         basis.append(x)
     return basis
 
@@ -414,19 +489,20 @@ def solve_rows(a_rows, b_rows):
     """Solve A X = B for square nonsingular A, all dense rows, exactly."""
     n = len(a_rows)
     m = len(b_rows[0]) if b_rows else 0
-    aug = [list(a_rows[i]) + list(b_rows[i]) for i in range(n)]
-    aug = _clear_denominators(aug)
+    aug = _clear_denominators([list(a_rows[i]) + list(b_rows[i])
+                               for i in range(n)])
     pivots = bareiss_echelon(aug, n, width=n + m)
     if len(pivots) != n:
         raise ValueError("singular system")
     x = [[None] * m for _ in range(n)]
     for (r, c) in reversed(pivots):
+        row = [_lift(v) for v in aug[r]]
         for j in range(m):
-            s = aug[r][n + j]
+            s = row[n + j]
             for c2 in range(c + 1, n):
-                if aug[r][c2] and x[c2][j]:
-                    s = s - aug[r][c2] * x[c2][j]
-            x[c][j] = s / aug[r][c]
+                if row[c2] and x[c2][j]:
+                    s = s - row[c2] * x[c2][j]
+            x[c][j] = s / row[c]
     return x
 
 

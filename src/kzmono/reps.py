@@ -31,9 +31,9 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError)
-from .exact import (SRMatrix, bareiss_echelon, commutator, kron,
-                    nullspace_rows, pivot_rows, restrict_operator,
-                    solve_rows)
+from .exact import (SRMatrix, _clear_denominators, bareiss_echelon,
+                    commutator, kron, nullspace_rows, pivot_rows,
+                    restrict_operator, solve_rows)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -134,8 +134,7 @@ def _construct_blocks(alg, lam):
                     if i == j:
                         val += Fraction(y[i]) * gram[x][tx][ty]
                     s_mat[a][b] = val
-            work = [list(row) for row in s_mat]
-            piv = bareiss_echelon(work, m)
+            piv = bareiss_echelon(_clear_denominators(s_mat), m)
             keep = [c for (_r, c) in piv]
             size = len(keep)
             if size == 0:

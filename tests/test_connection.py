@@ -9,6 +9,7 @@ import pytest
 from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.connection import (flatness_check, kz_form, rotation_monodromy)
 from kzmono.errors import CoincidentPointsError, KzmonoError
+from kzmono.exact import commutator
 from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
@@ -89,6 +90,22 @@ def test_flatness_random_small_systems_property():
         assert report.exact
 
 
+def ref_max_abs_full(form):
+    """Test-only Kohno residual on the full space, in Fraction arithmetic."""
+    omega = form.omega_full
+    worst = Fraction(0)
+    for p in form.pairs:
+        for q in form.pairs:
+            if q > p and not set(p) & set(q):
+                worst = max(worst, commutator(omega[p], omega[q]).max_abs())
+        for k2 in range(form.n):
+            if k2 not in p:
+                rest = omega[(min(p[0], k2), max(p[0], k2))] \
+                    + omega[(min(p[1], k2), max(p[1], k2))]
+                worst = max(worst, commutator(omega[p], rest).max_abs())
+    return worst
+
+
 def test_flatness_negative_control():
     form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
     # inject a sign error into one exact off-diagonal coefficient
@@ -99,6 +116,8 @@ def test_flatness_negative_control():
     report = flatness_check(form)
     assert not report.exact
     assert report.max_abs_full > 0
+    assert type(report.max_abs_full) is Fraction
+    assert report.max_abs_full == ref_max_abs_full(form)
 
 
 def test_rotation_monodromy_examples():

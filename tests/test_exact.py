@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.exact import (QQi, SRMatrix, bareiss_echelon, commutator,
+from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, commutator,
                           invert_rows, nullspace, nullspace_rows, pivot_rows,
                           rank_rows, restrict_operator, solve_rows)
 
@@ -67,12 +67,36 @@ def test_srmatrix_add_scale_transpose():
 
 
 def test_bareiss_stays_integral_on_integer_input():
-    rows = [[Fraction(v) for v in row] for row in
-            [[2, 3, 1], [4, 1, -2], [6, 7, 1]]]
+    rows = [[2, 3, 1], [4, 1, -2], [6, 7, 1]]
     bareiss_echelon(rows, 3)
     for row in rows:
         for v in row:
-            assert Fraction(v).denominator == 1
+            assert type(v) is int
+
+
+@pytest.mark.parametrize("bad", [
+    [[Fraction(1, 2), 1], [1, 1]],
+    [[Fraction(2), 1], [1, 1]],
+    [[ZZi(1, 1), 1], [ZZi(0, 1), ZZi(2)]],
+    [[1.0, 1], [1, 1]],
+], ids=["non-integral", "integral-fraction", "int-mixed-into-zzi", "float"])
+def test_bareiss_rejects_entries_outside_one_integer_ring(bad):
+    # `//` on a non-integral Fraction floors silently; the kernel refuses it
+    with pytest.raises(TypeError):
+        bareiss_echelon(bad, 2)
+
+
+def test_bareiss_over_gaussian_integers_divides_exactly():
+    rows = [[ZZi(1, 1), ZZi(2), ZZi(0, 3)],
+            [ZZi(2, -1), ZZi(1, 1), ZZi(1)],
+            [ZZi(0, 1), ZZi(3, 3), ZZi(-1, 2)]]
+    pivots = bareiss_echelon(rows, 3)
+    assert [c for (_r, c) in pivots] == [0, 1, 2]
+    for row in rows:
+        assert all(type(v) is ZZi and type(v.real) is int
+                   and type(v.imag) is int for v in row)
+    # the last pivot of a full-rank Bareiss echelon is the determinant
+    assert rows[2][2] == ZZi(-10, 14)
 
 
 def test_nullspace_matches_rank_and_annihilates():

@@ -279,3 +279,29 @@ def test_exports_are_deterministic_json():
     om = json.loads(omega_to_json(sys, 0, 1))
     assert om["slots"] == [0, 1]
     assert all(len(t) == 4 for t in om["triplets"])
+
+
+# sha256 of rep_to_json plus the Gram triplets, frozen from the rational
+# kernel; basis_hash covers only the weights, so this pins the matrices
+FROZEN_MODULES = [
+    ("A", 2, (2, 1),
+     "88b64c004ea0a6bbb87a906e5080e0497ffed4d17455818ea57fb1e29dbf2806"),
+    ("G", 2, (1, 1),
+     "0c68826399e91712552ba508a322d49dd79244bac05d1bce6b0d3a96c3bb50ca"),
+    ("B", 3, (0, 0, 1),
+     "7eab43c80fef1e7972d4cf9e3e60f2610d578ed4ce94915608ddff24de89d7ef"),
+    ("F", 4, (0, 0, 0, 1),
+     "101d5cd829cf3b580cc4240b8329a1b8bc5e5c115b989364cac0b75443587eb5"),
+]
+
+
+@pytest.mark.parametrize("series,rank,lam,digest", FROZEN_MODULES,
+                         ids=["A2-(2,1)", "G2-(1,1)", "B3-(0,0,1)",
+                              "F4-(0,0,0,1)"])
+def test_module_matrices_frozen(series, rank, lam, digest):
+    import hashlib
+    rep = irrep(build_algebra(series, rank), lam)
+    gram = [[r, c, v.numerator, v.denominator]
+            for r, c, v in rep.gram.entries()]
+    text = rep_to_json(rep) + json.dumps(gram)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
