@@ -20,7 +20,7 @@ from .connection import (KZForm, flatness_check, kz_form,
 from .exact import QQi, SRMatrix
 from .reps import (Representation, TensorSystem, casimir_matrix, irrep,
                    tensor_system)
-from .sections import SectionSpace, bbw_action, intertwiner, verify_bbw
+from .sections import SectionSpace, intertwiner, verify_bbw
 from .transport import (MonodromyResult, Path, braid_generator, braid_path,
                         braid_word_transport, constant_path,
                         parse_braid_word, projective_compare, rotation_path,
@@ -36,7 +36,7 @@ __all__ = [
     "QQi", "SRMatrix",
     "Representation", "TensorSystem", "casimir_matrix", "irrep",
     "tensor_system",
-    "SectionSpace", "bbw_action", "intertwiner", "verify_bbw",
+    "SectionSpace", "intertwiner", "verify_bbw",
     "MonodromyResult", "Path", "braid_generator", "braid_path",
     "braid_word_transport", "constant_path", "parse_braid_word",
     "projective_compare", "rotation_path", "transport",

@@ -249,29 +249,27 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True):
-        if manifest:
-            p.add_argument("--manifest", required=True,
-                           help="path to the JSON run manifest")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the transport tolerance")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--manifest", required=True,
+                       help="path to the JSON run manifest")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("blocks", help="invariant and block dimensions")
-    common(p)
-    p.set_defaults(fn=cmd_blocks)
+    p = command("blocks", cmd_blocks, "invariant and block dimensions")
+    p.add_argument("--out", help="output directory for blocks.json")
 
-    p = sub.add_parser("verify", help="run the exact identity suites")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    command("verify", cmd_verify, "run the exact identity suites")
 
-    p = sub.add_parser("braid", help="braid word monodromy on the blocks")
-    common(p)
-    p.set_defaults(fn=cmd_braid)
+    p = command("braid", cmd_braid, "braid word monodromy on the blocks")
+    p.add_argument("--out", default=".",
+                   help="output directory for monodromy.json")
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the transport tolerance")
 
-    p = sub.add_parser("fusion-table", help="export the fusion table as CSV")
-    common(p)
-    p.set_defaults(fn=cmd_fusion_table)
+    p = command("fusion-table", cmd_fusion_table,
+                "export the fusion table as CSV")
+    p.add_argument("--out", help="output directory (default: stdout)")
 
     p = sub.add_parser("codim-bound",
                        help="unstable-locus codimension lower bound")
@@ -281,17 +279,14 @@ def build_parser():
     p.add_argument("n", type=int)
     p.set_defaults(fn=cmd_codim_bound)
 
-    p = sub.add_parser("export-rep", help="export generator matrices")
-    common(p)
-    p.set_defaults(fn=cmd_export_rep)
+    p = command("export-rep", cmd_export_rep, "export generator matrices")
+    p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None) is None and args.command in ("braid",):
-        args.out = "."
     try:
         return args.fn(args)
     except ValidationError as exc:

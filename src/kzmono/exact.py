@@ -6,10 +6,10 @@ by the lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
 integers (over Q(i)), and Bareiss elimination divides with `//`. Every such
 division is exact by Sylvester's identity: each updated entry is a minor of
 the integral input, divisible by the previous pivot (Bareiss, Math. Comp.
-22, 1968). `Fraction`/`QQi` arithmetic happens only at the boundaries, in
-clearing denominators and in back-substitution, so coefficient growth stays
-polynomial and no gcd is paid per update. Floating point never enters this
-module.
+22, 1968). `reduced_echelon` adds the one back-substitution, over Fraction
+or QQi, and every exact solve (nullspace, square solve, inverse) reads that
+unique form; a nullspace basis is the identity on its free coordinates, so
+restriction to its span is a row selection. No floats enter this module.
 """
 
 from __future__ import annotations
@@ -440,26 +440,50 @@ def bareiss_echelon(rows, ncols, width=None):
     return pivots
 
 
+def reduced_echelon(rows, ncols, width=None):
+    """Reduced row echelon form of dense rows over Q or Q(i), exactly.
+
+    `bareiss_echelon` on the cleared rows, then one back-substitution.
+    Returns the pivot columns (searched in the first ncols) and their rows
+    out to `width` as `Fraction`/`QQi` values: 1 at their own pivot, 0 at
+    every other one.
+    """
+    width = ncols if width is None else width
+    work = _clear_denominators(rows)
+    pivots = [c for (_r, c) in bareiss_echelon(work, ncols, width)]
+    reduced = [None] * len(pivots)
+    later = []      # (pivot column, its nonzero entries off the pivots)
+    for t in range(len(pivots) - 1, -1, -1):
+        c = pivots[t]
+        row = [_lift(v) for v in work[t][:width]]
+        for c2, entries in later:
+            f = row[c2]
+            if f:
+                row[c2] = f - f
+                for j, v in entries:
+                    row[j] = row[j] - f * v
+        piv = row[c]
+        row = [v / piv if v else v for v in row]
+        reduced[t] = row
+        later.append((c, [(j, row[j]) for j in range(c + 1, width)
+                          if row[j]]))
+    return pivots, reduced
+
+
 def nullspace_rows(rows, ncols):
     """Right nullspace basis of the matrix given as dense rows.
 
-    Returns a list of columns (each a list of length ncols). Each basis
-    vector has a single free coordinate set to 1; the result is exact.
+    Returns a list of columns (each a list of length ncols), one per free
+    column: 1 at its own free coordinate and 0 at every other one.
     """
-    work = _clear_denominators(rows)
-    pivots = bareiss_echelon(work, ncols)
-    echelon = [(c, [_lift(v) for v in work[r]]) for (r, c) in pivots]
-    pivot_set = {c for (c, _row) in echelon}
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    pivots, reduced = reduced_echelon(rows, ncols)
+    free_cols = sorted(set(range(ncols)) - set(pivots))
     basis = []
-    one = Fraction(1)
     for fc in free_cols:
         x = [_ZERO] * ncols
-        x[fc] = one
-        for c, row in reversed(echelon):
-            s = sum((row[j] * x[j] for j in range(c + 1, ncols) if x[j]),
-                    start=_ZERO)
-            x[c] = -s / row[c]
+        x[fc] = Fraction(1)
+        for c, row in zip(pivots, reduced):
+            x[c] = -row[fc]
         basis.append(x)
     return basis
 
@@ -489,21 +513,11 @@ def solve_rows(a_rows, b_rows):
     """Solve A X = B for square nonsingular A, all dense rows, exactly."""
     n = len(a_rows)
     m = len(b_rows[0]) if b_rows else 0
-    aug = _clear_denominators([list(a_rows[i]) + list(b_rows[i])
-                               for i in range(n)])
-    pivots = bareiss_echelon(aug, n, width=n + m)
+    pivots, reduced = reduced_echelon(
+        [list(a_rows[i]) + list(b_rows[i]) for i in range(n)], n, n + m)
     if len(pivots) != n:
         raise ValueError("singular system")
-    x = [[None] * m for _ in range(n)]
-    for (r, c) in reversed(pivots):
-        row = [_lift(v) for v in aug[r]]
-        for j in range(m):
-            s = row[n + j]
-            for c2 in range(c + 1, n):
-                if row[c2] and x[c2][j]:
-                    s = s - row[c2] * x[c2][j]
-            x[c][j] = s / row[c]
-    return x
+    return [row[n:] for row in reduced]
 
 
 def invert_rows(a_rows):
@@ -512,35 +526,18 @@ def invert_rows(a_rows):
     return solve_rows(a_rows, eye)
 
 
-def pivot_rows(mat):
-    """Row indices R such that mat[R, :] is square nonsingular.
+def restrict_operator(op, basis, rows):
+    """Matrix X of `op` on the column span of `basis`, as an exact SRMatrix.
 
-    Requires mat to have full column rank; elimination runs on the transpose
-    so the pivot columns found there are the wanted rows.
+    `rows` must pick out the identity from the basis, basis[rows] == I, as
+    the free coordinates of a `nullspace_rows` basis do. Then
+    op @ basis == basis @ X forces X = (op @ basis)[rows], and that identity
+    is verified exactly; failure means the span is not invariant.
     """
-    support = mat.rows_with_support()
-    sub = mat.submatrix_rows(support)
-    rows_t = sub.transpose().to_rows()
-    work = _clear_denominators(rows_t)
-    pivots = bareiss_echelon(work, len(support))
-    if len(pivots) != mat.ncols:
-        raise ValueError("matrix does not have full column rank")
-    return [support[c] for (_r, c) in pivots]
-
-
-def restrict_operator(op, basis, rows=None):
-    """Matrix of `op` on the column span of `basis`, as an exact SRMatrix.
-
-    Solves op @ basis == basis @ X using a nonsingular row selection, then
-    verifies the identity exactly; failure means the span is not invariant.
-    """
-    if rows is None:
-        rows = pivot_rows(basis)
-    lhs = basis.submatrix_rows(rows).to_rows()
+    if basis.submatrix_rows(rows) != SRMatrix.identity(basis.ncols):
+        raise ValueError("basis is not the identity on the given rows")
     image = op @ basis
-    rhs = image.submatrix_rows(rows).to_rows()
-    x = solve_rows(lhs, rhs)
-    xs = SRMatrix.from_rows(x, basis.ncols)
+    xs = image.submatrix_rows(rows)
     if basis @ xs != image:
         raise ValueError("operator does not preserve the subspace")
     return xs

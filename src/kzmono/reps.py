@@ -31,9 +31,8 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError)
-from .exact import (SRMatrix, _clear_denominators, bareiss_echelon,
-                    commutator, kron, nullspace_rows, pivot_rows,
-                    restrict_operator, solve_rows)
+from .exact import (SRMatrix, commutator, kron, nullspace_rows,
+                    reduced_echelon, restrict_operator)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -134,14 +133,13 @@ def _construct_blocks(alg, lam):
                     if i == j:
                         val += Fraction(y[i]) * gram[x][tx][ty]
                     s_mat[a][b] = val
-            piv = bareiss_echelon(_clear_denominators(s_mat), m)
-            keep = [c for (_r, c) in piv]
+            # S is a symmetric Gram matrix, so its reduced echelon form is
+            # S_kk^-1 S[keep, :]: size x m, unit columns on keep
+            keep, coeff = reduced_echelon(s_mat, m)
             size = len(keep)
             if size == 0:
                 continue
             s_kk = [[s_mat[a][b] for b in keep] for a in keep]
-            rhs = [[s_mat[a][b] for b in range(m)] for a in keep]
-            coeff = solve_rows(s_kk, rhs)   # size x m, unit columns on keep
 
             blocks[mu] = size
             depth_of[mu] = depth
@@ -382,10 +380,12 @@ class TensorSystem:
 
     The invariant basis spans the joint kernel of the diagonal e_i and f_i
     actions (computed inside the zero-weight subspace, where it must live).
-    Every operator acting on a few tensor factors (generators, two-slot
-    Casimirs, swaps, the contravariant form) goes through the one primitive
-    `apply_local`, which keeps it sparse; no dense total-space matrix is
-    ever formed in the exact layer.
+    It is read from one reduced echelon form, so it is the identity on its
+    free-coordinate rows; those rows are recorded with it, and restricting
+    an operator selects them from its image. Every operator acting on a few
+    tensor factors (generators, two-slot Casimirs, swaps, the contravariant
+    form) goes through the one primitive `apply_local`, which keeps it
+    sparse; no dense total-space matrix is ever formed in the exact layer.
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -410,7 +410,7 @@ class TensorSystem:
         self.strides = tuple(strides)
         self._omega = {}
         self._invariant = None
-        self._pivots = None
+        self._unit_rows = None
         self._inv_gram = None
 
     def apply_local(self, slots, local, cols=None):
@@ -458,7 +458,7 @@ class TensorSystem:
     @property
     def invariant_basis(self):
         if self._invariant is None:
-            self._invariant = self._compute_invariants()
+            self._invariant, self._unit_rows = self._compute_invariants()
         return self._invariant
 
     @property
@@ -484,12 +484,11 @@ class TensorSystem:
             for q, v in enumerate(col):
                 if v:
                     out.data[(zero_idx[q], j)] = v
-        return out
-
-    def _pivot_rows(self):
-        if self._pivots is None:
-            self._pivots = pivot_rows(self.invariant_basis)
-        return self._pivots
+        # each vector is 1 at its free coordinate, its other entries sit at
+        # pivots left of it: the basis is the identity on its last nonzeros
+        unit_rows = [zero_idx[max(q for q, v in enumerate(col) if v)]
+                     for col in basis_cols]
+        return out, unit_rows
 
     def invariant_gram(self):
         """Product contravariant form on the invariant basis, an SRMatrix.
@@ -510,10 +509,12 @@ class TensorSystem:
     def restrict(self, op):
         """Exact matrix of op on the invariant subspace, as an SRMatrix.
 
-        Raises if op does not preserve the subspace, which doubles as the
-        subspace-preservation witness for every restricted operator.
+        The rows of op @ basis at the basis's unit rows; raises if op does
+        not preserve the subspace, which doubles as the subspace-preservation
+        witness for every restricted operator.
         """
-        return restrict_operator(op, self.invariant_basis, self._pivot_rows())
+        basis = self.invariant_basis    # computes the unit rows with it
+        return restrict_operator(op, basis, self._unit_rows)
 
     def diagonal_generator(self, i, kind):
         """Sum over slots of e_i (kind 'e') or f_i (kind 'f')."""

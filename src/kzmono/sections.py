@@ -67,10 +67,6 @@ class SectionSpace:
         return f"SectionSpace(m={self.m}, dim={self.dim})"
 
 
-def bbw_action(m):
-    return SectionSpace(m)
-
-
 def intertwiner(ss, rep):
     """Invertible T with T (model action) = (abstract action) T.
 
@@ -112,7 +108,7 @@ def verify_bbw(max_degree=6):
     a1 = build_algebra("A", 1)
     verified = []
     for m in range(max_degree + 1):
-        ss = bbw_action(m)
+        ss = SectionSpace(m)
         rep = irrep(a1, (m,))
         intertwiner(ss, rep)
         verified.append(m)

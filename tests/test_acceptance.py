@@ -19,7 +19,7 @@ from kzmono.errors import NoIntertwinerError
 from kzmono.exact import SRMatrix
 from kzmono.reps import casimir_constants, casimir_matrix, irrep, \
     tensor_system
-from kzmono.sections import bbw_action, intertwiner
+from kzmono.sections import SectionSpace, intertwiner
 from kzmono.transport import (braid_generator, projective_compare,
                               rotation_path, transport)
 
@@ -183,7 +183,7 @@ def test_criterion_8_bbw_rank_one():
     ok = True
     for m in range(7):
         try:
-            intertwiner(bbw_action(m), irrep(A1, (m,)))
+            intertwiner(SectionSpace(m), irrep(A1, (m,)))
         except NoIntertwinerError:
             ok = False
     report(8, ok,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kzmono.cli import main
 
 A1_K1_MANIFEST = {
@@ -146,6 +148,25 @@ def test_export_rep(tmp_path):
                  "--out", str(outdir)]) == 0
     doc = json.loads((outdir / "rep_A1_1.json").read_text())
     assert doc["dimension"] == 2
+
+
+def test_export_rep_without_out_exit_2(tmp_path, capsys):
+    path = write_manifest(tmp_path, A1_K1_MANIFEST)
+    with pytest.raises(SystemExit) as exc:
+        main(["export-rep", "--manifest", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+
+
+def test_verify_rejects_tol_and_out_exit_2(tmp_path, capsys):
+    path = write_manifest(tmp_path, A1_K1_MANIFEST)
+    for extra in (["--tol", "1e-3"], ["--out", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--manifest", path] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):

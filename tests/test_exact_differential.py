@@ -3,9 +3,11 @@
 The reference below is the earlier `Fraction`/`QQi` kernel: rows keep their
 field type after clearing denominators and Bareiss divides with `/`. The
 library clears into ints or `ZZi` Gaussian integers and divides with `//`.
-Every output (cleared rows, echelon form and pivots, nullspace, rank, solve,
-pivot rows) must be exactly equal, over Q and over Q(i), including floats
-converted exactly into coefficients of more than 700 bits.
+Every output (cleared rows, echelon form and pivots, nullspace, rank, solve)
+must be exactly equal, over Q and over Q(i), including floats converted
+exactly into coefficients of more than 700 bits. The reduced echelon form of
+a symmetric matrix must equal the reference solve on its pivot rows, the
+identity module construction relies on.
 """
 
 import math
@@ -15,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators,
-                          bareiss_echelon, nullspace_rows, pivot_rows,
-                          rank_rows, solve_rows)
+from kzmono.exact import (QQi, ZZi, _clear_denominators, bareiss_echelon,
+                          nullspace_rows, rank_rows, reduced_echelon,
+                          solve_rows)
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -118,16 +120,6 @@ def ref_solve_rows(a_rows, b_rows):
                     s = s - aug[r][c2] * x[c2][j]
             x[c][j] = s / aug[r][c]
     return x
-
-
-def ref_pivot_rows(mat):
-    support = mat.rows_with_support()
-    rows_t = mat.submatrix_rows(support).transpose().to_rows()
-    pivots = ref_bareiss_echelon(ref_clear_denominators(rows_t),
-                                 len(support))
-    if len(pivots) != mat.ncols:
-        raise ValueError("matrix does not have full column rank")
-    return [support[c] for (_r, c) in pivots]
 
 
 # -- strategies -------------------------------------------------------------
@@ -240,16 +232,24 @@ def test_solve_matches_reference(entries, data):
 @DOMAINS
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_pivot_rows_match_reference(entries, data):
-    rows, ncols = data.draw(matrices(entries, min_rows=1, max_dim=7))
-    mat = SRMatrix.from_rows(rows, ncols)
-    try:
-        expect = ref_pivot_rows(mat)
-    except ValueError:
-        with pytest.raises(ValueError):
-            pivot_rows(mat)
-        return
-    assert pivot_rows(mat) == expect
+def test_reduced_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
+                                                                 data):
+    # S = B B^T is symmetric, so its rows at the pivot columns span its row
+    # space and S_kk^-1 S[keep, :] is its reduced echelon form
+    b_rows, _ = data.draw(matrices(entries, min_rows=1))
+    n = len(b_rows)
+    s = [[sum((x * y for x, y in zip(b_rows[i], b_rows[j])),
+              start=Fraction(0)) for j in range(n)] for i in range(n)]
+    keep = [c for (_r, c) in ref_bareiss_echelon(ref_clear_denominators(s),
+                                                 n)]
+    pivots, reduced = reduced_echelon(copy(s), n)
+    assert pivots == keep
+    if keep:
+        s_kk = [[s[a][c] for c in keep] for a in keep]
+        assert reduced == ref_solve_rows(s_kk, [s[a] for a in keep])
+    else:
+        assert reduced == []
+    assert_field_values(reduced)
 
 
 @settings(max_examples=20, deadline=None)

@@ -267,6 +267,14 @@ def test_swap_restricted_is_involution():
         tensor_system(A1, ((1,), (2,))).swap_matrix(0)
 
 
+def test_restrict_rejects_operator_leaving_invariants():
+    # e_1 on one slot raises the weight of every invariant off zero
+    system = tensor_system(A1, ((1,),) * 4)
+    op = system.apply_local((0,), system.factors[0].e[0])
+    with pytest.raises(ValueError, match="preserve"):
+        system.restrict(op)
+
+
 def test_exports_are_deterministic_json():
     rep = irrep(A1, (2,))
     doc1 = rep_to_json(rep)
