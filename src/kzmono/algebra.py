@@ -317,10 +317,6 @@ def weight_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def weight_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def weyl_dimension(alg, lam):
     """prod <lam+rho, a> / <rho, a> over positive roots; always an integer."""
     lam = require_dominant(alg, lam)

@@ -171,18 +171,3 @@ def rotation_monodromy(form):
     result = expm(-2j * np.pi * float(form.prefactor) * mat)
     residual = float(np.max(np.abs(result - scalar * np.eye(d))))
     return RotationReport(scalar=scalar, matrix=result, max_residual=residual)
-
-
-def form_to_json(form, z, v):
-    import json
-    m = form.evaluate(z, v)
-    return json.dumps({
-        "algebra": {"series": form.system.alg.series,
-                    "rank": form.system.alg.rank},
-        "weights": [list(w) for w in form.system.weights],
-        "level": form.k,
-        "z": [[x.real, x.imag] for x in map(complex, z)],
-        "v": [[x.real, x.imag] for x in map(complex, v)],
-        "matrix_re": m.real.tolist(),
-        "matrix_im": m.imag.tolist(),
-    }, sort_keys=True)

@@ -593,17 +593,3 @@ def rep_to_json(rep):
         doc["matrices"][f"f{i + 1}"] = _triplets(rep.f[i])
         doc["matrices"][f"h{i + 1}"] = _triplets(rep.h[i])
     return json.dumps(doc, sort_keys=True)
-
-
-def omega_to_json(system, i, j):
-    full, _restricted = system.omega_pair(i, j)
-    doc = {
-        "algebra": {"series": system.alg.series, "rank": system.alg.rank},
-        "weights": [list(w) for w in system.weights],
-        "slots": [i, j],
-        "basis_hash": hashlib.sha256(
-            repr([f.basis_hash for f in system.factors]).encode()
-        ).hexdigest()[:16],
-        "triplets": _triplets(full),
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -3,10 +3,17 @@
 Flat sections obey Y' = -A(t) Y with A(t) the form evaluated on the path
 tangent; transport integrates the matrix ODE with the identity as initial
 frame. Two integrators are available: an adaptive embedded Runge-Kutta
-(DOP853) on the real-stacked system, and a fourth-order Magnus stepper
-(two-point Gauss quadrature with a single commutator, one matrix exponential
-per step) whose step count doubles until self-consistent. Both report a
-step-doubling style error estimate obtained from a refined solve.
+(DOP853) on the complex system, and a fourth-order Magnus stepper (two-point
+Gauss quadrature with a single commutator, one matrix exponential per step).
+
+Each path is integrated along one ladder of resolutions, every rung once.
+DOP853 runs two rungs, rtol = tol and then max(tol/100, 1e-13), and returns
+the second; its tolerance is local, so no stop rule on the global move is
+trusted and both rungs always run. Magnus doubles its step count from 8 and
+stops at the first rung whose move ||cur - prev||_F is at most
+tol * max(1, ||cur||_F), failing past the step budget. The reported error
+estimate is the last rung's move. Tolerances at or below 1e-13 are rejected:
+there the ladder has no finer rung to refine onto.
 
 Block monodromy uses the dual transport (dual=True, sections of the dual
 bundle, Y' = +A(t) Y). The block subspace is the subspace model, through the
@@ -47,7 +54,9 @@ from .errors import PathSingularError, TransportError, ValidationError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
+_MIN_TOL = 1e-13
 _MAGNUS_MAX_STEPS = 1 << 16
+_CONCAT_GAP = 1e-9
 _GAUSS_OFFSET = math.sqrt(3) / 6
 
 
@@ -63,7 +72,6 @@ class Segment:
 class Path:
     n: int
     segments: tuple
-    kind: str = "custom"
 
     def start(self):
         return self.segments[0].z(0.0)
@@ -75,8 +83,7 @@ class Path:
 def constant_path(points):
     pts = tuple(complex(p) for p in points)
     zero = tuple(0j for _ in pts)
-    return Path(len(pts), (Segment(lambda t: pts, lambda t: zero),),
-                kind="constant")
+    return Path(len(pts), (Segment(lambda t: pts, lambda t: zero),))
 
 
 def rotation_path(points, turns=1):
@@ -91,7 +98,7 @@ def rotation_path(points, turns=1):
         ph = w * np.exp(w * t)
         return tuple(ph * p for p in pts)
 
-    return Path(len(pts), (Segment(z, dz),), kind="rotation")
+    return Path(len(pts), (Segment(z, dz),))
 
 
 def braid_path(points, i, clockwise=False, wobble=0.0):
@@ -131,16 +138,16 @@ def braid_path(points, i, clockwise=False, wobble=0.0):
         out[b] = darm(t)
         return tuple(out)
 
-    return Path(n, (Segment(z, dz),), kind=f"braid_generator({i})")
+    return Path(n, (Segment(z, dz),))
 
 
-def concat_paths(first, second, tol=1e-9):
+def concat_paths(first, second):
     if first.n != second.n:
         raise ValidationError("paths have different point counts")
     gap = max(abs(x - y) for x, y in zip(first.end(), second.start()))
-    if gap > tol:
+    if gap > _CONCAT_GAP:
         raise ValidationError(f"paths do not concatenate: endpoint gap {gap}")
-    return Path(first.n, first.segments + second.segments, kind="custom")
+    return Path(first.n, first.segments + second.segments)
 
 
 def reverse_path(path):
@@ -149,7 +156,7 @@ def reverse_path(path):
         z, dz = seg.z, seg.dz
         segs.append(Segment(lambda t, z=z: z(1.0 - t),
                             lambda t, dz=dz: tuple(-v for v in dz(1.0 - t))))
-    return Path(path.n, tuple(segs), kind="custom")
+    return Path(path.n, tuple(segs))
 
 
 def reparametrize(path, fn, dfn):
@@ -160,7 +167,7 @@ def reparametrize(path, fn, dfn):
         segs.append(Segment(
             lambda t, z=z: z(fn(t)),
             lambda t, dz=dz: tuple(dfn(t) * v for v in dz(fn(t)))))
-    return Path(path.n, tuple(segs), kind=path.kind)
+    return Path(path.n, tuple(segs))
 
 
 @dataclass
@@ -199,20 +206,16 @@ class _FormOnPath:
 
 
 def _solve_segment_adaptive(afun, y0, tol, sign):
-    d = y0.shape[0]
+    shape = y0.shape
 
     def rhs(t, y):
-        mat = y[:d * d].reshape(d, d) + 1j * y[d * d:].reshape(d, d)
-        dy = sign * afun(t) @ mat
-        return np.concatenate([dy.real.ravel(), dy.imag.ravel()])
+        return (sign * afun(t) @ y.reshape(shape)).ravel()
 
-    packed = np.concatenate([y0.real.ravel(), y0.imag.ravel()])
-    sol = solve_ivp(rhs, (0.0, 1.0), packed, method="DOP853",
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
                     rtol=tol, atol=tol * 1e-2)
     if not sol.success:
         raise TransportError(f"integrator failed: {sol.message}")
-    y = sol.y[:, -1]
-    return y[:d * d].reshape(d, d) + 1j * y[d * d:].reshape(d, d)
+    return sol.y[:, -1].reshape(shape)
 
 
 def _solve_segment_magnus(afun, y0, steps, sign):
@@ -229,37 +232,28 @@ def _solve_segment_magnus(afun, y0, steps, sign):
     return y
 
 
-def _run_path(form, path, tol, method, min_separation, sign):
-    if path.n != form.n:
-        raise ValidationError(
-            f"path has {path.n} points, form expects {form.n}")
-    scale = max(_min_separation(path.start()), 1e-30)
-    floor = min_separation * scale
-    d = form.dim
-    y = np.eye(d, dtype=complex)
+_SEGMENT_SOLVERS = {"adaptive": _solve_segment_adaptive,
+                    "magnus": _solve_segment_magnus}
+
+
+def _run_path(form, path, resolution, method, floor, sign):
+    """One rung: every segment at one resolution (rtol or step count)."""
+    solve = _SEGMENT_SOLVERS[method]
+    y = np.eye(form.dim, dtype=complex)
+    for seg in path.segments:
+        y = solve(_FormOnPath(form, seg, floor), y, resolution, sign)
+    return y
+
+
+def _ladder(method, tol):
     if method == "adaptive":
-        for seg in path.segments:
-            y = _solve_segment_adaptive(_FormOnPath(form, seg, floor), y,
-                                        tol, sign)
-        return y
-    if method == "magnus":
-        for seg in path.segments:
-            afun = _FormOnPath(form, seg, floor)
-            steps = 8
-            prev = _solve_segment_magnus(afun, y, steps, sign)
-            while True:
-                steps *= 2
-                if steps > _MAGNUS_MAX_STEPS:
-                    raise TransportError(
-                        "magnus stepper exceeded the step budget "
-                        f"before reaching tol={tol}")
-                cur = _solve_segment_magnus(afun, y, steps, sign)
-                if np.linalg.norm(cur - prev) < tol:
-                    y = cur
-                    break
-                prev = cur
-        return y
-    raise ValidationError(f"unknown transport method {method!r}")
+        return (tol, max(tol * 1e-2, _MIN_TOL))
+    steps = 8
+    rungs = []
+    while steps <= _MAGNUS_MAX_STEPS:
+        rungs.append(steps)
+        steps *= 2
+    return rungs
 
 
 def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
@@ -268,29 +262,43 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
 
     dual=True transports dual-bundle frames (Y' = +A Y), the parallel
     structure of the block subspaces; the default transports sections
-    (Y' = -A Y), the one the rotation-scalar oracle pins down. The error
-    estimate compares against a solve at a hundredfold tighter tolerance
-    (the returned matrix is the refined one).
+    (Y' = -A Y), the one the rotation-scalar oracle pins down.
+
+    The path is solved once per rung of a refinement ladder (see the module
+    docstring): DOP853 at rtol tol and then max(tol/100, 1e-13), Magnus at
+    8, 16, 32, ... steps until the Frobenius move between consecutive rungs
+    is at most tol * max(1, ||matrix||_F). The returned matrix is the last
+    rung and est_error is its move. tol must exceed 1e-13; Magnus raises
+    TransportError when its step budget runs out first.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not tol > _MIN_TOL:
+        raise ValidationError(
+            f"tolerance must exceed {_MIN_TOL:g}, got {tol!r}")
+    if method not in _SEGMENT_SOLVERS:
+        raise ValidationError(f"unknown transport method {method!r}")
+    if path.n != form.n:
+        raise ValidationError(
+            f"path has {path.n} points, form expects {form.n}")
+    floor = min_separation * max(_min_separation(path.start()), 1e-30)
     sign = 1.0 if dual else -1.0
-    coarse = _run_path(form, path, tol, method, min_separation, sign)
-    fine = _run_path(form, path, max(tol * 1e-2, 1e-13), method,
-                     min_separation, sign)
-    est = float(np.linalg.norm(fine - coarse))
-    return MonodromyResult(matrix=fine, est_error=est)
+    prev = None
+    for resolution in _ladder(method, tol):
+        cur = _run_path(form, path, resolution, method, floor, sign)
+        if prev is not None:
+            move = float(np.linalg.norm(cur - prev))
+            if method == "adaptive" or \
+                    move <= tol * max(1.0, np.linalg.norm(cur)):
+                return MonodromyResult(matrix=cur, est_error=move)
+        prev = cur
+    raise TransportError(
+        f"magnus stepper exceeded the step budget of {_MAGNUS_MAX_STEPS} "
+        f"before reaching tol={tol}")
 
 
 def magnus_fixed_steps(form, path, steps, dual=False):
     """Fixed-step Magnus transport, exposed for convergence-order checks."""
-    d = form.dim
-    y = np.eye(d, dtype=complex)
-    sign = 1.0 if dual else -1.0
-    for seg in path.segments:
-        y = _solve_segment_magnus(_FormOnPath(form, seg, 1e-30), y, steps,
-                                  sign)
-    return y
+    return _run_path(form, path, steps, "magnus", 1e-30,
+                     1.0 if dual else -1.0)
 
 
 def projective_compare(a, b):

@@ -145,17 +145,6 @@ def test_rotation_monodromy_needs_invariants():
         rotation_monodromy(form)
 
 
-def test_form_to_json():
-    import json
-    from kzmono.connection import form_to_json
-    form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
-    z = [0 + 0j, 1 + 0j, 3 + 0j, 7 + 0j]
-    doc = json.loads(form_to_json(form, z, z))
-    assert doc["level"] == 1
-    assert len(doc["matrix_re"]) == form.dim
-    assert doc["z"][2] == [3.0, 0.0]
-
-
 def test_rotation_scalar_matches_casimirs_generic():
     rng = random.Random(4)
     for _ in range(5):

@@ -9,8 +9,7 @@ from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.errors import DimensionCapError, NonDominantWeightError
 from kzmono.exact import SRMatrix, commutator
 from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
-                         omega_to_json, rep_to_json, root_vectors,
-                         tensor_system)
+                         rep_to_json, root_vectors, tensor_system)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -283,10 +282,6 @@ def test_exports_are_deterministic_json():
     parsed = json.loads(doc1)
     assert parsed["dimension"] == 3
     assert set(parsed["matrices"]) == {"e1", "f1", "h1"}
-    sys = tensor_system(A1, ((1,), (1,)))
-    om = json.loads(omega_to_json(sys, 0, 1))
-    assert om["slots"] == [0, 1]
-    assert all(len(t) == 4 for t in om["triplets"])
 
 
 # sha256 of rep_to_json plus the Gram triplets, frozen from the rational

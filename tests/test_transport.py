@@ -1,5 +1,7 @@
 """Numerical transport: oracles, braid relations, block preservation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,60 @@ def test_magnus_convergence_order(form_k2):
     r2 = errs[1] / errs[2]
     assert 8 < r1 < 40
     assert 8 < r2 < 40
+
+
+def _count_evaluations(monkeypatch, form):
+    calls = []
+    evaluate = form.evaluate
+    monkeypatch.setattr(form, "evaluate",
+                        lambda z, v: calls.append(1) or evaluate(z, v))
+    return calls
+
+
+def test_magnus_runs_one_ladder(form_k2, monkeypatch):
+    # A(t) is constant on the rotation loop, so the ladder stops at its
+    # second rung: two Gauss nodes per step at 8 and then 16 steps
+    calls = _count_evaluations(monkeypatch, form_k2)
+    transport(form_k2, rotation_path(Z4), tol=1e-9, method="magnus")
+    assert len(calls) == 2 * (8 + 16)
+
+
+def test_magnus_step_budget(form_k2, monkeypatch):
+    # the package re-exports the transport function under the module's name
+    module = importlib.import_module("kzmono.transport")
+    monkeypatch.setattr(module, "_MAGNUS_MAX_STEPS", 16)
+    calls = _count_evaluations(monkeypatch, form_k2)
+    with pytest.raises(TransportError):
+        transport(form_k2, braid_path(Z4, 2), tol=1e-12, method="magnus")
+    assert len(calls) == 2 * (8 + 16)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "magnus"])
+@pytest.mark.parametrize("tol", [1e-13, 1e-15, 0.0, -1.0])
+def test_transport_rejects_unrefinable_tol(form_k2, method, tol):
+    # at or below the floor of the ladder the finer rung would be no finer
+    with pytest.raises(ValidationError):
+        transport(form_k2, braid_path(Z4, 2), tol=tol, method=method)
+
+
+@pytest.fixture(scope="module")
+def form6_k2():
+    return kz_form(tensor_system(A1, ((1,),) * 6), 2)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("method", ["adaptive", "magnus"])
+def test_error_estimates_are_honest(form_k2, form6_k2, n, method):
+    # open braid paths only: on a path followed by its reverse the
+    # symmetric Magnus scheme cancels exactly and the estimate says nothing
+    form = form_k2 if n == 4 else form6_k2
+    pts = (0, 1, 3, 7, 12, 20)[:n]
+    for i in range(1, n):
+        path = braid_path(pts, i)
+        ref = transport(form, path, tol=1e-12).matrix
+        for tol in (1e-5, 1e-7, 1e-9):
+            res = transport(form, path, tol=tol, method=method)
+            assert np.linalg.norm(res.matrix - ref) <= res.est_error + 1e-12
 
 
 def test_adaptive_error_decreases_with_tol(form_k2):
