@@ -48,7 +48,7 @@ from .reps import (DEFAULT_DIMENSION_CAP, casimir_matrix, irrep, rep_to_json,
 from .sections import verify_bbw
 from .transport import (DEFAULT_BLOCK_TOL, DEFAULT_TOL,
                         braid_word_transport, monodromy_to_json,
-                        parse_braid_word)
+                        parse_braid_word, require_tol)
 
 
 def load_manifest(path):
@@ -180,6 +180,7 @@ def cmd_braid(args):
     tol, compare_tol = _tolerances(doc)
     if args.tol is not None:
         tol = args.tol
+    require_tol(tol)
     word = parse_braid_word(doc.get("braid_word", ""))
     bs = block_subspace(system, level, points,
                         at_infinity=doc.get("at_infinity"))

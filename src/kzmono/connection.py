@@ -48,7 +48,6 @@ class KZForm:
         self.k = k
         self.h = system.alg.dual_coxeter
         self.prefactor = Fraction(1, k + self.h)
-        assert self.prefactor * (k + self.h) == 1
         n = system.n
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.omega_full = {p: system.omega_pair(*p)[0] for p in self.pairs}

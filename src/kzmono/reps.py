@@ -1,17 +1,21 @@
 """Exact irreducible highest-weight modules and their tensor products.
 
-A module is generated from a highest-weight vector by the lowering operators,
-weight space by weight space; at each new weight the Gram matrix of the
-contravariant form on the candidate vectors picks a basis and expresses every
-dependent candidate through it, which quotients out the radical and lands
-exactly on the irreducible module. Dimensions are cross-checked against the
-Weyl dimension formula as a hard assertion.
+A module is generated from a highest-weight vector by the lowering operators
+in one pass, weight space by weight space. The candidates at a new weight mu
+are the vectors f_j y for y in the weight space of mu + a_j; each e_i f_j y
+is formed once, as f_j e_i y + delta_ij y_i y, and serves both as a row of
+the Gram matrix of the contravariant form on the candidates and, for a kept
+candidate, as its raising column. One reduced echelon form of that Gram
+matrix picks a basis and expresses every dependent candidate through it,
+which quotients out the radical and lands exactly on the irreducible module.
+Dimensions are cross-checked against the Weyl dimension formula.
 
 Matrix conventions (weights are Dynkin labels):
     [h_i, e_j] = cartan[j][i] e_j,   [e_i, f_j] = delta_ij h_i,
-and h_i acts on a weight-mu vector as mu[i]. Basis vectors are ordered by the
-height of lam - mu, then lexicographically by mu, then by construction order
-inside a weight space, so exports are reproducible.
+and h_i acts on a weight-mu vector as mu[i]. A basis vector is numbered when
+it is created, and weights are created by the height of lam - mu, then
+lexicographically by mu, so that construction order is the export order and
+exports are reproducible.
 
 Root vectors for non-simple roots come from a fixed iterated-bracket scheme
 (always bracketing with the lowest simple index that stays in the root
@@ -75,165 +79,86 @@ class Representation:
                 f"{self.highest_weight}, dim={self.dim})")
 
 
-def _block_matvec(columns, vec):
-    """Apply a list-of-columns block matrix to a coefficient vector."""
-    if not columns:
-        return []
-    out = [_F0] * len(columns[0])
-    for c, x in zip(columns, vec):
-        if x:
-            for r, v in enumerate(c):
-                if v:
-                    out[r] += x * v
-    return out
+def _construct(alg, lam):
+    """One-pass lowering construction; see the module docstring.
 
-
-def _construct_blocks(alg, lam):
-    """Weight-by-weight lowering construction; see module docstring."""
+    Returns the basis weights, then e_i, f_i and the Gram matrix as column
+    dicts {index: {row: value}}. Each basis vector gets its global index
+    when it is created, so no reassembly follows. u[i][b] = e_i f_j y for
+    the b-th candidate f_j y is formed once; it gives the Gram entries
+    <f_i x, f_j y> = G_x . u[i][b] and, if the candidate is kept, the
+    raising column of e_i.
+    """
     rank = alg.rank
-    alpha = [alg.cartan[i] for i in range(rank)]   # Dynkin labels of a_i
-
-    blocks = {lam: 1}
-    depth_of = {lam: 0}
-    gram = {lam: [[_F1]]}
-    e_blk = {}    # (i, w) -> columns of e_i : block(w) -> block(w + a_i)
-    f_blk = {}    # (i, w) -> columns of f_i : block(w) -> block(w - a_i)
+    alpha = alg.cartan                 # row i: Dynkin labels of a_i
+    weights = [lam]
+    index_of = {lam: range(1)}         # weight -> indices of its basis
+    e = [{} for _ in range(rank)]
+    f = [{} for _ in range(rank)]
+    gram = {0: {0: _F1}}
 
     layer = [lam]
-    depth = 0
     while layer:
-        depth += 1
-        candidates = {}
+        parents_of = {}
         for w in layer:
             for i in range(rank):
-                mu = tuple(w[j] - alpha[i][j] for j in range(rank))
-                candidates.setdefault(mu, []).append(i)
-        next_layer = []
-        for mu in sorted(candidates):
-            parents = sorted(candidates[mu])
-            span = [(i, tuple(mu[j] + alpha[i][j] for j in range(rank)), t)
-                    for i in parents
-                    for t in range(blocks[tuple(mu[j] + alpha[i][j]
-                                                for j in range(rank))])]
-            m = len(span)
-            s_mat = [[_F0] * m for _ in range(m)]
-            for b, (j, y, ty) in enumerate(span):
-                # e_i f_j b_y = f_j e_i b_y + delta_ij (y_i) b_y per column
-                for a, (i, x, tx) in enumerate(span):
-                    val = _F0
-                    up = tuple(y[q] + alpha[i][q] for q in range(rank))
-                    ecols = e_blk.get((i, y))
-                    fcols = f_blk.get((j, up))
-                    if ecols is not None and fcols is not None:
-                        fz = _block_matvec(fcols, ecols[ty])
-                        gx = gram[x]
-                        val = sum((gx[tx][r] * fz[r]
-                                   for r in range(len(fz)) if fz[r]),
-                                  start=_F0)
-                    if i == j:
-                        val += Fraction(y[i]) * gram[x][tx][ty]
-                    s_mat[a][b] = val
-            # S is a symmetric Gram matrix, so its reduced echelon form is
-            # S_kk^-1 S[keep, :]: size x m, unit columns on keep
-            keep, coeff = reduced_echelon(s_mat, m)
-            size = len(keep)
-            if size == 0:
-                continue
-            s_kk = [[s_mat[a][b] for b in keep] for a in keep]
-
-            blocks[mu] = size
-            depth_of[mu] = depth
-            gram[mu] = s_kk
-            next_layer.append(mu)
-
-            # lowering matrices into the new block
-            pos = {s: idx for idx, s in enumerate(span)}
+                mu = tuple(a - b for a, b in zip(w, alpha[i]))
+                parents_of.setdefault(mu, []).append(i)
+        layer = []
+        for mu, parents in sorted(parents_of.items()):
+            parents.sort()
+            span = [(j, y) for j in parents for y in
+                    index_of[tuple(a + b for a, b in zip(mu, alpha[j]))]]
+            u = {}
             for i in parents:
-                x = tuple(mu[j2] + alpha[i][j2] for j2 in range(rank))
-                cols = [[coeff[r][pos[(i, x, t)]] for r in range(size)]
-                        for t in range(blocks[x])]
-                f_blk[(i, x)] = cols
-
-            # raising matrices out of the new block
-            for i in range(rank):
-                target = tuple(mu[j2] + alpha[i][j2] for j2 in range(rank))
-                if target not in blocks:
-                    continue
-                tsize = blocks[target]
-                cols = []
-                for (j, y, ty) in (span[b] for b in keep):
-                    col = [_F0] * tsize
-                    up = tuple(y[q] + alpha[i][q] for q in range(rank))
-                    ecols = e_blk.get((i, y))
-                    fcols = f_blk.get((j, up))
-                    if ecols is not None and fcols is not None:
-                        fz = _block_matvec(fcols, ecols[ty])
-                        for r, v in enumerate(fz):
-                            col[r] += v
-                    if i == j:
-                        col[ty] += Fraction(y[i])
-                    cols.append(col)
-                e_blk[(i, mu)] = cols
-        layer = next_layer
-
-    return blocks, depth_of, e_blk, f_blk, gram
+                ui = u[i] = []
+                for j, y in span:
+                    vec = {y: Fraction(weights[y][i])} if i == j else {}
+                    for r, v in e[i].get(y, {}).items():
+                        for r2, v2 in f[j].get(r, {}).items():
+                            vec[r2] = vec.get(r2, _F0) + v * v2
+                    ui.append({r: v for r, v in vec.items() if v})
+            # G is symmetric, so its column x is its row x
+            s_mat = [[sum((gram[x][r] * v for r, v in ub.items()
+                           if r in gram[x]), start=_F0)
+                      for ub in u[i]] for i, x in span]
+            # S is a symmetric Gram matrix, so its reduced echelon form is
+            # S_kk^-1 S[keep, :], with unit columns on keep
+            keep, coeff = reduced_echelon(s_mat, len(span))
+            if not keep:
+                continue
+            new = range(len(weights), len(weights) + len(keep))
+            weights.extend([mu] * len(keep))
+            index_of[mu] = new
+            layer.append(mu)
+            for n, a in zip(new, keep):
+                gram[n] = {n2: s_mat[a][b] for n2, b in zip(new, keep)
+                           if s_mat[a][b]}
+                for i in parents:
+                    e[i][n] = u[i][a]
+            for b, (i, x) in enumerate(span):
+                f[i][x] = {n: row[b] for n, row in zip(new, coeff) if row[b]}
+    return weights, e, f, gram
 
 
 @lru_cache(maxsize=None)
 def irrep(alg, lam):
     """The irreducible module of a dominant highest weight, exactly."""
     lam = la.require_dominant(alg, lam)
-    rank = alg.rank
-    blocks, depth_of, e_blk, f_blk, gram = _construct_blocks(alg, lam)
-
-    order = sorted(blocks, key=lambda w: (depth_of[w], w))
-    offset = {}
-    basis_weights = []
-    for w in order:
-        offset[w] = len(basis_weights)
-        basis_weights.extend([w] * blocks[w])
-
-    dim = len(basis_weights)
+    weights, e, f, gram = _construct(alg, lam)
+    dim = len(weights)
     expected = la.weyl_dimension(alg, lam)
     if dim != expected:
         raise ConstructionError(
             f"{alg.name} weight {lam}: constructed dimension {dim} != "
             f"Weyl dimension {expected}")
 
-    alpha = [alg.cartan[i] for i in range(rank)]
-    gen_e = []
-    gen_f = []
-    for i in range(rank):
-        em = SRMatrix(dim, dim)
-        fm = SRMatrix(dim, dim)
-        for w in order:
-            up = tuple(w[j] + alpha[i][j] for j in range(rank))
-            cols = e_blk.get((i, w))
-            if cols is not None and up in offset:
-                for t, col in enumerate(cols):
-                    for r, v in enumerate(col):
-                        if v:
-                            em.data[(offset[up] + r, offset[w] + t)] = v
-            down = tuple(w[j] - alpha[i][j] for j in range(rank))
-            cols = f_blk.get((i, w))
-            if cols is not None and down in offset:
-                for t, col in enumerate(cols):
-                    for r, v in enumerate(col):
-                        if v:
-                            fm.data[(offset[down] + r, offset[w] + t)] = v
-        gen_e.append(em)
-        gen_f.append(fm)
+    def matrix(cols):
+        return SRMatrix(dim, dim, {(r, c): v for c, col in cols.items()
+                                   for r, v in col.items()})
 
-    gram_total = SRMatrix(dim, dim)
-    for w in order:
-        rows = gram[w]
-        base = offset[w]
-        for r in range(len(rows)):
-            for c in range(len(rows)):
-                if rows[r][c]:
-                    gram_total.data[(base + r, base + c)] = rows[r][c]
-
-    return Representation(alg, lam, basis_weights, gen_e, gen_f, gram_total)
+    return Representation(alg, lam, weights, map(matrix, e), map(matrix, f),
+                          matrix(gram))
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +218,7 @@ def casimir_constants(alg):
     [e_alpha, f_alpha] acts on a weight-mu vector as c_alpha <mu, alpha>;
     the constants are representation independent, so they are read off in a
     small faithful module and validated across its whole weight spectrum.
-    For a simple root, c equals 1/d_i, which is asserted.
+    For a simple root, c equals 1/d_i, which is checked.
     """
     ref = irrep(alg, _reference_weight(alg))
     ems, fms = root_vectors(ref)
@@ -319,8 +244,10 @@ def casimir_constants(alg):
                 f"{alg.name}: could not extract <e,f> for root {label}")
         out.append(c_val)
     for i, (kind, idx, _low) in enumerate(_bracket_scheme(alg)):
-        if kind == "simple":
-            assert out[i] == 1 / alg.symmetrizers[idx]
+        if kind == "simple" and out[i] != 1 / alg.symmetrizers[idx]:
+            raise ConstructionError(
+                f"{alg.name}: <e,f> for simple root {idx + 1} is {out[i]}, "
+                f"not 1/d = {1 / alg.symmetrizers[idx]}")
     return tuple(out)
 
 

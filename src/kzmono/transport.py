@@ -256,6 +256,13 @@ def _ladder(method, tol):
     return rungs
 
 
+def require_tol(tol):
+    """Raise ValidationError unless the ladder can refine below tol."""
+    if not tol > _MIN_TOL:
+        raise ValidationError(
+            f"tolerance must exceed {_MIN_TOL:g}, got {tol!r}")
+
+
 def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
               min_separation=1e-9, dual=False):
     """Parallel transport along a path; frame starts as the identity.
@@ -271,9 +278,7 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
     rung and est_error is its move. tol must exceed 1e-13; Magnus raises
     TransportError when its step budget runs out first.
     """
-    if not tol > _MIN_TOL:
-        raise ValidationError(
-            f"tolerance must exceed {_MIN_TOL:g}, got {tol!r}")
+    require_tol(tol)
     if method not in _SEGMENT_SOLVERS:
         raise ValidationError(f"unknown transport method {method!r}")
     if path.n != form.n:

@@ -122,11 +122,14 @@ def test_braid_letter_out_of_range_exit_2(tmp_path, capsys):
 
 
 def test_braid_unrefinable_tol_exit_2(tmp_path, capsys):
-    doc = dict(A1_K1_MANIFEST, braid_word="1")
-    path = write_manifest(tmp_path, doc)
-    assert main(["braid", "--manifest", path, "--out", str(tmp_path / "x"),
-                 "--tol", "1e-13"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    # an empty braid word runs no transport, so the CLI checks tol itself
+    for n, (word, tol) in enumerate([("1", "1e-13"), ("", "1e-13"),
+                                     ("", "-5")]):
+        doc = dict(A1_K1_MANIFEST, braid_word=word)
+        path = write_manifest(tmp_path, doc)
+        assert main(["braid", "--manifest", path,
+                     "--out", str(tmp_path / f"x{n}"), "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
 
 def test_fusion_table_stdout_and_file(tmp_path, capsys):

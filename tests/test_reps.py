@@ -1,12 +1,16 @@
 """Representations: Chevalley relations, Casimirs, invariants, Omega^ij."""
 
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from kzmono.algebra import build_algebra, casimir_scalar
-from kzmono.errors import DimensionCapError, NonDominantWeightError
+from kzmono.blocks import admissible_weights
+from kzmono.errors import (ConstructionError, DimensionCapError,
+                           NonDominantWeightError)
 from kzmono.exact import SRMatrix, commutator
 from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
                          rep_to_json, root_vectors, tensor_system)
@@ -285,7 +289,8 @@ def test_exports_are_deterministic_json():
 
 
 # sha256 of rep_to_json plus the Gram triplets, frozen from the rational
-# kernel; basis_hash covers only the weights, so this pins the matrices
+# kernel; basis_hash covers only the weights, so this pins the matrices.
+# The last four have weight multiplicities above 1 and nontrivial radicals.
 FROZEN_MODULES = [
     ("A", 2, (2, 1),
      "88b64c004ea0a6bbb87a906e5080e0497ffed4d17455818ea57fb1e29dbf2806"),
@@ -295,16 +300,64 @@ FROZEN_MODULES = [
      "7eab43c80fef1e7972d4cf9e3e60f2610d578ed4ce94915608ddff24de89d7ef"),
     ("F", 4, (0, 0, 0, 1),
      "101d5cd829cf3b580cc4240b8329a1b8bc5e5c115b989364cac0b75443587eb5"),
+    ("C", 3, (1, 0, 1),
+     "ce3d3006bd6bc3068cfb4c38856e95d401d7c638c752c2a48b7b664b131d424e"),
+    ("A", 3, (1, 1, 0),
+     "9661ea263d86e56cb266874d3af758df4242a482a43cb7be79c0d14482fd0137"),
+    ("D", 4, (0, 1, 0, 0),
+     "d0ccff161b79b977d1bdf0c2a9a3a63bee1d68e3dc54d628c6b01a39964f1206"),
+    ("G", 2, (2, 0),
+     "a71aea63a18332e2fe7795f763350ef73dd27afda157a793d1eba72a3cdbedb2"),
 ]
+
+
+def _module_text(rep):
+    gram = [[r, c, v.numerator, v.denominator]
+            for r, c, v in rep.gram.entries()]
+    return rep_to_json(rep) + json.dumps(gram)
 
 
 @pytest.mark.parametrize("series,rank,lam,digest", FROZEN_MODULES,
                          ids=["A2-(2,1)", "G2-(1,1)", "B3-(0,0,1)",
-                              "F4-(0,0,0,1)"])
+                              "F4-(0,0,0,1)", "C3-(1,0,1)", "A3-(1,1,0)",
+                              "D4-(0,1,0,0)", "G2-(2,0)"])
 def test_module_matrices_frozen(series, rank, lam, digest):
-    import hashlib
     rep = irrep(build_algebra(series, rank), lam)
-    gram = [[r, c, v.numerator, v.denominator]
-            for r, c, v in rep.gram.entries()]
-    text = rep_to_json(rep) + json.dumps(gram)
+    text = _module_text(rep)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_fusion_ladder_modules_frozen():
+    # one digest over every admissible module of the rings A2 k=5, A3 k=2,
+    # G2 k=3 and F4 k=2, in ring order and then admissible-weight order
+    digest = hashlib.sha256()
+    count = 0
+    for series, rank, k in [("A", 2, 5), ("A", 3, 2), ("G", 2, 3),
+                            ("F", 4, 2)]:
+        alg = build_algebra(series, rank)
+        for lam in admissible_weights(alg, k):
+            rep = irrep(alg, lam)
+            assert {type(v) for m in (*rep.e, *rep.f, rep.gram)
+                    for v in m.data.values()} <= {Fraction}
+            digest.update(_module_text(rep).encode())
+            count += 1
+    assert count == 42
+    assert digest.hexdigest() == \
+        "715c4e867632dc99ff2c2bccce8b09f0e5390ced270d15027f469672f9e924bb"
+
+
+def test_dimension_check_raises(monkeypatch):
+    # negative control: a Weyl dimension one too large must be caught
+    true_dim = irrep(A2, (1, 1)).dim
+    monkeypatch.setattr("kzmono.algebra.weyl_dimension",
+                        lambda alg, lam: true_dim + 1)
+    with pytest.raises(ConstructionError, match="Weyl dimension"):
+        irrep.__wrapped__(A2, (1, 1))
+
+
+def test_casimir_constants_checks_simple_roots():
+    # A1 with d_1 = 1/2 would need <e, f> = 2; the module gives 1
+    bad = dataclasses.replace(build_algebra("A", 1),
+                              symmetrizers=(Fraction(1, 2),))
+    with pytest.raises(ConstructionError, match="simple root 1"):
+        casimir_constants(bad)
