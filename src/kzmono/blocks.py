@@ -3,8 +3,8 @@
 Fusion coefficients come from the Racah-Speiser/Kac-Walton reflection rule:
 for each weight phi of the second factor, lam + phi + rho is reflected into
 the interior of the level-(k+h) alcove by simple and affine reflections,
-contributing its sign (walls contribute nothing). The induced product is
-verified to be symmetric, unital and associative on the whole table.
+contributing its sign (walls contribute nothing). The ring is one int64
+tensor, verified symmetric, unital and associative by array identities.
 
 The block subspace at marked points z is realised inside the invariants as
 ker (sum_i z_i f_theta^(i))^(k+1), with f_theta the lowering operator of the
@@ -23,6 +23,8 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
@@ -112,35 +114,42 @@ def classical_tensor_multiplicities(alg, lam, mu):
 
 
 class FusionRing:
-    """Fusion coefficients of all admissible weights at one level."""
+    """Fusion coefficients N[a, b, c] = N_{w_a w_b}^{w_c} at one level.
 
-    def __init__(self, alg, k, table, weights):
+    N is a read-only int64 tensor over the sorted admissible weights w, so
+    the vacuum (0, ..., 0) has index 0; index maps each weight to its own.
+    """
+
+    def __init__(self, alg, k, weights, N):
         self.alg = alg
         self.k = k
         self.weights = weights
-        self.vacuum = tuple(0 for _ in range(alg.rank))
-        self._table = table
+        self.vacuum = weights[0]
+        self.N = N
+        self.index = {w: a for a, w in enumerate(weights)}
 
     def coefficient(self, lam, mu, nu):
-        return self._table[(lam, mu)].get(nu, 0)
+        return self.row(lam, mu).get(nu, 0)
 
     def row(self, lam, mu):
-        return dict(self._table[(lam, mu)])
+        n = self.N[self.index[lam], self.index[mu]]
+        return {self.weights[c]: int(n[c]) for c in np.flatnonzero(n)}
 
     def check_admissible(self, lam):
         lam = la.require_dominant(self.alg, lam)
-        if lam not in set(self.weights):
+        if lam not in self.index:
             raise InadmissibleWeightError(
                 f"weight {lam} is not admissible at level {self.k} "
                 f"for {self.alg.name}")
         return lam
 
     def dual(self, lam):
-        lam = self.check_admissible(lam)
-        partners = [mu for mu in self.weights
-                    if self.coefficient(lam, mu, self.vacuum) == 1]
-        assert len(partners) == 1
-        return partners[0]
+        a = self.index[self.check_admissible(lam)]
+        partners = np.flatnonzero(self.N[a, :, 0] == 1)
+        if len(partners) != 1:
+            raise FusionValidationError(
+                f"weight {lam} has {len(partners)} fusion duals")
+        return self.weights[partners[0]]
 
     def __repr__(self):
         return (f"FusionRing({self.alg.name}, k={self.k}, "
@@ -149,77 +158,61 @@ class FusionRing:
 
 @lru_cache(maxsize=None)
 def fusion_ring(alg, k):
-    """Build and verify the level-k fusion table.
+    """Build and verify the level-k fusion tensor N (see FusionRing).
 
-    Verification is part of construction: the product must be symmetric,
-    have the vacuum as unit, close on admissible weights with nonnegative
-    coefficients, and be associative over all admissible triples.
+    Every coefficient must be nonnegative on an admissible weight; then N
+    must be symmetric, have the vacuum as unit and be associative. For each
+    lam, N[lam] @ N.reshape(m, m^2) holds the (lam mu) nu coefficients and
+    N.reshape(m^2, m) @ N[lam] those of lam (mu nu); m max(N)^2 < 2^63 keeps
+    these int64 sums exact. Failures name the first weights in sorted order.
     """
     k = int(k)
     if k < 1:
         raise ValueError("level must be a positive integer")
     weights = admissible_weights(alg, k)
-    wset = set(weights)
-    table = {(lam, mu): _fusion_row(alg, lam, mu, k)
-             for lam in weights for mu in weights}
-
-    ring = FusionRing(alg, k, table, weights)
-    vac = ring.vacuum
-    for lam in weights:
-        for mu in weights:
-            row = table[(lam, mu)]
-            for nu, n in row.items():
-                if n < 0 or nu not in wset:
+    m = len(weights)
+    index = {w: a for a, w in enumerate(weights)}
+    N = np.zeros((m, m, m), dtype=np.int64)
+    for a, lam in enumerate(weights):
+        for b, mu in enumerate(weights):
+            for nu, n in _fusion_row(alg, lam, mu, k).items():
+                if n < 0 or nu not in index:
                     raise FusionValidationError(
                         f"bad coefficient N_({lam},{mu})^{nu} = {n}")
-            if row != table[(mu, lam)]:
-                raise FusionValidationError(
-                    f"fusion not symmetric at ({lam}, {mu})")
-        if table[(lam, vac)] != {lam: 1}:
-            raise FusionValidationError(f"vacuum not a unit at {lam}")
-    for lam in weights:
-        for mu in weights:
-            for nu in weights:
-                left = {}
-                for sig, n in table[(lam, mu)].items():
-                    for tau, n2 in table[(sig, nu)].items():
-                        left[tau] = left.get(tau, 0) + n * n2
-                right = {}
-                for sig, n in table[(mu, nu)].items():
-                    for tau, n2 in table[(lam, sig)].items():
-                        right[tau] = right.get(tau, 0) + n * n2
-                if {t: n for t, n in left.items() if n} != \
-                        {t: n for t, n in right.items() if n}:
-                    raise FusionValidationError(
-                        f"fusion not associative at ({lam}, {mu}, {nu})")
-    return ring
+                N[a, b, index[nu]] = n
+    N.flags.writeable = False
+
+    def require(equal, message, *head):
+        bad = np.argwhere(~equal.all(axis=-1))
+        if len(bad):
+            raise FusionValidationError(message.format(
+                *head, *(weights[i] for i in bad[0])))
+
+    require(N == N.transpose(1, 0, 2), "fusion not symmetric at ({}, {})")
+    require(N[:, 0] == np.eye(m, dtype=N.dtype), "vacuum not a unit at {}")
+    if m * int(N.max()) ** 2 >= 2 ** 63:
+        raise FusionValidationError("fusion coefficients overflow int64")
+    for a, lam in enumerate(weights):
+        left = N[a] @ N.reshape(m, m * m)
+        right = N.reshape(m * m, m) @ N[a]
+        require(left.reshape(N.shape) == right.reshape(N.shape),
+                "fusion not associative at ({}, {}, {})", lam)
+    return FusionRing(alg, k, weights, N)
 
 
 def block_dim(ring, weights):
     """Genus-zero n-point block dimension by iterated fusion.
 
-    Folds the weights through the fusion table and reads off the vacuum
-    coefficient; the fold is repeated in reversed and sorted orders as an
-    association-independence check.
+    Folds the weights left to right through ring.N on Python ints and reads
+    off the vacuum coefficient; fusion_ring verified N as commutative and
+    associative, so every order of the fold gives the same number.
     """
-    weights = tuple(ring.check_admissible(w) for w in weights)
-
-    def fold(seq):
-        vec = {seq[0]: 1}
-        for lam in seq[1:]:
-            nxt = {}
-            for sig, n in vec.items():
-                for nu, n2 in ring.row(sig, lam).items():
-                    nxt[nu] = nxt.get(nu, 0) + n * n2
-            vec = nxt
-        return vec.get(ring.vacuum, 0)
-
-    dim = fold(weights)
-    for variant in (tuple(reversed(weights)), tuple(sorted(weights))):
-        if fold(variant) != dim:
-            raise FusionValidationError(
-                f"fusion fold depends on order for {weights}")
-    return dim
+    idx = [ring.index[ring.check_admissible(w)] for w in weights]
+    vec = np.zeros(len(ring.weights), dtype=object)
+    vec[idx[0]] = 1
+    for b in idx[1:]:
+        vec = vec @ ring.N[:, b]
+    return int(vec[0])
 
 
 # -- block subspaces --------------------------------------------------------
@@ -253,10 +246,6 @@ class BlockSpace:
         return self.coeffs.to_complex()
 
 
-def _exact_points(points):
-    return tuple(QQi.from_complex(z) for z in points)
-
-
 def _require_distinct(points):
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
@@ -283,7 +272,7 @@ def block_subspace(system, k, points, at_infinity=None):
     if len(points) != system.n:
         raise CoincidentPointsError(
             f"need {system.n} points, got {len(points)}")
-    pts = list(_exact_points(points))
+    pts = [QQi.from_complex(z) for z in points]
     chart_center = None
     if at_infinity is not None:
         at_infinity = int(at_infinity)
@@ -326,12 +315,9 @@ def fusion_to_csv(ring):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["lambda", "mu", "nu", "N"])
-    for lam in ring.weights:
-        for mu in ring.weights:
-            for nu, n in sorted(ring.row(lam, mu).items()):
-                writer.writerow([" ".join(map(str, lam)),
-                                 " ".join(map(str, mu)),
-                                 " ".join(map(str, nu)), n])
+    names = [" ".join(map(str, w)) for w in ring.weights]
+    writer.writerows([names[a], names[b], names[c], ring.N[a, b, c]]
+                     for a, b, c in np.argwhere(ring.N))
     return buf.getvalue()
 
 

@@ -65,17 +65,24 @@ def load_manifest(path):
 
 
 def _manifest_points(doc, n):
+    """The marked points and the index of the one at infinity (or None)."""
     raw = doc.get("points")
-    if raw is None:
-        raise ValidationError("manifest is missing 'points'")
-    if len(raw) != n:
-        raise ValidationError(f"{len(raw)} points for {n} weights")
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ValidationError(f"'points' must be a list of {n} [re, im] "
+                              f"pairs, not {raw!r}")
     pts = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValidationError(f"point {entry!r} is not an [re, im] pair")
-        pts.append(complex(float(entry[0]), float(entry[1])))
-    return tuple(pts)
+        try:
+            pts.append(complex(float(entry[0]), float(entry[1])))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad point {entry!r}: {exc}") from exc
+    at_infinity = doc.get("at_infinity")
+    if at_infinity is not None and type(at_infinity) is not int:
+        raise ValidationError(f"at_infinity {at_infinity!r} is not a point "
+                              "index")
+    return tuple(pts), at_infinity
 
 
 def _manifest_system(doc):
@@ -83,17 +90,20 @@ def _manifest_system(doc):
         series, rank = doc["algebra"]
         level = int(doc["level"])
         weights = [tuple(int(x) for x in w) for w in doc["weights"]]
+        cap = int(doc.get("max_dim", DEFAULT_DIMENSION_CAP))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad manifest fields: {exc}") from exc
     alg = build_algebra(series, rank)
-    cap = int(doc.get("max_dim", DEFAULT_DIMENSION_CAP))
     system = tensor_system(alg, weights, max_dim=cap)
     return alg, system, level
 
 
 def _tolerances(doc):
-    return (float(doc.get("tol", DEFAULT_TOL)),
-            float(doc.get("compare_tol", DEFAULT_BLOCK_TOL)))
+    try:
+        return (float(doc.get("tol", DEFAULT_TOL)),
+                float(doc.get("compare_tol", DEFAULT_BLOCK_TOL)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad manifest tolerance: {exc}") from exc
 
 
 def _out_dir(args):
@@ -105,9 +115,8 @@ def _out_dir(args):
 def cmd_blocks(args):
     doc = load_manifest(args.manifest)
     alg, system, level = _manifest_system(doc)
-    points = _manifest_points(doc, system.n)
-    bs = block_subspace(system, level, points,
-                        at_infinity=doc.get("at_infinity"))
+    points, at_infinity = _manifest_points(doc, system.n)
+    bs = block_subspace(system, level, points, at_infinity=at_infinity)
     print(f"invariants={system.invariant_dim} blocks={bs.dim}")
     if args.out:
         path = _out_dir(args) / "blocks.json"
@@ -176,14 +185,13 @@ def cmd_verify(args):
 def cmd_braid(args):
     doc = load_manifest(args.manifest)
     alg, system, level = _manifest_system(doc)
-    points = _manifest_points(doc, system.n)
+    points, at_infinity = _manifest_points(doc, system.n)
     tol, compare_tol = _tolerances(doc)
     if args.tol is not None:
         tol = args.tol
     require_tol(tol)
     word = parse_braid_word(doc.get("braid_word", ""))
-    bs = block_subspace(system, level, points,
-                        at_infinity=doc.get("at_infinity"))
+    bs = block_subspace(system, level, points, at_infinity=at_infinity)
     form = kz_form(system, level)
     if word:
         res = braid_word_transport(form, bs, word, tol=tol,

@@ -177,9 +177,8 @@ class SRMatrix:
         self.data = {} if data is None else data
 
     @classmethod
-    def identity(cls, n, one=None):
-        one = Fraction(1) if one is None else one
-        return cls(n, n, {(i, i): one for i in range(n)})
+    def identity(cls, n):
+        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows, ncols=None):

@@ -118,10 +118,15 @@ def _construct(alg, lam):
                         for r2, v2 in f[j].get(r, {}).items():
                             vec[r2] = vec.get(r2, _F0) + v * v2
                     ui.append({r: v for r, v in vec.items() if v})
-            # G is symmetric, so its column x is its row x
-            s_mat = [[sum((gram[x][r] * v for r, v in ub.items()
-                           if r in gram[x]), start=_F0)
-                      for ub in u[i]] for i, x in span]
+            # G is symmetric, so its column x is its row x; S is symmetric
+            # too, so only its upper triangle is computed
+            s_mat = [[_F0] * len(span) for _ in span]
+            for a, (i, x) in enumerate(span):
+                gx = gram[x]
+                for b in range(a, len(span)):
+                    s_mat[a][b] = s_mat[b][a] = sum(
+                        (gx[r] * v for r, v in u[i][b].items() if r in gx),
+                        start=_F0)
             # S is a symmetric Gram matrix, so its reduced echelon form is
             # S_kk^-1 S[keep, :], with unit columns on keep
             keep, coeff = reduced_echelon(s_mat, len(span))

@@ -86,9 +86,9 @@ def constant_path(points):
     return Path(len(pts), (Segment(lambda t: pts, lambda t: zero),))
 
 
-def rotation_path(points, turns=1):
+def rotation_path(points):
     pts = tuple(complex(p) for p in points)
-    w = 2j * math.pi * turns
+    w = 2j * math.pi
 
     def z(t):
         ph = np.exp(w * t)

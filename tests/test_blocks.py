@@ -1,15 +1,18 @@
 """Fusion rules and block subspaces against independent oracles."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from kzmono import blocks
 from kzmono.algebra import build_algebra, weyl_dimension
 from kzmono.blocks import (admissible_weights, block_dim, block_subspace,
                            block_to_json, classical_tensor_multiplicities,
                            fusion_ring, fusion_to_csv)
-from kzmono.errors import CoincidentPointsError, InadmissibleWeightError
+from kzmono.errors import (CoincidentPointsError, FusionValidationError,
+                           InadmissibleWeightError)
 from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
@@ -82,6 +85,45 @@ def test_g2_level_one_is_fibonacci():
     ring = fusion_ring(G2, 1)
     tau = (1, 0)
     assert ring.row(tau, tau) == {(0, 0): 1, (1, 0): 1}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({((1,), (2,)): {(1,): 2}}, "fusion not symmetric at ((1,), (2,))"),
+    ({((1,), (0,)): {(1,): 2}, ((0,), (1,)): {(1,): 2}},
+     "vacuum not a unit at (1,)"),
+    ({((2,), (2,)): {(0,): 1, (2,): 1}},
+     "fusion not associative at ((1,), (1,), (2,))"),
+    ({((1,), (2,)): {(1,): -1}, ((2,), (1,)): {(1,): -1}},
+     "bad coefficient N_((1,),(2,))^(1,) = -1"),
+    ({((1,), (2,)): {(3,): 1}, ((2,), (1,)): {(3,): 1}},
+     "bad coefficient N_((1,),(2,))^(3,) = 1"),
+])
+def test_fusion_ring_rejects_corrupted_rows(monkeypatch, rows, message):
+    true_row = blocks._fusion_row
+
+    def corrupted(alg, lam, mu, k):
+        return rows.get((lam, mu)) or true_row(alg, lam, mu, k)
+
+    monkeypatch.setattr(blocks, "_fusion_row", corrupted)
+    with pytest.raises(FusionValidationError) as info:
+        fusion_ring.__wrapped__(A1, 2)
+    assert str(info.value) == message
+
+
+# sha256 of fusion_to_csv, frozen from the dict-of-dicts fusion table
+@pytest.mark.parametrize("series, rank, k, digest", [
+    ("A", 2, 5,
+     "9cceb0181f18c63929b8e87b436bd9ffdeaa0a54f9e9c94d345f02efb1134cff"),
+    ("A", 3, 2,
+     "e4c4eba4013d1dc4e982f33c9a18e89a7b188d18bff438fae864f5f87c0809c4"),
+    ("G", 2, 3,
+     "f349a2ab18b6225ed348b003c7f60627cd3148554bc71bd66d5a2b2fe2143d19"),
+    ("B", 2, 3,
+     "d603b7e54af4eb58fa04063ed218c118037f1511764c801cf3d968417f758813"),
+])
+def test_fusion_csv_frozen(series, rank, k, digest):
+    text = fusion_to_csv(fusion_ring(build_algebra(series, rank), k))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_block_dim_examples_and_permutation_invariance():

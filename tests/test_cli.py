@@ -195,6 +195,23 @@ def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     assert "oracle mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("blocks", "points", 5),
+    ("blocks", "points", [[None, 1], [1, 0], [3, 0], [7, 0]]),
+    ("verify", "tol", None),
+    ("verify", "compare_tol", None),
+    ("blocks", "max_dim", None),
+    ("blocks", "at_infinity", [1]),
+    ("blocks", "at_infinity", 1.7),
+])
+def test_malformed_manifest_field_exit_2(tmp_path, capsys, command, field,
+                                         value):
+    path = write_manifest(tmp_path, dict(A1_K1_MANIFEST, **{field: value}))
+    assert main([command, "--manifest", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_missing_manifest_exit_2(tmp_path, capsys):
     assert main(["blocks", "--manifest", str(tmp_path / "nope.json")]) == 2
 
