@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidAlgebraError, NonDominantWeightError
+from .errors import (ConstructionError, InvalidAlgebraError,
+                     NonDominantWeightError)
 from .exact import invert_rows
 
 # dual Coxeter numbers and algebra dimensions, used as hard cross-checks on
@@ -325,7 +326,10 @@ def weyl_dimension(alg, lam):
     lam_rho = weight_add(lam, rho)
     for a in alg.positive_roots:
         num *= pairing(alg, lam_rho, a) / pairing(alg, rho, a)
-    assert num.denominator == 1 and num > 0
+    if num.denominator != 1 or num <= 0:
+        raise ConstructionError(
+            f"{alg.name}: Weyl dimension product {num} of {lam} is not a "
+            f"positive integer")
     return int(num)
 
 

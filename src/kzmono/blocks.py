@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
-                     InadmissibleWeightError, OracleMismatchError)
+                     InadmissibleWeightError, OracleMismatchError,
+                     ValidationError)
 from .exact import QQi, SRMatrix, nullspace
 from .reps import irrep, root_vectors
 
@@ -163,8 +165,10 @@ def fusion_ring(alg, k):
     Every coefficient must be nonnegative on an admissible weight; then N
     must be symmetric, have the vacuum as unit and be associative. For each
     lam, N[lam] @ N.reshape(m, m^2) holds the (lam mu) nu coefficients and
-    N.reshape(m^2, m) @ N[lam] those of lam (mu nu); m max(N)^2 < 2^63 keeps
-    these int64 sums exact. Failures name the first weights in sorted order.
+    N.reshape(m^2, m) @ N[lam] those of lam (mu nu). The products run in
+    float64, where m max(N)^2 < 2^53 keeps them exact: every product and
+    partial sum is a nonnegative integer no larger than the full sum. Failures
+    name the first weights in sorted order.
     """
     k = int(k)
     if k < 1:
@@ -190,11 +194,12 @@ def fusion_ring(alg, k):
 
     require(N == N.transpose(1, 0, 2), "fusion not symmetric at ({}, {})")
     require(N[:, 0] == np.eye(m, dtype=N.dtype), "vacuum not a unit at {}")
-    if m * int(N.max()) ** 2 >= 2 ** 63:
-        raise FusionValidationError("fusion coefficients overflow int64")
+    if m * int(N.max()) ** 2 >= 2 ** 53:
+        raise FusionValidationError("fusion coefficients exceed float64")
+    F = N.astype(np.float64)
     for a, lam in enumerate(weights):
-        left = N[a] @ N.reshape(m, m * m)
-        right = N.reshape(m * m, m) @ N[a]
+        left = F[a] @ F.reshape(m, m * m)
+        right = F.reshape(m * m, m) @ F[a]
         require(left.reshape(N.shape) == right.reshape(N.shape),
                 "fusion not associative at ({}, {}, {})", lam)
     return FusionRing(alg, k, weights, N)
@@ -275,7 +280,11 @@ def block_subspace(system, k, points, at_infinity=None):
     pts = [QQi.from_complex(z) for z in points]
     chart_center = None
     if at_infinity is not None:
-        at_infinity = int(at_infinity)
+        try:
+            at_infinity = operator.index(at_infinity)
+        except TypeError as exc:
+            raise ValidationError(
+                f"infinity flag {at_infinity!r} is not a point index") from exc
         if not 0 <= at_infinity < system.n:
             raise CoincidentPointsError("infinity flag out of range")
         finite = [p for i, p in enumerate(pts) if i != at_infinity]

@@ -3,7 +3,9 @@
 The form is (1/(k+h)) sum_{i<j} Omega^{ij} (dz_i - dz_j)/(z_i - z_j) on the
 trivial bundle of tensor invariants. The Casimir coefficients stay exact
 rational until the z-dependent scalar factors are mixed in, which happens in
-floating point as the very last step.
+floating point as the very last step: the pair coefficients
+(v_i - v_j)/(z_i - z_j) are one array over all pairs, contracted with the
+float Omega^{ij} in one matrix product.
 
 Flatness is equivalent to the Kohno commutation relations
     [Omega^{ij}, Omega^{kl}] = 0            for disjoint pairs,
@@ -37,7 +39,9 @@ class KZForm:
 
     Eagerly assembles every Omega^{ij} (exact SRMatrix, on the full space and
     restricted to the invariants) and keeps float copies of the restrictions
-    for the integrator.
+    for the integrator, one flattened d x d matrix per row. `left` and
+    `right` are the index arrays of the pairs (i, j), in `pairs` order, so
+    the form is evaluated in one array pass over all pairs.
     """
 
     def __init__(self, system, k):
@@ -49,14 +53,16 @@ class KZForm:
         self.h = system.alg.dual_coxeter
         self.prefactor = Fraction(1, k + self.h)
         n = system.n
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.left, self.right = np.triu_indices(n, 1)
+        self.pairs = list(zip(self.left.tolist(), self.right.tolist()))
         self.omega_full = {p: system.omega_pair(*p)[0] for p in self.pairs}
         self.omega_inv = {p: system.omega_restricted(*p) for p in self.pairs}
         d = system.invariant_dim
         self.dim = d
-        self._omega_float = np.zeros((len(self.pairs), d, d), dtype=complex)
-        for idx, p in enumerate(self.pairs):
-            self._omega_float[idx] = self.omega_inv[p].to_complex()
+        self._pref = float(self.prefactor)
+        self._omega_rows = np.array(
+            [self.omega_inv[p].to_complex().ravel() for p in self.pairs],
+            dtype=complex).reshape(len(self.pairs), d * d)
 
     @property
     def n(self):
@@ -64,22 +70,25 @@ class KZForm:
 
     def coefficients(self, z, v):
         """(1/(k+h)) (v_i - v_j)/(z_i - z_j) per pair, as a float vector."""
-        if len(z) != self.n or len(v) != self.n:
+        z = np.asarray(z, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        if z.shape != (self.n,) or v.shape != (self.n,):
             raise ValueError(f"need {self.n} points and velocities")
-        out = np.empty(len(self.pairs), dtype=complex)
-        pref = float(self.prefactor)
-        for idx, (i, j) in enumerate(self.pairs):
-            dz = z[i] - z[j]
-            if dz == 0:
-                raise CoincidentPointsError(
-                    f"points {i} and {j} coincide at z={z}")
-            out[idx] = pref * (v[i] - v[j]) / dz
-        return out
+        dz = z[self.left] - z[self.right]
+        if not dz.all():
+            i, j = self.pairs[np.flatnonzero(dz == 0)[0]]
+            raise CoincidentPointsError(
+                f"points {i} and {j} coincide at z={z}")
+        return self._pref * (v[self.left] - v[self.right]) / dz
 
     def evaluate(self, z, v):
-        """Value of the form on the invariants: a complex matrix."""
+        """Value of the form on the invariants: a complex matrix.
+
+        One array pass: the pair coefficients times the Omega^{ij} held as
+        the rows of one (pairs, d*d) matrix.
+        """
         coef = self.coefficients(z, v)
-        return np.tensordot(coef, self._omega_float, axes=(0, 0))
+        return (coef @ self._omega_rows).reshape(self.dim, self.dim)
 
     def sum_omega_restricted(self):
         return sum(self.omega_inv.values(), SRMatrix(self.dim, self.dim))

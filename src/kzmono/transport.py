@@ -35,13 +35,17 @@ braid-group elements; braid matrices are then expressed in the block basis.
 For unequal weights the generator still makes sense as a map into the block
 space at the permuted points and is returned in that endpoint basis.
 
-The pairwise separation of the moving points is monitored at every
-right-hand-side evaluation; coming too close to a diagonal aborts with the
-offending parameter value.
+Path segments return their points z(t) and velocities dz/dt as complex
+arrays. The pairwise separation of the moving points is monitored at every
+right-hand-side evaluation, as the minimum of |z_i - z_j| over the form's
+pair index arrays; coming too close to a diagonal aborts with the offending
+parameter value. Each evaluation of A(t) is then a few array operations:
+the path point, the monitor and `KZForm.evaluate`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,7 +66,10 @@ _GAUSS_OFFSET = math.sqrt(3) / 6
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a path: z(t) and dz/dt(t) for t in [0, 1]."""
+    """One smooth piece of a path: z(t) and dz/dt(t) for t in [0, 1].
+
+    Both return complex arrays with one entry per marked point.
+    """
 
     z: object
     dz: object
@@ -81,22 +88,20 @@ class Path:
 
 
 def constant_path(points):
-    pts = tuple(complex(p) for p in points)
-    zero = tuple(0j for _ in pts)
+    pts = np.array(points, dtype=complex)
+    zero = np.zeros_like(pts)
     return Path(len(pts), (Segment(lambda t: pts, lambda t: zero),))
 
 
 def rotation_path(points):
-    pts = tuple(complex(p) for p in points)
+    pts = np.array(points, dtype=complex)
     w = 2j * math.pi
 
     def z(t):
-        ph = np.exp(w * t)
-        return tuple(ph * p for p in pts)
+        return cmath.exp(w * t) * pts
 
     def dz(t):
-        ph = w * np.exp(w * t)
-        return tuple(ph * p for p in pts)
+        return w * cmath.exp(w * t) * pts
 
     return Path(len(pts), (Segment(z, dz),))
 
@@ -107,36 +112,36 @@ def braid_path(points, i, clockwise=False, wobble=0.0):
     wobble != 0 bulges the circle radius by (1 + wobble sin(pi t)), giving a
     homotopic but differently shaped representative.
     """
-    pts = tuple(complex(p) for p in points)
+    pts = np.array(points, dtype=complex)
     n = len(pts)
     if not 1 <= i <= n - 1:
         raise ValidationError(f"braid generator {i} out of range for n={n}")
     a, b = i - 1, i
-    mid = (pts[a] + pts[b]) / 2
-    rad = (pts[b] - pts[a]) / 2
+    mid = complex(pts[a] + pts[b]) / 2
+    rad = complex(pts[b] - pts[a]) / 2
     sgn = -1.0 if clockwise else 1.0
 
     def arm(t):
         return rad * (1 + wobble * math.sin(math.pi * t)) * \
-            np.exp(1j * sgn * math.pi * t)
+            cmath.exp(1j * sgn * math.pi * t)
 
     def darm(t):
         rho = 1 + wobble * math.sin(math.pi * t)
         drho = wobble * math.pi * math.cos(math.pi * t)
         return rad * (drho + rho * 1j * sgn * math.pi) * \
-            np.exp(1j * sgn * math.pi * t)
+            cmath.exp(1j * sgn * math.pi * t)
 
     def z(t):
-        out = list(pts)
-        out[a] = mid - arm(t)
-        out[b] = mid + arm(t)
-        return tuple(out)
+        w = arm(t)
+        out = pts.copy()
+        out[a], out[b] = mid - w, mid + w
+        return out
 
     def dz(t):
-        out = [0j] * n
-        out[a] = -darm(t)
-        out[b] = darm(t)
-        return tuple(out)
+        w = darm(t)
+        out = np.zeros(n, dtype=complex)
+        out[a], out[b] = -w, w
+        return out
 
     return Path(n, (Segment(z, dz),))
 
@@ -144,7 +149,7 @@ def braid_path(points, i, clockwise=False, wobble=0.0):
 def concat_paths(first, second):
     if first.n != second.n:
         raise ValidationError("paths have different point counts")
-    gap = max(abs(x - y) for x, y in zip(first.end(), second.start()))
+    gap = float(np.max(np.abs(first.end() - second.start())))
     if gap > _CONCAT_GAP:
         raise ValidationError(f"paths do not concatenate: endpoint gap {gap}")
     return Path(first.n, first.segments + second.segments)
@@ -155,7 +160,7 @@ def reverse_path(path):
     for seg in reversed(path.segments):
         z, dz = seg.z, seg.dz
         segs.append(Segment(lambda t, z=z: z(1.0 - t),
-                            lambda t, dz=dz: tuple(-v for v in dz(1.0 - t))))
+                            lambda t, dz=dz: -dz(1.0 - t)))
     return Path(path.n, tuple(segs))
 
 
@@ -164,9 +169,8 @@ def reparametrize(path, fn, dfn):
     segs = []
     for seg in path.segments:
         z, dz = seg.z, seg.dz
-        segs.append(Segment(
-            lambda t, z=z: z(fn(t)),
-            lambda t, dz=dz: tuple(dfn(t) * v for v in dz(fn(t)))))
+        segs.append(Segment(lambda t, z=z: z(fn(t)),
+                            lambda t, dz=dz: dfn(t) * dz(fn(t))))
     return Path(path.n, tuple(segs))
 
 
@@ -179,14 +183,14 @@ class MonodromyResult:
     block_residual: float | None = None
 
 
-def _min_separation(z):
-    best = math.inf
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            d = abs(z[i] - z[j])
-            if d < best:
-                best = d
-    return best
+def _min_separation(form, z):
+    """min |z_i - z_j| over the form's pairs (inf with fewer than two).
+
+    hypot is what abs() of a Python complex computes; numpy's complex abs
+    runs its own vector loop, which can differ in the last place.
+    """
+    d = z[form.left] - z[form.right]
+    return np.minimum.reduce(np.hypot(d.real, d.imag), initial=math.inf)
 
 
 class _FormOnPath:
@@ -199,7 +203,7 @@ class _FormOnPath:
 
     def __call__(self, t):
         z = self.segment.z(t)
-        if _min_separation(z) < self.floor:
+        if _min_separation(self.form, z) < self.floor:
             raise PathSingularError(
                 f"points within {self.floor} of a diagonal at t={t}", t=t)
         return self.form.evaluate(z, self.segment.dz(t))
@@ -284,7 +288,8 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
     if path.n != form.n:
         raise ValidationError(
             f"path has {path.n} points, form expects {form.n}")
-    floor = min_separation * max(_min_separation(path.start()), 1e-30)
+    floor = min_separation * max(_min_separation(form, path.start()),
+                                 1e-30)
     sign = 1.0 if dual else -1.0
     prev = None
     for resolution in _ladder(method, tol):

@@ -11,7 +11,8 @@ from kzmono.algebra import (ParityReport, algebra_from_json, algebra_to_json,
                             in_root_lattice, is_admissible, metaplectic_parity,
                             pairing, simple_reflection, theta_level,
                             weyl_dimension)
-from kzmono.errors import InvalidAlgebraError, NonDominantWeightError
+from kzmono.errors import (ConstructionError, InvalidAlgebraError,
+                           NonDominantWeightError)
 
 SUPPORTED = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
              ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
@@ -172,6 +173,24 @@ def test_weyl_dimension_and_casimir():
         zero = tuple(0 for _ in range(rank))
         assert weyl_dimension(alg, zero) == 1
         assert casimir_scalar(alg, zero) == 0
+
+
+@pytest.mark.parametrize("shift, sign", [(1, 1), (0, -1)])
+def test_weyl_dimension_rejects_bad_product(monkeypatch, shift, sign):
+    # negative control: on A1 (1) the product is <lam+rho, a>/<rho, a> = 2/1;
+    # shifting both pairings by 1 makes it 3/2, flipping the numerator's
+    # sign makes it -2, and neither is a dimension
+    a1 = build_algebra("A", 1)
+    rho = a1.weyl_vector
+    true_pairing = pairing
+
+    def corrupted(alg, lam, mu):
+        value = true_pairing(alg, lam, mu) + shift
+        return value if lam == rho else sign * value
+
+    monkeypatch.setattr("kzmono.algebra.pairing", corrupted)
+    with pytest.raises(ConstructionError, match="Weyl dimension product"):
+        weyl_dimension(a1, (1,))
 
 
 def test_adjoint_casimir_is_two_dual_coxeter():

@@ -12,7 +12,7 @@ from kzmono.blocks import (admissible_weights, block_dim, block_subspace,
                            block_to_json, classical_tensor_multiplicities,
                            fusion_ring, fusion_to_csv)
 from kzmono.errors import (CoincidentPointsError, FusionValidationError,
-                           InadmissibleWeightError)
+                           InadmissibleWeightError, ValidationError)
 from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
@@ -108,6 +108,21 @@ def test_fusion_ring_rejects_corrupted_rows(monkeypatch, rows, message):
     with pytest.raises(FusionValidationError) as info:
         fusion_ring.__wrapped__(A1, 2)
     assert str(info.value) == message
+
+
+def test_fusion_ring_guards_exact_float_products(monkeypatch):
+    # N_((1,),(1,))^(0,) = 2^26 on A1 k=2 (m = 3) is symmetric and leaves the
+    # unit intact, but 3 * 2^52 >= 2^53: the float64 products could round
+    true_row = blocks._fusion_row
+
+    def huge(alg, lam, mu, k):
+        if lam == mu == (1,):
+            return {(0,): 2 ** 26}
+        return true_row(alg, lam, mu, k)
+
+    monkeypatch.setattr(blocks, "_fusion_row", huge)
+    with pytest.raises(FusionValidationError, match="exceed float64"):
+        fusion_ring.__wrapped__(A1, 2)
 
 
 # sha256 of fusion_to_csv, frozen from the dict-of-dicts fusion table
@@ -251,6 +266,14 @@ def test_block_subspace_validation():
         block_subspace(sys, 1, (0, 1, 1, 2))
     with pytest.raises(CoincidentPointsError):
         block_subspace(sys, 1, (0, 1, 2))
+
+
+@pytest.mark.parametrize("flag", [1.7, "1"])
+def test_block_subspace_rejects_non_integer_infinity_flag(flag):
+    # only an integer names a point: int() would read 1.7 as point 1
+    sys = tensor_system(A1, ((1,),) * 4)
+    with pytest.raises(ValidationError, match="not a point index"):
+        block_subspace(sys, 1, (0, 1, 3, 7), at_infinity=flag)
 
 
 def test_full_a1_matrix_against_fusion():
