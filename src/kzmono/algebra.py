@@ -14,7 +14,6 @@ vector of the simple root a_i is the i-th row of the Cartan matrix, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -381,27 +380,3 @@ def metaplectic_parity(alg, n):
     return ParityReport(descends=in_root_lattice(alg, n_rho),
                         n_even=(n % 2 == 0))
 
-
-def algebra_to_json(alg):
-    """JSON document with explicit numerators/denominators for the form."""
-    doc = {
-        "series": alg.series,
-        "rank": alg.rank,
-        "cartan": [list(row) for row in alg.cartan],
-        "gram_num": [[v.numerator for v in row] for row in alg.gram],
-        "gram_den": [[v.denominator for v in row] for row in alg.gram],
-        "positive_roots": [list(r) for r in alg.positive_roots],
-        "theta": list(alg.highest_root),
-        "rho": list(alg.weyl_vector),
-        "h": alg.dual_coxeter,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def algebra_from_json(text):
-    doc = json.loads(text)
-    alg = build_algebra(doc["series"], doc["rank"])
-    # the document must describe the same normalised data
-    if algebra_to_json(alg) != json.dumps(doc, sort_keys=True):
-        raise InvalidAlgebraError("serialized algebra does not round-trip")
-    return alg

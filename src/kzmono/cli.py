@@ -20,7 +20,9 @@ Manifest keys (complex numbers as [re, im] pairs):
     }
 
 tol is the transport tolerance (default 1e-10) and compare_tol the
-comparison tolerance for residuals and oracle matches (default 1e-8).
+comparison tolerance for residuals and oracle matches (default 1e-8). The
+rank, level, weight labels, max_dim and at_infinity are JSON integers; a
+float or boolean there is a validation error, never truncated.
 Identical manifests produce identical outputs: all exact data is ordered
 deterministically and floating results are reproduced within the reported
 error estimates.
@@ -64,6 +66,13 @@ def load_manifest(path):
     return doc
 
 
+def _json_int(value, what):
+    """value if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _manifest_points(doc, n):
     """The marked points and the index of the one at infinity (or None)."""
     raw = doc.get("points")
@@ -79,21 +88,28 @@ def _manifest_points(doc, n):
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad point {entry!r}: {exc}") from exc
     at_infinity = doc.get("at_infinity")
-    if at_infinity is not None and type(at_infinity) is not int:
-        raise ValidationError(f"at_infinity {at_infinity!r} is not a point "
-                              "index")
+    if at_infinity is not None:
+        _json_int(at_infinity, "at_infinity")
     return tuple(pts), at_infinity
 
 
-def _manifest_system(doc):
+def _manifest_algebra(doc):
     try:
         series, rank = doc["algebra"]
-        level = int(doc["level"])
-        weights = [tuple(int(x) for x in w) for w in doc["weights"]]
-        cap = int(doc.get("max_dim", DEFAULT_DIMENSION_CAP))
+        return (build_algebra(series, _json_int(rank, "rank")),
+                _json_int(doc["level"], "level"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad manifest fields: {exc}") from exc
-    alg = build_algebra(series, rank)
+
+
+def _manifest_system(doc):
+    alg, level = _manifest_algebra(doc)
+    try:
+        weights = [tuple(_json_int(x, "weight label") for x in w)
+                   for w in doc["weights"]]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"bad manifest fields: {exc}") from exc
+    cap = _json_int(doc.get("max_dim", DEFAULT_DIMENSION_CAP), "max_dim")
     system = tensor_system(alg, weights, max_dim=cap)
     return alg, system, level
 
@@ -215,15 +231,10 @@ def cmd_braid(args):
 
 def cmd_fusion_table(args):
     doc = load_manifest(args.manifest)
-    try:
-        series, rank = doc["algebra"]
-        level = int(doc["level"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad manifest fields: {exc}") from exc
-    ring = fusion_ring(build_algebra(series, rank), level)
-    text = fusion_to_csv(ring)
+    alg, level = _manifest_algebra(doc)
+    text = fusion_to_csv(fusion_ring(alg, level))
     if args.out:
-        path = _out_dir(args) / f"fusion_{series}{rank}_k{level}.csv"
+        path = _out_dir(args) / f"fusion_{alg.name}_k{level}.csv"
         path.write_text(text)
         print(f"wrote {path}")
     else:

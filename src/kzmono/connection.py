@@ -23,9 +23,11 @@ vanishes there), so the loop acts as exp(pi i sum_i c_i/(k+h)).
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import inf, lcm
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,11 +39,13 @@ from .exact import SRMatrix, commutator
 class KZForm:
     """KZ connection data for a tensor system at level k.
 
-    Eagerly assembles every Omega^{ij} (exact SRMatrix, on the full space and
-    restricted to the invariants) and keeps float copies of the restrictions
-    for the integrator, one flattened d x d matrix per row. `left` and
-    `right` are the index arrays of the pairs (i, j), in `pairs` order, so
-    the form is evaluated in one array pass over all pairs.
+    Eagerly assembles every Omega^{ij} restricted to the invariants (exact
+    SRMatrix, from the local matrix through `TensorSystem.restrict_local`)
+    and keeps float copies for the integrator, one flattened d x d matrix
+    per row. `left` and `right` are the index arrays of the pairs (i, j),
+    in `pairs` order, so the form is evaluated in one array pass over all
+    pairs. The total-space Omega^{ij} (`omega_full`) are built on first
+    access, which only the full-space Kohno check makes.
     """
 
     def __init__(self, system, k):
@@ -55,7 +59,6 @@ class KZForm:
         n = system.n
         self.left, self.right = np.triu_indices(n, 1)
         self.pairs = list(zip(self.left.tolist(), self.right.tolist()))
-        self.omega_full = {p: system.omega_pair(*p)[0] for p in self.pairs}
         self.omega_inv = {p: system.omega_restricted(*p) for p in self.pairs}
         d = system.invariant_dim
         self.dim = d
@@ -64,22 +67,32 @@ class KZForm:
             [self.omega_inv[p].to_complex().ravel() for p in self.pairs],
             dtype=complex).reshape(len(self.pairs), d * d)
 
+    @cached_property
+    def omega_full(self):
+        """Omega^{ij} on the total space per pair, built once on demand."""
+        return {p: self.system.omega_pair(*p) for p in self.pairs}
+
     @property
     def n(self):
         return self.system.n
 
     def coefficients(self, z, v):
         """(1/(k+h)) (v_i - v_j)/(z_i - z_j) per pair, as a float vector."""
-        z = np.asarray(z, dtype=complex)
+        pts = z if isinstance(z, _Points) else _Points(self, z)
         v = np.asarray(v, dtype=complex)
-        if z.shape != (self.n,) or v.shape != (self.n,):
-            raise ValueError(f"need {self.n} points and velocities")
-        dz = z[self.left] - z[self.right]
-        if not dz.all():
-            i, j = self.pairs[np.flatnonzero(dz == 0)[0]]
+        if v.shape != (self.n,):
+            raise ValueError(f"need {self.n} velocities")
+        dv = v[self.left] - v[self.right]
+        if pts.sep >= sys.float_info.min:
+            return self._pref * dv / pts.dz
+        if pts.sep == 0:
+            i, j = self.pairs[np.flatnonzero(pts.dz == 0)[0]]
             raise CoincidentPointsError(
-                f"points {i} and {j} coincide at z={z}")
-        return self._pref * (v[self.left] - v[self.right]) / dz
+                f"points {i} and {j} coincide at z={pts.z}")
+        # numpy divides through the reciprocal of a complex number, which
+        # overflows below the smallest normal float; Python does not
+        return np.array([self._pref * complex(a) / complex(b)
+                         for a, b in zip(dv, pts.dz)])
 
     def evaluate(self, z, v):
         """Value of the form on the invariants: a complex matrix.
@@ -90,8 +103,20 @@ class KZForm:
         coef = self.coefficients(z, v)
         return (coef @ self._omega_rows).reshape(self.dim, self.dim)
 
-    def sum_omega_restricted(self):
-        return sum(self.omega_inv.values(), SRMatrix(self.dim, self.dim))
+
+class _Points:
+    """Points z with dz = z[left] - z[right] and sep = min |dz| (by hypot,
+    as abs() of a Python complex). A path forms it once per A(t), for its
+    pole monitor and, in place of z, for `KZForm.evaluate`."""
+
+    __slots__ = ("z", "dz", "sep")
+
+    def __init__(self, form, z):
+        self.z = z = np.asarray(z, dtype=complex)
+        if z.shape != (form.n,):
+            raise ValueError(f"need {form.n} points")
+        self.dz = dz = z[form.left] - z[form.right]
+        self.sep = np.minimum.reduce(np.hypot(dz.real, dz.imag), initial=inf)
 
 
 def kz_form(system, k):
@@ -175,7 +200,7 @@ def rotation_monodromy(form):
         raise KzmonoError("invariant subspace is zero")
     csum = form.system.sum_casimirs()
     scalar = cmath.exp(1j * cmath.pi * float(csum / (form.k + form.h)))
-    mat = form.sum_omega_restricted().to_complex()
+    mat = sum(form.omega_inv.values(), SRMatrix(d, d)).to_complex()
     result = expm(-2j * np.pi * float(form.prefactor) * mat)
     residual = float(np.max(np.abs(result - scalar * np.eye(d))))
     return RotationReport(scalar=scalar, matrix=result, max_residual=residual)

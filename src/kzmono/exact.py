@@ -524,19 +524,3 @@ def invert_rows(a_rows):
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return solve_rows(a_rows, eye)
 
-
-def restrict_operator(op, basis, rows):
-    """Matrix X of `op` on the column span of `basis`, as an exact SRMatrix.
-
-    `rows` must pick out the identity from the basis, basis[rows] == I, as
-    the free coordinates of a `nullspace_rows` basis do. Then
-    op @ basis == basis @ X forces X = (op @ basis)[rows], and that identity
-    is verified exactly; failure means the span is not invariant.
-    """
-    if basis.submatrix_rows(rows) != SRMatrix.identity(basis.ncols):
-        raise ValueError("basis is not the identity on the given rows")
-    image = op @ basis
-    xs = image.submatrix_rows(rows)
-    if basis @ xs != image:
-        raise ValueError("operator does not preserve the subspace")
-    return xs

@@ -36,7 +36,7 @@ from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError)
 from .exact import (SRMatrix, commutator, kron, nullspace_rows,
-                    reduced_echelon, restrict_operator)
+                    reduced_echelon)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -313,11 +313,13 @@ class TensorSystem:
     The invariant basis spans the joint kernel of the diagonal e_i and f_i
     actions (computed inside the zero-weight subspace, where it must live).
     It is read from one reduced echelon form, so it is the identity on its
-    free-coordinate rows; those rows are recorded with it, and restricting
-    an operator selects them from its image. Every operator acting on a few
-    tensor factors (generators, two-slot Casimirs, swaps, the contravariant
-    form) goes through the one primitive `apply_local`, which keeps it
-    sparse; no dense total-space matrix is ever formed in the exact layer.
+    free-coordinate rows; those rows are recorded and checked once with it,
+    and restricting a slot-local operator (`restrict_local`) selects them
+    from its image. Every operator acting on a few tensor factors
+    (generators, two-slot Casimirs, swaps, the contravariant form) goes
+    through the one primitive `apply_local`, which keeps it sparse; the
+    restricted Omega^{ij} and slot swaps never form a total-space matrix.
+    Only `omega_pair` embeds one, for the full-space Kohno check.
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -340,7 +342,7 @@ class TensorSystem:
         for s in range(self.n - 2, -1, -1):
             strides[s] = strides[s + 1] * self.dims[s + 1]
         self.strides = tuple(strides)
-        self._omega = {}
+        self._omega_inv = {}
         self._invariant = None
         self._unit_rows = None
         self._inv_gram = None
@@ -418,8 +420,12 @@ class TensorSystem:
                     out.data[(zero_idx[q], j)] = v
         # each vector is 1 at its free coordinate, its other entries sit at
         # pivots left of it: the basis is the identity on its last nonzeros
+        # (checked here once; the basis never changes after)
         unit_rows = [zero_idx[max(q for q, v in enumerate(col) if v)]
                      for col in basis_cols]
+        if out.submatrix_rows(unit_rows) != SRMatrix.identity(out.ncols):
+            raise ConstructionError(
+                "invariant basis is not the identity on its free rows")
         return out, unit_rows
 
     def invariant_gram(self):
@@ -438,43 +444,43 @@ class TensorSystem:
             self._inv_gram = b.transpose() @ image
         return self._inv_gram
 
-    def restrict(self, op):
-        """Exact matrix of op on the invariant subspace, as an SRMatrix.
+    def restrict_local(self, slots, local):
+        """Exact matrix X of local (x) Id on the invariants, an SRMatrix.
 
-        The rows of op @ basis at the basis's unit rows; raises if op does
-        not preserve the subspace, which doubles as the subspace-preservation
-        witness for every restricted operator.
+        If the operator preserves the span, its image of the basis is
+        basis @ X, and the basis is the identity on its unit rows, so X is
+        the image at those rows; the exact witness basis @ X == image fails
+        iff the span is not preserved.
         """
         basis = self.invariant_basis    # computes the unit rows with it
-        return restrict_operator(op, basis, self._unit_rows)
-
-    def diagonal_generator(self, i, kind):
-        """Sum over slots of e_i (kind 'e') or f_i (kind 'f')."""
-        return self.slot_sum([rep.e[i] if kind == "e" else rep.f[i]
-                               for rep in self.factors])
+        image = self.apply_local(slots, local, basis)
+        xs = image.submatrix_rows(self._unit_rows)
+        if basis @ xs != image:
+            raise ValueError("operator does not preserve the subspace")
+        return xs
 
     # -- Casimir pair operators ------------------------------------------
 
-    def omega_pair(self, i, j):
-        """Exact two-slot Casimir Omega^{ij}, full matrix and restriction.
-
-        The full matrix embeds `local_omega` of the two slot weights, where
-        both assembly routes are checked; cached per unordered pair.
-        """
+    def _pair(self, i, j):
         if i == j:
             raise ValueError("slots must be distinct")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"slot out of range for n={self.n}")
         key = (min(i, j), max(i, j))
-        if key not in self._omega:
-            local = local_omega(self.alg, self.weights[key[0]],
+        return key, local_omega(self.alg, self.weights[key[0]],
                                 self.weights[key[1]])
-            full = self.apply_local(key, local)
-            self._omega[key] = (full, self.restrict(full))
-        return self._omega[key]
+
+    def omega_pair(self, i, j):
+        """Exact two-slot Casimir Omega^{ij} on the total space, embedding
+        `local_omega` (both assembly routes checked) of the slot weights."""
+        return self.apply_local(*self._pair(i, j))
 
     def omega_restricted(self, i, j):
-        return self.omega_pair(i, j)[1]
+        """Omega^{ij} on the invariants, cached per unordered pair."""
+        key, local = self._pair(i, j)
+        if key not in self._omega_inv:
+            self._omega_inv[key] = self.restrict_local(key, local)
+        return self._omega_inv[key]
 
     def sum_casimirs(self):
         return sum((la.casimir_scalar(self.alg, w) for w in self.weights),
@@ -482,8 +488,8 @@ class TensorSystem:
 
     # -- slot swap --------------------------------------------------------
 
-    def swap_matrix(self, i):
-        """Adjacent slot transposition on the total space (equal factors)."""
+    def swap_restricted(self, i):
+        """Adjacent slot transposition on the invariants (equal factors)."""
         if not (0 <= i < self.n - 1):
             raise ValueError("swap slot out of range")
         if self.weights[i] != self.weights[i + 1]:
@@ -491,10 +497,7 @@ class TensorSystem:
         d = self.dims[i]
         flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): _F1
                                        for a in range(d) for b in range(d)})
-        return self.apply_local((i, i + 1), flip)
-
-    def swap_restricted(self, i):
-        return self.restrict(self.swap_matrix(i))
+        return self.restrict_local((i, i + 1), flip)
 
     def __repr__(self):
         return (f"TensorSystem({self.alg.name}, {self.weights}, "

@@ -40,7 +40,8 @@ arrays. The pairwise separation of the moving points is monitored at every
 right-hand-side evaluation, as the minimum of |z_i - z_j| over the form's
 pair index arrays; coming too close to a diagonal aborts with the offending
 parameter value. Each evaluation of A(t) is then a few array operations:
-the path point, the monitor and `KZForm.evaluate`.
+the path point, one pair difference z[left] - z[right] shared by the
+monitor and the form's coefficients, and one contraction.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .blocks import block_subspace
+from .connection import _Points
 from .errors import PathSingularError, TransportError, ValidationError
 
 DEFAULT_TOL = 1e-10
@@ -184,13 +186,8 @@ class MonodromyResult:
 
 
 def _min_separation(form, z):
-    """min |z_i - z_j| over the form's pairs (inf with fewer than two).
-
-    hypot is what abs() of a Python complex computes; numpy's complex abs
-    runs its own vector loop, which can differ in the last place.
-    """
-    d = z[form.left] - z[form.right]
-    return np.minimum.reduce(np.hypot(d.real, d.imag), initial=math.inf)
+    """min |z_i - z_j| over the form's pairs (inf with fewer than two)."""
+    return _Points(form, z).sep
 
 
 class _FormOnPath:
@@ -202,11 +199,11 @@ class _FormOnPath:
         self.floor = floor
 
     def __call__(self, t):
-        z = self.segment.z(t)
-        if _min_separation(self.form, z) < self.floor:
+        pts = _Points(self.form, self.segment.z(t))
+        if pts.sep < self.floor:
             raise PathSingularError(
                 f"points within {self.floor} of a diagonal at t={t}", t=t)
-        return self.form.evaluate(z, self.segment.dz(t))
+        return self.form.evaluate(pts, self.segment.dz(t))
 
 
 def _solve_segment_adaptive(afun, y0, tol, sign):

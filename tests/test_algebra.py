@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzmono.algebra import (ParityReport, algebra_from_json, algebra_to_json,
-                            build_algebra, casimir_scalar, codim_bound,
-                            in_root_lattice, is_admissible, metaplectic_parity,
-                            pairing, simple_reflection, theta_level,
-                            weyl_dimension)
+from kzmono.algebra import (ParityReport, build_algebra, casimir_scalar,
+                            codim_bound, in_root_lattice, is_admissible,
+                            metaplectic_parity, pairing, simple_reflection,
+                            theta_level, weyl_dimension)
 from kzmono.errors import (ConstructionError, InvalidAlgebraError,
                            NonDominantWeightError)
 
@@ -198,14 +197,6 @@ def test_adjoint_casimir_is_two_dual_coxeter():
     for series, rank in SUPPORTED:
         alg = build_algebra(series, rank)
         assert casimir_scalar(alg, alg.highest_root) == 2 * alg.dual_coxeter
-
-
-def test_json_round_trip():
-    for series, rank in [("A", 1), ("G", 2)]:
-        alg = build_algebra(series, rank)
-        text = algebra_to_json(alg)
-        assert algebra_from_json(text) is alg
-        assert algebra_to_json(alg) == text  # deterministic
 
 
 def test_g2_short_long_data():

@@ -203,6 +203,15 @@ def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     ("blocks", "max_dim", None),
     ("blocks", "at_infinity", [1]),
     ("blocks", "at_infinity", 1.7),
+    ("blocks", "level", 2.9),
+    ("blocks", "level", True),
+    ("blocks", "weights", [[1], [1.7], [1], [1]]),
+    ("blocks", "weights", [[1], [True], [1], [1]]),
+    ("blocks", "algebra", ["A", 1.0]),
+    ("blocks", "max_dim", 1e6),
+    ("fusion-table", "level", 2.9),
+    ("fusion-table", "level", True),
+    ("fusion-table", "algebra", ["A", True]),
 ])
 def test_malformed_manifest_field_exit_2(tmp_path, capsys, command, field,
                                          value):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from kzmono.algebra import build_algebra, casimir_scalar
+from kzmono.blocks import block_subspace
 from kzmono.connection import (flatness_check, kz_form, rotation_monodromy)
 from kzmono.errors import CoincidentPointsError, KzmonoError
 from kzmono.exact import commutator
 from kzmono.reps import tensor_system
+from kzmono.transport import braid_generator
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -55,6 +57,20 @@ def test_evaluate_linear_in_velocity_and_pole_error():
         form.evaluate([0, 0, 1], v1)
     with pytest.raises(ValueError):
         form.evaluate([0, 1], v1)
+
+
+def test_coefficients_at_subnormal_separation():
+    # numpy divides through 1/dz, which overflows for a subnormal dz; the
+    # coefficients must still be Python's quotients (finite here)
+    form = kz_form(tensor_system(A1, ((1,),) * 4), 2)
+    z = [0, 1j, 2.225073858507e-311, 3]
+    v = [0, 0, 1e-300, 0]
+    pref = float(form.prefactor)
+    expected = [pref * (complex(v[i]) - complex(v[j]))
+                / (complex(z[i]) - complex(z[j])) for i, j in form.pairs]
+    coef = form.coefficients(z, v)
+    assert np.isfinite(coef).all()
+    assert coef.tolist() == expected
 
 
 def test_trivial_slot_contributes_nothing():
@@ -118,6 +134,16 @@ def test_flatness_negative_control():
     assert report.max_abs_full > 0
     assert type(report.max_abs_full) is Fraction
     assert report.max_abs_full == ref_max_abs_full(form)
+
+
+def test_braid_run_builds_no_total_space_omega():
+    system = tensor_system(A1, ((1,),) * 4)
+    form = kz_form(system, 2)
+    braid_generator(form, block_subspace(system, 2, (0, 1, 3, 7)), 1)
+    assert "omega_full" not in form.__dict__
+    # built on first access, then cached
+    assert form.omega_full[(0, 1)] == system.omega_pair(0, 1)
+    assert form.__dict__["omega_full"] is form.omega_full
 
 
 def test_rotation_monodromy_examples():

@@ -8,7 +8,7 @@ import pytest
 
 from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, commutator,
                           invert_rows, nullspace, nullspace_rows, rank_rows,
-                          restrict_operator, solve_rows)
+                          solve_rows)
 
 
 def random_fraction_matrix(rng, n, m, density=0.6):
@@ -148,30 +148,3 @@ def test_solve_and_invert():
     with pytest.raises(ValueError):
         solve_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
                    [[Fraction(1)], [Fraction(1)]])
-
-
-def test_restrict_operator_selects_unit_rows():
-    # the nullspace of x0 - x1 + 2 x2 = 0 is the identity on its free rows
-    cols = nullspace_rows([[Fraction(1), Fraction(-1), Fraction(2)]], 3)
-    basis = SRMatrix.from_rows([list(r) for r in zip(*cols)], 2)
-    rows = [1, 2]
-    assert basis.submatrix_rows(rows) == SRMatrix.identity(2)
-    # 2 Id + b1 (x) e2^T preserves the plane: b1 -> 2 b1, b2 -> b1 + 2 b2
-    op = SRMatrix.from_rows([[Fraction(2), Fraction(0), Fraction(1)],
-                             [Fraction(0), Fraction(2), Fraction(1)],
-                             [Fraction(0), Fraction(0), Fraction(2)]], 3)
-    x = restrict_operator(op, basis, rows)
-    assert x == SRMatrix.from_rows([[Fraction(2), Fraction(1)],
-                                    [Fraction(0), Fraction(2)]], 2)
-    assert basis @ x == op @ basis
-    bad = SRMatrix.from_rows([[Fraction(0), Fraction(0), Fraction(1)],
-                              [Fraction(0), Fraction(0), Fraction(0)],
-                              [Fraction(1), Fraction(0), Fraction(0)]], 3)
-    with pytest.raises(ValueError, match="preserve"):
-        restrict_operator(bad, basis, rows)
-    # rows where the basis is not the identity are refused, even for an
-    # operator that preserves the span
-    with pytest.raises(ValueError, match="identity"):
-        restrict_operator(op, basis, [0, 1])
-    with pytest.raises(ValueError, match="identity"):
-        restrict_operator(op, basis, [1])

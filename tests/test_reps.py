@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.blocks import admissible_weights
 from kzmono.errors import (ConstructionError, DimensionCapError,
                            NonDominantWeightError)
 from kzmono.exact import SRMatrix, commutator
 from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
-                         rep_to_json, root_vectors, tensor_system)
+                         local_omega, rep_to_json, root_vectors,
+                         tensor_system)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -178,7 +180,8 @@ def test_invariant_basis_is_annihilated():
     basis = sys.invariant_basis
     for i in range(A1.rank):
         for kind in ("e", "f"):
-            assert (sys.diagonal_generator(i, kind) @ basis).is_zero()
+            gens = [getattr(rep, kind)[i] for rep in sys.factors]
+            assert sys.slot_sum(gens, basis).is_zero()
 
 
 def test_dimension_cap():
@@ -189,7 +192,7 @@ def test_dimension_cap():
 def test_omega_pair_eigenvalues_spin_half():
     # half(c_nu - c_lam - c_mu) over the CG channels: 1/2 (mult 3), -3/2
     sys = tensor_system(A1, ((1,), (1,)))
-    full, _ = sys.omega_pair(0, 1)
+    full = sys.omega_pair(0, 1)
     half = Fraction(1, 2)
     m1 = full - SRMatrix.identity(4).scale(half)
     m2 = full + SRMatrix.identity(4).scale(Fraction(3, 2))
@@ -203,15 +206,17 @@ def test_omega_pair_eigenvalues_spin_half():
 
 def test_omega_pair_symmetric_and_trivial_slot():
     sys = tensor_system(A1, ((1,), (1,), (0,)))
-    a = sys.omega_pair(0, 1)[0]
-    b = sys.omega_pair(1, 0)[0]
+    a = sys.omega_pair(0, 1)
+    b = sys.omega_pair(1, 0)
     assert a == b
-    assert sys.omega_pair(0, 2)[0].is_zero()
-    assert sys.omega_pair(1, 2)[0].is_zero()
-    with pytest.raises(ValueError):
-        sys.omega_pair(1, 1)
-    with pytest.raises(ValueError):
-        sys.omega_pair(0, 5)
+    assert sys.omega_pair(0, 2).is_zero()
+    assert sys.omega_pair(1, 2).is_zero()
+    assert sys.omega_restricted(1, 0) is sys.omega_restricted(0, 1)
+    for bad in ((1, 1), (0, 5)):
+        with pytest.raises(ValueError):
+            sys.omega_pair(*bad)
+        with pytest.raises(ValueError):
+            sys.omega_restricted(*bad)
 
 
 def test_sum_of_omegas_is_minus_half_casimir_sum_on_invariants():
@@ -230,11 +235,11 @@ def test_sum_of_omegas_is_minus_half_casimir_sum_on_invariants():
 
 def test_omega_commutes_with_diagonal_action():
     sys = tensor_system(A2, ((1, 0), (0, 1), (1, 0)))
-    om = sys.omega_pair(0, 1)[0]
+    om = sys.omega_pair(0, 1)
     for i in range(A2.rank):
         for kind in ("e", "f"):
-            gen = sys.diagonal_generator(i, kind)
-            assert commutator(om, gen).is_zero()
+            gens = [getattr(rep, kind)[i] for rep in sys.factors]
+            assert commutator(om, sys.slot_sum(gens)).is_zero()
 
 
 def test_omega_self_adjoint_for_invariant_gram():
@@ -254,7 +259,7 @@ def test_omega_self_adjoint_for_invariant_gram():
 
 def test_kohno_relations_on_full_space():
     sys = tensor_system(A1, ((1,), (1,), (1,), (1,)))
-    om = {(i, j): sys.omega_pair(i, j)[0]
+    om = {(i, j): sys.omega_pair(i, j)
           for i in range(4) for j in range(i + 1, 4)}
     assert commutator(om[(0, 1)], om[(2, 3)]).is_zero()
     assert commutator(om[(0, 2)], om[(1, 3)]).is_zero()
@@ -267,15 +272,40 @@ def test_swap_restricted_is_involution():
     m = sys.swap_restricted(0)
     assert m @ m == SRMatrix.identity(sys.invariant_dim)
     with pytest.raises(ValueError):
-        tensor_system(A1, ((1,), (2,))).swap_matrix(0)
+        tensor_system(A1, ((1,), (2,))).swap_restricted(0)
+    with pytest.raises(ValueError):
+        sys.swap_restricted(3)
 
 
 def test_restrict_rejects_operator_leaving_invariants():
     # e_1 on one slot raises the weight of every invariant off zero
     system = tensor_system(A1, ((1,),) * 4)
-    op = system.apply_local((0,), system.factors[0].e[0])
     with pytest.raises(ValueError, match="preserve"):
-        system.restrict(op)
+        system.restrict_local((0,), system.factors[0].e[0])
+
+
+def test_restrict_local_reads_unit_rows():
+    system = tensor_system(A1, ((1,),) * 4)
+    basis = system.invariant_basis
+    # the slot-0 Casimir is the scalar 3/2 on V_1, so on the invariants too
+    x = system.restrict_local((0,), casimir_matrix(system.factors[0]))
+    assert x == SRMatrix.identity(system.invariant_dim).scale(Fraction(3, 2))
+    # a non-scalar restriction meets the witness basis @ X == image
+    local = local_omega(A1, (1,), (1,))
+    x = system.restrict_local((1, 2), local)
+    assert x != SRMatrix.identity(system.invariant_dim).scale(x.get(0, 0))
+    assert basis @ x == system.apply_local((1, 2), local, basis)
+
+
+def test_invariant_basis_must_be_identity_on_unit_rows(monkeypatch):
+    # a basis scaled by 2 spans the same space but is 2 on its free rows,
+    # which every restriction reads X off; it is refused once, at build
+    real = reps.nullspace_rows
+    monkeypatch.setattr(reps, "nullspace_rows", lambda rows, n: [
+        [2 * v for v in col] for col in real(rows, n)])
+    system = tensor_system(A1, ((1,),) * 4)
+    with pytest.raises(ConstructionError, match="identity"):
+        system.invariant_basis
 
 
 def test_exports_are_deterministic_json():

@@ -203,16 +203,17 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
     assert system.invariant_gram() == ref_invariant_gram(system, basis)
     for i in range(system.n):
         for j in range(i + 1, system.n):
-            full, restricted = system.omega_pair(i, j)
             ref = ref_omega(system, i, j)
-            assert full == ref
-            assert restricted == ref_restrict(ref, basis)
+            assert system.omega_pair(i, j) == ref
+            assert system.omega_restricted(i, j) == ref_restrict(ref, basis)
     for i in range(system.n - 1):
         if weights[i] == weights[i + 1]:
-            assert system.swap_matrix(i) == ref_swap(system, i)
+            assert system.swap_restricted(i) == ref_restrict(
+                ref_swap(system, i), basis)
     for r in range(alg.rank):
         for kind in ("e", "f"):
-            assert system.diagonal_generator(r, kind) == sum(
+            assert system.slot_sum(
+                [getattr(rep, kind)[r] for rep in system.factors]) == sum(
                 (ref_slot_operator(system, {s: getattr(rep, kind)[r]})
                  for s, rep in enumerate(system.factors)),
                 start=SRMatrix(system.total_dim, system.total_dim))
