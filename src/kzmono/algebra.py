@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (ConstructionError, InvalidAlgebraError,
-                     NonDominantWeightError)
+                     NonDominantWeightError, ValidationError, require_int)
 from .exact import invert_rows
 
 # dual Coxeter numbers and algebra dimensions, used as hard cross-checks on
@@ -177,13 +177,14 @@ def _positive_roots(cartan):
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 or True must reach require_int, not the cache entry of 2 or 1
+@lru_cache(maxsize=None, typed=True)
 def build_algebra(series, rank):
     """Construct and self-validate the root data of a simple type."""
     series = str(series).upper()
     if series not in _RANK_OK:
         raise InvalidAlgebraError(f"unknown series {series!r}")
-    rank = int(rank)
+    rank = require_int(rank, "rank")
     if not _RANK_OK[series](rank):
         raise InvalidAlgebraError(f"{series}{rank} is not a simple type "
                                   "(or is excluded as a duplicate)")
@@ -250,11 +251,16 @@ def build_algebra(series, rank):
 
 
 def check_weight(alg, weight):
-    weight = tuple(int(x) for x in weight)
-    if len(weight) != alg.rank:
+    """The weight as a tuple of rank plain-int Dynkin labels."""
+    try:
+        labels = tuple(weight)
+    except TypeError:
         raise NonDominantWeightError(
-            f"weight {weight} has length {len(weight)}, rank is {alg.rank}")
-    return weight
+            f"weight {weight!r} is not a sequence of labels") from None
+    if len(labels) != alg.rank:
+        raise NonDominantWeightError(
+            f"weight {weight} has length {len(labels)}, rank is {alg.rank}")
+    return tuple(require_int(x, "weight label") for x in labels)
 
 
 def is_dominant(weight):
@@ -290,7 +296,7 @@ def theta_level(alg, lam):
 def is_admissible(alg, lam, k):
     """Dominant and <lam, theta> <= k. Non-dominant weights are rejected."""
     lam = require_dominant(alg, lam)
-    return theta_level(alg, lam) <= int(k)
+    return theta_level(alg, lam) <= require_int(k, "level")
 
 
 def simple_reflection(alg, lam, i):
@@ -345,13 +351,12 @@ def codim_bound(dim_g, dim_p, dim_zp, n):
     A nonpositive value means the bound is vacuous; n = 2 is allowed and
     simply kills the first term.
     """
-    dim_g, dim_p, dim_zp, n = int(dim_g), int(dim_p), int(dim_zp), int(n)
-    if dim_g <= 0 or dim_p <= 0 or dim_zp < 0:
-        raise ValueError("dimensions must be positive (center >= 0)")
+    dim_g = require_int(dim_g, "dim_g", 1)
+    dim_p = require_int(dim_p, "dim_p", 1)
+    dim_zp = require_int(dim_zp, "dim_zp", 0)
+    n = require_int(n, "n", 2)
     if dim_p >= dim_g:
-        raise ValueError("parabolic dimension must be less than dim G")
-    if n < 2:
-        raise ValueError("need at least two marked points")
+        raise ValidationError("parabolic dimension must be less than dim G")
     half = Fraction((n - 2) * (dim_g - dim_p), 2)
     ceil_half = -((-half.numerator) // half.denominator)
     return ceil_half - dim_zp
@@ -373,9 +378,7 @@ class ParityReport:
 
 
 def metaplectic_parity(alg, n):
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = require_int(n, "n", 1)
     n_rho = tuple(n for _ in range(alg.rank))
     return ParityReport(descends=in_root_lattice(alg, n_rho),
                         n_even=(n % 2 == 0))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError,
-                     ValidationError)
+                     require_int)
 from .exact import QQi, SRMatrix, nullspace
 from .reps import irrep, root_vectors
 
@@ -39,9 +38,7 @@ _MAX_REFLECTIONS = 10_000
 
 def admissible_weights(alg, k):
     """All dominant weights with <lam, theta> <= k, sorted."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
+    k = require_int(k, "level", 0)
     comarks = alg.comarks
     out = []
 
@@ -158,7 +155,8 @@ class FusionRing:
                 f"|weights|={len(self.weights)})")
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 or True must reach require_int, not the cache entry of 2 or 1
+@lru_cache(maxsize=None, typed=True)
 def fusion_ring(alg, k):
     """Build and verify the level-k fusion tensor N (see FusionRing).
 
@@ -170,9 +168,7 @@ def fusion_ring(alg, k):
     partial sum is a nonnegative integer no larger than the full sum. Failures
     name the first weights in sorted order.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = require_int(k, "level", 1)
     weights = admissible_weights(alg, k)
     m = len(weights)
     index = {w: a for a, w in enumerate(weights)}
@@ -271,7 +267,7 @@ def block_subspace(system, k, points, at_infinity=None):
     then runs in the chart w = 1/(z - c) for an integer c away from the
     finite points (any chart does, only the embedding changes with it).
     """
-    k = int(k)
+    k = require_int(k, "level", 1)
     ring = fusion_ring(system.alg, k)
     weights = tuple(ring.check_admissible(w) for w in system.weights)
     if len(points) != system.n:
@@ -280,11 +276,7 @@ def block_subspace(system, k, points, at_infinity=None):
     pts = [QQi.from_complex(z) for z in points]
     chart_center = None
     if at_infinity is not None:
-        try:
-            at_infinity = operator.index(at_infinity)
-        except TypeError as exc:
-            raise ValidationError(
-                f"infinity flag {at_infinity!r} is not a point index") from exc
+        at_infinity = require_int(at_infinity, "at_infinity")
         if not 0 <= at_infinity < system.n:
             raise CoincidentPointsError("infinity flag out of range")
         finite = [p for i, p in enumerate(pts) if i != at_infinity]

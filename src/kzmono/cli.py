@@ -22,7 +22,9 @@ Manifest keys (complex numbers as [re, im] pairs):
 tol is the transport tolerance (default 1e-10) and compare_tol the
 comparison tolerance for residuals and oracle matches (default 1e-8). The
 rank, level, weight labels, max_dim and at_infinity are JSON integers; a
-float or boolean there is a validation error, never truncated.
+float or boolean there is a validation error, never truncated. The checks
+are the library's own `require_int`, so a manifest and a library call
+refuse the same values.
 Identical manifests produce identical outputs: all exact data is ordered
 deterministically and floating results are reproduced within the reported
 error estimates.
@@ -43,7 +45,7 @@ from .blocks import block_subspace, block_to_json, fusion_ring, \
     fusion_to_csv
 from .connection import flatness_check, kz_form, rotation_monodromy
 from .errors import (ConstructionError, KzmonoError, OracleMismatchError,
-                     TransportError, ValidationError)
+                     TransportError, ValidationError, require_int)
 from .exact import SRMatrix
 from .reps import (DEFAULT_DIMENSION_CAP, casimir_matrix, irrep, rep_to_json,
                    tensor_system)
@@ -66,13 +68,6 @@ def load_manifest(path):
     return doc
 
 
-def _json_int(value, what):
-    """value if it is a JSON integer; floats and booleans are refused."""
-    if type(value) is not int:
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    return value
-
-
 def _manifest_points(doc, n):
     """The marked points and the index of the one at infinity (or None)."""
     raw = doc.get("points")
@@ -87,30 +82,28 @@ def _manifest_points(doc, n):
             pts.append(complex(float(entry[0]), float(entry[1])))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad point {entry!r}: {exc}") from exc
-    at_infinity = doc.get("at_infinity")
-    if at_infinity is not None:
-        _json_int(at_infinity, "at_infinity")
-    return tuple(pts), at_infinity
+    return tuple(pts), doc.get("at_infinity")
 
 
 def _manifest_algebra(doc):
     try:
         series, rank = doc["algebra"]
-        return (build_algebra(series, _json_int(rank, "rank")),
-                _json_int(doc["level"], "level"))
+        level = doc["level"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad manifest fields: {exc}") from exc
+    # checked before build_algebra's cache, which cannot hash a JSON list
+    return (build_algebra(str(series), require_int(rank, "rank")),
+            require_int(level, "level", 1))
 
 
 def _manifest_system(doc):
     alg, level = _manifest_algebra(doc)
-    try:
-        weights = [tuple(_json_int(x, "weight label") for x in w)
-                   for w in doc["weights"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad manifest fields: {exc}") from exc
-    cap = _json_int(doc.get("max_dim", DEFAULT_DIMENSION_CAP), "max_dim")
-    system = tensor_system(alg, weights, max_dim=cap)
+    weights = doc.get("weights")
+    if not isinstance(weights, list):
+        raise ValidationError(f"'weights' must be a list of label lists, "
+                              f"not {weights!r}")
+    system = tensor_system(alg, weights, max_dim=doc.get(
+        "max_dim", DEFAULT_DIMENSION_CAP))
     return alg, system, level
 
 

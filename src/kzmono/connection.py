@@ -32,7 +32,7 @@ from math import inf, lcm
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CoincidentPointsError, KzmonoError
+from .errors import CoincidentPointsError, KzmonoError, require_int
 from .exact import SRMatrix, commutator
 
 
@@ -49,11 +49,8 @@ class KZForm:
     """
 
     def __init__(self, system, k):
-        k = int(k)
-        if k < 1:
-            raise ValueError("level must be a positive integer")
         self.system = system
-        self.k = k
+        self.k = k = require_int(k, "level", 1)
         self.h = system.alg.dual_coxeter
         self.prefactor = Fraction(1, k + self.h)
         n = system.n
@@ -98,10 +95,19 @@ class KZForm:
         """Value of the form on the invariants: a complex matrix.
 
         One array pass: the pair coefficients times the Omega^{ij} held as
-        the rows of one (pairs, d*d) matrix.
+        the rows of one (pairs, d*d) matrix. Points so close that the form
+        overflows raise CoincidentPointsError naming the pair of the
+        largest coefficient. A non-finite coefficient makes every entry
+        non-finite (inf * 0 is nan), so one entry is tested.
         """
         coef = self.coefficients(z, v)
-        return (coef @ self._omega_rows).reshape(self.dim, self.dim)
+        flat = coef @ self._omega_rows
+        if self.dim and not cmath.isfinite(flat[0]):
+            i, j = self.pairs[np.argmax(np.abs(coef))]
+            raise CoincidentPointsError(
+                f"points {i} and {j} coincide to float precision: the form "
+                "overflows")
+        return flat.reshape(self.dim, self.dim)
 
 
 class _Points:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
-                     NonDominantWeightError)
+                     NonDominantWeightError, require_int)
 from .exact import (SRMatrix, commutator, kron, nullspace_rows,
                     reduced_echelon)
 
@@ -146,10 +146,14 @@ def _construct(alg, lam):
     return weights, e, f, gram
 
 
-@lru_cache(maxsize=None)
 def irrep(alg, lam):
     """The irreducible module of a dominant highest weight, exactly."""
-    lam = la.require_dominant(alg, lam)
+    return _irrep(alg, la.require_dominant(alg, lam))
+
+
+# cached on the checked weight: (2.0,) must not hit the entry of (2,)
+@lru_cache(maxsize=None)
+def _irrep(alg, lam):
     weights, e, f, gram = _construct(alg, lam)
     dim = len(weights)
     expected = la.weyl_dimension(alg, lam)
@@ -256,20 +260,21 @@ def casimir_constants(alg):
     return tuple(out)
 
 
+def _casimir(alg, ems, fms, weights):
+    """sum_alpha (1/c_alpha)(e_alpha f_alpha + f_alpha e_alpha) + diag <w, w>,
+    for root vectors ems, fms acting on a basis of the given weights."""
+    n = len(weights)
+    total = SRMatrix(n, n)
+    for v, w in enumerate(weights):
+        total.put(v, v, la.pairing(alg, w, w))
+    for e, f, c in zip(ems, fms, casimir_constants(alg)):
+        total = total + (e @ f + f @ e).scale(1 / c)
+    return total
+
+
 def casimir_matrix(rep):
     """Quadratic Casimir as an exact matrix; scalar <lam, lam+2rho> on irreps."""
-    alg = rep.alg
-    ems, fms = root_vectors(rep)
-    cs = casimir_constants(alg)
-    total = SRMatrix(rep.dim, rep.dim)
-    for k in range(len(cs)):
-        inv_c = 1 / cs[k]
-        for m in (ems[k] @ fms[k], fms[k] @ ems[k]):
-            for (r, c), v in m.data.items():
-                total.add_at(r, c, inv_c * v)
-    for v, w in enumerate(rep.basis_weights):
-        total.add_at(v, v, la.pairing(alg, w, w))
-    return total
+    return _casimir(rep.alg, *root_vectors(rep), rep.basis_weights)
 
 
 @lru_cache(maxsize=None)
@@ -278,29 +283,27 @@ def local_omega(alg, lam, mu):
 
     Assembled two independent ways which must agree exactly: the dual basis
     sum over root vectors plus the Cartan term, and one half of (pair
-    Casimir - scalar Casimirs). Every pair of slots carrying (lam, mu)
-    embeds this one matrix.
+    Casimir - scalar Casimirs), the pair Casimir being `_casimir` of the
+    coproduct root vectors. Every pair of slots carrying (lam, mu) embeds
+    this one matrix.
     """
     ri, rj = irrep(alg, lam), irrep(alg, mu)
     ei, fi = root_vectors(ri)
     ej, fj = root_vectors(rj)
     id_i, id_j = SRMatrix.identity(ri.dim), SRMatrix.identity(rj.dim)
     shift = la.casimir_scalar(alg, lam) + la.casimir_scalar(alg, mu)
-    dim = ri.dim * rj.dim
+    weights = list(itertools.product(ri.basis_weights, rj.basis_weights))
+    dim = len(weights)
     full = SRMatrix(dim, dim)
-    pair = SRMatrix(dim, dim)
-    for a, wa in enumerate(ri.basis_weights):
-        for b, wb in enumerate(rj.basis_weights):
-            g = a * rj.dim + b
-            full.put(g, g, la.pairing(alg, wa, wb))
-            s = la.weight_add(wa, wb)
-            pair.put(g, g, la.pairing(alg, s, s) - shift)
+    for g, (wa, wb) in enumerate(weights):
+        full.put(g, g, la.pairing(alg, wa, wb))
     for k, c in enumerate(casimir_constants(alg)):
-        inv_c = 1 / c
-        full = full + (kron(ei[k], fj[k]) + kron(fi[k], ej[k])).scale(inv_c)
-        ee = kron(ei[k], id_j) + kron(id_i, ej[k])
-        ff = kron(fi[k], id_j) + kron(id_i, fj[k])
-        pair = pair + (ee @ ff + ff @ ee).scale(inv_c)
+        full = full + (kron(ei[k], fj[k]) + kron(fi[k], ej[k])).scale(1 / c)
+    pair = _casimir(alg,
+                    [kron(e, id_j) + kron(id_i, x) for e, x in zip(ei, ej)],
+                    [kron(f, id_j) + kron(id_i, x) for f, x in zip(fi, fj)],
+                    [la.weight_add(wa, wb) for wa, wb in weights])
+    pair = pair - SRMatrix.identity(dim).scale(shift)
     if pair.scale(Fraction(1, 2)) != full:
         raise ConstructionError(
             f"Omega routes disagree on {alg.name} {lam} x {mu}")
@@ -323,6 +326,7 @@ class TensorSystem:
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
+        max_dim = require_int(max_dim, "max_dim")
         weights = tuple(la.require_dominant(alg, w) for w in weights)
         if not weights:
             raise NonDominantWeightError("need at least one tensor factor")
@@ -462,6 +466,7 @@ class TensorSystem:
     # -- Casimir pair operators ------------------------------------------
 
     def _pair(self, i, j):
+        i, j = require_int(i, "slot"), require_int(j, "slot")
         if i == j:
             raise ValueError("slots must be distinct")
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -490,6 +495,7 @@ class TensorSystem:
 
     def swap_restricted(self, i):
         """Adjacent slot transposition on the invariants (equal factors)."""
+        i = require_int(i, "swap slot")
         if not (0 <= i < self.n - 1):
             raise ValueError("swap slot out of range")
         if self.weights[i] != self.weights[i + 1]:

@@ -32,8 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import build_algebra
-from .errors import NoIntertwinerError
-from .exact import SRMatrix, nullspace_rows, rank_rows
+from .errors import NoIntertwinerError, require_int
+from .exact import SRMatrix, kron, nullspace_rows, rank_rows
 from .reps import irrep
 
 
@@ -41,10 +41,7 @@ class SectionSpace:
     """Monomial-basis action matrices on degree <= m polynomials."""
 
     def __init__(self, m):
-        m = int(m)
-        if m < 0:
-            raise ValueError("degree must be nonnegative")
-        self.m = m
+        self.m = m = require_int(m, "degree", 0)
         self.dim = m + 1
         e = SRMatrix(self.dim, self.dim)
         f = SRMatrix(self.dim, self.dim)
@@ -77,22 +74,13 @@ def intertwiner(ss, rep):
         raise NoIntertwinerError(
             f"dimension mismatch: sections {ss.dim}, module {rep.dim}")
     d = ss.dim
-    pairs = [(ss.e, rep.e[0]), (ss.f, rep.f[0]), (ss.h, rep.h[0])]
-    rows = []
-    # unknowns T[r][c] flattened row-major; equations (X_abs T - T X_mod) = 0
-    for x_mod, x_abs in pairs:
-        for r in range(d):
-            for c in range(d):
-                row = [Fraction(0)] * (d * d)
-                for t in range(d):
-                    v = x_abs.get(r, t)
-                    if v:
-                        row[t * d + c] += v
-                    v = x_mod.get(t, c)
-                    if v:
-                        row[r * d + t] -= v
-                if any(row):
-                    rows.append(row)
+    eye = SRMatrix.identity(d)
+    # T flattened row-major: X_abs T - T X_mod = 0 reads
+    # (X_abs (x) I - I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
+    rows = [row for x_mod, x_abs in [(ss.e, rep.e[0]), (ss.f, rep.f[0]),
+                                     (ss.h, rep.h[0])]
+            for row in (kron(x_abs, eye)
+                        - kron(eye, x_mod.transpose())).to_rows()]
     basis = nullspace_rows(rows, d * d)
     if len(basis) != 1:
         raise NoIntertwinerError(

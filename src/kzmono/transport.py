@@ -56,7 +56,8 @@ from scipy.linalg import expm
 
 from .blocks import block_subspace
 from .connection import _Points
-from .errors import PathSingularError, TransportError, ValidationError
+from .errors import (PathSingularError, TransportError, ValidationError,
+                     require_int)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
@@ -116,6 +117,7 @@ def braid_path(points, i, clockwise=False, wobble=0.0):
     """
     pts = np.array(points, dtype=complex)
     n = len(pts)
+    i = require_int(i, "braid generator")
     if not 1 <= i <= n - 1:
         raise ValidationError(f"braid generator {i} out of range for n={n}")
     a, b = i - 1, i
@@ -346,6 +348,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     """
     system = form.system
     n = system.n
+    i = require_int(i, "braid generator")
     if not 1 <= i <= n - 1:
         raise ValidationError(f"braid generator {i} out of range for n={n}")
     if block.dim == 0:
@@ -397,7 +400,8 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
     Requires all tensor weights equal so every generator is an endomorphism
     of the same fibre. Letter matrices are cached and reused.
     """
-    letters = word if isinstance(word, list) else parse_braid_word(word)
+    letters = ([require_int(w, "braid letter") for w in word]
+               if isinstance(word, list) else parse_braid_word(word))
     system = form.system
     n = system.n
     if len(set(system.weights)) > 1:

@@ -17,7 +17,7 @@ from kzmono.blocks import block_dim, block_subspace, fusion_ring
 from kzmono.connection import flatness_check, kz_form, rotation_monodromy
 from kzmono.errors import NoIntertwinerError
 from kzmono.exact import SRMatrix
-from kzmono.reps import casimir_constants, casimir_matrix, irrep, \
+from kzmono.reps import _irrep, casimir_constants, casimir_matrix, irrep, \
     tensor_system
 from kzmono.sections import SectionSpace, intertwiner
 from kzmono.transport import (braid_generator, projective_compare,
@@ -192,7 +192,7 @@ def test_criterion_8_bbw_rank_one():
 
 def test_criterion_9_performance_guard():
     # fresh caches so the pipeline timing is honest
-    irrep.cache_clear()
+    _irrep.cache_clear()
     casimir_constants.cache_clear()
     fusion_ring.cache_clear()
     start = time.perf_counter()

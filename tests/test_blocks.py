@@ -272,7 +272,8 @@ def test_block_subspace_validation():
 def test_block_subspace_rejects_non_integer_infinity_flag(flag):
     # only an integer names a point: int() would read 1.7 as point 1
     sys = tensor_system(A1, ((1,),) * 4)
-    with pytest.raises(ValidationError, match="not a point index"):
+    with pytest.raises(ValidationError,
+                       match="at_infinity must be an integer"):
         block_subspace(sys, 1, (0, 1, 3, 7), at_infinity=flag)
 
 

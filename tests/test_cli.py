@@ -170,6 +170,17 @@ def test_export_rep_without_out_exit_2(tmp_path, capsys):
     assert "--out" in err and "Traceback" not in err
 
 
+def test_export_rep_non_integer_level_exit_2(tmp_path, capsys):
+    # export-rep never passes the level on, so the CLI's own check must
+    # refuse it
+    path = write_manifest(tmp_path, dict(A1_K1_MANIFEST, level=2.9))
+    outdir = tmp_path / "reps"
+    assert main(["export-rep", "--manifest", path,
+                 "--out", str(outdir)]) == 2
+    assert "level must be an integer" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_verify_rejects_tol_and_out_exit_2(tmp_path, capsys):
     path = write_manifest(tmp_path, A1_K1_MANIFEST)
     for extra in (["--tol", "1e-3"], ["--out", str(tmp_path / "x")]):
@@ -212,6 +223,10 @@ def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     ("fusion-table", "level", 2.9),
     ("fusion-table", "level", True),
     ("fusion-table", "algebra", ["A", True]),
+    ("fusion-table", "algebra", ["A", [1]]),
+    ("fusion-table", "algebra", [["A"], 1]),
+    ("blocks", "weights", [[1], 1, [1], [1]]),
+    ("blocks", "weights", None),
 ])
 def test_malformed_manifest_field_exit_2(tmp_path, capsys, command, field,
                                          value):

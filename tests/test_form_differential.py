@@ -11,15 +11,22 @@ the size of its terms, sum_p |c_p| |Omega_p|; both stay within about
 3e-16 over 20000 random configurations. The separation uses the same hypot
 and must agree exactly. The braid matrices of A1 (1)^6 at k=2 are pinned to
 values frozen from the loop version.
+
+Points can lie a subnormal or near-subnormal distance apart, where a
+coefficient overflows to inf. The reference treats a non-finite quotient
+like a coincidence and names its pair (the first in pair order; an exact
+coincidence anywhere takes precedence), and a form that overflows with
+finite quotients names the pair of the largest one.
 """
 
+import cmath
 import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzmono.algebra import build_algebra
@@ -44,13 +51,22 @@ def reference_coefficients(form, z, v):
             raise CoincidentPointsError(
                 f"points {i} and {j} coincide at z={z}")
         out[idx] = pref * (v[i] - v[j]) / dz
+    for idx, (i, j) in enumerate(form.pairs):
+        if not cmath.isfinite(out[idx]):
+            raise CoincidentPointsError(f"points {i} and {j} coincide "
+                                        "(the quotient overflows)")
     return out
 
 
 def reference_evaluate(form, z, v):
+    coef = reference_coefficients(form, z, v)
     omega = np.array([form.omega_inv[p].to_complex() for p in form.pairs])
-    return np.tensordot(reference_coefficients(form, z, v), omega,
-                        axes=(0, 0))
+    out = np.tensordot(coef, omega, axes=(0, 0))
+    if not np.isfinite(out).all():
+        i, j = form.pairs[max(range(len(coef)), key=lambda p: abs(coef[p]))]
+        raise CoincidentPointsError(f"points {i} and {j} coincide "
+                                    "(the form overflows)")
+    return out
 
 
 def reference_min_separation(z):
@@ -92,11 +108,16 @@ def configurations(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(configurations())
+# a coefficient overflows at a subnormal separation (Python division) and
+# at a normal one (numpy division)
+@example(([0, 2.2e-311, 0.5, 0.7], [1, 0, 0, 0]))
+@example(([0, 3e-308, 0.5, 0.7], [40, 0, 0, 0]))
 def test_form_matches_scalar_reference(config):
     z, v = config
     form = form_for(len(z))
     try:
         ref_coef = reference_coefficients(form, z, v)
+        ref = reference_evaluate(form, z, v)
     except CoincidentPointsError as exc:
         named = str(exc).split(" coincide")[0]
         with pytest.raises(CoincidentPointsError) as info:
@@ -107,7 +128,6 @@ def test_form_matches_scalar_reference(config):
     assert np.all(np.abs(coef - ref_coef) <= 1e-15 * np.abs(ref_coef))
     omega = np.array([form.omega_inv[p].to_complex() for p in form.pairs])
     terms = np.tensordot(np.abs(ref_coef), np.abs(omega), axes=(0, 0))
-    ref = reference_evaluate(form, z, v)
     out = form.evaluate(z, v)
     assert out.shape == ref.shape == (form.dim, form.dim)
     assert np.abs(out - ref).max() <= 1e-15 * terms.max()

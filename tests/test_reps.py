@@ -382,7 +382,7 @@ def test_dimension_check_raises(monkeypatch):
     monkeypatch.setattr("kzmono.algebra.weyl_dimension",
                         lambda alg, lam: true_dim + 1)
     with pytest.raises(ConstructionError, match="Weyl dimension"):
-        irrep.__wrapped__(A2, (1, 1))
+        reps._irrep.__wrapped__(A2, (1, 1))
 
 
 def test_casimir_constants_checks_simple_roots():
