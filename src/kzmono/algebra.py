@@ -90,6 +90,11 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra({self.name})"
 
+    def __hash__(self):
+        # the type fixes every other field; the generated hash would walk
+        # all root tuples on each lookup of the caches keyed on an algebra
+        return hash((self.series, self.rank))
+
 
 def _cartan_matrix(series, rank):
     a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]

@@ -152,7 +152,8 @@ def cmd_verify(args):
 
     report = flatness_check(form)
     line = (f"flatness: {report.checks} commutators, max deviation "
-            f"{report.max_abs_full}")
+            f"{report.max_abs_full} on the full space, "
+            f"{report.max_abs_restricted} on the invariants")
     print(("ok " if report.exact else "FAIL ") + line)
     if not report.exact:
         failures.append("flatness")

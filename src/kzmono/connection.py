@@ -12,6 +12,9 @@ Flatness is equivalent to the Kohno commutation relations
     [Omega^{ij}, Omega^{ik} + Omega^{jk}] = 0   for distinct i, j, k,
 which are verified exactly (in integer arithmetic after clearing one common
 denominator), on the full tensor space and restricted to the invariants.
+Every total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
+full-space check reduces to the three relations of each distinct weight
+triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it.
 
 Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
@@ -23,6 +26,7 @@ vanishes there), so the loop acts as exp(pi i sum_i c_i/(k+h)).
 from __future__ import annotations
 
 import cmath
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +38,7 @@ from scipy.linalg import expm
 
 from .errors import CoincidentPointsError, KzmonoError, require_int
 from .exact import SRMatrix, commutator
+from .reps import TensorSystem
 
 
 class KZForm:
@@ -44,8 +49,9 @@ class KZForm:
     and keeps float copies for the integrator, one flattened d x d matrix
     per row. `left` and `right` are the index arrays of the pairs (i, j),
     in `pairs` order, so the form is evaluated in one array pass over all
-    pairs. The total-space Omega^{ij} (`omega_full`) are built on first
-    access, which only the full-space Kohno check makes.
+    pairs. The total-space Omega^{ij} (`omega_full`) are built only on
+    explicit access; the full-space Kohno check works from the local
+    matrices, and reads `omega_full` only if it was built and altered.
     """
 
     def __init__(self, system, k):
@@ -159,29 +165,68 @@ def _kohno_residual(omega, relations):
     return Fraction(worst, denom * denom)
 
 
+def _kohno_relations(n):
+    """The Kohno relations (p, qs) on n slots: disjoint pairs, then every
+    triple (i, j, k), in the order of `KZForm.pairs`."""
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def pair(a, b):
+        return (min(a, b), max(a, b))
+
+    relations = [(p, [q]) for p in pairs for q in pairs
+                 if q > p and not set(p) & set(q)]
+    relations += [((i, j), [pair(i, k), pair(j, k)])
+                  for (i, j) in pairs for k in range(n) if k not in (i, j)]
+    return relations
+
+
+def _full_residual(form, relations):
+    """Full-space Kohno residual, from V_a (x) V_b (x) V_c per slot triple.
+
+    Every total-space Omega^{ij} is `apply_local` of one local matrix, so
+    Omega^{ij} and Omega^{kl} on disjoint slots commute, and the three
+    relations of slots a < b < c are iota(R), R their residual on the
+    three-factor system (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on
+    the other slots) an injective algebra map that keeps every entry, so
+    max |iota(R)| = max |R|. Each distinct weight triple is checked once.
+    If `omega_full` was built and no longer matches the local data, the
+    relations run on it as given.
+    """
+    system = form.system
+    built = form.__dict__.get("omega_full")
+    if built is not None and any(built[p] != system.omega_pair(*p)
+                                 for p in form.pairs):
+        return _kohno_residual(built, relations)
+    local = _kohno_relations(3)
+    worst = Fraction(0)
+    for ws in {tuple(system.weights[s] for s in t)
+               for t in itertools.combinations(range(form.n), 3)}:
+        sub = TensorSystem(system.alg, ws, max_dim=system.total_dim)
+        omega = {p: sub.omega_pair(*p)
+                 for p in itertools.combinations(range(3), 2)}
+        worst = max(worst, _kohno_residual(omega, local))
+    return worst
+
+
 def flatness_check(form):
     """Verify the Kohno relations exactly; report the worst deviation.
 
     Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
-    disjoint pairs, then every triple (i, j, k). The same list is checked
-    on the full tensor space and restricted to the invariants. Each side
-    is scaled by one common denominator D into integer matrices, and the
-    integer residual is divided by D^2; since [D A, D B] = D^2 [A, B] this
-    is the same exact rational residual, with no gcd paid per product. A
-    nonzero residual can only come from a defective Omega assembly, so
-    callers treat it as an internal failure, not a numerical tolerance.
+    disjoint pairs, then every triple (i, j, k). On the invariants the
+    list runs on the restricted Omega^{ij}; on the full tensor space it is
+    reduced to one three-factor system per weight triple
+    (`_full_residual`), so no total-space Omega is built. Each residual
+    scales its matrices by one common denominator D into integer matrices
+    and divides the integer residual by D^2; since [D A, D B] = D^2 [A, B]
+    this is the same exact rational residual, with no gcd paid per
+    product. A nonzero residual can only come from a defective Omega
+    assembly, so callers treat it as an internal failure, not a numerical
+    tolerance.
     """
-    def pair(a, b):
-        return (min(a, b), max(a, b))
-
-    relations = [(p, [q]) for p in form.pairs for q in form.pairs
-                 if q > p and not set(p) & set(q)]
-    relations += [((i, j), [pair(i, k), pair(j, k)])
-                  for (i, j) in form.pairs for k in range(form.n)
-                  if k not in (i, j)]
+    relations = _kohno_relations(form.n)
     return FlatnessReport(
         checks=len(relations),
-        max_abs_full=_kohno_residual(form.omega_full, relations),
+        max_abs_full=_full_residual(form, relations),
         max_abs_restricted=_kohno_residual(form.omega_inv, relations))
 
 

@@ -1,5 +1,6 @@
 """Root data: normalisation, scalar formulas, lattice and parity tests."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,12 @@ def test_g2_short_long_data():
     assert g2.highest_root_coords == (3, 2)
     assert theta_level(g2, (1, 0)) == 1
     assert theta_level(g2, (0, 1)) == 2
+
+
+def test_equal_algebras_hash_equal():
+    for sr in SUPPORTED:
+        alg = build_algebra(*sr)
+        twin = dataclasses.replace(alg)
+        assert twin is not alg and twin == alg
+        assert hash(twin) == hash(alg)
+        assert {alg: sr}[twin] == sr

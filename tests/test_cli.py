@@ -1,10 +1,13 @@
 """Command line: exit codes, reports, export files, determinism."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 from kzmono.cli import main
+from kzmono.connection import kz_form
 
 A1_K1_MANIFEST = {
     "algebra": ["A", 1],
@@ -63,6 +66,31 @@ def test_verify_injected_sign_error_exit_1(tmp_path, capsys):
     path = write_manifest(tmp_path, doc)
     assert main(["verify", "--manifest", path]) == 1
     assert "FAIL flatness" in capsys.readouterr().out
+
+
+def test_verify_prints_both_flatness_residuals(tmp_path, capsys,
+                                               monkeypatch):
+    # a sign error in one restricted Omega leaves the full space flat: the
+    # FAIL line must show the nonzero residual on the invariants
+    from kzmono import cli
+
+    def corrupted_form(system, k):
+        form = kz_form(system, k)
+        bad = form.omega_inv[(0, 1)].copy()
+        (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
+        bad.data[(r, c)] = -bad.data[(r, c)]
+        form.omega_inv[(0, 1)] = bad
+        return form
+
+    monkeypatch.setattr(cli, "kz_form", corrupted_form)
+    path = write_manifest(tmp_path, A1_K1_MANIFEST)
+    assert main(["verify", "--manifest", path]) == 1
+    line = next(s for s in capsys.readouterr().out.splitlines()
+                if "flatness" in s)
+    match = re.fullmatch(r"FAIL flatness: 15 commutators, max deviation "
+                         r"0 on the full space, (\S+) on the invariants",
+                         line)
+    assert match and Fraction(match[1]) > 0
 
 
 def test_verify_rank_two_suite(tmp_path):

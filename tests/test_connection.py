@@ -8,7 +8,9 @@ import pytest
 
 from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.blocks import block_subspace
-from kzmono.connection import (flatness_check, kz_form, rotation_monodromy)
+from kzmono import reps
+from kzmono.connection import (_kohno_relations, _kohno_residual,
+                               flatness_check, kz_form, rotation_monodromy)
 from kzmono.errors import CoincidentPointsError, KzmonoError
 from kzmono.exact import commutator
 from kzmono.reps import tensor_system
@@ -234,3 +236,62 @@ def test_flatness_restricted_negative_control(alg, weights, k):
     assert report.max_abs_restricted > 0
     assert report.max_abs_full == 0
     assert not report.exact
+
+
+def _flip_local_omega(monkeypatch):
+    """Make every local Omega come back with its first off-diagonal entry
+    negated, as a copy: the cached matrices stay as they are."""
+    clean = reps.local_omega
+
+    def flipped(alg, lam, mu):
+        bad = clean(alg, lam, mu).copy()
+        entry = next((rc for rc in sorted(bad.data) if rc[0] != rc[1]), None)
+        if entry is not None:
+            bad.data[entry] = -bad.data[entry]
+        return bad
+
+    monkeypatch.setattr(reps, "local_omega", flipped)
+
+
+@pytest.mark.parametrize("alg,weights,k", [
+    (A1, ((1,), (2,), (1,), (2,)), 2),
+    (A1, ((2,), (1,), (1,), (0,), (2,)), 2),
+    (A1, ((1,), (1,), (2,), (1,), (1,)), 3),
+    (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2),
+], ids=["A1-mixed-4pt", "A1-mixed-5pt-trivial", "A1-mixed-5pt", "A2-4pt"])
+def test_flatness_local_route_matches_full_route(monkeypatch, alg, weights,
+                                                 k):
+    # a corrupted local Omega reaches both routes: the per-triple residual
+    # must be the full-space residual of the embedded matrices, exactly
+    form = kz_form(tensor_system(alg, weights), k)
+    _flip_local_omega(monkeypatch)
+    omega = form.omega_full
+    report = flatness_check(form)
+    full = _kohno_residual(omega, _kohno_relations(form.n))
+    assert type(report.max_abs_full) is Fraction
+    assert report.max_abs_full == full == ref_max_abs_full(form)
+    assert report.max_abs_full > 0
+    assert report.max_abs_restricted == 0
+    monkeypatch.undo()
+    assert flatness_check(kz_form(tensor_system(alg, weights), k)).exact
+
+
+@pytest.mark.parametrize("alg,weights,k", [
+    (A1, ((1,),) * 6, 2),
+    (A1, ((1,), (2,), (1,), (2,)), 2),
+    (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2),
+    (G2, ((1, 0),) * 3, 1),
+    (A1, ((1,), (1,)), 1),
+], ids=["A1^6", "A1-mixed", "A2-4pt", "G2^3", "A1^2-no-triple"])
+def test_flatness_builds_no_total_space_omega(alg, weights, k):
+    system = tensor_system(alg, weights)
+    form = kz_form(system, k)
+    report = flatness_check(form)
+    assert "omega_full" not in form.__dict__
+    assert report.exact
+    assert type(report.max_abs_full) is Fraction
+    # a built but unmodified omega_full gives the same report
+    built = kz_form(system, k)
+    built.omega_full
+    assert flatness_check(built) == report
+
