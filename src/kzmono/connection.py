@@ -34,8 +34,8 @@ from functools import cached_property
 from math import inf, lcm
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._integrators import expm
 from .errors import CoincidentPointsError, KzmonoError, require_int
 from .exact import SRMatrix, commutator
 from .reps import TensorSystem

@@ -2,9 +2,14 @@
 
 Flat sections obey Y' = -A(t) Y with A(t) the form evaluated on the path
 tangent; transport integrates the matrix ODE with the identity as initial
-frame. Two integrators are available: an adaptive embedded Runge-Kutta
-(DOP853) on the complex system, and a fourth-order Magnus stepper (two-point
-Gauss quadrature with a single commutator, one matrix exponential per step).
+frame. Two integrators are available, both in `kzmono._integrators` and
+neither needing scipy: an adaptive embedded Runge-Kutta (DOP853, with the
+tableau and step control of Hairer's code) on the complex system, and a
+fourth-order Magnus stepper (two-point Gauss quadrature with a single
+commutator, one matrix exponential per step). Magnus evaluates A(t) at the
+Gauss nodes in step order and exponentiates the step cores as stacks of at
+most 256 steps, one Pade scaling-and-squaring call per stack, so its
+memory stays O(256 d^2) at any step count.
 
 Each path is integrated along one ladder of resolutions, every rung once.
 DOP853 runs two rungs, rtol = tol and then max(tol/100, 1e-13), and returns
@@ -51,9 +56,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
+from ._integrators import dop853, expm
 from .blocks import block_subspace
 from .connection import _Points
 from .errors import (PathSingularError, TransportError, ValidationError,
@@ -63,6 +67,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
 _MIN_TOL = 1e-13
 _MAGNUS_MAX_STEPS = 1 << 16
+# Magnus steps whose cores are exponentiated as one stack
+_MAGNUS_CHUNK = 256
 _CONCAT_GAP = 1e-9
 _GAUSS_OFFSET = math.sqrt(3) / 6
 
@@ -214,24 +220,22 @@ def _solve_segment_adaptive(afun, y0, tol, sign):
     def rhs(t, y):
         return (sign * afun(t) @ y.reshape(shape)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise TransportError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1].reshape(shape)
+    return dop853(rhs, y0.ravel(), rtol=tol, atol=tol * 1e-2).reshape(shape)
 
 
 def _solve_segment_magnus(afun, y0, steps, sign):
     y = y0
     h = 1.0 / steps
-    for s in range(steps):
-        t0 = s * h
-        a1 = afun(t0 + h * (0.5 - _GAUSS_OFFSET))
-        a2 = afun(t0 + h * (0.5 + _GAUSS_OFFSET))
+    for first in range(0, steps, _MAGNUS_CHUNK):
+        a = np.array([afun(s * h + h * (0.5 + off))
+                      for s in range(first, min(first + _MAGNUS_CHUNK, steps))
+                      for off in (-_GAUSS_OFFSET, _GAUSS_OFFSET)])
+        a1, a2 = a[0::2], a[1::2]
         # fourth order for Y' = sign*A Y; the commutator term carries sign^2
-        core = sign * (h / 2) * (a1 + a2) \
+        cores = sign * (h / 2) * (a1 + a2) \
             - (math.sqrt(3) * h * h / 12) * (a1 @ a2 - a2 @ a1)
-        y = expm(core) @ y
+        for factor in expm(cores):
+            y = factor @ y
     return y
 
 

@@ -168,14 +168,27 @@ def test_adaptive_error_decreases_with_tol(form_k2):
     assert fine <= coarse + 1e-14
 
 
-def test_path_singular_guard():
+@pytest.mark.parametrize("method", ["adaptive", "magnus"])
+def test_path_singular_guard(method):
     form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
     # the third point sits on the braid circle of the first pair, so the
-    # form has a pole on the path and the adaptive solver must sample near
-    # it while shrinking its steps
+    # form has a pole on the path; the adaptive solver must sample near it
+    # while shrinking its steps, and the Magnus ladder refines until a
+    # Gauss node of some rung lands inside the guard
     z = (0 + 0j, 2 + 0j, 1 + 1j, 7 + 0j)
     with pytest.raises(PathSingularError):
-        transport(form, braid_path(z, 1), tol=1e-8, min_separation=1e-3)
+        transport(form, braid_path(z, 1), tol=1e-8, min_separation=1e-3,
+                  method=method)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "magnus"])
+def test_non_finite_form_fails_the_integrator(form_k2, monkeypatch, method):
+    # DOP853 gets a NaN first step, which no step-size rule shrinks, and
+    # Magnus a NaN stack of cores, which expm refuses
+    nan = np.full((form_k2.dim, form_k2.dim), np.nan, dtype=complex)
+    monkeypatch.setattr(form_k2, "evaluate", lambda z, v: nan)
+    with pytest.raises(TransportError, match="integrator failed"):
+        transport(form_k2, braid_path(Z4, 2), tol=1e-8, method=method)
 
 
 def test_projective_compare():
