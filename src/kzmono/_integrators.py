@@ -4,13 +4,16 @@
 code (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I,
 II.10), kept to what a transport needs: the twelve step stages, the
 eighth-order solution and the combined fifth/third-order error estimate,
-with no dense output. Step control is Hairer's, in the form of
-`scipy.integrate.solve_ivp(method="DOP853")`: the same initial-step
-selection, safety factor 0.9, step factors clipped to [0.2, 10] (at most 1
-right after a rejection) and a smallest step of ten float spacings of t.
-Every arithmetic operation is the one that code makes, in the same order,
-so on the same right-hand side both take the same steps and return the
-same floats.
+with no dense output. It integrates the linear system Y' = A(t) Y, whose
+stage derivatives A(t_s) Y_s need A only at the step's nodes
+t + c_s h, known before the step starts; so the twelve matrices of a step
+attempt come from one call for the stack. Step control is Hairer's, in the
+form of `scipy.integrate.solve_ivp(method="DOP853")`: the same
+initial-step selection, safety factor 0.9, step factors clipped to
+[0.2, 10] (at most 1 right after a rejection) and a smallest step of ten
+float spacings of t. Every arithmetic operation is the one that code makes
+on the flattened Y, in the same order, so on the same A(t) both take the
+same steps and return the same floats.
 
 `expm` is scaling and squaring with Pade approximants (Higham, "The scaling
 and squaring method for the matrix exponential revisited", SIAM J. Matrix
@@ -119,6 +122,10 @@ _E5[9] = 0.3341791187130174790297318841
 _E5[10] = 0.8192320648511571246570742613e-1
 _E5[11] = -0.2235530786388629525884427845e-1
 
+# the nodes of the twelve evaluations of a step: stages 1 to 11, then the
+# new point (c = 1 twice)
+_C_STEP = np.append(_C[1:], 1.0)
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
@@ -129,14 +136,14 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, y0, f0, rtol, atol):
+def _initial_step(amats, deriv, y0, f0, rtol, atol):
     """Hairer's starting step for an error estimate of order 7 on [0, 1]."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 1.0)
-    f1 = fun(h0, y0 + h0 * f0)
+    f1 = deriv(amats(np.array([h0]))[0], y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -145,14 +152,20 @@ def _initial_step(fun, y0, f0, rtol, atol):
     return min(100 * h0, h1, 1.0)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One step from (t, y) with f = fun(t, y); fills the stages K."""
+def _rk_step(amats, deriv, t, y, f, h, K):
+    """One step from (t, y) with f the derivative at t; fills the stages K.
+
+    The matrices A of all twelve evaluations (stages 1 to 11, then the new
+    point, which is FSAL) come from one `amats` call made before the stages
+    run: the system is linear, so they depend only on the step's nodes.
+    """
     K[0] = f
+    a = amats(t + _C_STEP * h)
     for s in range(1, 12):
         dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t + _C[s] * h, y + dy)
+        K[s] = deriv(a[s - 1], y + dy)
     y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
+    f_new = deriv(a[11], y_new)
     K[-1] = f_new
     return y_new, f_new
 
@@ -168,17 +181,27 @@ def _error_norm(K, h, scale):
                                          * len(scale))
 
 
-def dop853(fun, y0, rtol, atol):
-    """y(1) for y' = fun(t, y), y(0) = y0 (a 1-d array), by DOP853.
+def dop853(amats, y0, rtol, atol):
+    """Y(1) for the linear system Y' = A(t) Y, Y(0) = y0, by DOP853.
 
-    Raises TransportError when the step falls below ten float spacings of t
-    or stops being a number (a non-finite right-hand side).
+    y0 is a (d, m) array. amats(ts) returns the stack of the A(t), shape
+    (len(ts), d, d), for a 1-d array of times; it is called once for each
+    of the two evaluations of the initial step and once per step attempt.
+    Raises TransportError when the step falls below ten float spacings of
+    t or stops being a number (a non-finite A).
     """
-    y = np.asarray(y0)
-    if y.size == 0:
-        return y
-    f = fun(0.0, y)
-    h_abs = _initial_step(fun, y, f, rtol, atol)
+    y0 = np.asarray(y0)
+    if y0.size == 0:
+        return y0
+    shape = y0.shape
+
+    def deriv(a, y):
+        # the step runs on Y flattened; A Y is formed as a matrix product
+        return (a @ y.reshape(shape)).ravel()
+
+    y = y0.ravel()
+    f = deriv(amats(np.zeros(1))[0], y)
+    h_abs = _initial_step(amats, deriv, y, f, rtol, atol)
     K = np.empty((13, y.size), dtype=y.dtype)
     t = 0.0
     while t < 1.0:
@@ -194,7 +217,7 @@ def dop853(fun, y0, rtol, atol):
                     f"is below ten float spacings ({min_step:.3g})")
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            y_new, f_new = _rk_step(amats, deriv, t, y, f, h, K)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error = _error_norm(K, h, scale)
             if error < 1:
@@ -205,7 +228,7 @@ def dop853(fun, y0, rtol, atol):
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-    return y
+    return y.reshape(shape)
 
 
 # Pade degrees m with the largest 1-norm theta_m at which the [m/m]

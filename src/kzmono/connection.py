@@ -5,7 +5,8 @@ trivial bundle of tensor invariants. The Casimir coefficients stay exact
 rational until the z-dependent scalar factors are mixed in, which happens in
 floating point as the very last step: the pair coefficients
 (v_i - v_j)/(z_i - z_j) are one array over all pairs, contracted with the
-float Omega^{ij} in one matrix product.
+float Omega^{ij} in one matrix product. Both take whole stacks of point
+sets, so a path evaluates the form at many times in one call.
 
 Flatness is equivalent to the Kohno commutation relations
     [Omega^{ij}, Omega^{kl}] = 0            for disjoint pairs,
@@ -80,55 +81,95 @@ class KZForm:
         return self.system.n
 
     def coefficients(self, z, v):
-        """(1/(k+h)) (v_i - v_j)/(z_i - z_j) per pair, as a float vector."""
+        """(1/(k+h)) (v_i - v_j)/(z_i - z_j) per pair, as a float array.
+
+        z and v have shape (..., n); the result has shape (..., pairs).
+        Raises CoincidentPointsError for the first point set, in row order,
+        with a coincident pair or a non-finite quotient.
+        """
+        pts, coef = self._quotients(z, v)
+        rows = coef.reshape(pts.sep.size, len(self.pairs))
+        self._check_rows(pts, rows, np.isfinite(rows).all(axis=-1))
+        return coef
+
+    def _quotients(self, z, v):
+        """The points and their pair quotients, C-contiguous, non-finite
+        ones included (an exact coincidence divides by zero)."""
         pts = z if isinstance(z, _Points) else _Points(self, z)
         v = np.asarray(v, dtype=complex)
-        if v.shape != (self.n,):
-            raise ValueError(f"need {self.n} velocities")
-        dv = v[self.left] - v[self.right]
-        if pts.sep >= sys.float_info.min:
-            return self._pref * dv / pts.dz
-        if pts.sep == 0:
-            i, j = self.pairs[np.flatnonzero(pts.dz == 0)[0]]
-            raise CoincidentPointsError(
-                f"points {i} and {j} coincide at z={pts.z}")
+        if v.shape != pts.z.shape:
+            raise ValueError(f"need {self.n} velocities per point set")
+        dv = v[..., self.left] - v[..., self.right]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            coef = np.ascontiguousarray(self._pref * dv / pts.dz)
         # numpy divides through the reciprocal of a complex number, which
         # overflows below the smallest normal float; Python does not
-        return np.array([self._pref * complex(a) / complex(b)
-                         for a, b in zip(dv, pts.dz)])
+        tiny = np.flatnonzero((pts.sep > 0) & (pts.sep < sys.float_info.min))
+        if tiny.size:
+            rows = coef.reshape(pts.sep.size, len(self.pairs))
+            dv, dz = (a.reshape(rows.shape) for a in (dv, pts.dz))
+            for r in tiny:
+                rows[r] = [self._pref * complex(a) / complex(b)
+                           for a, b in zip(dv[r], dz[r])]
+        return pts, coef
+
+    def _check_rows(self, pts, rows, ok):
+        """Raise CoincidentPointsError for the first point set r of the
+        flattened stack whose `ok` is false, naming its first coincident
+        pair, else its first non-finite quotient, else (only the
+        contraction overflowed) its largest quotient."""
+        if ok.all():
+            return
+        r = np.argmin(ok)
+        dz = pts.dz.reshape(rows.shape)[r]
+        if (dz == 0).any():
+            i, j = self.pairs[np.argmax(dz == 0)]
+            z = pts.z.reshape(len(rows), self.n)[r]
+            raise CoincidentPointsError(
+                f"points {i} and {j} coincide at z={z}")
+        finite = np.isfinite(rows[r])
+        i, j = self.pairs[np.argmin(finite) if not finite.all()
+                          else np.argmax(np.abs(rows[r]))]
+        raise CoincidentPointsError(
+            f"points {i} and {j} coincide to float precision: the form "
+            "overflows")
 
     def evaluate(self, z, v):
-        """Value of the form on the invariants: a complex matrix.
+        """Value of the form on the invariants: complex (..., d, d).
 
-        One array pass: the pair coefficients times the Omega^{ij} held as
-        the rows of one (pairs, d*d) matrix. Points so close that the form
-        overflows raise CoincidentPointsError naming the pair of the
-        largest coefficient. A non-finite coefficient makes every entry
-        non-finite (inf * 0 is nan), so one entry is tested.
+        z and v have shape (..., n), one row per point set. One array pass
+        for the whole stack: the pair coefficients times the Omega^{ij}
+        held as the rows of one (pairs, d*d) matrix. Each point set is
+        contracted on its own, as a C-contiguous (1, pairs) operand, so a
+        row of a stack is bitwise the value at that point set alone. Points
+        so close that the form overflows raise CoincidentPointsError for
+        the first failing point set (see `_check_rows`).
         """
-        coef = self.coefficients(z, v)
-        flat = coef @ self._omega_rows
-        if self.dim and not cmath.isfinite(flat[0]):
-            i, j = self.pairs[np.argmax(np.abs(coef))]
-            raise CoincidentPointsError(
-                f"points {i} and {j} coincide to float precision: the form "
-                "overflows")
-        return flat.reshape(self.dim, self.dim)
+        pts, coef = self._quotients(z, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = coef[..., None, :] @ self._omega_rows
+        rows = coef.reshape(pts.sep.size, len(self.pairs))
+        finite = np.isfinite(flat.reshape(len(rows), self.dim ** 2))
+        self._check_rows(pts, rows, np.isfinite(rows).all(axis=-1)
+                         & finite.all(axis=-1))
+        return flat.reshape(coef.shape[:-1] + (self.dim, self.dim))
 
 
 class _Points:
-    """Points z with dz = z[left] - z[right] and sep = min |dz| (by hypot,
-    as abs() of a Python complex). A path forms it once per A(t), for its
-    pole monitor and, in place of z, for `KZForm.evaluate`."""
+    """Points z of shape (..., n) with dz = z[..., left] - z[..., right]
+    and sep = min |dz| per point set (by hypot, as abs() of a Python
+    complex). A path forms it once per stack of times, for its pole
+    monitor and, in place of z, for `KZForm.evaluate`."""
 
     __slots__ = ("z", "dz", "sep")
 
     def __init__(self, form, z):
         self.z = z = np.asarray(z, dtype=complex)
-        if z.shape != (form.n,):
-            raise ValueError(f"need {form.n} points")
-        self.dz = dz = z[form.left] - z[form.right]
-        self.sep = np.minimum.reduce(np.hypot(dz.real, dz.imag), initial=inf)
+        if z.ndim == 0 or z.shape[-1] != form.n:
+            raise ValueError(f"need {form.n} points per point set")
+        self.dz = dz = z[..., form.left] - z[..., form.right]
+        self.sep = np.minimum.reduce(np.hypot(dz.real, dz.imag), axis=-1,
+                                     initial=inf)
 
 
 def kz_form(system, k):

@@ -4,12 +4,12 @@ Flat sections obey Y' = -A(t) Y with A(t) the form evaluated on the path
 tangent; transport integrates the matrix ODE with the identity as initial
 frame. Two integrators are available, both in `kzmono._integrators` and
 neither needing scipy: an adaptive embedded Runge-Kutta (DOP853, with the
-tableau and step control of Hairer's code) on the complex system, and a
-fourth-order Magnus stepper (two-point Gauss quadrature with a single
-commutator, one matrix exponential per step). Magnus evaluates A(t) at the
-Gauss nodes in step order and exponentiates the step cores as stacks of at
-most 256 steps, one Pade scaling-and-squaring call per stack, so its
-memory stays O(256 d^2) at any step count.
+tableau and step control of Hairer's code) on the complex linear system,
+and a fourth-order Magnus stepper (two-point Gauss quadrature with a single
+commutator, one matrix exponential per step). Magnus works in chunks of at
+most 256 steps: one evaluation of A(t) at the chunk's 512 Gauss nodes, and
+one Pade scaling-and-squaring call on the chunk's stack of step cores, so
+its memory stays O(256 d^2) at any step count.
 
 Each path is integrated along one ladder of resolutions, every rung once.
 DOP853 runs two rungs, rtol = tol and then max(tol/100, 1e-13), and returns
@@ -41,12 +41,15 @@ For unequal weights the generator still makes sense as a map into the block
 space at the permuted points and is returned in that endpoint basis.
 
 Path segments return their points z(t) and velocities dz/dt as complex
-arrays. The pairwise separation of the moving points is monitored at every
-right-hand-side evaluation, as the minimum of |z_i - z_j| over the form's
-pair index arrays; coming too close to a diagonal aborts with the offending
-parameter value. Each evaluation of A(t) is then a few array operations:
-the path point, one pair difference z[left] - z[right] shared by the
-monitor and the form's coefficients, and one contraction.
+arrays. The integrators ask for A(t) on whole stacks of times: DOP853 for
+the twelve nodes of a step attempt, Magnus for the Gauss nodes of a chunk.
+The segment functions run once per time; the stacked points then go
+through one pair difference z[..., left] - z[..., right], shared by the
+pole monitor and the form's coefficients, and one `KZForm.evaluate` call,
+whose rows are bitwise the single-time values. The monitor takes the
+minimum of |z_i - z_j| over the form's pairs at every time; coming too
+close to a diagonal aborts with the first offending time, in the order the
+integrator would have reached it.
 """
 
 from __future__ import annotations
@@ -199,37 +202,49 @@ def _min_separation(form, z):
 
 
 class _FormOnPath:
-    """A(t) for one segment, with diagonal-proximity monitoring."""
+    """A(t) for one segment as a stack over times, with diagonal-proximity
+    monitoring.
+
+    The segment functions run once per time and their points are stacked,
+    so one `KZForm.evaluate` call serves the whole stack. Errors follow
+    time order: the first time whose points are within the floor of a
+    diagonal raises PathSingularError, unless the form fails at an earlier
+    time.
+    """
 
     def __init__(self, form, segment, floor):
         self.form = form
         self.segment = segment
         self.floor = floor
 
-    def __call__(self, t):
-        pts = _Points(self.form, self.segment.z(t))
-        if pts.sep < self.floor:
+    def __call__(self, ts):
+        seg = self.segment
+        z = np.array([seg.z(t) for t in ts])
+        v = np.array([seg.dz(t) for t in ts])
+        pts = _Points(self.form, z)
+        near = np.flatnonzero(pts.sep < self.floor)
+        if near.size:
+            r = near[0]
+            if r:
+                # the form failing at an earlier time comes first
+                self.form.evaluate(z[:r], v[:r])
+            t = float(ts[r])
             raise PathSingularError(
                 f"points within {self.floor} of a diagonal at t={t}", t=t)
-        return self.form.evaluate(pts, self.segment.dz(t))
+        return self.form.evaluate(pts, v)
 
 
 def _solve_segment_adaptive(afun, y0, tol, sign):
-    shape = y0.shape
-
-    def rhs(t, y):
-        return (sign * afun(t) @ y.reshape(shape)).ravel()
-
-    return dop853(rhs, y0.ravel(), rtol=tol, atol=tol * 1e-2).reshape(shape)
+    return dop853(lambda ts: sign * afun(ts), y0, rtol=tol, atol=tol * 1e-2)
 
 
 def _solve_segment_magnus(afun, y0, steps, sign):
     y = y0
     h = 1.0 / steps
+    nodes = np.array([h * (0.5 - _GAUSS_OFFSET), h * (0.5 + _GAUSS_OFFSET)])
     for first in range(0, steps, _MAGNUS_CHUNK):
-        a = np.array([afun(s * h + h * (0.5 + off))
-                      for s in range(first, min(first + _MAGNUS_CHUNK, steps))
-                      for off in (-_GAUSS_OFFSET, _GAUSS_OFFSET)])
+        starts = np.arange(first, min(first + _MAGNUS_CHUNK, steps)) * h
+        a = afun((starts[:, None] + nodes).ravel())
         a1, a2 = a[0::2], a[1::2]
         # fourth order for Y' = sign*A Y; the commutator term carries sign^2
         cores = sign * (h / 2) * (a1 + a2) \

@@ -17,6 +17,11 @@ coefficient overflows to inf. The reference treats a non-finite quotient
 like a coincidence and names its pair (the first in pair order; an exact
 coincidence anywhere takes precedence), and a form that overflows with
 finite quotients names the pair of the largest one.
+
+Both methods also take stacks of configurations. Each row of a stack must
+be bitwise the row evaluated alone, and a failing stack must raise the
+error of its first failing row, as a loop over the rows would; the path
+monitor likewise names the first time inside its guard.
 """
 
 import cmath
@@ -32,9 +37,10 @@ from hypothesis import strategies as st
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
 from kzmono.connection import kz_form
-from kzmono.errors import CoincidentPointsError
+from kzmono.errors import CoincidentPointsError, PathSingularError
 from kzmono.reps import tensor_system
-from kzmono.transport import _min_separation, braid_generator
+from kzmono.transport import (Segment, _FormOnPath, _min_separation,
+                              braid_generator)
 
 A1 = build_algebra("A", 1)
 FROZEN = pathlib.Path(__file__).with_name("braid_a1_6pt_k2_frozen.json")
@@ -92,9 +98,9 @@ def form_for(n):
 
 
 @st.composite
-def configurations(draw):
+def configurations(draw, n=None):
     """n points and velocities, some far out, some nearly or fully equal."""
-    n = draw(st.integers(3, 7))
+    n = draw(st.integers(3, 7)) if n is None else n
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     z = [scale * complex(draw(unit), draw(unit)) for _ in range(n)]
@@ -139,6 +145,88 @@ def test_min_separation_matches_scalar_reference(config):
     z, _v = config
     form = form_for(len(z))
     assert _min_separation(form, np.array(z)) == reference_min_separation(z)
+
+
+@st.composite
+def edge_configurations(draw, n):
+    """Points 0 and 1 a subnormal or near-subnormal distance apart, moving
+    at a speed that keeps the coefficients finite, overflows a quotient
+    or overflows only the contraction."""
+    gap = draw(st.sampled_from([2.225073858507e-311, 2.2e-311, 1e-320j,
+                                3e-308, -3e-308j]))
+    speed = draw(st.sampled_from([1e-300, 1.0, 20.0, 40.0]))
+    z = [0, gap] + [2 + 3j * s for s in range(n - 2)]
+    return z, [speed] + [0] * (n - 1)
+
+
+@st.composite
+def stacks(draw):
+    """1 to 16 configurations on the same number of points."""
+    n = draw(st.integers(3, 7))
+    return draw(st.lists(st.one_of(configurations(n), edge_configurations(n)),
+                         min_size=1, max_size=16))
+
+
+def _row_by_row(fn, stack):
+    """fn on each row in order: the values, or the first row's error."""
+    out = []
+    for z, v in stack:
+        try:
+            out.append(fn(z, v))
+        except CoincidentPointsError as exc:
+            return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_stack_matches_row_by_row(stack):
+    # a stack's rows are bitwise the rows evaluated one by one, and a
+    # failing stack raises the error of its first failing row
+    form = form_for(len(stack[0][0]))
+    z = np.array([row[0] for row in stack], dtype=complex)
+    v = np.array([row[1] for row in stack], dtype=complex)
+    for fn in (form.coefficients, form.evaluate):
+        rows, error = _row_by_row(fn, stack)
+        if error is not None:
+            with pytest.raises(CoincidentPointsError) as info:
+                fn(z, v)
+            assert str(info.value) == error
+            continue
+        got = fn(z, v)
+        assert got.shape == (len(stack),) + rows[0].shape
+        assert all(np.array_equal(g, r) for g, r in zip(got, rows))
+        if len(stack) % 2 == 0:
+            grid = (2, len(stack) // 2, form.n)
+            assert np.array_equal(fn(z.reshape(grid), v.reshape(grid)),
+                                  got.reshape(grid[:2] + got.shape[1:]))
+
+
+def _stepped_segment(gaps):
+    """A segment at the times 1..len(gaps) whose points 0 and 1 are
+    gaps[t - 1] apart, point 0 moving at speed 1e300."""
+    def z(t):
+        return np.array([0, gaps[int(t) - 1], 2, 5], dtype=complex)
+
+    return Segment(z, lambda t: np.array([1e300, 0, 0, 0], dtype=complex))
+
+
+def test_path_monitor_names_the_first_time_in_the_guard():
+    form = form_for(4)
+    afun = _FormOnPath(form, _stepped_segment([1, 1e-9, 1, 1, 1e-12]), 1e-6)
+    with pytest.raises(PathSingularError) as info:
+        afun([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert info.value.t == 2.0
+    # the form overflows at time 2, before the guard is reached at 3; and
+    # the other way round
+    afun = _FormOnPath(form, _stepped_segment([1, 1e-20, 0, 1]), 1e-30)
+    with pytest.raises(CoincidentPointsError, match="points 0 and 1 .*"
+                       "overflows"):
+        afun([1.0, 2.0, 3.0, 4.0])
+    afun = _FormOnPath(form, _stepped_segment([1, 0, 1e-20, 1]), 1e-30)
+    with pytest.raises(PathSingularError) as info:
+        afun([1.0, 2.0, 3.0, 4.0])
+    assert info.value.t == 2.0
 
 
 def test_first_coincident_pair_is_named():

@@ -1,10 +1,11 @@
 """The in-package float kernels against scipy, which stays the reference.
 
 `dop853` must take the steps of `solve_ivp(method="DOP853")` on the
-transport right-hand side: the same evaluations, the same floats. `expm`
-must match `scipy.linalg.expm` on single matrices and on stacks, at norms
-reaching every Pade degree and several squarings. A Magnus rung must not
-depend on how its steps are cut into exponentiated stacks.
+transport right-hand side: the same number of evaluated A(t), the same
+floats, bit for bit. `expm` must match `scipy.linalg.expm` on single
+matrices and on stacks, at norms reaching every Pade degree and several
+squarings. A Magnus rung must not depend on how its steps are cut into
+exponentiated stacks.
 """
 
 import importlib
@@ -41,37 +42,42 @@ def form_g2_3():
     return kz_form(tensor_system(G2, ((1, 0),) * 3), 1)
 
 
-class _CountedRhs:
-    """The transport right-hand side, counting its calls up to a limit."""
+class _CountedForm:
+    """sign * A(t) on the transport path, counting evaluated matrices up
+    to a limit; called on a stack of times by `dop853`, and as the
+    right-hand side of solve_ivp on one-row stacks of the same path."""
 
     def __init__(self, form, path, sign):
         self.afun = _FormOnPath(form, path.segments[0], 1e-30)
         self.shape = (form.dim, form.dim)
         self.sign = sign
-        self.calls = 0
+        self.count = 0
         self.limit = math.inf
 
-    def __call__(self, t, y):
-        self.calls += 1
+    def amats(self, ts):
+        self.count += len(ts)
         # a wrong tableau can shrink the steps without end; stop it early
-        assert self.calls <= self.limit, "more evaluations than solve_ivp"
-        return (self.sign * self.afun(t) @ y.reshape(self.shape)).ravel()
+        assert self.count <= self.limit, "more evaluations than solve_ivp"
+        return self.sign * self.afun(ts)
+
+    def rhs(self, t, y):
+        return (self.amats([t])[0] @ y.reshape(self.shape)).ravel()
 
 
 def _assert_matches_solve_ivp(form, path, sign):
-    rhs = _CountedRhs(form, path, sign)
-    y0 = np.eye(form.dim, dtype=complex).ravel()
+    counted = _CountedForm(form, path, sign)
+    y0 = np.eye(form.dim, dtype=complex)
     # both rungs of the transport ladder at its default tolerance
     for rtol in (1e-10, 1e-12):
-        rhs.calls, rhs.limit = 0, math.inf
-        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol,
-                        atol=rtol * 1e-2)
+        counted.count, counted.limit = 0, math.inf
+        sol = solve_ivp(counted.rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
+                        rtol=rtol, atol=rtol * 1e-2)
         assert sol.success
-        ref = sol.y[:, -1]
-        rhs.calls, rhs.limit = 0, sol.nfev
-        got = dop853(rhs, y0, rtol=rtol, atol=rtol * 1e-2)
-        assert rhs.calls == sol.nfev
-        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        ref = sol.y[:, -1].reshape(y0.shape)
+        counted.count, counted.limit = 0, sol.nfev
+        got = dop853(counted.amats, y0, rtol=rtol, atol=rtol * 1e-2)
+        assert counted.count == sol.nfev
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])

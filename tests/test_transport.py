@@ -104,10 +104,16 @@ def test_magnus_convergence_order(form_k2):
 
 
 def _count_evaluations(monkeypatch, form):
+    # one entry per evaluated matrix: a call evaluates a stack of them
     calls = []
     evaluate = form.evaluate
-    monkeypatch.setattr(form, "evaluate",
-                        lambda z, v: calls.append(1) or evaluate(z, v))
+
+    def counted(z, v):
+        out = evaluate(z, v)
+        calls.extend([1] * len(out))
+        return out
+
+    monkeypatch.setattr(form, "evaluate", counted)
     return calls
 
 
@@ -176,17 +182,21 @@ def test_path_singular_guard(method):
     # while shrinking its steps, and the Magnus ladder refines until a
     # Gauss node of some rung lands inside the guard
     z = (0 + 0j, 2 + 0j, 1 + 1j, 7 + 0j)
-    with pytest.raises(PathSingularError):
+    with pytest.raises(PathSingularError) as info:
         transport(form, braid_path(z, 1), tol=1e-8, min_separation=1e-3,
                   method=method)
+    # the first time inside the guard, in the order the integrator asks
+    assert info.value.t == {"adaptive": 0.49957226853461323,
+                            "magnus": 0.4995872561222555}[method]
 
 
 @pytest.mark.parametrize("method", ["adaptive", "magnus"])
 def test_non_finite_form_fails_the_integrator(form_k2, monkeypatch, method):
     # DOP853 gets a NaN first step, which no step-size rule shrinks, and
     # Magnus a NaN stack of cores, which expm refuses
-    nan = np.full((form_k2.dim, form_k2.dim), np.nan, dtype=complex)
-    monkeypatch.setattr(form_k2, "evaluate", lambda z, v: nan)
+    d = form_k2.dim
+    monkeypatch.setattr(form_k2, "evaluate", lambda z, v: np.full(
+        (len(v), d, d), np.nan, dtype=complex))
     with pytest.raises(TransportError, match="integrator failed"):
         transport(form_k2, braid_path(Z4, 2), tol=1e-8, method=method)
 
