@@ -6,14 +6,15 @@ II.10), kept to what a transport needs: the twelve step stages, the
 eighth-order solution and the combined fifth/third-order error estimate,
 with no dense output. It integrates the linear system Y' = A(t) Y, whose
 stage derivatives A(t_s) Y_s need A only at the step's nodes
-t + c_s h, known before the step starts; so the twelve matrices of a step
-attempt come from one call for the stack. Step control is Hairer's, in the
-form of `scipy.integrate.solve_ivp(method="DOP853")`: the same
-initial-step selection, safety factor 0.9, step factors clipped to
-[0.2, 10] (at most 1 right after a rejection) and a smallest step of ten
-float spacings of t. Every arithmetic operation is the one that code makes
-on the flattened Y, in the same order, so on the same A(t) both take the
-same steps and return the same floats.
+t + c_s h, known before the step starts; so the eleven matrices of a step
+attempt come from one call for the stack, and the last (c = 1) also gives
+the derivative at the new point. Step control is Hairer's, in the form
+of `scipy.integrate.solve_ivp(method="DOP853")`: the same initial-step
+selection, safety factor 0.9, step factors clipped to [0.2, 10] (at most 1
+right after a rejection) and a smallest step of ten float spacings of t.
+Every arithmetic operation is the one that code makes on the flattened Y,
+in the same order, so on the same A(t) both take the same steps and return
+the same floats.
 
 `expm` is scaling and squaring with Pade approximants (Higham, "The scaling
 and squaring method for the matrix exponential revisited", SIAM J. Matrix
@@ -122,10 +123,6 @@ _E5[9] = 0.3341791187130174790297318841
 _E5[10] = 0.8192320648511571246570742613e-1
 _E5[11] = -0.2235530786388629525884427845e-1
 
-# the nodes of the twelve evaluations of a step: stages 1 to 11, then the
-# new point (c = 1 twice)
-_C_STEP = np.append(_C[1:], 1.0)
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
@@ -155,17 +152,18 @@ def _initial_step(amats, deriv, y0, f0, rtol, atol):
 def _rk_step(amats, deriv, t, y, f, h, K):
     """One step from (t, y) with f the derivative at t; fills the stages K.
 
-    The matrices A of all twelve evaluations (stages 1 to 11, then the new
-    point, which is FSAL) come from one `amats` call made before the stages
-    run: the system is linear, so they depend only on the step's nodes.
+    The matrices A at the eleven nodes of stages 1 to 11 come from one
+    `amats` call made before the stages run: the system is linear, so they
+    depend only on the step's nodes. Stage 11 has c = 1, so its matrix is
+    A(t + h) and also gives the derivative at the new point (FSAL).
     """
     K[0] = f
-    a = amats(t + _C_STEP * h)
+    a = amats(t + _C[1:] * h)
     for s in range(1, 12):
         dy = np.dot(K[:s].T, _A[s, :s]) * h
         K[s] = deriv(a[s - 1], y + dy)
     y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = deriv(a[11], y_new)
+    f_new = deriv(a[10], y_new)
     K[-1] = f_new
     return y_new, f_new
 

@@ -1,15 +1,18 @@
 """Exact sparse linear algebra over the rationals and Gaussian rationals.
 
 Matrices are dict-of-keys sparse with `Fraction` (or `QQi`) entries. The
-elimination kernel runs on integers: `_clear_denominators` scales each row
-by the lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
-integers (over Q(i)), and Bareiss elimination divides with `//`. Every such
-division is exact by Sylvester's identity: each updated entry is a minor of
-the integral input, divisible by the previous pivot (Bareiss, Math. Comp.
-22, 1968). `reduced_echelon` adds the one back-substitution, over Fraction
-or QQi, and every exact solve (nullspace, square solve, inverse) reads that
-unique form; a nullspace basis is the identity on its free coordinates, so
-restriction to its span is a row selection. No floats enter this module.
+elimination kernel runs on integers from clearing to the reduced form:
+`_clear_denominators` scales each row by the lcm of its denominators into
+Python ints (over Q) or `ZZi` Gaussian integers (over Q(i)), and Bareiss
+elimination divides with `//`. Every such division is exact by Sylvester's
+identity: each updated entry is a minor of the integral input, divisible
+by the previous pivot (Bareiss, Math. Comp. 22, 1968). `reduced_echelon`
+back-substitutes on the same integers and lifts each entry of the unique
+reduced form into Q or Q(i) once, so `Fraction`/`QQi` values appear only
+where data enters and leaves. Every exact solve reads that form, the one
+`nullspace` (the joint kernel of sparse blocks) included; a nullspace
+basis is the identity on its free coordinates, so restriction to its span
+is a row selection. No floats enter this module.
 """
 
 from __future__ import annotations
@@ -442,64 +445,69 @@ def bareiss_echelon(rows, ncols, width=None):
 def reduced_echelon(rows, ncols, width=None):
     """Reduced row echelon form of dense rows over Q or Q(i), exactly.
 
-    `bareiss_echelon` on the cleared rows, then one back-substitution.
-    Returns the pivot columns (searched in the first ncols) and their rows
-    out to `width` as `Fraction`/`QQi` values: 1 at their own pivot, 0 at
-    every other one.
+    `bareiss_echelon` on the cleared rows, then one back-substitution on
+    the same integers. Returns the pivot columns (searched in the first
+    ncols) and their rows out to `width` as `Fraction`/`QQi` values: 1 at
+    their own pivot, 0 at every other one.
+
+    The back-substitution stays in Z or Z[i]. Let R_t be the Bareiss rows,
+    p_t their pivots at columns c_t and D the last pivot, the determinant
+    of the pivot block M of the cleared rows. The reduced rows are
+    E = M^-1 times those rows, so S_t = D E_t = adj(M) times them is
+    integral. Since R_t = p_t E_t + sum_{t' > t} R_t[c_t'] E_t' over Q,
+    the rows are formed bottom-up as
+        S_t = (D R_t - sum_{t' > t} R_t[c_t'] S_t') // p_t,
+    an exact division, and each entry is lifted once as S_t[j] / D.
     """
     width = ncols if width is None else width
     work = _clear_denominators(rows)
     pivots = [c for (_r, c) in bareiss_echelon(work, ncols, width)]
+    if not pivots:
+        return pivots, []
+    det = work[len(pivots) - 1][pivots[-1]]
+    lifted_det = _lift(det)
     reduced = [None] * len(pivots)
     later = []      # (pivot column, its nonzero entries off the pivots)
     for t in range(len(pivots) - 1, -1, -1):
         c = pivots[t]
-        row = [_lift(v) for v in work[t][:width]]
+        bareiss_row = work[t]
+        row = [det * v if v else v for v in bareiss_row[:width]]
         for c2, entries in later:
-            f = row[c2]
+            f = bareiss_row[c2]
             if f:
                 row[c2] = f - f
                 for j, v in entries:
                     row[j] = row[j] - f * v
-        piv = row[c]
-        row = [v / piv if v else v for v in row]
-        reduced[t] = row
+        piv = bareiss_row[c]
+        row = [v // piv if v else v for v in row]
+        reduced[t] = [_lift(v) / lifted_det if v else _lift(v) for v in row]
         later.append((c, [(j, row[j]) for j in range(c + 1, width)
                           if row[j]]))
     return pivots, reduced
 
 
-def nullspace_rows(rows, ncols):
-    """Right nullspace basis of the matrix given as dense rows.
+def nullspace(*mats):
+    """Joint right kernel of SRMatrix blocks with one column count.
 
-    Returns a list of columns (each a list of length ncols), one per free
-    column: 1 at its own free coordinate and 0 at every other one.
+    The supported rows of every block, in the order given, go through one
+    reduced echelon form; the result has one column per free column, 1 at
+    its own free coordinate and 0 at every other free coordinate.
     """
+    ncols = mats[0].ncols
+    rows = []
+    for mat in mats:
+        if mat.ncols != ncols:
+            raise ValueError(f"column count mismatch: {mat.ncols} "
+                             f"vs {ncols}")
+        rows.extend(mat.submatrix_rows(mat.rows_with_support()).to_rows())
     pivots, reduced = reduced_echelon(rows, ncols)
     free_cols = sorted(set(range(ncols)) - set(pivots))
-    basis = []
-    for fc in free_cols:
-        x = [_ZERO] * ncols
-        x[fc] = Fraction(1)
+    out = SRMatrix(ncols, len(free_cols))
+    for j, fc in enumerate(free_cols):
+        out.data[(fc, j)] = Fraction(1)
         for c, row in zip(pivots, reduced):
-            x[c] = -row[fc]
-        basis.append(x)
-    return basis
-
-
-def nullspace(mat):
-    """Nullspace of a sparse matrix; returns columns as an SRMatrix.
-
-    Zero rows carry no information and are dropped before elimination.
-    """
-    support = mat.rows_with_support()
-    rows = mat.submatrix_rows(support).to_rows()
-    cols = nullspace_rows(rows, mat.ncols)
-    out = SRMatrix(mat.ncols, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                out.data[(i, j)] = v
+            if row[fc]:
+                out.data[(c, j)] = -row[fc]
     return out
 
 

@@ -35,8 +35,7 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
-from .exact import (SRMatrix, commutator, kron, nullspace_rows,
-                    reduced_echelon)
+from .exact import SRMatrix, commutator, kron, nullspace, reduced_echelon
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -313,11 +312,12 @@ def local_omega(alg, lam, mu):
 class TensorSystem:
     """Tensor product of irreducibles with its exact invariant subspace.
 
-    The invariant basis spans the joint kernel of the diagonal e_i and f_i
-    actions (computed inside the zero-weight subspace, where it must live).
-    It is read from one reduced echelon form, so it is the identity on its
-    free-coordinate rows; those rows are recorded and checked once with it,
-    and restricting a slot-local operator (`restrict_local`) selects them
+    The invariant basis is `nullspace` of the diagonal e_i and f_i images
+    of the zero-weight subspace, where the invariants must live, embedded
+    back into the total space. It is read from one reduced echelon form, so
+    it is the identity on its free-coordinate rows, the last nonzero row of
+    each vector; those rows are recorded and checked once with it, and
+    restricting a slot-local operator (`restrict_local`) selects them
     from its image. Every operator acting on a few tensor factors
     (generators, two-slot Casimirs, swaps, the contravariant form) goes
     through the one primitive `apply_local`, which keeps it sparse; the
@@ -406,32 +406,23 @@ class TensorSystem:
 
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
-        d0 = len(zero_idx)
-        select = SRMatrix(self.total_dim, d0,
+        select = SRMatrix(self.total_dim, len(zero_idx),
                           {(g, q): _F1 for q, g in enumerate(zero_idx)})
-        rows = []
-        for i in range(self.alg.rank):
+        kernel = nullspace(*[
+            self.slot_sum(gens, select) for i in range(self.alg.rank)
             for gens in ([rep.e[i] for rep in self.factors],
-                         [rep.f[i] for rep in self.factors]):
-                image = self.slot_sum(gens, select)
-                support = image.rows_with_support()
-                if support:
-                    rows.extend(image.submatrix_rows(support).to_rows())
-        basis_cols = nullspace_rows(rows, d0)
-        out = SRMatrix(self.total_dim, len(basis_cols))
-        for j, col in enumerate(basis_cols):
-            for q, v in enumerate(col):
-                if v:
-                    out.data[(zero_idx[q], j)] = v
+                         [rep.f[i] for rep in self.factors])])
+        basis = select @ kernel
         # each vector is 1 at its free coordinate, its other entries sit at
         # pivots left of it: the basis is the identity on its last nonzeros
         # (checked here once; the basis never changes after)
-        unit_rows = [zero_idx[max(q for q, v in enumerate(col) if v)]
-                     for col in basis_cols]
-        if out.submatrix_rows(unit_rows) != SRMatrix.identity(out.ncols):
+        unit_rows = [0] * basis.ncols
+        for g, j in basis.data:
+            unit_rows[j] = max(unit_rows[j], g)
+        if basis.submatrix_rows(unit_rows) != SRMatrix.identity(basis.ncols):
             raise ConstructionError(
                 "invariant basis is not the identity on its free rows")
-        return out, unit_rows
+        return basis, unit_rows
 
     def invariant_gram(self):
         """Product contravariant form on the invariant basis, an SRMatrix.

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import build_algebra
 from .errors import NoIntertwinerError, require_int
-from .exact import SRMatrix, kron, nullspace_rows, rank_rows
+from .exact import SRMatrix, kron, nullspace, rank_rows
 from .reps import irrep
 
 
@@ -77,15 +77,14 @@ def intertwiner(ss, rep):
     eye = SRMatrix.identity(d)
     # T flattened row-major: X_abs T - T X_mod = 0 reads
     # (X_abs (x) I - I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
-    rows = [row for x_mod, x_abs in [(ss.e, rep.e[0]), (ss.f, rep.f[0]),
-                                     (ss.h, rep.h[0])]
-            for row in (kron(x_abs, eye)
-                        - kron(eye, x_mod.transpose())).to_rows()]
-    basis = nullspace_rows(rows, d * d)
-    if len(basis) != 1:
+    basis = nullspace(*[kron(x_abs, eye) - kron(eye, x_mod.transpose())
+                        for x_mod, x_abs in [(ss.e, rep.e[0]),
+                                             (ss.f, rep.f[0]),
+                                             (ss.h, rep.h[0])]])
+    if basis.ncols != 1:
         raise NoIntertwinerError(
-            f"intertwiner space has dimension {len(basis)}, expected 1")
-    t_rows = [[basis[0][r * d + c] for c in range(d)] for r in range(d)]
+            f"intertwiner space has dimension {basis.ncols}, expected 1")
+    t_rows = [[basis.get(r * d + c, 0) for c in range(d)] for r in range(d)]
     if rank_rows([list(row) for row in t_rows], d) != d:
         raise NoIntertwinerError("intertwiner is singular")
     return t_rows

@@ -42,7 +42,7 @@ space at the permuted points and is returned in that endpoint basis.
 
 Path segments return their points z(t) and velocities dz/dt as complex
 arrays. The integrators ask for A(t) on whole stacks of times: DOP853 for
-the twelve nodes of a step attempt, Magnus for the Gauss nodes of a chunk.
+the eleven nodes of a step attempt, Magnus for the Gauss nodes of a chunk.
 The segment functions run once per time; the stacked points then go
 through one pair difference z[..., left] - z[..., right], shared by the
 pole monitor and the form's coefficients, and one `KZForm.evaluate` call,
@@ -419,8 +419,8 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
     Requires all tensor weights equal so every generator is an endomorphism
     of the same fibre. Letter matrices are cached and reused.
     """
-    letters = ([require_int(w, "braid letter") for w in word]
-               if isinstance(word, list) else parse_braid_word(word))
+    letters = (parse_braid_word(word) if isinstance(word, str)
+               else [require_int(w, "braid letter") for w in word])
     system = form.system
     n = system.n
     if len(set(system.weights)) > 1:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, commutator,
-                          invert_rows, nullspace, nullspace_rows, rank_rows,
-                          solve_rows)
+                          invert_rows, nullspace, rank_rows, solve_rows)
 
 
 def random_fraction_matrix(rng, n, m, density=0.6):
@@ -118,12 +117,15 @@ def test_nullspace_over_gaussian_rationals():
     i = QQi(0, 1)
     rows = [[QQi(1), i, QQi(0)],
             [QQi(2), QQi(0, 2), QQi(0)]]  # second row = 2 * first
-    cols = nullspace_rows(rows, 3)
+    cols = nullspace(SRMatrix.from_rows(rows)).transpose().to_rows()
     assert len(cols) == 2
     for col in cols:
         for row in rows:
             s = sum((row[j] * col[j] for j in range(3)), start=QQi(0))
             assert s == QQi(0)
+    # the blocks of a joint kernel must share their column count
+    with pytest.raises(ValueError, match="column count"):
+        nullspace(SRMatrix.from_rows(rows), SRMatrix(1, 2))
 
 
 def test_solve_and_invert():

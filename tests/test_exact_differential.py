@@ -1,13 +1,15 @@
 """The integer elimination kernel against the rational kernel it replaced.
 
 The reference below is the earlier `Fraction`/`QQi` kernel: rows keep their
-field type after clearing denominators and Bareiss divides with `/`. The
-library clears into ints or `ZZi` Gaussian integers and divides with `//`.
-Every output (cleared rows, echelon form and pivots, nullspace, rank, solve)
-must be exactly equal, over Q and over Q(i), including floats converted
-exactly into coefficients of more than 700 bits. The reduced echelon form of
-a symmetric matrix must equal the reference solve on its pivot rows, the
-identity module construction relies on.
+field type after clearing denominators, Bareiss divides with `/` and the
+back-substitution runs in the field. The library clears into ints or `ZZi`
+Gaussian integers, divides with `//` and back-substitutes on the same
+integers. Every output (cleared rows, echelon form and pivots, nullspace,
+the joint nullspace of several row blocks, rank, solve) must be exactly
+equal, over Q and over Q(i), including floats converted exactly into
+coefficients of more than 700 bits. The reduced echelon form of a symmetric
+matrix must equal the reference solve on its pivot rows, the identity
+module construction relies on.
 """
 
 import math
@@ -17,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzmono.exact import (QQi, ZZi, _clear_denominators, bareiss_echelon,
-                          nullspace_rows, rank_rows, reduced_echelon,
-                          solve_rows)
+from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators,
+                          bareiss_echelon, nullspace, rank_rows,
+                          reduced_echelon, solve_rows)
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -204,11 +206,30 @@ def test_clear_and_echelon_match_reference(entries, data):
 @given(data=st.data())
 def test_nullspace_and_rank_match_reference(entries, data):
     rows, ncols = data.draw(matrices(entries))
-    cols = nullspace_rows(copy(rows), ncols)
-    assert cols == ref_nullspace_rows(copy(rows), ncols)
-    assert_field_values(cols)
+    cols = nullspace(SRMatrix.from_rows(copy(rows), ncols))
+    ref = ref_nullspace_rows(copy(rows), ncols)
+    assert cols == SRMatrix.from_rows(ref, ncols).transpose()
+    assert_field_values([cols.data.values()])
     assert rank_rows(copy(rows), ncols) == ref_rank_rows(copy(rows), ncols)
-    assert len(cols) == ncols - rank_rows(copy(rows), ncols)
+    assert cols.ncols == ncols - rank_rows(copy(rows), ncols)
+
+
+@DOMAINS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_joint_nullspace_is_the_nullspace_of_the_stacked_blocks(entries,
+                                                                data):
+    rows, ncols = data.draw(matrices(entries))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+    bounds = [0, *cuts, len(rows)]
+    blocks = [SRMatrix.from_rows(rows[a:b], ncols)
+              for a, b in zip(bounds, bounds[1:])]
+    joint = nullspace(*blocks)
+    assert joint == nullspace(SRMatrix.from_rows(rows, ncols))
+    ref = ref_nullspace_rows(copy(rows), ncols)
+    assert joint == SRMatrix.from_rows(ref, ncols).transpose()
+    for block in blocks:
+        assert (block @ joint).is_zero()
 
 
 @DOMAINS

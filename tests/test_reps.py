@@ -300,9 +300,9 @@ def test_restrict_local_reads_unit_rows():
 def test_invariant_basis_must_be_identity_on_unit_rows(monkeypatch):
     # a basis scaled by 2 spans the same space but is 2 on its free rows,
     # which every restriction reads X off; it is refused once, at build
-    real = reps.nullspace_rows
-    monkeypatch.setattr(reps, "nullspace_rows", lambda rows, n: [
-        [2 * v for v in col] for col in real(rows, n)])
+    real = reps.nullspace
+    monkeypatch.setattr(reps, "nullspace",
+                        lambda *mats: real(*mats).scale(2))
     system = tensor_system(A1, ((1,),) * 4)
     with pytest.raises(ConstructionError, match="identity"):
         system.invariant_basis

@@ -17,7 +17,7 @@ from kzmono.algebra import build_algebra, casimir_scalar, pairing, weight_add
 from kzmono.blocks import block_subspace, highest_root_lowering
 from kzmono.errors import ConstructionError
 from kzmono.exact import (QQi, SRMatrix, _clear_denominators, bareiss_echelon,
-                          nullspace_rows)
+                          nullspace)
 from kzmono.reps import (casimir_constants, local_omega, root_vectors,
                          tensor_system)
 
@@ -127,15 +127,10 @@ def ref_invariant_basis(system):
                         row = rows.setdefault((tag, i, g2),
                                               [_F0] * len(zero_idx))
                         row[local[g]] += v
-    basis_cols = nullspace_rows(list(rows.values()), len(zero_idx)) \
-        if rows else [[_F1 if p == q else _F0 for p in range(len(zero_idx))]
-                      for q in range(len(zero_idx))]
-    out = SRMatrix(system.total_dim, len(basis_cols))
-    for j, col in enumerate(basis_cols):
-        for q, v in enumerate(col):
-            if v:
-                out.data[(zero_idx[q], j)] = v
-    return out
+    kernel = nullspace(SRMatrix.from_rows(list(rows.values()),
+                                          len(zero_idx)))
+    return SRMatrix(system.total_dim, kernel.ncols,
+                    {(zero_idx[q], j): v for (q, j), v in kernel.data.items()})
 
 
 def ref_invariant_gram(system, basis):
@@ -155,15 +150,8 @@ def ref_block_coeffs(system, k, points, basis):
         power = power @ step
     qbasis = basis.map_values(QQi)
     image = power @ qbasis
-    support = image.rows_with_support()
-    cols = nullspace_rows(image.submatrix_rows(support).to_rows(),
-                          basis.ncols)
-    coeffs = SRMatrix(basis.ncols, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                coeffs.data[(i, j)] = v if isinstance(v, QQi) else QQi(v)
-    return coeffs
+    return nullspace(image).map_values(
+        lambda v: v if isinstance(v, QQi) else QQi(v))
 
 
 def ref_restrict(op, basis):

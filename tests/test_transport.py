@@ -288,6 +288,36 @@ def test_braid_word_validation(form_k2, block_k2):
         braid_word_transport(mform, mblock, "1 2", tol=1e-9)
 
 
+def test_braid_word_accepts_any_integer_sequence(form_k2, block_k2):
+    ref = braid_word_transport(form_k2, block_k2, "1 2 1", tol=1e-11)
+    for word in ((1, 2, 1), np.array([1, 2, 1])):
+        res = braid_word_transport(form_k2, block_k2, word, tol=1e-11)
+        assert np.array_equal(res.matrix, ref.matrix)
+    for word in ((1, 1.0), (1, 5)):
+        with pytest.raises(ValidationError):
+            braid_word_transport(form_k2, block_k2, word, tol=1e-11)
+
+
+@pytest.mark.parametrize("alg, weight, n, k", [
+    (A1, (1,), 4, 2), (A1, (1,), 6, 3), (A2, (1, 0), 3, 2),
+    (A1, (2,), 4, 3), (G2, (1, 0), 4, 1),
+], ids=["A1(1)^4k2", "A1(1)^6k3", "A2(1,0)^3k2", "A1(2)^4k3", "G2(1,0)^4k1"])
+def test_full_twist_is_the_conjugate_rotation_scalar(alg, weight, n, k):
+    # the full twist (s_1 ... s_{n-1})^n is central in the braid group: it
+    # turns all points once around, so with equal weights it acts on the
+    # block as conj(s) Id, s the rotation scalar exp(pi i sum c_i/(k+h))
+    system = tensor_system(alg, (weight,) * n)
+    form = kz_form(system, k)
+    points = [complex(2 ** j - 1, 0.3 * j) for j in range(n)]
+    block = block_subspace(system, k, points)
+    scalar = rotation_monodromy(form).scalar
+    twist = braid_word_transport(form, block, list(range(1, n)) * n).matrix
+    eye = np.eye(block.dim)
+    assert np.max(np.abs(twist - np.conj(scalar) * eye)) < 1e-9
+    # negative control: the unconjugated scalar is far off
+    assert np.max(np.abs(twist - scalar * eye)) > 0.5
+
+
 def test_dual_transport_is_form_contragredient():
     # along any path, dual transport equals G^{-1} T^{-T} G for the
     # invariant contravariant Gram G, because the form coefficients of the
