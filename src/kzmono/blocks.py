@@ -11,9 +11,10 @@ ker (sum_i z_i f_theta^(i))^(k+1), with f_theta the lowering operator of the
 highest root. This is the contravariant-form dual of annihilating the image
 of the raising version, since the form swaps e_theta and f_theta and pairs
 invariants perfectly against coinvariants. Its dimension must match the
-fusion count exactly; a mismatch raises instead of returning a guess. All
-kernel arithmetic runs over exact Gaussian rationals, so point coordinates
-given as floats participate exactly.
+fusion count exactly; a mismatch raises instead of returning a guess. The
+kernel is exact: point coordinates given as floats enter as the Gaussian
+rationals they are, and F(z) is applied over the Gaussian integers to
+integer-scaled data (see `block_subspace`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError,
                      require_int)
-from .exact import QQi, SRMatrix, nullspace
+from .exact import QQi, SRMatrix, ZZi, integral, nullspace
 from .reps import irrep, root_vectors
 
 _MAX_REFLECTIONS = 10_000
@@ -266,6 +268,17 @@ def block_subspace(system, k, points, at_infinity=None):
     One marked point may be flagged as infinity by index; the computation
     then runs in the chart w = 1/(z - c) for an integer c away from the
     finite points (any chart does, only the embedding changes with it).
+
+    The kernel is taken over Z[i]. Let c be the lcm of the denominators of
+    the real and imaginary parts of the points (after the chart; a power
+    of 2 for float points, 1 for Gaussian integers), D_f the lcm of the
+    entry denominators of f_theta, and B = delta * basis the integral
+    invariant basis. Each step matrix c D_f z_s f_theta^(s) is then a
+    `ZZi` matrix, and the image (c D_f F(z))^(k+1) B is
+    (c D_f)^(k+1) delta times F(z)^(k+1) basis. A nonzero scalar changes
+    no kernel, and the kernel's reduced basis is unique, so the
+    coefficients are those of the rational route, bit for bit; the
+    integral image enters elimination as it is.
     """
     k = require_int(k, "level", 1)
     ring = fusion_ring(system.alg, k)
@@ -290,14 +303,20 @@ def block_subspace(system, k, points, at_infinity=None):
     pts = tuple(pts)
     _require_distinct(pts)
 
-    # F(z) = sum_s z_s f_theta^(s), applied k+1 times to the basis columns
-    step = [highest_root_lowering(rep).scale(z)
-            for rep, z in zip(system.factors, pts)]
-    basis = system.invariant_basis.map_values(QQi)
-    image = basis
+    # (c D_f F(z))^(k+1) applied to the integral basis over Z[i]
+    c = lcm(*{x.denominator for p in pts for x in (p.re, p.im)})
+    _d_f, lowering = integral(highest_root_lowering(rep)
+                              for rep in system.factors)
+    step = []
+    for f, p in zip(lowering, pts):
+        re, im = int(c * p.re), int(c * p.im)
+        step.append(f.map_values(lambda v, re=re, im=im: ZZi(re * v, im * v)))
+    image = system.integral_basis[1].map_values(ZZi)
     for _ in range(k + 1):
         image = system.slot_sum(step, image)
-    coeffs = nullspace(image).map_values(QQi.from_complex)
+    # a zero image holds no ring to read: every invariant is a block
+    coeffs = nullspace(image) if image.data else SRMatrix(
+        image.ncols, image.ncols, {(j, j): QQi(1) for j in range(image.ncols)})
 
     expected = block_dim(ring, weights)
     if coeffs.ncols != expected:

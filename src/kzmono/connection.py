@@ -15,7 +15,11 @@ which are verified exactly (in integer arithmetic after clearing one common
 denominator), on the full tensor space and restricted to the invariants.
 Every total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
 full-space check reduces to the three relations of each distinct weight
-triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it.
+triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it. The
+restricted commutators are small and dense, so they run as float64 BLAS
+products on the integer matrices, under an a-priori bound (2 d q A^2 <
+2^53, see `_restricted_residual`) that makes every product and partial sum
+an exactly held integer; past the bound they run on Python ints.
 
 Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
@@ -32,14 +36,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import inf
 
 import numpy as np
 
 from ._integrators import expm
 from .errors import CoincidentPointsError, KzmonoError, require_int
-from .exact import SRMatrix, commutator
-from .reps import TensorSystem
+from .exact import SRMatrix, commutator, integral
+from . import reps
 
 
 class KZForm:
@@ -189,6 +193,16 @@ class FlatnessReport:
         return self.max_abs_full == 0 and self.max_abs_restricted == 0
 
 
+def _commutator_max(ints, relations):
+    """Largest |[A_p, sum_q A_q]| over the relations, as an int, for
+    integer SRMatrix values A (sparse products on Python ints)."""
+    worst = 0
+    for p, qs in relations:
+        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
+        worst = max(worst, commutator(ints[p], rest).max_abs())
+    return worst
+
+
 def _kohno_residual(omega, relations):
     """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
 
@@ -196,14 +210,48 @@ def _kohno_residual(omega, relations):
     all entry denominators in `omega`; [D A, D B] = D^2 [A, B], so the
     largest integer residual divided by D^2 is the exact rational one.
     """
-    denom = lcm(*{v.denominator for m in omega.values()
-                  for v in m.data.values()})
-    ints = {p: m.scale(denom).map_values(int) for p, m in omega.items()}
-    worst = 0
+    denom, mats = integral(omega.values())
+    return Fraction(_commutator_max(dict(zip(omega, mats)), relations),
+                    denom * denom)
+
+
+def _restricted_residual(omega, relations):
+    """`_kohno_residual` of the restricted Omega, as float64 BLAS products.
+
+    The matrices are D*Omega as in `_kohno_residual`, held as dense
+    float64 arrays built from the exact values on every call. Let A be
+    their largest |entry|, d their size and q the largest number of
+    summands of a relation. Each entry of (D Omega_p)(sum_q D Omega_q) is
+    a sum of d integer products of size at most q A^2, so if
+    2 d q A^2 < 2^53 every product, every partial sum in any order, and
+    the difference of the two products is an integer below 2^53, which
+    float64 holds exactly: the result is exact whatever the BLAS
+    summation order and with or without fused multiply-adds. When the
+    bound fails, the sparse Python-int products run instead.
+    """
+    if not relations:
+        return Fraction(0)
+    denom, mats = integral(omega.values())
+    ints = dict(zip(omega, mats))
+    d = mats[0].nrows
+    big = max((abs(v) for m in mats for v in m.data.values()), default=0)
+    size = max(len(qs) for _p, qs in relations)
+    if 2 * d * size * big * big >= 2 ** 53:
+        return Fraction(_commutator_max(ints, relations), denom * denom)
+    index = {p: t for t, p in enumerate(omega)}
+    stack = np.zeros((len(mats), d, d))
+    for t, m in enumerate(mats):
+        for (r, c), v in m.data.items():
+            stack[t, r, c] = v
+    rests = {}      # per left matrix, its relations' right sums
     for p, qs in relations:
-        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
-        worst = max(worst, commutator(ints[p], rest).max_abs())
-    return Fraction(worst, denom * denom)
+        rests.setdefault(index[p], []).append(
+            sum(stack[index[q]] for q in qs))
+    worst = 0.0
+    for t, bs in rests.items():
+        a, b = stack[t], np.array(bs)
+        worst = max(worst, float(np.abs(a @ b - b @ a).max(initial=0)))
+    return Fraction(int(worst), denom * denom)
 
 
 def _kohno_relations(n):
@@ -229,23 +277,28 @@ def _full_residual(form, relations):
     relations of slots a < b < c are iota(R), R their residual on the
     three-factor system (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on
     the other slots) an injective algebra map that keeps every entry, so
-    max |iota(R)| = max |R|. Each distinct weight triple is checked once.
-    If `omega_full` was built and no longer matches the local data, the
-    relations run on it as given.
+    max |iota(R)| = max |R|. Each distinct weight triple is checked once,
+    on the three local matrices scaled by their common denominator D and
+    embedded as integers (sparse Python-int products; the three-factor
+    space can be large). If `omega_full` was built and no longer matches
+    the local data, the relations run on it as given.
     """
     system = form.system
     built = form.__dict__.get("omega_full")
     if built is not None and any(built[p] != system.omega_pair(*p)
                                  for p in form.pairs):
         return _kohno_residual(built, relations)
+    pairs = list(itertools.combinations(range(3), 2))
     local = _kohno_relations(3)
     worst = Fraction(0)
     for ws in {tuple(system.weights[s] for s in t)
                for t in itertools.combinations(range(form.n), 3)}:
-        sub = TensorSystem(system.alg, ws, max_dim=system.total_dim)
-        omega = {p: sub.omega_pair(*p)
-                 for p in itertools.combinations(range(3), 2)}
-        worst = max(worst, _kohno_residual(omega, local))
+        sub = reps.TensorSystem(system.alg, ws, max_dim=system.total_dim)
+        denom, mats = integral(reps.local_omega(system.alg, ws[i], ws[j])
+                               for i, j in pairs)
+        omega = {p: sub.apply_local(p, m) for p, m in zip(pairs, mats)}
+        worst = max(worst, Fraction(_commutator_max(omega, local),
+                                    denom * denom))
     return worst
 
 
@@ -260,7 +313,9 @@ def flatness_check(form):
     scales its matrices by one common denominator D into integer matrices
     and divides the integer residual by D^2; since [D A, D B] = D^2 [A, B]
     this is the same exact rational residual, with no gcd paid per
-    product. A nonzero residual can only come from a defective Omega
+    product. The restricted products run in float64 where a bound makes
+    them exact (`_restricted_residual`). A nonzero residual can only come
+    from a defective Omega
     assembly, so callers treat it as an internal failure, not a numerical
     tolerance.
     """
@@ -268,7 +323,7 @@ def flatness_check(form):
     return FlatnessReport(
         checks=len(relations),
         max_abs_full=_full_residual(form, relations),
-        max_abs_restricted=_kohno_residual(form.omega_inv, relations))
+        max_abs_restricted=_restricted_residual(form.omega_inv, relations))
 
 
 @dataclass

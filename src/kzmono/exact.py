@@ -9,10 +9,13 @@ identity: each updated entry is a minor of the integral input, divisible
 by the previous pivot (Bareiss, Math. Comp. 22, 1968). `reduced_echelon`
 back-substitutes on the same integers and lifts each entry of the unique
 reduced form into Q or Q(i) once, so `Fraction`/`QQi` values appear only
-where data enters and leaves. Every exact solve reads that form, the one
-`nullspace` (the joint kernel of sparse blocks) included; a nullspace
-basis is the identity on its free coordinates, so restriction to its span
-is a row selection. No floats enter this module.
+where data enters and leaves. Data already over Z or Z[i] (an image
+computed from integer-scaled matrices; see `integral`) enters elimination
+as it is. Every exact solve reads that form, the one `nullspace` (the
+joint kernel of sparse blocks) included; a nullspace basis is the
+identity on its free coordinates, so restriction to its span is a row
+selection, and it holds one value type: `QQi` over Q(i), `Fraction` over
+Q. No floats enter this module.
 """
 
 from __future__ import annotations
@@ -301,8 +304,8 @@ class SRMatrix:
         return best
 
     def to_rows(self):
-        one = next(iter(self.data.values()), None)
-        zero = QQi(0) if isinstance(one, QQi) else Fraction(0)
+        """Dense rows, filled with the zero of the ring of the entries."""
+        zero = _ring_zero(self.data.values())
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.data.items():
             rows[r][c] = v
@@ -350,6 +353,31 @@ def kron(a, b):
     return SRMatrix(a.nrows * b.nrows, a.ncols * b.ncols, data)
 
 
+def _ring_zero(values):
+    """The zero of the widest value type present, in the order QQi, ZZi,
+    Fraction, int; Fraction(0) when there are no values."""
+    kinds = {type(v) for v in values}
+    for kind in (QQi, ZZi, Fraction, int):
+        if kind in kinds:
+            return kind(0)
+    return _ZERO
+
+
+def integral(mats):
+    """The lcm D of the entry denominators of rational matrices, and each
+    matrix times D as an SRMatrix of ints (D = 1 for integer entries).
+
+    A common scalar changes no span, kernel or commutator beyond a known
+    factor, so exact products can run on these integers and divide by a
+    power of D once at the end.
+    """
+    mats = list(mats)
+    d = lcm(*{v.denominator for m in mats for v in m.data.values()})
+    return d, [SRMatrix(m.nrows, m.ncols,
+                        {k: _scaled(v, d) for k, v in m.data.items()})
+               for m in mats]
+
+
 def _row_denominator_lcm(row):
     d = 1
     for v in row:
@@ -372,9 +400,16 @@ def _clear_denominators(rows):
     """Rows scaled by the lcm of their denominators, as integral rows.
 
     Entries become ints when every input entry is rational, and `ZZi` when
-    any entry is a `QQi`, so one matrix is always over one ring.
+    any entry is a `QQi`, so one matrix is always over one ring. Rows that
+    are already integral (all int, or holding `ZZi`) have nothing to
+    clear: they come back as copies, unscaled, so an image computed over Z
+    or Z[i] enters elimination without a round trip through the fields,
+    and `bareiss_echelon` refuses them if they mix rings.
     """
-    gaussian = any(isinstance(v, QQi) for row in rows for v in row)
+    kinds = {type(v) for row in rows for v in row}
+    if kinds <= {int} or ZZi in kinds:
+        return [list(row) for row in rows]
+    gaussian = QQi in kinds
     out = []
     for row in rows:
         d = _row_denominator_lcm(row)
@@ -491,9 +526,16 @@ def nullspace(*mats):
 
     The supported rows of every block, in the order given, go through one
     reduced echelon form; the result has one column per free column, 1 at
-    its own free coordinate and 0 at every other free coordinate.
+    its own free coordinate and 0 at every other free coordinate. Blocks
+    may hold field values (Fraction, QQi) or integers (int, ZZi); the
+    kernel is over Q(i) when any value is Gaussian and over Q otherwise,
+    and every one of its entries, the 1s included, is a QQi or a Fraction
+    accordingly.
     """
     ncols = mats[0].ncols
+    gaussian = any(type(v) in (QQi, ZZi) for mat in mats
+                   for v in mat.data.values())
+    one = QQi(1) if gaussian else Fraction(1)
     rows = []
     for mat in mats:
         if mat.ncols != ncols:
@@ -504,7 +546,7 @@ def nullspace(*mats):
     free_cols = sorted(set(range(ncols)) - set(pivots))
     out = SRMatrix(ncols, len(free_cols))
     for j, fc in enumerate(free_cols):
-        out.data[(fc, j)] = Fraction(1)
+        out.data[(fc, j)] = one
         for c, row in zip(pivots, reduced):
             if row[fc]:
                 out.data[(c, j)] = -row[fc]

@@ -35,7 +35,8 @@ from functools import lru_cache
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
-from .exact import SRMatrix, commutator, kron, nullspace, reduced_echelon
+from .exact import (SRMatrix, commutator, integral, kron, nullspace,
+                    reduced_echelon)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -318,7 +319,11 @@ class TensorSystem:
     it is the identity on its free-coordinate rows, the last nonzero row of
     each vector; those rows are recorded and checked once with it, and
     restricting a slot-local operator (`restrict_local`) selects them
-    from its image. Every operator acting on a few tensor factors
+    from its image. The basis is kept a second time as integers,
+    B = delta * basis with delta the lcm of its denominators
+    (`integral_basis`; delta is 1 on A1 spin-1/2 but 2 on A1 (1)(2)(1)(2)
+    and 6 on A2 (1,1)^3), so that restriction and the block kernel
+    multiply integers only. Every operator acting on a few tensor factors
     (generators, two-slot Casimirs, swaps, the contravariant form) goes
     through the one primitive `apply_local`, which keeps it sparse; the
     restricted Omega^{ij} and slot swaps never form a total-space matrix.
@@ -350,6 +355,7 @@ class TensorSystem:
         self._omega_inv = {}
         self._invariant = None
         self._unit_rows = None
+        self._integral = None
         self._inv_gram = None
 
     def apply_local(self, slots, local, cols=None):
@@ -366,15 +372,26 @@ class TensorSystem:
         if (local.nrows, local.ncols) != (len(offset), len(offset)):
             raise ValueError(f"local matrix is not {len(offset)} square")
         hits = local.columns_index()
-        if cols is None:
-            cols = SRMatrix.identity(self.total_dim)
-        out = SRMatrix(self.total_dim, cols.ncols)
-        for (g, c), v in cols.data.items():
+        # per total index g: the local column of its slot digits, and g
+        # with those digits zeroed
+        split = {}
+        for g in (range(self.total_dim) if cols is None
+                  else {g for g, _c in cols.data}):
             loc = 0
             for d, st in zip(dims, strides):
                 loc = loc * d + (g // st) % d
-            base = g - offset[loc]
-            for r, w in hits.get(loc, ()):
+            split[g] = (hits.get(loc, ()), g - offset[loc])
+        out = SRMatrix(self.total_dim,
+                       self.total_dim if cols is None else cols.ncols)
+        if cols is None:
+            # the embedding itself: each entry is a local value, set once
+            for g, (col, base) in split.items():
+                for r, w in col:
+                    out.data[(base + offset[r], g)] = w
+            return out
+        for (g, c), v in cols.data.items():
+            col, base = split[g]
+            for r, w in col:
                 out.add_at(base + offset[r], c, w * v)
         return out
 
@@ -397,8 +414,17 @@ class TensorSystem:
     @property
     def invariant_basis(self):
         if self._invariant is None:
-            self._invariant, self._unit_rows = self._compute_invariants()
+            (self._invariant, self._unit_rows,
+             self._integral) = self._compute_invariants()
         return self._invariant
+
+    @property
+    def integral_basis(self):
+        """(delta, B): B = delta * invariant_basis as an SRMatrix of ints,
+        delta the lcm of the basis denominators; B is delta on the unit
+        rows."""
+        self.invariant_basis
+        return self._integral
 
     @property
     def invariant_dim(self):
@@ -422,7 +448,8 @@ class TensorSystem:
         if basis.submatrix_rows(unit_rows) != SRMatrix.identity(basis.ncols):
             raise ConstructionError(
                 "invariant basis is not the identity on its free rows")
-        return basis, unit_rows
+        delta, (ints,) = integral([basis])
+        return basis, unit_rows, (delta, ints)
 
     def invariant_gram(self):
         """Product contravariant form on the invariant basis, an SRMatrix.
@@ -445,15 +472,23 @@ class TensorSystem:
 
         If the operator preserves the span, its image of the basis is
         basis @ X, and the basis is the identity on its unit rows, so X is
-        the image at those rows; the exact witness basis @ X == image fails
-        iff the span is not preserved.
+        the image at those rows. The products run over Z: with L = D local
+        and B = delta basis integral (`exact.integral`), the image L B is
+        formed slot-locally and X_int is its unit rows. If op = L/D maps
+        basis = B/delta to basis Y, then L B = D B Y and B is delta on its
+        unit rows, so X_int = D delta Y; the witness
+        B X_int == delta L B then holds, and conversely it gives
+        op basis = basis X_int/(D delta). So the witness fails iff the span
+        is not preserved, and X = X_int/(D delta) as Fractions.
         """
-        basis = self.invariant_basis    # computes the unit rows with it
-        image = self.apply_local(slots, local, basis)
+        delta, ints = self.integral_basis   # computes the unit rows too
+        scale, (op,) = integral([local])
+        image = self.apply_local(slots, op, ints)
         xs = image.submatrix_rows(self._unit_rows)
-        if basis @ xs != image:
+        if ints @ xs != image.scale(delta):
             raise ValueError("operator does not preserve the subspace")
-        return xs
+        denom = scale * delta
+        return xs.map_values(lambda v: Fraction(v, denom))
 
     # -- Casimir pair operators ------------------------------------------
 
@@ -493,7 +528,7 @@ class TensorSystem:
         if self.weights[i] != self.weights[i + 1]:
             raise ValueError("slot swap needs equal weights on both slots")
         d = self.dims[i]
-        flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): _F1
+        flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): 1
                                        for a in range(d) for b in range(d)})
         return self.restrict_local((i, i + 1), flip)
 

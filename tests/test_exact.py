@@ -128,6 +128,32 @@ def test_nullspace_over_gaussian_rationals():
         nullspace(SRMatrix.from_rows(rows), SRMatrix(1, 2))
 
 
+def test_nullspace_has_one_value_type_per_field():
+    # over Q(i) the free coordinates hold QQi(1), like the pivot entries;
+    # blocks of Gaussian integers (ZZi) give the same Q(i) kernel, and
+    # integer blocks the Fraction kernel of their rationals
+    i = QQi(0, 1)
+    rows = [[QQi(1), i, QQi(2), QQi(0)],
+            [QQi(0), QQi(1), Fraction(1, 2), i]]
+    kernel = nullspace(SRMatrix.from_rows(rows))
+    assert kernel.ncols == 2
+    assert {type(v) for v in kernel.data.values()} == {QQi}
+    assert {type(v) for row in kernel.to_rows() for v in row} == {QQi}
+    integral = [[ZZi(int(2 * v.re), int(2 * v.im))
+                 for v in map(QQi.from_complex, row)] for row in rows]
+    assert nullspace(SRMatrix.from_rows(integral)) == kernel
+    assert {type(v) for v in
+            nullspace(SRMatrix.from_rows(integral)).data.values()} == {QQi}
+    ints = nullspace(SRMatrix.from_rows([[1, 2, 0], [0, 0, 3]]))
+    assert {type(v) for v in ints.data.values()} == {Fraction}
+    # to_rows fills with the zero of the entries' ring, whatever the
+    # dict order of a matrix mixing Q and Q(i) values
+    mixed = SRMatrix(1, 3, {(0, 0): Fraction(1), (0, 1): QQi(0, 1)})
+    assert {type(v) for v in mixed.to_rows()[0][1:]} == {QQi}
+    assert {type(v) for v in SRMatrix(1, 2, {(0, 0): 3}).to_rows()[0]} \
+        == {int}
+
+
 def test_solve_and_invert():
     rng = random.Random(11)
     for _ in range(15):

@@ -1,0 +1,238 @@
+"""The integer tensor layer against the rational routes it replaced.
+
+The references below are the earlier routes, kept here as test-only
+copies: `restrict_local` formed the image of the `Fraction` invariant basis
+and its witness in `Fraction` arithmetic; `block_subspace` applied
+F(z) = sum_s z_s f_theta^(s) to the basis in `QQi` arithmetic; the
+restricted Kohno residual ran sparse commutators on Python ints. The
+library restricts over Z (integral basis, integer-scaled local matrix),
+applies F over Z[i] to integer-scaled points, and runs the restricted
+commutators as float64 BLAS products under an exactness bound. Every
+output must be exactly equal, value types included.
+"""
+
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
+import pytest
+
+from kzmono.algebra import build_algebra
+from kzmono.blocks import block_subspace, highest_root_lowering
+from kzmono.connection import (_kohno_relations, _restricted_residual,
+                               flatness_check, kz_form)
+from kzmono.exact import QQi, SRMatrix, commutator, nullspace
+from kzmono.reps import TensorSystem, tensor_system
+
+A1 = build_algebra("A", 1)
+A2 = build_algebra("A", 2)
+C3 = build_algebra("C", 3)
+G2 = build_algebra("G", 2)
+
+
+# -- references (the rational routes) ---------------------------------------
+
+def ref_restrict_local(system, slots, local):
+    basis = system.invariant_basis
+    image = system.apply_local(slots, local, basis)
+    xs = image.submatrix_rows(system._unit_rows)
+    if basis @ xs != image:
+        raise ValueError("operator does not preserve the subspace")
+    return xs
+
+
+def ref_block_coeffs(system, k, points):
+    """Block coefficients at the (already charted) points, over Q(i)."""
+    step = [highest_root_lowering(rep).scale(z)
+            for rep, z in zip(system.factors, points)]
+    image = system.invariant_basis.map_values(QQi)
+    for _ in range(k + 1):
+        image = system.slot_sum(step, image)
+    return nullspace(image).map_values(QQi.from_complex)
+
+
+def ref_kohno_residual(omega, relations):
+    denom = lcm(*{v.denominator for m in omega.values()
+                  for v in m.data.values()})
+    ints = {p: m.scale(denom).map_values(int) for p, m in omega.items()}
+    worst = 0
+    for p, qs in relations:
+        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
+        worst = max(worst, commutator(ints[p], rest).max_abs())
+    return Fraction(worst, denom * denom)
+
+
+def ref_full_residual(form):
+    system = form.system
+    worst = Fraction(0)
+    for ws in {tuple(system.weights[s] for s in t)
+               for t in itertools.combinations(range(form.n), 3)}:
+        sub = TensorSystem(system.alg, ws)
+        omega = {p: sub.omega_pair(*p)
+                 for p in itertools.combinations(range(3), 2)}
+        worst = max(worst, ref_kohno_residual(omega, _kohno_relations(3)))
+    return worst
+
+
+def kinds(value):
+    if isinstance(value, QQi):
+        return (QQi, type(value.re), type(value.im))
+    return (type(value),)
+
+
+def assert_identical(got, ref):
+    """Equal matrices whose every entry has the reference's value types."""
+    assert (got.nrows, got.ncols) == (ref.nrows, ref.ncols)
+    assert got.data.keys() == ref.data.keys()
+    for key, v in ref.data.items():
+        assert got.data[key] == v
+        assert kinds(got.data[key]) == kinds(v)
+
+
+# -- the systems ------------------------------------------------------------
+
+SYSTEMS = {
+    **{f"A1^{n}": (A1, ((1,),) * n, 2) for n in range(4, 9)},
+    # invariant bases with denominator lcm delta = 2, 2, 6 and 6
+    "A1-mixed": (A1, ((1,), (2,), (1,), (2,)), 2),
+    "G2-mixed": (G2, ((0, 1), (1, 0), (1, 0)), 2),
+    "A2-adjoint^3": (A2, ((1, 1),) * 3, 2),
+    "C3-mixed": (C3, ((1, 0, 0), (1, 0, 0), (0, 1, 0)), 1),
+    "A2-4pt": (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2),
+}
+DELTA = {"A1-mixed": 2, "G2-mixed": 2, "A2-adjoint^3": 6, "C3-mixed": 6}
+
+
+@lru_cache(maxsize=None)
+def system_of(name):
+    alg, weights, _k = SYSTEMS[name]
+    return tensor_system(alg, weights)
+
+
+@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def case(request):
+    return request.param, system_of(request.param), SYSTEMS[request.param][2]
+
+
+def test_integral_basis(case):
+    name, system, _k = case
+    delta, ints = system.integral_basis
+    assert delta == DELTA.get(name, 1)
+    assert ints == system.invariant_basis.scale(delta)
+    assert {type(v) for v in ints.data.values()} <= {int}
+
+
+def test_restriction_matches_rational_route(case):
+    _name, system, _k = case
+    for i, j in itertools.combinations(range(system.n), 2):
+        key, local = system._pair(i, j)
+        assert_identical(system.omega_restricted(i, j),
+                         ref_restrict_local(system, key, local))
+    for i in range(system.n - 1):
+        if system.weights[i] == system.weights[i + 1]:
+            d = system.dims[i]
+            flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): Fraction(1)
+                                           for a in range(d)
+                                           for b in range(d)})
+            assert_identical(system.swap_restricted(i),
+                             ref_restrict_local(system, (i, i + 1), flip))
+
+
+def test_flatness_matches_rational_route(case):
+    _name, system, k = case
+    form = kz_form(system, k)
+    relations = _kohno_relations(form.n)
+    report = flatness_check(form)
+    assert report.checks == len(relations)
+    for got, ref in ((report.max_abs_restricted,
+                      ref_kohno_residual(form.omega_inv, relations)),
+                     (report.max_abs_full, ref_full_residual(form))):
+        assert got == ref == 0
+        assert type(got) is type(ref) is Fraction
+
+
+# Gaussian-integer points, float points, and float points whose exact
+# images carry coefficients of more than 700 bits
+POINTS = {
+    "gaussian": [complex(2 ** s - 1, s % 3 - 1) for s in range(8)],
+    "float": [0.1 + 0.05j, 1.03 - 0.02j, 3.07 + 0.01j, 6.95 + 0.08j,
+              15.02 - 0.06j, 31.1 + 0.03j, 63.3 - 0.07j, 127.9 + 0.02j],
+    "wide": [3e-220 + 0.5j, 1.1, 3.3e-5 + 2j, 7.7 - 1e-230j, 15.1,
+             31.7 + 4e-215j, 63.3, 127.9],
+}
+
+
+# every system at every kind of points, in both charts; the 700-bit
+# points in the infinity chart of A1^8 are left out for time (the chart
+# inverts each point, so every coefficient grows far past 700 bits)
+BLOCK_CASES = [(name, points, at_infinity) for name in sorted(SYSTEMS)
+               for points in sorted(POINTS) for at_infinity in (None, 0)
+               if (name, points, at_infinity) != ("A1^8", "wide", 0)]
+
+
+@pytest.mark.parametrize("name, points, at_infinity", BLOCK_CASES)
+def test_block_kernel_matches_rational_route(name, points, at_infinity):
+    system, k = system_of(name), SYSTEMS[name][2]
+    bs = block_subspace(system, k, POINTS[points][:system.n],
+                        at_infinity=at_infinity)
+    assert_identical(bs.coeffs, ref_block_coeffs(system, k, bs.points))
+
+
+def test_wide_points_give_wide_coefficients():
+    system = tensor_system(A1, ((1,),) * 6)
+    bs = block_subspace(system, 2, POINTS["wide"][:6])
+    bits = max(x.bit_length() for v in bs.coeffs.data.values()
+               for x in (v.re.numerator, v.re.denominator,
+                         v.im.numerator, v.im.denominator))
+    assert bits > 700
+    assert_identical(bs.coeffs, ref_block_coeffs(system, 2, bs.points))
+
+
+def test_zero_image_block_kernel_is_the_gaussian_identity():
+    # at A1 (1)^2, k=1, every invariant is a block: F^2 kills the basis
+    system = tensor_system(A1, ((1,), (1,)))
+    bs = block_subspace(system, 1, (0, 1))
+    assert bs.dim == system.invariant_dim == 1
+    assert_identical(bs.coeffs, ref_block_coeffs(system, 1, bs.points))
+    assert bs.coeffs.data == {(0, 0): QQi(1)}
+
+
+def test_flipped_restricted_omega_matches_rational_route():
+    form = kz_form(tensor_system(A1, ((1,),) * 6), 2)
+    bad = form.omega_inv[(0, 1)].copy()
+    (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
+    bad.data[(r, c)] = -bad.data[(r, c)]
+    form.omega_inv[(0, 1)] = bad
+    report = flatness_check(form)
+    assert report.max_abs_restricted == 4
+    assert report.max_abs_restricted == ref_kohno_residual(
+        form.omega_inv, _kohno_relations(form.n))
+    assert report.max_abs_full == 0
+
+
+def test_bound_failure_falls_back_to_exact_integers():
+    # entries near 2^26 break 2 d q A^2 < 2^53; the exact residual
+    # a (b + b') = 2^53 + 5 * 2^26 + 3 is odd and above 2^53, so no
+    # float64 product can carry it
+    a, b, b2 = 2 ** 26 + 1, 2 ** 26 + 2, 2 ** 26 + 1
+    big = {(0, 1): SRMatrix(3, 3, {(0, 1): Fraction(a), (0, 2): Fraction(a)}),
+           (2, 3): SRMatrix(3, 3, {(1, 0): Fraction(b), (2, 0): Fraction(b2)})}
+    relations = [((0, 1), [(2, 3)])]
+    got = _restricted_residual(big, relations)
+    assert got == ref_kohno_residual(big, relations) == a * (b + b2)
+    assert a * (b + b2) > 2 ** 53 and a * (b + b2) % 2
+    assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("weights", [((1,),) * 3, ((1,),) * 2],
+                         ids=["no-invariants", "no-relations"])
+def test_degenerate_restricted_residuals(weights):
+    form = kz_form(tensor_system(A1, weights), 1)
+    report = flatness_check(form)
+    assert report.max_abs_restricted == 0
+    assert type(report.max_abs_restricted) is Fraction
+    assert report.exact
+    relations = _kohno_relations(form.n)
+    assert report.max_abs_restricted == ref_kohno_residual(form.omega_inv,
+                                                           relations)
