@@ -3,8 +3,15 @@
 Fusion coefficients come from the Racah-Speiser/Kac-Walton reflection rule:
 for each weight phi of the second factor, lam + phi + rho is reflected into
 the interior of the level-(k+h) alcove by simple and affine reflections,
-contributing its sign (walls contribute nothing). The ring is one int64
-tensor, verified symmetric, unital and associative by array identities.
+contributing its sign (walls contribute nothing). For a run of second
+factors mu, every admissible lam is stacked against the distinct weights of
+each V_mu, weighted by their multiplicities, and the whole int64 stack is
+reflected at once, one step per moving row per pass, so each row takes
+exactly the steps it would take alone; the signed sums fill N[:, mu, :] for
+the run in one pass. Runs are cut by stack size, so memory stays bounded on
+large rings. Without the affine wall the same routine gives classical
+tensor product multiplicities. The ring is one int64 tensor, verified
+symmetric, unital and associative by array identities.
 
 The block subspace at marked points z is realised inside the invariants as
 ker (sum_i z_i f_theta^(i))^(k+1), with f_theta the lowering operator of the
@@ -22,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
@@ -36,6 +44,9 @@ from .exact import QQi, SRMatrix, ZZi, integral, nullspace
 from .reps import irrep, root_vectors
 
 _MAX_REFLECTIONS = 10_000
+# rows of one Kac-Walton stack: enough to share numpy's per-call cost among
+# many mu, few enough to keep a stack and its temporaries to about 10 MB
+_STACK_ROWS = 1 << 16
 
 
 def admissible_weights(alg, k):
@@ -57,61 +68,83 @@ def admissible_weights(alg, k):
     return tuple(sorted(out))
 
 
-def _reflect_to_alcove(alg, xi, m):
-    """Reflect xi (a rho-shifted weight) into the open level-m alcove.
+def _kac_walton(alg, lams, mus, m):
+    """Signed Racah-Speiser sums of lam (x) mu for all lam in lams and mu
+    in mus at once.
 
-    Returns (weight, sign); sign 0 when xi lands on a wall. m <= 0 disables
-    the affine wall, giving the classical dominant chamber version.
+    Each lam + phi + rho, phi running over the distinct weights of V_mu,
+    is one row of an int64 stack, weighted by the multiplicity of phi. A
+    row reflects at its first negative coordinate (s_i, sign -1), stops on
+    a wall (a zero coordinate, or level m; sign 0), reflects in the affine
+    wall when its level exceeds m (sign -1), and otherwise stops inside
+    the open level-m alcove. m <= 0 disables the affine wall, giving the
+    dominant chamber. Every step takes all moving rows at once, so a row
+    follows the same steps as on its own, and none may need more than
+    _MAX_REFLECTIONS of them.
+
+    Returns (nus, counts): the distinct weights nu = xi - rho reached
+    inside, sorted, as tuples, and the int64 array counts[a, b, c], the
+    signed multiplicity of nus[c] in lams[a] (x) mus[b].
     """
     rank = alg.rank
-    theta = alg.highest_root
-    xi = list(xi)
-    sign = 1
+    mults = [Counter(irrep(alg, mu).basis_weights) for mu in mus]
+    phis = np.array([phi for c in mults for phi in c],
+                    dtype=np.int64).reshape(-1, rank)
+    mu_of = np.repeat(np.arange(len(mus)), [len(c) for c in mults])
+    rho = np.array(alg.weyl_vector, dtype=np.int64)
+    xi = (np.array(lams, dtype=np.int64).reshape(-1, 1, rank)
+          + phis + rho).reshape(-1, rank)
+    signed = np.tile(np.array([n for c in mults for n in c.values()],
+                              dtype=np.int64), len(lams))
+    cartan = np.array(alg.cartan, dtype=np.int64)
+    theta = np.array(alg.highest_root, dtype=np.int64)
+    comarks = np.array(alg.comarks, dtype=np.int64)
+    moving = np.arange(len(xi))
     for _ in range(_MAX_REFLECTIONS):
-        neg = next((i for i in range(rank) if xi[i] < 0), None)
-        if neg is not None:
-            c = xi[neg]
-            row = alg.cartan[neg]
-            for j in range(rank):
-                xi[j] -= c * row[j]
-            sign = -sign
-            continue
-        if any(x == 0 for x in xi):
-            return None, 0
+        if not len(moving):
+            break
+        x = xi[moving]
+        neg = x < 0
+        reflect = neg.any(axis=1)
+        rows = moving[reflect]
+        first = neg[reflect].argmax(axis=1)
+        xi[rows] -= x[reflect, first][:, None] * cartan[first]
+        signed[rows] = -signed[rows]
+        rest, x = moving[~reflect], x[~reflect]
+        wall = (x == 0).any(axis=1)
         if m > 0:
-            lvl = la.theta_level(alg, xi)
-            if lvl == m:
-                return None, 0
-            if lvl > m:
-                c = m - lvl
-                for j in range(rank):
-                    xi[j] += c * theta[j]
-                sign = -sign
-                continue
-        return tuple(xi), sign
-    raise FusionValidationError("alcove reflection did not terminate")
-
-
-def _fusion_row(alg, lam, mu, k):
-    """dict nu -> N_{lam,mu}^nu at level k (k <= 0 means classical)."""
-    rep = irrep(alg, mu)
-    rho = alg.weyl_vector
-    m = k + alg.dual_coxeter if k > 0 else 0
-    out = {}
-    for phi in rep.basis_weights:
-        xi = tuple(lam[i] + phi[i] + rho[i] for i in range(alg.rank))
-        res, sign = _reflect_to_alcove(alg, xi, m)
-        if sign:
-            nu = tuple(res[i] - rho[i] for i in range(alg.rank))
-            out[nu] = out.get(nu, 0) + sign
-    return {nu: n for nu, n in sorted(out.items()) if n}
+            level = x @ comarks
+            wall |= level == m
+            over = ~wall & (level > m)
+            xi[rest[over]] += (m - level[over])[:, None] * theta
+            signed[rest[over]] = -signed[rest[over]]
+            reflect[~reflect] = over
+        signed[rest[wall]] = 0
+        moving = moving[reflect]
+    if len(moving):
+        raise FusionValidationError("alcove reflection did not terminate")
+    # group the rows inside by nu, in lexicographic order (np.unique with
+    # an axis sorts a void view of the rows, several times slower); row r
+    # is lams[r // len(phis)] against phis[r % len(phis)]
+    inside = np.flatnonzero(signed)
+    order = inside[np.lexsort((xi[inside] - rho).T[::-1])]
+    nu = xi[order] - rho
+    first = np.ones(len(nu), dtype=bool)
+    first[1:] = (nu[1:] != nu[:-1]).any(axis=1)
+    counts = np.zeros((len(lams), len(mus), int(first.sum())),
+                      dtype=np.int64)
+    lam_of, phi_of = np.divmod(order, len(phis))
+    np.add.at(counts, (lam_of, mu_of[phi_of], np.cumsum(first) - 1),
+              signed[order])
+    return tuple(map(tuple, nu[first].tolist())), counts
 
 
 def classical_tensor_multiplicities(alg, lam, mu):
     """Multiplicities of the irreducible pieces of V_lam (x) V_mu."""
     lam = la.require_dominant(alg, lam)
     mu = la.require_dominant(alg, mu)
-    return _fusion_row(alg, lam, mu, 0)
+    nus, counts = _kac_walton(alg, [lam], [mu], 0)
+    return {nu: int(n) for nu, n in zip(nus, counts[0, 0]) if n}
 
 
 class FusionRing:
@@ -174,14 +207,30 @@ def fusion_ring(alg, k):
     weights = admissible_weights(alg, k)
     m = len(weights)
     index = {w: a for a, w in enumerate(weights)}
+    # one stack per run weights[lo:hi] of mu, each of at most _STACK_ROWS
+    # rows (m per basis vector of V_mu), unless one module alone needs more
+    starts, rows = [0], 0
+    for b, mu in enumerate(weights):
+        size = m * irrep(alg, mu).dim
+        if rows + size > _STACK_ROWS and b > starts[-1]:
+            starts.append(b)
+            rows = 0
+        rows += size
     N = np.zeros((m, m, m), dtype=np.int64)
-    for a, lam in enumerate(weights):
-        for b, mu in enumerate(weights):
-            for nu, n in _fusion_row(alg, lam, mu, k).items():
-                if n < 0 or nu not in index:
-                    raise FusionValidationError(
-                        f"bad coefficient N_({lam},{mu})^{nu} = {n}")
-                N[a, b, index[nu]] = n
+    wrong = []
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        nus, counts = _kac_walton(alg, weights, weights[lo:hi],
+                                  k + alg.dual_coxeter)
+        cols = [index.get(nu) for nu in nus]
+        outside = np.array([c is None for c in cols], dtype=bool)
+        wrong += [(a, lo + j, nus[c], int(counts[a, j, c])) for a, j, c in
+                  np.argwhere((counts < 0) | (outside & (counts != 0)))]
+        inside = np.flatnonzero(~outside)
+        N[:, lo:hi, [cols[c] for c in inside]] = counts[:, :, inside]
+    if wrong:
+        a, b, nu, n = min(wrong)
+        raise FusionValidationError(
+            f"bad coefficient N_({weights[a]},{weights[b]})^{nu} = {n}")
     N.flags.writeable = False
 
     def require(equal, message, *head):

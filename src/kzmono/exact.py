@@ -6,16 +6,17 @@ elimination kernel runs on integers from clearing to the reduced form:
 Python ints (over Q) or `ZZi` Gaussian integers (over Q(i)), and Bareiss
 elimination divides with `//`. Every such division is exact by Sylvester's
 identity: each updated entry is a minor of the integral input, divisible
-by the previous pivot (Bareiss, Math. Comp. 22, 1968). `reduced_echelon`
-back-substitutes on the same integers and lifts each entry of the unique
-reduced form into Q or Q(i) once, so `Fraction`/`QQi` values appear only
-where data enters and leaves. Data already over Z or Z[i] (an image
-computed from integer-scaled matrices; see `integral`) enters elimination
-as it is. Every exact solve reads that form, the one `nullspace` (the
-joint kernel of sparse blocks) included; a nullspace basis is the
-identity on its free coordinates, so restriction to its span is a row
-selection, and it holds one value type: `QQi` over Q(i), `Fraction` over
-Q. No floats enter this module.
+by the previous pivot (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
+back-substitutes on the same integers, and `reduced_echelon` lifts each
+entry of that unique reduced form into Q or Q(i) once, so `Fraction`/`QQi`
+values appear only where data enters and leaves; a caller whose data stays
+integral (module construction) reads the integral rows D E_t directly.
+Data already over Z or Z[i] (an image computed from integer-scaled
+matrices; see `integral`) enters elimination as it is. Every exact solve
+reads that form, the one `nullspace` (the joint kernel of sparse blocks)
+included; a nullspace basis is the identity on its free coordinates, so
+restriction to its span is a row selection, and it holds one value type:
+`QQi` over Q(i), `Fraction` over Q. No floats enter this module.
 """
 
 from __future__ import annotations
@@ -477,13 +478,11 @@ def bareiss_echelon(rows, ncols, width=None):
     return pivots
 
 
-def reduced_echelon(rows, ncols, width=None):
-    """Reduced row echelon form of dense rows over Q or Q(i), exactly.
+def integral_echelon(rows, ncols, width=None):
+    """The reduced echelon form of `reduced_echelon` before its lift.
 
-    `bareiss_echelon` on the cleared rows, then one back-substitution on
-    the same integers. Returns the pivot columns (searched in the first
-    ncols) and their rows out to `width` as `Fraction`/`QQi` values: 1 at
-    their own pivot, 0 at every other one.
+    Returns the pivot columns, D and the integral rows S_t = D E_t (ints
+    or `ZZi`), E_t the reduced rows; D is 1 when there are no pivots.
 
     The back-substitution stays in Z or Z[i]. Let R_t be the Bareiss rows,
     p_t their pivots at columns c_t and D the last pivot, the determinant
@@ -492,15 +491,14 @@ def reduced_echelon(rows, ncols, width=None):
     integral. Since R_t = p_t E_t + sum_{t' > t} R_t[c_t'] E_t' over Q,
     the rows are formed bottom-up as
         S_t = (D R_t - sum_{t' > t} R_t[c_t'] S_t') // p_t,
-    an exact division, and each entry is lifted once as S_t[j] / D.
+    an exact division.
     """
     width = ncols if width is None else width
     work = _clear_denominators(rows)
     pivots = [c for (_r, c) in bareiss_echelon(work, ncols, width)]
     if not pivots:
-        return pivots, []
+        return pivots, 1, []
     det = work[len(pivots) - 1][pivots[-1]]
-    lifted_det = _lift(det)
     reduced = [None] * len(pivots)
     later = []      # (pivot column, its nonzero entries off the pivots)
     for t in range(len(pivots) - 1, -1, -1):
@@ -514,11 +512,25 @@ def reduced_echelon(rows, ncols, width=None):
                 for j, v in entries:
                     row[j] = row[j] - f * v
         piv = bareiss_row[c]
-        row = [v // piv if v else v for v in row]
-        reduced[t] = [_lift(v) / lifted_det if v else _lift(v) for v in row]
+        row = reduced[t] = [v // piv if v else v for v in row]
         later.append((c, [(j, row[j]) for j in range(c + 1, width)
                           if row[j]]))
-    return pivots, reduced
+    return pivots, det, reduced
+
+
+def reduced_echelon(rows, ncols, width=None):
+    """Reduced row echelon form of dense rows over Q or Q(i), exactly.
+
+    `bareiss_echelon` on the cleared rows, then one back-substitution on
+    the same integers (`integral_echelon`). Returns the pivot columns
+    (searched in the first ncols) and their rows out to `width` as
+    `Fraction`/`QQi` values: 1 at their own pivot, 0 at every other one.
+    Each entry is lifted once, as S_t[j] / D.
+    """
+    pivots, det, integral_rows = integral_echelon(rows, ncols, width)
+    lifted_det = _lift(det)
+    return pivots, [[_lift(v) / lifted_det if v else _lift(v) for v in row]
+                    for row in integral_rows]
 
 
 def nullspace(*mats):

@@ -10,6 +10,20 @@ matrix picks a basis and expresses every dependent candidate through it,
 which quotients out the radical and lands exactly on the irreducible module.
 Dimensions are cross-checked against the Weyl dimension formula.
 
+The construction runs on integers. Every basis vector is a lowering
+monomial f_{j_m} ... f_{j_1} v_lam of Chevalley generators, and lam is
+integral, so the contravariant (Shapovalov) form on the basis is integral:
+moving each f across the form as e and commuting it down to v_lam with
+[e_i, f_j] = delta_ij h_i only multiplies by integer weight labels. The e
+and f columns are rational; each is kept as integer numerators over one
+positive denominator, divided by their gcd. A Gram entry G_x . u, with
+u = e_i f_j y such a column, is an integer sum divided by u's denominator,
+and that division must leave no remainder: a remainder raises
+ConstructionError, so integrality is checked at every entry at no cost.
+The integral Gram matrix enters `exact.integral_echelon` as it is, and its
+rows D E_t are the lowering columns over the denominator D. `Fraction`
+values are made only when `irrep` wraps the columns as SRMatrix.
+
 Matrix conventions (weights are Dynkin labels):
     [h_i, e_j] = cartan[j][i] e_j,   [e_i, f_j] = delta_ij h_i,
 and h_i acts on a weight-mu vector as mu[i]. A basis vector is numbered when
@@ -31,17 +45,18 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
-from .exact import (SRMatrix, commutator, integral, kron, nullspace,
-                    reduced_echelon)
+from .exact import (SRMatrix, commutator, integral, integral_echelon, kron,
+                    nullspace)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
+_ZERO_COLUMN = ({}, 1)      # e_i y = 0: no numerators over denominator 1
 
 
 class Representation:
@@ -79,15 +94,28 @@ class Representation:
                 f"{self.highest_weight}, dim={self.dim})")
 
 
+def _reduced(vec, den):
+    """A column vec / den as (numerators, denominator), zeros dropped and
+    the gcd divided out, the denominator positive."""
+    vec = {r: v for r, v in vec.items() if v}
+    g = gcd(den, *vec.values())
+    if den < 0:
+        g = -g
+    return {r: v // g for r, v in vec.items()}, den // g
+
+
 def _construct(alg, lam):
     """One-pass lowering construction; see the module docstring.
 
-    Returns the basis weights, then e_i, f_i and the Gram matrix as column
-    dicts {index: {row: value}}. Each basis vector gets its global index
-    when it is created, so no reassembly follows. u[i][b] = e_i f_j y for
-    the b-th candidate f_j y is formed once; it gives the Gram entries
-    <f_i x, f_j y> = G_x . u[i][b] and, if the candidate is kept, the
-    raising column of e_i.
+    Returns the basis weights, then e_i and f_i as column dicts
+    {index: (numerators, denominator)}, each column the integers
+    {row: numerator} over one positive denominator, and the Gram matrix as
+    integer column dicts {index: {row: value}}. Each basis vector gets its
+    global index when it is created, so no reassembly follows.
+    u[i][b] = e_i f_j y for the b-th candidate f_j y is formed once; it
+    gives the Gram entries <f_i x, f_j y> = G_x . u[i][b], each an exact
+    integer division, and, if the candidate is kept, the raising column
+    of e_i.
     """
     rank = alg.rank
     alpha = alg.cartan                 # row i: Dynkin labels of a_i
@@ -95,7 +123,7 @@ def _construct(alg, lam):
     index_of = {lam: range(1)}         # weight -> indices of its basis
     e = [{} for _ in range(rank)]
     f = [{} for _ in range(rank)]
-    gram = {0: {0: _F1}}
+    gram = {0: {0: 1}}
 
     layer = [lam]
     while layer:
@@ -113,23 +141,37 @@ def _construct(alg, lam):
             for i in parents:
                 ui = u[i] = []
                 for j, y in span:
-                    vec = {y: Fraction(weights[y][i])} if i == j else {}
-                    for r, v in e[i].get(y, {}).items():
-                        for r2, v2 in f[j].get(r, {}).items():
-                            vec[r2] = vec.get(r2, _F0) + v * v2
-                    ui.append({r: v for r, v in vec.items() if v})
+                    # u = f_j e_i y + delta_ij y_i y over one denominator:
+                    # e_i y's times the lcm of those of the f_j columns met
+                    raised, den_e = e[i].get(y, _ZERO_COLUMN)
+                    cols = [(v, f[j][r]) for r, v in raised.items()]
+                    common = lcm(*(d for _v, (_col, d) in cols))
+                    den = den_e * common
+                    vec = {y: weights[y][i] * den} if i == j else {}
+                    for v, (col, d) in cols:
+                        v *= common // d
+                        for r2, v2 in col.items():
+                            vec[r2] = vec.get(r2, 0) + v * v2
+                    ui.append(_reduced(vec, den))
             # G is symmetric, so its column x is its row x; S is symmetric
             # too, so only its upper triangle is computed
-            s_mat = [[_F0] * len(span) for _ in span]
+            s_mat = [[0] * len(span) for _ in span]
             for a, (i, x) in enumerate(span):
                 gx = gram[x]
                 for b in range(a, len(span)):
-                    s_mat[a][b] = s_mat[b][a] = sum(
-                        (gx[r] * v for r, v in u[i][b].items() if r in gx),
-                        start=_F0)
+                    col, den = u[i][b]
+                    s_ab, rem = divmod(
+                        sum(gx[r] * v for r, v in col.items() if r in gx),
+                        den)
+                    if rem:
+                        raise ConstructionError(
+                            f"{alg.name} weight {lam}: Gram entry at weight "
+                            f"{mu} is not an integer")
+                    s_mat[a][b] = s_mat[b][a] = s_ab
             # S is a symmetric Gram matrix, so its reduced echelon form is
-            # S_kk^-1 S[keep, :], with unit columns on keep
-            keep, coeff = reduced_echelon(s_mat, len(span))
+            # S_kk^-1 S[keep, :], with unit columns on keep; its rows are
+            # read as D times that form
+            keep, det, coeff = integral_echelon(s_mat, len(span))
             if not keep:
                 continue
             new = range(len(weights), len(weights) + len(keep))
@@ -142,7 +184,8 @@ def _construct(alg, lam):
                 for i in parents:
                     e[i][n] = u[i][a]
             for b, (i, x) in enumerate(span):
-                f[i][x] = {n: row[b] for n, row in zip(new, coeff) if row[b]}
+                f[i][x] = _reduced({n: row[b] for n, row in zip(new, coeff)},
+                                   det)
     return weights, e, f, gram
 
 
@@ -163,11 +206,13 @@ def _irrep(alg, lam):
             f"Weyl dimension {expected}")
 
     def matrix(cols):
-        return SRMatrix(dim, dim, {(r, c): v for c, col in cols.items()
+        return SRMatrix(dim, dim, {(r, c): Fraction(v, den)
+                                   for c, (col, den) in cols.items()
                                    for r, v in col.items()})
 
-    return Representation(alg, lam, weights, map(matrix, e), map(matrix, f),
-                          matrix(gram))
+    return Representation(
+        alg, lam, weights, map(matrix, e), map(matrix, f),
+        matrix({c: (col, 1) for c, col in gram.items()}))
 
 
 @lru_cache(maxsize=None)
@@ -336,16 +381,18 @@ class TensorSystem:
         weights = tuple(la.require_dominant(alg, w) for w in weights)
         if not weights:
             raise NonDominantWeightError("need at least one tensor factor")
-        self.alg = alg
-        self.weights = weights
-        self.factors = tuple(irrep(alg, w) for w in weights)
-        self.dims = tuple(rep.dim for rep in self.factors)
+        # the cap is checked on Weyl dimensions, before any module is built
+        dim_of = {w: la.weyl_dimension(alg, w) for w in set(weights)}
+        self.dims = tuple(dim_of[w] for w in weights)
         total = 1
         for d in self.dims:
             total *= d
         if total > max_dim:
             raise DimensionCapError(
                 f"tensor dimension {total} exceeds cap {max_dim}")
+        self.alg = alg
+        self.weights = weights
+        self.factors = tuple(irrep(alg, w) for w in weights)
         self.total_dim = total
         self.n = len(weights)
         strides = [1] * self.n

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from kzmono import blocks
@@ -87,6 +88,30 @@ def test_g2_level_one_is_fibonacci():
     assert ring.row(tau, tau) == {(0, 0): 1, (1, 0): 1}
 
 
+def _corrupt_rows(monkeypatch, rows):
+    """Replace whole rows (lam, mu) -> {nu: n} of the fusion tensor at the
+    Kac-Walton seam, which returns the coefficients of every lam against a
+    run of mu."""
+    true_sums = blocks._kac_walton
+
+    def corrupted(alg, lams, mus, m):
+        nus, counts = true_sums(alg, lams, mus, m)
+        nus = list(nus)
+        added = sorted({nu for row in rows.values() for nu in row} - set(nus))
+        nus += added
+        counts = np.concatenate([counts, np.zeros(
+            (len(lams), len(mus), len(added)), dtype=np.int64)], axis=2)
+        for (lam, mu), row in rows.items():
+            if mu in mus:
+                a, b = lams.index(lam), mus.index(mu)
+                counts[a, b] = 0
+                for nu, n in row.items():
+                    counts[a, b, nus.index(nu)] = n
+        return tuple(nus), counts
+
+    monkeypatch.setattr(blocks, "_kac_walton", corrupted)
+
+
 @pytest.mark.parametrize("rows, message", [
     ({((1,), (2,)): {(1,): 2}}, "fusion not symmetric at ((1,), (2,))"),
     ({((1,), (0,)): {(1,): 2}, ((0,), (1,)): {(1,): 2}},
@@ -99,12 +124,7 @@ def test_g2_level_one_is_fibonacci():
      "bad coefficient N_((1,),(2,))^(3,) = 1"),
 ])
 def test_fusion_ring_rejects_corrupted_rows(monkeypatch, rows, message):
-    true_row = blocks._fusion_row
-
-    def corrupted(alg, lam, mu, k):
-        return rows.get((lam, mu)) or true_row(alg, lam, mu, k)
-
-    monkeypatch.setattr(blocks, "_fusion_row", corrupted)
+    _corrupt_rows(monkeypatch, rows)
     with pytest.raises(FusionValidationError) as info:
         fusion_ring.__wrapped__(A1, 2)
     assert str(info.value) == message
@@ -113,19 +133,13 @@ def test_fusion_ring_rejects_corrupted_rows(monkeypatch, rows, message):
 def test_fusion_ring_guards_exact_float_products(monkeypatch):
     # N_((1,),(1,))^(0,) = 2^26 on A1 k=2 (m = 3) is symmetric and leaves the
     # unit intact, but 3 * 2^52 >= 2^53: the float64 products could round
-    true_row = blocks._fusion_row
-
-    def huge(alg, lam, mu, k):
-        if lam == mu == (1,):
-            return {(0,): 2 ** 26}
-        return true_row(alg, lam, mu, k)
-
-    monkeypatch.setattr(blocks, "_fusion_row", huge)
+    _corrupt_rows(monkeypatch, {((1,), (1,)): {(0,): 2 ** 26}})
     with pytest.raises(FusionValidationError, match="exceed float64"):
         fusion_ring.__wrapped__(A1, 2)
 
 
-# sha256 of fusion_to_csv, frozen from the dict-of-dicts fusion table
+# sha256 of fusion_to_csv, frozen from the dict-of-dicts fusion table (F4 k=2
+# as pinned by the benchmark and CI)
 @pytest.mark.parametrize("series, rank, k, digest", [
     ("A", 2, 5,
      "9cceb0181f18c63929b8e87b436bd9ffdeaa0a54f9e9c94d345f02efb1134cff"),
@@ -135,6 +149,8 @@ def test_fusion_ring_guards_exact_float_products(monkeypatch):
      "f349a2ab18b6225ed348b003c7f60627cd3148554bc71bd66d5a2b2fe2143d19"),
     ("B", 2, 3,
      "d603b7e54af4eb58fa04063ed218c118037f1511764c801cf3d968417f758813"),
+    ("F", 4, 2,
+     "9127e732a46443971e5a31d075d1eeb8294a4ea65f94eab3516aa286ca0bef01"),
 ])
 def test_fusion_csv_frozen(series, rank, k, digest):
     text = fusion_to_csv(fusion_ring(build_algebra(series, rank), k))

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators,
-                          bareiss_echelon, nullspace, rank_rows,
-                          reduced_echelon, solve_rows)
+from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators, _lift,
+                          bareiss_echelon, integral_echelon, nullspace,
+                          rank_rows, reduced_echelon, solve_rows)
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -271,6 +271,12 @@ def test_reduced_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
     else:
         assert reduced == []
     assert_field_values(reduced)
+    # the integral core: the same pivots and D times the reduced rows
+    core_pivots, det, integral_rows = integral_echelon(copy(s), n)
+    assert core_pivots == pivots
+    assert all(type(v) in (int, ZZi) for row in integral_rows for v in row)
+    assert [[_lift(v) for v in row] for row in integral_rows] == \
+        [[x * _lift(det) for x in row] for row in reduced]
 
 
 @settings(max_examples=20, deadline=None)

@@ -189,6 +189,17 @@ def test_dimension_cap():
         tensor_system(A1, tuple((1,) for _ in range(4)), max_dim=8)
 
 
+def test_dimension_cap_builds_no_module(monkeypatch):
+    # G2 (3,2) has dimension 1547 and takes seconds to build; the cap is
+    # decided from the Weyl dimension alone
+    def refuse(alg, lam):
+        raise AssertionError(f"irrep({alg.name}, {lam}) was called")
+
+    monkeypatch.setattr(reps, "irrep", refuse)
+    with pytest.raises(DimensionCapError, match="1547 exceeds cap 10"):
+        tensor_system(G2, [(3, 2)], max_dim=10)
+
+
 def test_omega_pair_eigenvalues_spin_half():
     # half(c_nu - c_lam - c_mu) over the CG channels: 1/2 (mult 3), -3/2
     sys = tensor_system(A1, ((1,), (1,)))
