@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import (ConstructionError, InvalidAlgebraError,
                      NonDominantWeightError, ValidationError, require_int)
-from .exact import invert_rows
+from .exact import SRMatrix, nullspace
 
 # dual Coxeter numbers and algebra dimensions, used as hard cross-checks on
 # the constructed root systems
@@ -196,8 +196,10 @@ def build_algebra(series, rank):
 
     cartan = _cartan_matrix(series, rank)
     d = _symmetrizers(cartan)
-    a_rows = [[Fraction(v) for v in row] for row in cartan]
-    a_inv = invert_rows(a_rows)
+    # A^-1 is the top block of the kernel of [A | -I], spanned by [A^-1; I]
+    a_inv = nullspace(SRMatrix.from_rows(
+        [list(row) + [-(i == j) for j in range(rank)]
+         for i, row in enumerate(cartan)])).to_rows()[:rank]
     # gram = D (A^{-1})^T from <w_i, a_j> = delta_ij d_j
     gram = tuple(tuple(d[i] * a_inv[j][i] for j in range(rank))
                  for i in range(rank))

@@ -199,8 +199,9 @@ def fusion_ring(alg, k):
     must be symmetric, have the vacuum as unit and be associative. For each
     lam, N[lam] @ N.reshape(m, m^2) holds the (lam mu) nu coefficients and
     N.reshape(m^2, m) @ N[lam] those of lam (mu nu). The products run in
-    float64, where m max(N)^2 < 2^53 keeps them exact: every product and
-    partial sum is a nonnegative integer no larger than the full sum. Failures
+    float64 when m max(N)^2 < 2^53, which keeps them exact: every product
+    and partial sum is a nonnegative integer no larger than the full sum.
+    Otherwise the same products run on Python ints (dtype object). Failures
     name the first weights in sorted order.
     """
     k = require_int(k, "level", 1)
@@ -241,9 +242,7 @@ def fusion_ring(alg, k):
 
     require(N == N.transpose(1, 0, 2), "fusion not symmetric at ({}, {})")
     require(N[:, 0] == np.eye(m, dtype=N.dtype), "vacuum not a unit at {}")
-    if m * int(N.max()) ** 2 >= 2 ** 53:
-        raise FusionValidationError("fusion coefficients exceed float64")
-    F = N.astype(np.float64)
+    F = N.astype(float if m * int(N.max()) ** 2 < 2 ** 53 else object)
     for a, lam in enumerate(weights):
         left = F[a] @ F.reshape(m, m * m)
         right = F.reshape(m * m, m) @ F[a]

@@ -20,7 +20,8 @@ Manifest keys (complex numbers as [re, im] pairs):
     }
 
 tol is the transport tolerance (default 1e-10) and compare_tol the
-comparison tolerance for residuals and oracle matches (default 1e-8). The
+comparison tolerance for residuals and oracle matches (default 1e-8),
+both finite positive JSON numbers (a boolean or a string is refused). The
 rank, level, weight labels, max_dim and at_infinity are JSON integers; a
 float or boolean there is a validation error, never truncated. The checks
 are the library's own `require_int`, so a manifest and a library call
@@ -108,11 +109,13 @@ def _manifest_system(doc):
 
 
 def _tolerances(doc):
-    try:
-        return (float(doc.get("tol", DEFAULT_TOL)),
-                float(doc.get("compare_tol", DEFAULT_BLOCK_TOL)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad manifest tolerance: {exc}") from exc
+    tol, compare_tol = tols = (doc.get("tol", DEFAULT_TOL),
+                               doc.get("compare_tol", DEFAULT_BLOCK_TOL))
+    if not all(type(t) in (int, float) and 0 < t <= sys.float_info.max
+               for t in tols):
+        raise ValidationError("tol and compare_tol must be finite positive "
+                              f"numbers, not {tol!r} and {compare_tol!r}")
+    return float(tol), float(compare_tol)
 
 
 def _out_dir(args):

@@ -216,30 +216,29 @@ def _kohno_residual(omega, relations):
 
 
 def _restricted_residual(omega, relations):
-    """`_kohno_residual` of the restricted Omega, as float64 BLAS products.
+    """`_kohno_residual` of the restricted Omega, as dense array products.
 
-    The matrices are D*Omega as in `_kohno_residual`, held as dense
-    float64 arrays built from the exact values on every call. Let A be
-    their largest |entry|, d their size and q the largest number of
-    summands of a relation. Each entry of (D Omega_p)(sum_q D Omega_q) is
-    a sum of d integer products of size at most q A^2, so if
-    2 d q A^2 < 2^53 every product, every partial sum in any order, and
-    the difference of the two products is an integer below 2^53, which
-    float64 holds exactly: the result is exact whatever the BLAS
+    The matrices are D*Omega as in `_kohno_residual`, stacked as one dense
+    array built from the exact values on every call. Let A be their
+    largest |entry|, d their size and q the largest number of summands of
+    a relation. Each entry of (D Omega_p)(sum_q D Omega_q) is a sum of d
+    integer products of size at most q A^2, so if 2 d q A^2 < 2^53 every
+    product, every partial sum in any order, and the difference of the two
+    products is an integer below 2^53, which float64 holds exactly: the
+    array is float64 and the products run in BLAS, exact whatever its
     summation order and with or without fused multiply-adds. When the
-    bound fails, the sparse Python-int products run instead.
+    bound fails the array holds Python ints (dtype object), and the same
+    products run exactly on them.
     """
     if not relations:
         return Fraction(0)
     denom, mats = integral(omega.values())
-    ints = dict(zip(omega, mats))
     d = mats[0].nrows
     big = max((abs(v) for m in mats for v in m.data.values()), default=0)
     size = max(len(qs) for _p, qs in relations)
-    if 2 * d * size * big * big >= 2 ** 53:
-        return Fraction(_commutator_max(ints, relations), denom * denom)
+    exact = 2 * d * size * big * big < 2 ** 53
     index = {p: t for t, p in enumerate(omega)}
-    stack = np.zeros((len(mats), d, d))
+    stack = np.zeros((len(mats), d, d), dtype=float if exact else object)
     for t, m in enumerate(mats):
         for (r, c), v in m.data.items():
             stack[t, r, c] = v
@@ -247,11 +246,11 @@ def _restricted_residual(omega, relations):
     for p, qs in relations:
         rests.setdefault(index[p], []).append(
             sum(stack[index[q]] for q in qs))
-    worst = 0.0
+    worst = 0
     for t, bs in rests.items():
         a, b = stack[t], np.array(bs)
-        worst = max(worst, float(np.abs(a @ b - b @ a).max(initial=0)))
-    return Fraction(int(worst), denom * denom)
+        worst = max(worst, int(np.abs(a @ b - b @ a).max(initial=0)))
+    return Fraction(worst, denom * denom)
 
 
 def _kohno_relations(n):

@@ -12,11 +12,14 @@ entry of that unique reduced form into Q or Q(i) once, so `Fraction`/`QQi`
 values appear only where data enters and leaves; a caller whose data stays
 integral (module construction) reads the integral rows D E_t directly.
 Data already over Z or Z[i] (an image computed from integer-scaled
-matrices; see `integral`) enters elimination as it is. Every exact solve
-reads that form, the one `nullspace` (the joint kernel of sparse blocks)
-included; a nullspace basis is the identity on its free coordinates, so
-restriction to its span is a row selection, and it holds one value type:
-`QQi` over Q(i), `Fraction` over Q. No floats enter this module.
+matrices; see `integral`) enters elimination as it is. The one exact solve
+reads that form: `nullspace`, the joint kernel of sparse blocks. Its basis
+is the identity on its free coordinates, so restriction to its span is a
+row selection, and it holds one value type: `QQi` over Q(i), `Fraction`
+over Q. A rank is the column count minus the kernel's, and an inverse is
+a kernel too: for nonsingular A the kernel of [A | -I] is spanned by
+[A^-1; I], with its unit coordinates on the I block. No floats enter this
+module.
 """
 
 from __future__ import annotations
@@ -428,22 +431,21 @@ def _lift(v):
     return QQi(v.real, v.imag) if type(v) is ZZi else Fraction(v)
 
 
-def bareiss_echelon(rows, ncols, width=None):
+def bareiss_echelon(rows, ncols):
     """Fraction-free row echelon form of integral rows, in place.
 
     Entries must be all int or all `ZZi` (as `_clear_denominators` returns
     them); anything else raises TypeError, since `//` on a non-integral
-    value would silently floor. Pivots are searched in the first `ncols`
-    columns; the update runs out to `width` (defaults to ncols) so augmented
-    systems eliminate correctly. Returns the list of pivot (row, col) pairs.
-    Every `//` is exact by Sylvester's identity, so entries stay integral.
+    value would silently floor. Every row holds `ncols` entries, and pivots
+    are searched in all of them. Returns the list of pivot (row, col)
+    pairs. Every `//` is exact by Sylvester's identity, so entries stay
+    integral.
     """
     kinds = {type(v) for row in rows for v in row}
     if not (kinds <= {int} or kinds <= {ZZi}):
         raise TypeError("bareiss_echelon needs all-int or all-ZZi entries, "
                         f"got {sorted(k.__name__ for k in kinds)}")
     nrows = len(rows)
-    width = ncols if width is None else width
     pivots = []
     prev = 1
     r = 0
@@ -463,11 +465,11 @@ def bareiss_echelon(rows, ncols, width=None):
             ri = rows[i]
             head = ri[c]
             if head:
-                for j in range(c + 1, width):
+                for j in range(c + 1, ncols):
                     ri[j] = (piv * ri[j] - head * rr[j]) // prev
                 ri[c] = head - head     # the zero of the same ring
             elif prev != piv:
-                for j in range(c + 1, width):
+                for j in range(c + 1, ncols):
                     if ri[j]:
                         ri[j] = (piv * ri[j]) // prev
         pivots.append((r, c))
@@ -478,7 +480,7 @@ def bareiss_echelon(rows, ncols, width=None):
     return pivots
 
 
-def integral_echelon(rows, ncols, width=None):
+def integral_echelon(rows, ncols):
     """The reduced echelon form of `reduced_echelon` before its lift.
 
     Returns the pivot columns, D and the integral rows S_t = D E_t (ints
@@ -493,9 +495,8 @@ def integral_echelon(rows, ncols, width=None):
         S_t = (D R_t - sum_{t' > t} R_t[c_t'] S_t') // p_t,
     an exact division.
     """
-    width = ncols if width is None else width
     work = _clear_denominators(rows)
-    pivots = [c for (_r, c) in bareiss_echelon(work, ncols, width)]
+    pivots = [c for (_r, c) in bareiss_echelon(work, ncols)]
     if not pivots:
         return pivots, 1, []
     det = work[len(pivots) - 1][pivots[-1]]
@@ -504,7 +505,7 @@ def integral_echelon(rows, ncols, width=None):
     for t in range(len(pivots) - 1, -1, -1):
         c = pivots[t]
         bareiss_row = work[t]
-        row = [det * v if v else v for v in bareiss_row[:width]]
+        row = [det * v if v else v for v in bareiss_row]
         for c2, entries in later:
             f = bareiss_row[c2]
             if f:
@@ -513,21 +514,20 @@ def integral_echelon(rows, ncols, width=None):
                     row[j] = row[j] - f * v
         piv = bareiss_row[c]
         row = reduced[t] = [v // piv if v else v for v in row]
-        later.append((c, [(j, row[j]) for j in range(c + 1, width)
+        later.append((c, [(j, row[j]) for j in range(c + 1, ncols)
                           if row[j]]))
     return pivots, det, reduced
 
 
-def reduced_echelon(rows, ncols, width=None):
+def reduced_echelon(rows, ncols):
     """Reduced row echelon form of dense rows over Q or Q(i), exactly.
 
     `bareiss_echelon` on the cleared rows, then one back-substitution on
-    the same integers (`integral_echelon`). Returns the pivot columns
-    (searched in the first ncols) and their rows out to `width` as
-    `Fraction`/`QQi` values: 1 at their own pivot, 0 at every other one.
-    Each entry is lifted once, as S_t[j] / D.
+    the same integers (`integral_echelon`). Returns the pivot columns and
+    their rows as `Fraction`/`QQi` values: 1 at their own pivot, 0 at
+    every other one. Each entry is lifted once, as S_t[j] / D.
     """
-    pivots, det, integral_rows = integral_echelon(rows, ncols, width)
+    pivots, det, integral_rows = integral_echelon(rows, ncols)
     lifted_det = _lift(det)
     return pivots, [[_lift(v) / lifted_det if v else _lift(v) for v in row]
                     for row in integral_rows]
@@ -563,26 +563,4 @@ def nullspace(*mats):
             if row[fc]:
                 out.data[(c, j)] = -row[fc]
     return out
-
-
-def rank_rows(rows, ncols):
-    work = _clear_denominators(rows)
-    return len(bareiss_echelon(work, ncols))
-
-
-def solve_rows(a_rows, b_rows):
-    """Solve A X = B for square nonsingular A, all dense rows, exactly."""
-    n = len(a_rows)
-    m = len(b_rows[0]) if b_rows else 0
-    pivots, reduced = reduced_echelon(
-        [list(a_rows[i]) + list(b_rows[i]) for i in range(n)], n, n + m)
-    if len(pivots) != n:
-        raise ValueError("singular system")
-    return [row[n:] for row in reduced]
-
-
-def invert_rows(a_rows):
-    n = len(a_rows)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return solve_rows(a_rows, eye)
 

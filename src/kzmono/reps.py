@@ -8,7 +8,8 @@ the Gram matrix of the contravariant form on the candidates and, for a kept
 candidate, as its raising column. One reduced echelon form of that Gram
 matrix picks a basis and expresses every dependent candidate through it,
 which quotients out the radical and lands exactly on the irreducible module.
-Dimensions are cross-checked against the Weyl dimension formula.
+The Weyl dimension bounds the basis as it grows and must equal its final
+size, so a defective echelon step stops the construction at once.
 
 The construction runs on integers. Every basis vector is a lowering
 monomial f_{j_m} ... f_{j_1} v_lam of Chevalley generators, and lam is
@@ -119,6 +120,7 @@ def _construct(alg, lam):
     """
     rank = alg.rank
     alpha = alg.cartan                 # row i: Dynkin labels of a_i
+    expected = la.weyl_dimension(alg, lam)
     weights = [lam]
     index_of = {lam: range(1)}         # weight -> indices of its basis
     e = [{} for _ in range(rank)]
@@ -175,6 +177,10 @@ def _construct(alg, lam):
             if not keep:
                 continue
             new = range(len(weights), len(weights) + len(keep))
+            if new.stop > expected:
+                raise ConstructionError(
+                    f"{alg.name} weight {lam}: basis outgrows the Weyl "
+                    f"dimension {expected} at weight {mu}")
             weights.extend([mu] * len(keep))
             index_of[mu] = new
             layer.append(mu)
@@ -186,6 +192,10 @@ def _construct(alg, lam):
             for b, (i, x) in enumerate(span):
                 f[i][x] = _reduced({n: row[b] for n, row in zip(new, coeff)},
                                    det)
+    if len(weights) != expected:
+        raise ConstructionError(
+            f"{alg.name} weight {lam}: constructed dimension {len(weights)} "
+            f"!= Weyl dimension {expected}")
     return weights, e, f, gram
 
 
@@ -199,11 +209,6 @@ def irrep(alg, lam):
 def _irrep(alg, lam):
     weights, e, f, gram = _construct(alg, lam)
     dim = len(weights)
-    expected = la.weyl_dimension(alg, lam)
-    if dim != expected:
-        raise ConstructionError(
-            f"{alg.name} weight {lam}: constructed dimension {dim} != "
-            f"Weyl dimension {expected}")
 
     def matrix(cols):
         return SRMatrix(dim, dim, {(r, c): Fraction(v, den)

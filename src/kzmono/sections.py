@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import build_algebra
 from .errors import NoIntertwinerError, require_int
-from .exact import SRMatrix, kron, nullspace, rank_rows
+from .exact import SRMatrix, kron, nullspace
 from .reps import irrep
 
 
@@ -85,7 +85,7 @@ def intertwiner(ss, rep):
         raise NoIntertwinerError(
             f"intertwiner space has dimension {basis.ncols}, expected 1")
     t_rows = [[basis.get(r * d + c, 0) for c in range(d)] for r in range(d)]
-    if rank_rows([list(row) for row in t_rows], d) != d:
+    if nullspace(SRMatrix.from_rows(t_rows, d)).ncols:
         raise NoIntertwinerError("intertwiner is singular")
     return t_rows
 

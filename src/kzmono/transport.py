@@ -279,10 +279,17 @@ def _ladder(method, tol):
 
 
 def require_tol(tol):
-    """Raise ValidationError unless the ladder can refine below tol."""
-    if not tol > _MIN_TOL:
+    """Raise ValidationError unless tol is finite and the ladder can refine
+    below it."""
+    if not _MIN_TOL < tol < math.inf:
         raise ValidationError(
-            f"tolerance must exceed {_MIN_TOL:g}, got {tol!r}")
+            f"tolerance must be finite and exceed {_MIN_TOL:g}, got {tol!r}")
+
+
+def _require_block_tol(block_tol):
+    if not 0 < block_tol < math.inf:
+        raise ValidationError("block tolerance must be finite and positive, "
+                              f"got {block_tol!r}")
 
 
 def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
@@ -372,6 +379,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
         raise ValidationError(f"braid generator {i} out of range for n={n}")
     if block.dim == 0:
         raise ValidationError("block subspace is zero dimensional")
+    _require_block_tol(block_tol)
     z0 = tuple(complex(p) for p in block.points)
     path = braid_path(z0, i, clockwise=clockwise)
     res = transport(form, path, tol=tol, method=method, dual=True)
@@ -430,6 +438,7 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
         if not 1 <= abs(w) <= n - 1:
             raise ValidationError(
                 f"braid letter {w} out of range for n={n}")
+    _require_block_tol(block_tol)
     cache = {}
     total = np.eye(block.dim, dtype=complex)
     worst_res = 0.0

@@ -132,10 +132,12 @@ def test_fusion_ring_rejects_corrupted_rows(monkeypatch, rows, message):
 
 def test_fusion_ring_guards_exact_float_products(monkeypatch):
     # N_((1,),(1,))^(0,) = 2^26 on A1 k=2 (m = 3) is symmetric and leaves the
-    # unit intact, but 3 * 2^52 >= 2^53: the float64 products could round
+    # unit intact, but 3 * 2^52 >= 2^53: the float64 products could round,
+    # so the associativity check runs on Python ints and still rejects it
     _corrupt_rows(monkeypatch, {((1,), (1,)): {(0,): 2 ** 26}})
-    with pytest.raises(FusionValidationError, match="exceed float64"):
+    with pytest.raises(FusionValidationError) as info:
         fusion_ring.__wrapped__(A1, 2)
+    assert str(info.value) == "fusion not associative at ((1,), (1,), (2,))"
 
 
 # sha256 of fusion_to_csv, frozen from the dict-of-dicts fusion table (F4 k=2

@@ -255,6 +255,14 @@ def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     ("fusion-table", "algebra", [["A"], 1]),
     ("blocks", "weights", [[1], 1, [1], [1]]),
     ("blocks", "weights", None),
+    ("braid", "compare_tol", float("nan")),
+    ("braid", "compare_tol", -1),
+    ("braid", "compare_tol", 0),
+    ("braid", "compare_tol", True),
+    ("braid", "tol", float("inf")),
+    ("braid", "tol", True),
+    ("braid", "tol", "1e-10"),
+    ("verify", "compare_tol", float("inf")),
 ])
 def test_malformed_manifest_field_exit_2(tmp_path, capsys, command, field,
                                          value):

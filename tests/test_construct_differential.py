@@ -130,8 +130,8 @@ def test_corrupted_lowering_columns_are_refused(monkeypatch):
     real = reps.integral_echelon
     seen = []
 
-    def corrupted(rows, ncols, width=None):
-        keep, det, out = real(rows, ncols, width)
+    def corrupted(rows, ncols):
+        keep, det, out = real(rows, ncols)
         if len(keep) > 1 and not seen:
             seen.append(det)
             det += 1
@@ -142,3 +142,25 @@ def test_corrupted_lowering_columns_are_refused(monkeypatch):
                        match=r"G2 weight \(1, 1\): Gram entry at weight "
                              r"\(0, 1\) is not an integer"):
         reps._irrep.__wrapped__(build_algebra("G", 2), (1, 1))
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
+def test_basis_outgrowing_the_weyl_dimension_is_refused(monkeypatch, lam):
+    # one more in S[0][0] of every rank-deficient Gram matrix keeps a
+    # candidate the radical should have removed; each kept vector spawns
+    # more, so without the Weyl bound the lowering never ends
+    real = reps.integral_echelon
+
+    def corrupted(rows, ncols):
+        keep, det, out = real(rows, ncols)
+        if len(keep) < ncols:
+            rows = [list(row) for row in rows]
+            rows[0][0] += 1
+            keep, det, out = real(rows, ncols)
+        return keep, det, out
+
+    monkeypatch.setattr(reps, "integral_echelon", corrupted)
+    with pytest.raises(ConstructionError,
+                       match=rf"A2 weight \({lam[0]}, {lam[1]}\): basis "
+                             r"outgrows the Weyl dimension"):
+        reps._irrep.__wrapped__(build_algebra("A", 2), lam)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, commutator,
-                          invert_rows, nullspace, rank_rows, solve_rows)
+                          nullspace)
 
 
 def random_fraction_matrix(rng, n, m, density=0.6):
@@ -106,11 +106,9 @@ def test_nullspace_matches_rank_and_annihilates():
         mat = SRMatrix.from_rows(rows, m)
         ns = nullspace(mat)
         assert (mat @ ns).is_zero()
-        r = rank_rows([list(row) for row in rows], m)
-        assert ns.ncols == m - r
         # numpy cross-check of the rank
         dense = np.array([[float(v) for v in row] for row in rows])
-        assert r == np.linalg.matrix_rank(dense)
+        assert m - ns.ncols == np.linalg.matrix_rank(dense)
 
 
 def test_nullspace_over_gaussian_rationals():
@@ -152,27 +150,3 @@ def test_nullspace_has_one_value_type_per_field():
     assert {type(v) for v in mixed.to_rows()[0][1:]} == {QQi}
     assert {type(v) for v in SRMatrix(1, 2, {(0, 0): 3}).to_rows()[0]} \
         == {int}
-
-
-def test_solve_and_invert():
-    rng = random.Random(11)
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        while True:
-            a = random_fraction_matrix(rng, n, n, density=0.9)
-            if rank_rows([list(r) for r in a], n) == n:
-                break
-        b = random_fraction_matrix(rng, n, 2)
-        x = solve_rows([list(r) for r in a], b)
-        for i in range(n):
-            for j in range(2):
-                s = sum(a[i][k] * x[k][j] for k in range(n))
-                assert s == b[i][j]
-        inv = invert_rows([list(r) for r in a])
-        for i in range(n):
-            for j in range(n):
-                s = sum(a[i][k] * inv[k][j] for k in range(n))
-                assert s == Fraction(int(i == j))
-    with pytest.raises(ValueError):
-        solve_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                   [[Fraction(1)], [Fraction(1)]])

@@ -5,11 +5,12 @@ field type after clearing denominators, Bareiss divides with `/` and the
 back-substitution runs in the field. The library clears into ints or `ZZi`
 Gaussian integers, divides with `//` and back-substitutes on the same
 integers. Every output (cleared rows, echelon form and pivots, nullspace,
-the joint nullspace of several row blocks, rank, solve) must be exactly
-equal, over Q and over Q(i), including floats converted exactly into
+the joint nullspace of several row blocks, rank) must be exactly equal,
+over Q and over Q(i), including floats converted exactly into
 coefficients of more than 700 bits. The reduced echelon form of a symmetric
 matrix must equal the reference solve on its pivot rows, the identity
-module construction relies on.
+module construction relies on, and the inverse Cartan matrix read from
+the kernel of [A | -I] must equal the reference solve A X = I.
 """
 
 import math
@@ -19,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzmono.algebra import build_algebra
+from kzmono.errors import InvalidAlgebraError
 from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators, _lift,
                           bareiss_echelon, integral_echelon, nullspace,
-                          rank_rows, reduced_echelon, solve_rows)
+                          reduced_echelon)
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -210,8 +213,7 @@ def test_nullspace_and_rank_match_reference(entries, data):
     ref = ref_nullspace_rows(copy(rows), ncols)
     assert cols == SRMatrix.from_rows(ref, ncols).transpose()
     assert_field_values([cols.data.values()])
-    assert rank_rows(copy(rows), ncols) == ref_rank_rows(copy(rows), ncols)
-    assert cols.ncols == ncols - rank_rows(copy(rows), ncols)
+    assert cols.ncols == ncols - ref_rank_rows(copy(rows), ncols)
 
 
 @DOMAINS
@@ -230,24 +232,6 @@ def test_joint_nullspace_is_the_nullspace_of_the_stacked_blocks(entries,
     assert joint == SRMatrix.from_rows(ref, ncols).transpose()
     for block in blocks:
         assert (block @ joint).is_zero()
-
-
-@DOMAINS
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_solve_matches_reference(entries, data):
-    n = data.draw(st.integers(1, 5))
-    a_rows, _ = data.draw(matrices(entries, min_rows=n, max_dim=n, ncols=n))
-    b_rows, _ = data.draw(matrices(entries, min_rows=n, max_dim=n))
-    try:
-        expect = ref_solve_rows(copy(a_rows), copy(b_rows))
-    except ValueError:
-        with pytest.raises(ValueError):
-            solve_rows(copy(a_rows), copy(b_rows))
-        return
-    x = solve_rows(copy(a_rows), copy(b_rows))
-    assert x == expect
-    assert_field_values(x)
 
 
 @DOMAINS
@@ -277,6 +261,28 @@ def test_reduced_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
     assert all(type(v) in (int, ZZi) for row in integral_rows for v in row)
     assert [[_lift(v) for v in row] for row in integral_rows] == \
         [[x * _lift(det) for x in row] for row in reduced]
+
+
+def supported_types(max_rank):
+    for series in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                build_algebra(series, rank)
+            except InvalidAlgebraError:
+                continue
+            yield series, rank
+
+
+@pytest.mark.parametrize("series, rank", list(supported_types(8)))
+def test_cartan_inverse_is_the_reference_solve(series, rank):
+    alg = build_algebra(series, rank)
+    a = [[Fraction(v) for v in row] for row in alg.cartan]
+    eye = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    inv = [list(row) for row in alg.cartan_inverse]
+    assert inv == ref_solve_rows(a, eye)
+    assert {type(v) for row in inv for v in row} == {Fraction}
+    assert [[sum(a[i][k] * inv[k][j] for k in range(rank))
+             for j in range(rank)] for i in range(rank)] == eye
 
 
 @settings(max_examples=20, deadline=None)

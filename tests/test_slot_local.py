@@ -169,7 +169,8 @@ def ref_restrict(op, basis):
     lhs = basis.submatrix_rows(sel).to_rows()
     rhs = (op @ basis).submatrix_rows(sel).to_rows()
     aug = _clear_denominators([a + b for a, b in zip(lhs, rhs)])
-    pivots = bareiss_echelon(aug, n, width=2 * n)
+    # lhs is nonsingular, so all n pivots fall in its n columns
+    pivots = bareiss_echelon(aug, 2 * n)
     assert len(pivots) == n
     x = [[None] * n for _ in range(n)]
     for (r, c) in reversed(pivots):

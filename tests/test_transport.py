@@ -16,7 +16,8 @@ from kzmono.transport import (braid_generator, braid_path,
                               constant_path, magnus_fixed_steps,
                               monodromy_to_json, parse_braid_word,
                               projective_compare, reparametrize,
-                              reverse_path, rotation_path, transport)
+                              require_tol, reverse_path, rotation_path,
+                              transport)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -359,6 +360,20 @@ def test_braid_generator_residual_rejection():
     block = block_subspace(sys, 1, Z4)
     with pytest.raises(TransportError):
         braid_generator(form, block, 1, tol=1e-4, block_tol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(form_k2, block_k2, bad):
+    # refused before any integration, so no numpy warning is raised either
+    with pytest.raises(ValidationError, match="finite"):
+        require_tol(bad)
+    with pytest.raises(ValidationError, match="finite"):
+        transport(form_k2, braid_path(Z4, 1), tol=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        braid_generator(form_k2, block_k2, 1, block_tol=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        braid_word_transport(form_k2, block_k2, "", block_tol=bad)
 
 
 def test_monodromy_json(form_k2, block_k2):
