@@ -16,10 +16,16 @@ denominator), on the full tensor space and restricted to the invariants.
 Every total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
 full-space check reduces to the three relations of each distinct weight
 triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it. The
-restricted commutators are small and dense, so they run as float64 BLAS
-products on the integer matrices, under an a-priori bound (2 d q A^2 <
-2^53, see `_restricted_residual`) that makes every product and partial sum
-an exactly held integer; past the bound they run on Python ints.
+basis of V_a (x) V_b (x) V_c is partitioned into its total-weight blocks,
+joined wherever a stored local entry runs between two of them, so every
+Omega, and every commutator of them, is block diagonal over the
+partition and the largest entry is the largest over the blocks
+(`_triple_residual`); weight-preserving Omega join none. Both checks then
+run as dense products on integer matrices: as float64 BLAS products under
+an a-priori bound (2 s q A^2 < 2^53 for size s, q summands and largest
+entry A, see `_exact_dtype`) that makes every product and partial sum an
+exactly held integer, and on Python ints past the bound. Only a block too
+large to hold densely runs as sparse products on Python ints.
 
 Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
@@ -193,55 +199,67 @@ class FlatnessReport:
         return self.max_abs_full == 0 and self.max_abs_restricted == 0
 
 
-def _commutator_max(ints, relations):
-    """Largest |[A_p, sum_q A_q]| over the relations, as an int, for
-    integer SRMatrix values A (sparse products on Python ints)."""
-    worst = 0
-    for p, qs in relations:
-        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
-        worst = max(worst, commutator(ints[p], rest).max_abs())
-    return worst
-
-
 def _kohno_residual(omega, relations):
     """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
 
     The commutators run on the integer matrices D*Omega, with D the lcm of
     all entry denominators in `omega`; [D A, D B] = D^2 [A, B], so the
     largest integer residual divided by D^2 is the exact rational one.
+    Sparse products on Python ints: this route serves only an altered
+    `KZForm.omega_full`.
     """
     denom, mats = integral(omega.values())
-    return Fraction(_commutator_max(dict(zip(omega, mats)), relations),
-                    denom * denom)
+    ints = dict(zip(omega, mats))
+    worst = 0
+    for p, qs in relations:
+        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
+        worst = max(worst, commutator(ints[p], rest).max_abs())
+    return Fraction(worst, denom * denom)
+
+
+def _exact_dtype(size, summands, big):
+    """The array dtype under which [A_p, sum_q A_q] is computed exactly.
+
+    A_p and the A_q are size x size integer matrices with |entries| at
+    most `big`, and each relation has at most `summands` terms A_q. Each
+    entry of A_p (sum_q A_q) is a sum of `size` integer products of size
+    at most summands * big^2, so if 2 size summands big^2 < 2^53 every
+    product, every partial sum in any order, and the difference of the two
+    products is an integer below 2^53, which float64 holds exactly: the
+    dtype is float64 and the products run in BLAS, exact whatever its
+    summation order and with or without fused multiply-adds. When the
+    bound fails it is `object` (Python ints), and the same products run
+    exactly on them.
+    """
+    return float if 2 * size * summands * big * big < 2 ** 53 else object
+
+
+def _dense(m, dtype):
+    """An integer SRMatrix as a dense array of the given dtype."""
+    out = np.zeros((m.nrows, m.ncols), dtype=dtype)
+    if m.data:
+        r, c = np.array(list(m.data), dtype=np.intp).T
+        out[r, c] = list(m.data.values())
+    return out
 
 
 def _restricted_residual(omega, relations):
     """`_kohno_residual` of the restricted Omega, as dense array products.
 
     The matrices are D*Omega as in `_kohno_residual`, stacked as one dense
-    array built from the exact values on every call. Let A be their
-    largest |entry|, d their size and q the largest number of summands of
-    a relation. Each entry of (D Omega_p)(sum_q D Omega_q) is a sum of d
-    integer products of size at most q A^2, so if 2 d q A^2 < 2^53 every
-    product, every partial sum in any order, and the difference of the two
-    products is an integer below 2^53, which float64 holds exactly: the
-    array is float64 and the products run in BLAS, exact whatever its
-    summation order and with or without fused multiply-adds. When the
-    bound fails the array holds Python ints (dtype object), and the same
-    products run exactly on them.
+    array built from the exact values on every call, in the dtype that
+    `_exact_dtype` picks for their size d, largest |entry| A and largest
+    relation length q (float64 while 2 d q A^2 < 2^53, else Python ints);
+    the same products run either way.
     """
     if not relations:
         return Fraction(0)
     denom, mats = integral(omega.values())
-    d = mats[0].nrows
     big = max((abs(v) for m in mats for v in m.data.values()), default=0)
     size = max(len(qs) for _p, qs in relations)
-    exact = 2 * d * size * big * big < 2 ** 53
+    dtype = _exact_dtype(mats[0].nrows, size, big)
+    stack = np.array([_dense(m, dtype) for m in mats])
     index = {p: t for t, p in enumerate(omega)}
-    stack = np.zeros((len(mats), d, d), dtype=float if exact else object)
-    for t, m in enumerate(mats):
-        for (r, c), v in m.data.items():
-            stack[t, r, c] = v
     rests = {}      # per left matrix, its relations' right sums
     for p, qs in relations:
         rests.setdefault(index[p], []).append(
@@ -268,35 +286,160 @@ def _kohno_relations(n):
     return relations
 
 
+_TRIPLE_PAIRS = ((0, 1), (0, 2), (1, 2))
+_BATCH = 1 << 18        # entries of one stack of dense blocks
+_DENSE_MAX = 1024       # largest block taken as dense products
+
+
+def _join(label, rows, cols):
+    """Class ids 0, 1, ... of the classes of `label` joined wherever an
+    edge (rows[e], cols[e]) runs between two of them (union-find over
+    the classes, in the order of their smallest old id)."""
+    a, b = label[rows], label[cols]
+    cross = a != b
+    if not cross.any():
+        return label
+    parent = list(range(int(label.max()) + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in set(zip(a[cross].tolist(), b[cross].tolist())):
+        x, y = find(x), find(y)
+        parent[max(x, y)] = min(x, y)
+    roots = np.array([find(x) for x in range(len(parent))])
+    ids = np.cumsum(roots == np.arange(len(roots))) - 1
+    return ids[roots][label]
+
+
+def _sparse_block_residual(s, which, rows, cols, vals):
+    """The `_triple_residual` of one s x s block from its stored entries
+    (Omega index, row, column, value), as sparse products on Python ints."""
+    omega = [SRMatrix(s, s) for _ in _TRIPLE_PAIRS]
+    for t, r, c, v in zip(which.tolist(), rows.tolist(), cols.tolist(),
+                          vals.tolist()):
+        omega[t].data[r, c] = int(v)
+    rest = (omega[1] + omega[2], omega[0] + omega[2], omega[0] + omega[1])
+    return max(commutator(a, b).max_abs() for a, b in zip(omega, rest))
+
+
+def _triple_residual(mats, weights):
+    """Largest |[Omega_p, Omega_q + Omega_r]| on V_a (x) V_b (x) V_c, an int.
+
+    `mats` are the integer local matrices of the slot pairs (0, 1), (0, 2)
+    and (1, 2), the first slot index major, and weights[s] lists the basis
+    weights of slot s; {p, q, r} runs over the three pairs, so these are
+    the three Kohno relations of three slots. Omega^{01} is
+    L01[ab, a'b'] [c = c'], and likewise for the other two.
+
+    The basis is partitioned into its total-weight blocks, joined wherever
+    a stored entry of some Omega runs between two of them. Every Omega is
+    then block diagonal over the partition, hence so is every commutator
+    of them, and the largest |entry| of the residual is the largest over
+    the blocks. A weight-preserving Omega joins no blocks; a corrupted one
+    joins only the blocks its stray entries connect, and the residual is
+    still exact. Each stored entry of L_ij is scattered, for every digit
+    of the third slot, straight to its block and position, so no array is
+    larger than the blocks. A block of size 1 has a zero commutator and
+    is skipped; blocks of one size s run as a (blocks, s, s) stack of
+    dense products, in the dtype `_exact_dtype` picks for the largest
+    block, a few at a time so that a stack holds at most _BATCH entries.
+    A block above _DENSE_MAX runs as sparse products on Python ints.
+    """
+    dims = [len(w) for w in weights]
+    strides = (dims[1] * dims[2], dims[2], 1)
+    wts = [np.array(w, dtype=np.int64).reshape(len(w), -1) for w in weights]
+    digits = np.indices(dims).reshape(3, -1)
+    total = wts[0][digits[0]] + wts[1][digits[1]] + wts[2][digits[2]]
+    order = np.lexsort(total.T)
+    label = np.empty(len(order), dtype=np.intp)
+    label[order] = np.cumsum(np.concatenate(
+        ([0], np.diff(total[order], axis=0).any(axis=1))))
+    # stored entries (which Omega, row, column, value) on the triple space
+    which, rows, cols = ([np.zeros(0, dtype=np.intp)] for _ in range(3))
+    vals = [np.zeros(0, dtype=object)]
+    for t, ((i, j), k) in enumerate(zip(_TRIPLE_PAIRS, (2, 1, 0))):
+        if not mats[t].data:
+            continue
+        rc = np.array(list(mats[t].data), dtype=np.intp)
+        lifted = ((rc // dims[j]) * strides[i] + (rc % dims[j]) * strides[j])
+        lifted = lifted[..., None] + np.arange(dims[k]) * strides[k]
+        rows.append(lifted[:, 0].ravel())
+        cols.append(lifted[:, 1].ravel())
+        which.append(np.full(rows[-1].size, t))
+        vals.append(np.repeat(np.array(list(mats[t].data.values()),
+                                       dtype=object), dims[k]))
+    big = max((abs(v) for m in mats for v in m.data.values()), default=0)
+    which, rows, cols, vals = map(np.concatenate, (which, rows, cols, vals))
+    label = _join(label, rows, cols)
+    sizes = np.bincount(label)
+    dtype = _exact_dtype(int(sizes.max()), 2, big)
+    # blocks ranked by size, and each basis vector's position in its block
+    rank = np.empty_like(sizes)
+    rank[np.argsort(sizes, kind="stable")] = np.arange(len(sizes))
+    members = np.argsort(label, kind="stable")
+    pos = np.empty_like(label)
+    pos[members] = np.arange(len(label)) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    key = rank[label[rows]]
+    keep = np.argsort(key, kind="stable")
+    key, which, vals = key[keep], which[keep], vals[keep]
+    rows, cols = pos[rows[keep]], pos[cols[keep]]
+    if dtype is float:
+        vals = vals.astype(float)
+    ranked = np.sort(sizes)
+    worst = 0
+    for s in sorted(set(ranked[ranked > 1].tolist())):
+        first, stop = np.searchsorted(ranked, (s, s + 1))
+        step = max(1, _BATCH // (s * s)) if s <= _DENSE_MAX else 1
+        for lo in range(first, stop, step):
+            hi = min(lo + step, stop)
+            e = slice(*np.searchsorted(key, (lo, hi)))
+            if e.start == e.stop:
+                continue
+            if s > _DENSE_MAX:
+                worst = max(worst, _sparse_block_residual(
+                    s, which[e], rows[e], cols[e], vals[e]))
+                continue
+            omega = np.zeros((3, hi - lo, s, s), dtype=dtype)
+            omega[which[e], key[e] - lo, rows[e], cols[e]] = vals[e]
+            rest = omega[[1, 0, 0]] + omega[[2, 2, 1]]
+            worst = max(worst,
+                        int(np.abs(omega @ rest - rest @ omega).max()))
+    return worst
+
+
 def _full_residual(form, relations):
     """Full-space Kohno residual, from V_a (x) V_b (x) V_c per slot triple.
 
-    Every total-space Omega^{ij} is `apply_local` of one local matrix, so
-    Omega^{ij} and Omega^{kl} on disjoint slots commute, and the three
-    relations of slots a < b < c are iota(R), R their residual on the
-    three-factor system (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on
-    the other slots) an injective algebra map that keeps every entry, so
+    Every total-space Omega^{ij} embeds one local matrix, so Omega^{ij}
+    and Omega^{kl} on disjoint slots commute, and the three relations of
+    slots a < b < c are iota(R), R their residual on the three-factor
+    space of weights (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on the
+    other slots) an injective algebra map that keeps every entry, so
     max |iota(R)| = max |R|. Each distinct weight triple is checked once,
-    on the three local matrices scaled by their common denominator D and
-    embedded as integers (sparse Python-int products; the three-factor
-    space can be large). If `omega_full` was built and no longer matches
-    the local data, the relations run on it as given.
+    on the three local matrices scaled by their common denominator D, as
+    dense exact products over the total-weight blocks of the three-factor
+    space, joined where a stored entry connects two (`_triple_residual`).
+    If `omega_full` was built and no longer matches the local data, the
+    relations run on it as given.
     """
     system = form.system
     built = form.__dict__.get("omega_full")
     if built is not None and any(built[p] != system.omega_pair(*p)
                                  for p in form.pairs):
         return _kohno_residual(built, relations)
-    pairs = list(itertools.combinations(range(3), 2))
-    local = _kohno_relations(3)
+    triples = {}
+    for t in itertools.combinations(range(form.n), 3):
+        triples.setdefault(tuple(system.weights[s] for s in t), t)
     worst = Fraction(0)
-    for ws in {tuple(system.weights[s] for s in t)
-               for t in itertools.combinations(range(form.n), 3)}:
-        sub = reps.TensorSystem(system.alg, ws, max_dim=system.total_dim)
+    for ws, t in triples.items():
         denom, mats = integral(reps.local_omega(system.alg, ws[i], ws[j])
-                               for i, j in pairs)
-        omega = {p: sub.apply_local(p, m) for p, m in zip(pairs, mats)}
-        worst = max(worst, Fraction(_commutator_max(omega, local),
+                               for i, j in _TRIPLE_PAIRS)
+        weights = [system.factors[s].basis_weights for s in t]
+        worst = max(worst, Fraction(_triple_residual(mats, weights),
                                     denom * denom))
     return worst
 
@@ -307,16 +450,16 @@ def flatness_check(form):
     Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
     disjoint pairs, then every triple (i, j, k). On the invariants the
     list runs on the restricted Omega^{ij}; on the full tensor space it is
-    reduced to one three-factor system per weight triple
+    reduced to one three-factor space per weight triple and, within it, to
+    its total-weight blocks, joined where an entry connects two
     (`_full_residual`), so no total-space Omega is built. Each residual
     scales its matrices by one common denominator D into integer matrices
     and divides the integer residual by D^2; since [D A, D B] = D^2 [A, B]
     this is the same exact rational residual, with no gcd paid per
-    product. The restricted products run in float64 where a bound makes
-    them exact (`_restricted_residual`). A nonzero residual can only come
-    from a defective Omega
-    assembly, so callers treat it as an internal failure, not a numerical
-    tolerance.
+    product. Both run as dense products, in float64 where a bound makes
+    them exact (`_exact_dtype`). A nonzero residual can only come from a
+    defective Omega assembly, so callers treat it as an internal failure,
+    not a numerical tolerance.
     """
     relations = _kohno_relations(form.n)
     return FlatnessReport(

@@ -377,8 +377,8 @@ class TensorSystem:
     (generators, two-slot Casimirs, swaps, the contravariant form) goes
     through the one primitive `apply_local`, which keeps it sparse; the
     restricted Omega^{ij} and slot swaps never form a total-space matrix.
-    Only `omega_pair` embeds one: on a three-factor system in the
-    full-space Kohno check, or for `KZForm.omega_full`.
+    Only `omega_pair` embeds one, for `KZForm.omega_full`; the full-space
+    Kohno check reads the local matrices directly.
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):

@@ -279,15 +279,15 @@ def _ladder(method, tol):
 
 
 def require_tol(tol):
-    """Raise ValidationError unless tol is finite and the ladder can refine
-    below it."""
-    if not _MIN_TOL < tol < math.inf:
+    """Raise ValidationError unless tol is a finite number, not a bool,
+    that the ladder can refine below."""
+    if isinstance(tol, bool) or not _MIN_TOL < tol < math.inf:
         raise ValidationError(
             f"tolerance must be finite and exceed {_MIN_TOL:g}, got {tol!r}")
 
 
 def _require_block_tol(block_tol):
-    if not 0 < block_tol < math.inf:
+    if isinstance(block_tol, bool) or not 0 < block_tol < math.inf:
         raise ValidationError("block tolerance must be finite and positive, "
                               f"got {block_tol!r}")
 
@@ -425,8 +425,10 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
     """Monodromy of a braid word on the block, letters acting left first.
 
     Requires all tensor weights equal so every generator is an endomorphism
-    of the same fibre. Letter matrices are cached and reused.
+    of the same fibre. Letter matrices are cached and reused. `tol` is
+    checked first, so an empty word refuses a bad tolerance too.
     """
+    require_tol(tol)
     letters = (parse_braid_word(word) if isinstance(word, str)
                else [require_int(w, "braid letter") for w in word])
     system = form.system

@@ -4,29 +4,37 @@ The references below are the earlier routes, kept here as test-only
 copies: `restrict_local` formed the image of the `Fraction` invariant basis
 and its witness in `Fraction` arithmetic; `block_subspace` applied
 F(z) = sum_s z_s f_theta^(s) to the basis in `QQi` arithmetic; the
-restricted Kohno residual ran sparse commutators on Python ints. The
-library restricts over Z (integral basis, integer-scaled local matrix),
-applies F over Z[i] to integer-scaled points, and runs the restricted
-commutators as float64 BLAS products under an exactness bound. Every
-output must be exactly equal, value types included.
+restricted Kohno residual ran sparse commutators on Python ints, and the
+full-space one did the same on each three-factor system, its Omega
+embedded from the local matrices. The library restricts over Z (integral
+basis, integer-scaled local matrix), applies F over Z[i] to
+integer-scaled points, and runs both Kohno residuals as float64 BLAS
+products under an exactness bound, the full-space one over the
+total-weight blocks of each three-factor space. Every output must be
+exactly equal, value types included.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 import pytest
 
+from kzmono import connection, reps
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace, highest_root_lowering
-from kzmono.connection import (_kohno_relations, _restricted_residual,
+from kzmono.connection import (_exact_dtype, _kohno_relations,
+                               _restricted_residual, _triple_residual,
                                flatness_check, kz_form)
-from kzmono.exact import QQi, SRMatrix, commutator, nullspace
-from kzmono.reps import TensorSystem, tensor_system
+from kzmono.exact import (QQi, SRMatrix, commutator, integral,
+                          nullspace)
+from kzmono.reps import TensorSystem, irrep, tensor_system
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+B2 = build_algebra("B", 2)
 C3 = build_algebra("C", 3)
 G2 = build_algebra("G", 2)
 
@@ -236,3 +244,154 @@ def test_degenerate_restricted_residuals(weights):
     relations = _kohno_relations(form.n)
     assert report.max_abs_restricted == ref_kohno_residual(form.omega_inv,
                                                            relations)
+
+
+# -- the full-space residual over weight blocks -------------------------------
+
+FULL_SYSTEMS = {
+    "G2^3": (G2, ((1, 0),) * 3, 1),
+    "G2^4": (G2, ((1, 0),) * 4, 1),
+    "B2^4": (B2, ((0, 1),) * 4, 1),
+    "A1-mixed": SYSTEMS["A1-mixed"],
+    "A2-4pt": SYSTEMS["A2-4pt"],
+    "A1^6": SYSTEMS["A1^6"],
+}
+
+
+def flip_entry(alg, lam, mu, bad):
+    """Negate the first off-diagonal entry (as test_connection does)."""
+    entry = next((rc for rc in sorted(bad.data) if rc[0] != rc[1]), None)
+    if entry is not None:
+        bad.data[entry] = -bad.data[entry]
+
+
+def move_entry(alg, lam, mu, bad):
+    """Move the first off-diagonal entry to the first column of another
+    total weight in its row: the matrix no longer preserves weight."""
+    wts = [tuple(map(sum, zip(a, b)))
+           for a in irrep(alg, lam).basis_weights
+           for b in irrep(alg, mu).basis_weights]
+    r, c = next(rc for rc in sorted(bad.data) if rc[0] != rc[1])
+    c2 = next(j for j, w in enumerate(wts) if w != wts[r])
+    bad.data[(r, c2)] = bad.data.pop((r, c))
+
+
+def corrupt_local_omega(monkeypatch, how):
+    """Make every local Omega come back corrupted by `how`, as a copy: the
+    cached matrices stay as they are."""
+    clean = reps.local_omega
+
+    def corrupted(alg, lam, mu):
+        bad = clean(alg, lam, mu).copy()
+        how(alg, lam, mu, bad)
+        return bad
+
+    monkeypatch.setattr(reps, "local_omega", corrupted)
+
+
+def block_sizes(monkeypatch):
+    """Record the size `_exact_dtype` is asked about on each call: the
+    largest block of each three-factor check of `_full_residual`."""
+    sizes = []
+    clean = connection._exact_dtype
+
+    def spy(size, summands, big):
+        sizes.append(size)
+        return clean(size, summands, big)
+
+    monkeypatch.setattr(connection, "_exact_dtype", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SYSTEMS))
+@pytest.mark.parametrize("how", [None, flip_entry, move_entry],
+                         ids=["clean", "flip", "move"])
+def test_full_residual_matches_rational_route(monkeypatch, name, how):
+    alg, weights, k = FULL_SYSTEMS[name]
+    form = kz_form(tensor_system(alg, weights), k)
+    relations = _kohno_relations(form.n)
+    spy = block_sizes(monkeypatch)
+    connection._full_residual(form, relations)
+    clean = spy[:]
+    if how is not None:
+        corrupt_local_omega(monkeypatch, how)
+    connection._full_residual(form, relations)
+    sizes = spy[len(clean):]
+    report = flatness_check(form)
+    ref = ref_full_residual(form)
+    assert report.max_abs_full == ref
+    assert type(report.max_abs_full) is type(ref) is Fraction
+    assert (ref == 0) == (how is None)
+    assert report.max_abs_restricted == 0
+    # the weight blocks are smaller than the three-factor space; a moved
+    # entry joins the blocks it connects, which stay smaller than the space
+    spaces = [irrep(alg, a).dim * irrep(alg, b).dim * irrep(alg, c).dim
+              for a, b, c in dict.fromkeys(itertools.combinations(weights,
+                                                                  3))]
+    assert len(sizes) == len(clean) == len(spaces)
+    assert all(s < space for s, space in zip(sizes, spaces))
+    if how is move_entry:
+        assert all(s >= c for s, c in zip(sizes, clean)) and sizes != clean
+    else:
+        assert sizes == clean
+
+
+@pytest.mark.parametrize("how", [None, flip_entry, move_entry],
+                         ids=["clean", "flip", "move"])
+def test_full_residual_sparse_blocks(monkeypatch, how):
+    # blocks above _DENSE_MAX run as sparse products on Python ints; with
+    # the cap at 1 every block does, and the residual is the same
+    alg, weights, k = FULL_SYSTEMS["G2^3"]
+    form = kz_form(tensor_system(alg, weights), k)
+    if how is not None:
+        corrupt_local_omega(monkeypatch, how)
+    dense = flatness_check(form)
+    monkeypatch.setattr(connection, "_DENSE_MAX", 1)
+    sparse = flatness_check(form)
+    assert sparse == dense
+    assert sparse.max_abs_full == ref_full_residual(form)
+
+
+def test_triple_residual_memory_follows_the_blocks():
+    # A1 (40) (40) (1): the local matrix on V_0 (x) V_1 is 1681 x 1681,
+    # 22.6 MB as float64, while no weight block exceeds 82; entries are
+    # scattered straight to their blocks, so no local matrix is densified
+    ws = [(40,), (40,), (1,)]
+    _denom, mats = integral(reps.local_omega(A1, ws[i], ws[j])
+                            for i, j in ((0, 1), (0, 2), (1, 2)))
+    weights = [irrep(A1, w).basis_weights for w in ws]
+    tracemalloc.start()
+    try:
+        got = _triple_residual(mats, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0
+    assert peak < 1681 * 1681 * 8 // 3
+
+
+def test_triple_bound_failure_falls_back_to_exact_integers():
+    # as test_bound_failure_falls_back_to_exact_integers, on three slots of
+    # dimensions 1, 3 and 1 and weight 0: Omega^{01} and Omega^{12} are the
+    # local matrices, Omega^{02} is 0, and 2 s q A^2 >= 2^53 for the one
+    # block of size 3; the residual a (b + b') is odd and above 2^53
+    a, b, b2 = 2 ** 26 + 1, 2 ** 26 + 2, 2 ** 26 + 1
+    l01 = SRMatrix(3, 3, {(0, 1): a, (0, 2): a})
+    l12 = SRMatrix(3, 3, {(1, 0): b, (2, 0): b2})
+    weights = [[(0,)], [(0,)] * 3, [(0,)]]
+    assert _exact_dtype(3, 2, b) is object
+    got = _triple_residual([l01, SRMatrix(1, 1), l12], weights)
+    embedded = {(0, 1): l01.map_values(Fraction),
+                (0, 2): SRMatrix(3, 3),
+                (1, 2): l12.map_values(Fraction)}
+    assert got == ref_kohno_residual(embedded, _kohno_relations(3)) \
+        == a * (b + b2)
+    assert type(got) is int
+    assert got > 2 ** 53 and got % 2
+    # the same matrices scaled down pass the bound and run in float64
+    assert _exact_dtype(3, 2, 2 ** 20) is float
+    small = _triple_residual([SRMatrix(3, 3, {(0, 1): 3, (0, 2): 3}),
+                              SRMatrix(1, 1),
+                              SRMatrix(3, 3, {(1, 0): 5, (2, 0): 4})],
+                             weights)
+    assert small == 3 * (5 + 4) and type(small) is int

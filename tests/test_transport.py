@@ -363,9 +363,11 @@ def test_braid_generator_residual_rejection():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True])
 def test_tolerances_must_be_finite_and_positive(form_k2, block_k2, bad):
-    # refused before any integration, so no numpy warning is raised either
+    # refused before any integration, so no numpy warning is raised either;
+    # True is refused although it compares as 1.0, and braid_word_transport
+    # refuses tol before it parses the word, even an empty one
     with pytest.raises(ValidationError, match="finite"):
         require_tol(bad)
     with pytest.raises(ValidationError, match="finite"):
@@ -374,6 +376,9 @@ def test_tolerances_must_be_finite_and_positive(form_k2, block_k2, bad):
         braid_generator(form_k2, block_k2, 1, block_tol=bad)
     with pytest.raises(ValidationError, match="finite"):
         braid_word_transport(form_k2, block_k2, "", block_tol=bad)
+    for word in ("", "1 x"):
+        with pytest.raises(ValidationError, match="finite"):
+            braid_word_transport(form_k2, block_k2, word, tol=bad)
 
 
 def test_monodromy_json(form_k2, block_k2):
