@@ -14,7 +14,9 @@ selection, safety factor 0.9, step factors clipped to [0.2, 10] (at most 1
 right after a rejection) and a smallest step of ten float spacings of t.
 Every arithmetic operation is the one that code makes on the flattened Y,
 in the same order, so on the same A(t) both take the same steps and return
-the same floats.
+the same floats. Beside Y(1), `dop853` returns the sum of each accepted
+step's local error pulled back through the frame, from which the caller
+forms a first-order global error estimate of the one solve.
 
 `expm` is scaling and squaring with Pade approximants (Higham, "The scaling
 and squaring method for the matrix exponential revisited", SIAM J. Matrix
@@ -169,28 +171,44 @@ def _rk_step(amats, deriv, t, y, f, h, K):
 
 
 def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, _E5) / scale
+    """Hairer's error norm of a step attempt, and its local error vector.
+
+    The local error is the fifth-order estimate h K^T E5 damped as the norm
+    damps it, by ||e5|| / sqrt(||e5||^2 + 0.01 ||e3||^2) on the fifth- and
+    third-order estimates e5, e3 divided by the scale.
+    """
+    local = np.dot(K.T, _E5)
+    err5 = local / scale
     err3 = np.dot(K.T, _E3) / scale
     err5_sq = np.linalg.norm(err5) ** 2
     err3_sq = np.linalg.norm(err3) ** 2
     if err5_sq == 0 and err3_sq == 0:
-        return 0.0
-    return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq)
-                                         * len(scale))
+        return 0.0, np.zeros_like(local)
+    error = np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq)
+                                          * len(scale))
+    damping = np.sqrt(err5_sq / (err5_sq + 0.01 * err3_sq))
+    return error, (h * damping) * local
 
 
 def dop853(amats, y0, rtol, atol):
-    """Y(1) for the linear system Y' = A(t) Y, Y(0) = y0, by DOP853.
+    """Y(1) for the linear system Y' = A(t) Y, Y(0) = y0, by DOP853, and
+    the sum of the local errors pulled back to the start.
 
-    y0 is a (d, m) array. amats(ts) returns the stack of the A(t), shape
-    (len(ts), d, d), for a 1-d array of times; it is called once for each
-    of the two evaluations of the initial step and once per step attempt.
+    y0 is an invertible (d, d) array. amats(ts) returns the stack of the
+    A(t), shape (len(ts), d, d), for a 1-d array of times; it is called once
+    for each of the two evaluations of the initial step and once per step
+    attempt. The second value is S, the sum over accepted steps of
+    Y_{k+1}^{-1} eps_k, with eps_k the step's local error (see
+    `_error_norm`) and Y_{k+1} the frame after it. Y(1) Y_{k+1}^{-1} is the
+    flow from t_{k+1} to 1, so Y(1) S is every local error carried to
+    t = 1, to first order (Hairer, Norsett, Wanner, II.3); the sums of
+    consecutive solves add up the same way.
     Raises TransportError when the step falls below ten float spacings of
     t or stops being a number (a non-finite A).
     """
     y0 = np.asarray(y0)
     if y0.size == 0:
-        return y0
+        return y0, np.zeros_like(y0)
     shape = y0.shape
 
     def deriv(a, y):
@@ -201,6 +219,7 @@ def dop853(amats, y0, rtol, atol):
     f = deriv(amats(np.zeros(1))[0], y)
     h_abs = _initial_step(amats, deriv, y, f, rtol, atol)
     K = np.empty((13, y.size), dtype=y.dtype)
+    drift = np.zeros(shape, dtype=y.dtype)
     t = 0.0
     while t < 1.0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -217,7 +236,7 @@ def dop853(amats, y0, rtol, atol):
             h = t_new - t
             y_new, f_new = _rk_step(amats, deriv, t, y, f, h, K)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _error_norm(K, h, scale)
+            error, local = _error_norm(K, h, scale)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(
                     _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
@@ -225,8 +244,9 @@ def dop853(amats, y0, rtol, atol):
                 break
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
+        drift += np.linalg.solve(y_new.reshape(shape), local.reshape(shape))
         t, y, f = t_new, y_new, f_new
-    return y.reshape(shape)
+    return y.reshape(shape), drift
 
 
 # Pade degrees m with the largest 1-norm theta_m at which the [m/m]

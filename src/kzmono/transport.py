@@ -11,14 +11,19 @@ most 256 steps: one evaluation of A(t) at the chunk's 512 Gauss nodes, and
 one Pade scaling-and-squaring call on the chunk's stack of step cores, so
 its memory stays O(256 d^2) at any step count.
 
-Each path is integrated along one ladder of resolutions, every rung once.
-DOP853 runs two rungs, rtol = tol and then max(tol/100, 1e-13), and returns
-the second; its tolerance is local, so no stop rule on the global move is
-trusted and both rungs always run. Magnus doubles its step count from 8 and
-stops at the first rung whose move ||cur - prev||_F is at most
-tol * max(1, ||cur||_F), failing past the step budget. The reported error
-estimate is the last rung's move. Tolerances at or below 1e-13 are rejected:
-there the ladder has no finer rung to refine onto.
+DOP853 solves each path once, at rtol = max(tol/100, 1e-13) and
+atol = rtol/100. Its tolerance bounds only the local error of a step, so
+the reported error estimate is a global one from the same run: each
+accepted step's local error eps_k (the embedded fifth-order estimate,
+damped by the third-order one as Hairer's error norm damps it) is carried
+to the end of the path by the flow, Y(1) Y_{k+1}^{-1}, and the estimate is
+||Y(1) sum_k Y_{k+1}^{-1} eps_k||_F. The frame starts as the identity, so Y
+is the fundamental matrix and the sum runs over every segment. Magnus runs
+a ladder instead: it doubles its step count from 8 and stops at the first
+rung whose move ||cur - prev||_F is at most tol * max(1, ||cur||_F),
+failing past the step budget; its estimate is the last rung's move.
+Tolerances at or below 1e-13 are rejected: there Magnus has no finer rung
+to refine onto, and DOP853 no finer rtol.
 
 Block monodromy uses the dual transport (dual=True, sections of the dual
 bundle, Y' = +A(t) Y). The block subspace is the subspace model, through the
@@ -163,7 +168,8 @@ def concat_paths(first, second):
     if first.n != second.n:
         raise ValidationError("paths have different point counts")
     gap = float(np.max(np.abs(first.end() - second.start())))
-    if gap > _CONCAT_GAP:
+    # a NaN endpoint gives a NaN gap, which compares false to any bound
+    if not gap <= _CONCAT_GAP:
         raise ValidationError(f"paths do not concatenate: endpoint gap {gap}")
     return Path(first.n, first.segments + second.segments)
 
@@ -251,7 +257,8 @@ def _solve_segment_magnus(afun, y0, steps, sign):
             - (math.sqrt(3) * h * h / 12) * (a1 @ a2 - a2 @ a1)
         for factor in expm(cores):
             y = factor @ y
-    return y
+    # Magnus estimates its error from its ladder, not from its steps
+    return y, 0.0
 
 
 _SEGMENT_SOLVERS = {"adaptive": _solve_segment_adaptive,
@@ -259,17 +266,20 @@ _SEGMENT_SOLVERS = {"adaptive": _solve_segment_adaptive,
 
 
 def _run_path(form, path, resolution, method, floor, sign):
-    """One rung: every segment at one resolution (rtol or step count)."""
+    """Every segment at one resolution (rtol or step count): Y(1) and the
+    sum S of DOP853's pulled-back local errors (0 for Magnus)."""
     solve = _SEGMENT_SOLVERS[method]
     y = np.eye(form.dim, dtype=complex)
+    drift = 0.0
     for seg in path.segments:
-        y = solve(_FormOnPath(form, seg, floor), y, resolution, sign)
-    return y
+        y, seg_drift = solve(_FormOnPath(form, seg, floor), y, resolution,
+                             sign)
+        drift = drift + seg_drift
+    return y, drift
 
 
-def _ladder(method, tol):
-    if method == "adaptive":
-        return (tol, max(tol * 1e-2, _MIN_TOL))
+def _ladder():
+    """The Magnus step counts: 8, 16, 32, ... up to the step budget."""
     steps = 8
     rungs = []
     while steps <= _MAGNUS_MAX_STEPS:
@@ -286,10 +296,10 @@ def require_tol(tol):
             f"tolerance must be finite and exceed {_MIN_TOL:g}, got {tol!r}")
 
 
-def _require_block_tol(block_tol):
-    if isinstance(block_tol, bool) or not 0 < block_tol < math.inf:
-        raise ValidationError("block tolerance must be finite and positive, "
-                              f"got {block_tol!r}")
+def _require_positive(value, what):
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValidationError(
+            f"{what} must be finite and positive, got {value!r}")
 
 
 def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
@@ -300,12 +310,17 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
     structure of the block subspaces; the default transports sections
     (Y' = -A Y), the one the rotation-scalar oracle pins down.
 
-    The path is solved once per rung of a refinement ladder (see the module
-    docstring): DOP853 at rtol tol and then max(tol/100, 1e-13), Magnus at
-    8, 16, 32, ... steps until the Frobenius move between consecutive rungs
-    is at most tol * max(1, ||matrix||_F). The returned matrix is the last
-    rung and est_error is its move. tol must exceed 1e-13; Magnus raises
-    TransportError when its step budget runs out first.
+    DOP853 solves the path once at rtol max(tol/100, 1e-13), and est_error
+    is the first-order global error of that solve: every accepted step's
+    local error carried to the end of the path by the flow (see the module
+    docstring). Magnus solves it at 8, 16, 32, ... steps until the
+    Frobenius move between consecutive rungs is at most
+    tol * max(1, ||matrix||_F); the matrix is the last rung and est_error
+    its move. tol must exceed 1e-13. min_separation, finite and positive,
+    sets the pole guard: two of the form's points closer than
+    min_separation times the smallest pair distance at the start raise
+    PathSingularError. Magnus raises TransportError when its step budget
+    runs out first.
     """
     require_tol(tol)
     if method not in _SEGMENT_SOLVERS:
@@ -313,16 +328,21 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
     if path.n != form.n:
         raise ValidationError(
             f"path has {path.n} points, form expects {form.n}")
+    _require_positive(min_separation, "minimum separation")
     floor = min_separation * max(_min_separation(form, path.start()),
                                  1e-30)
     sign = 1.0 if dual else -1.0
+    if method == "adaptive":
+        y, drift = _run_path(form, path, max(tol * 1e-2, _MIN_TOL), method,
+                             floor, sign)
+        return MonodromyResult(matrix=y,
+                               est_error=float(np.linalg.norm(y @ drift)))
     prev = None
-    for resolution in _ladder(method, tol):
-        cur = _run_path(form, path, resolution, method, floor, sign)
+    for steps in _ladder():
+        cur, _ = _run_path(form, path, steps, method, floor, sign)
         if prev is not None:
             move = float(np.linalg.norm(cur - prev))
-            if method == "adaptive" or \
-                    move <= tol * max(1.0, np.linalg.norm(cur)):
+            if move <= tol * max(1.0, np.linalg.norm(cur)):
                 return MonodromyResult(matrix=cur, est_error=move)
         prev = cur
     raise TransportError(
@@ -333,7 +353,7 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
 def magnus_fixed_steps(form, path, steps, dual=False):
     """Fixed-step Magnus transport, exposed for convergence-order checks."""
     return _run_path(form, path, steps, "magnus", 1e-30,
-                     1.0 if dual else -1.0)
+                     1.0 if dual else -1.0)[0]
 
 
 def projective_compare(a, b):
@@ -379,7 +399,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
         raise ValidationError(f"braid generator {i} out of range for n={n}")
     if block.dim == 0:
         raise ValidationError("block subspace is zero dimensional")
-    _require_block_tol(block_tol)
+    _require_positive(block_tol, "block tolerance")
     z0 = tuple(complex(p) for p in block.points)
     path = braid_path(z0, i, clockwise=clockwise)
     res = transport(form, path, tol=tol, method=method, dual=True)
@@ -426,7 +446,9 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
 
     Requires all tensor weights equal so every generator is an endomorphism
     of the same fibre. Letter matrices are cached and reused. `tol` is
-    checked first, so an empty word refuses a bad tolerance too.
+    checked first, so an empty word refuses a bad tolerance too. est_error
+    sums the letters' estimates, each of the error of a transported frame;
+    it is not a bound on the error of the word's matrix in the block basis.
     """
     require_tol(tol)
     letters = (parse_braid_word(word) if isinstance(word, str)
@@ -440,7 +462,7 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
         if not 1 <= abs(w) <= n - 1:
             raise ValidationError(
                 f"braid letter {w} out of range for n={n}")
-    _require_block_tol(block_tol)
+    _require_positive(block_tol, "block tolerance")
     cache = {}
     total = np.eye(block.dim, dtype=complex)
     worst_res = 0.0

@@ -5,13 +5,14 @@ import importlib
 import numpy as np
 import pytest
 
+from kzmono._integrators import dop853
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
 from kzmono.connection import kz_form, rotation_monodromy
 from kzmono.errors import (PathSingularError, TransportError,
                            ValidationError)
 from kzmono.reps import tensor_system
-from kzmono.transport import (braid_generator, braid_path,
+from kzmono.transport import (_FormOnPath, braid_generator, braid_path,
                               braid_word_transport, concat_paths,
                               constant_path, magnus_fixed_steps,
                               monodromy_to_json, parse_braid_word,
@@ -55,6 +56,14 @@ def test_rotation_path_magnus_method(form_k2):
     res = transport(form_k2, rotation_path(Z4), tol=1e-9, method="magnus")
     assert np.linalg.norm(
         res.matrix - (-1j) * np.eye(form_k2.dim)) < 1e-7
+
+
+@pytest.mark.parametrize("end", [(0, 1, 3, 8), (0, 1, 3, float("nan"))],
+                         ids=["gap", "nan"])
+def test_concat_paths_refuses_a_gap(end):
+    # a NaN endpoint makes a NaN gap, which compares false to any bound
+    with pytest.raises(ValidationError, match="do not concatenate"):
+        concat_paths(constant_path(Z4), constant_path(end))
 
 
 def test_reverse_path_inverts(form_k2):
@@ -126,6 +135,23 @@ def test_magnus_runs_one_ladder(form_k2, monkeypatch):
     assert len(calls) == 2 * (8 + 16)
 
 
+@pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
+def test_adaptive_runs_one_solve(form_k2, monkeypatch, tol):
+    # one DOP853 solve at rtol max(tol/100, 1e-13): as many evaluated
+    # matrices as a direct run at that rtol, and its matrix bit for bit
+    path = braid_path(Z4, 2)
+    calls = _count_evaluations(monkeypatch, form_k2)
+    res = transport(form_k2, path, tol=tol, dual=True)
+    solved = len(calls)
+    calls.clear()
+    rtol = max(tol * 1e-2, 1e-13)
+    direct, _ = dop853(_FormOnPath(form_k2, path.segments[0], 1e-30),
+                       np.eye(form_k2.dim, dtype=complex), rtol=rtol,
+                       atol=rtol * 1e-2)
+    assert len(calls) == solved
+    assert np.array_equal(res.matrix, direct)
+
+
 def test_magnus_step_budget(form_k2, monkeypatch):
     # the package re-exports the transport function under the module's name
     module = importlib.import_module("kzmono.transport")
@@ -144,24 +170,28 @@ def test_transport_rejects_unrefinable_tol(form_k2, method, tol):
         transport(form_k2, braid_path(Z4, 2), tol=tol, method=method)
 
 
-@pytest.fixture(scope="module")
-def form6_k2():
-    return kz_form(tensor_system(A1, ((1,),) * 6), 2)
-
-
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("alg, weights, k", [
+    (A1, ((1,),) * 4, 1), (A1, ((1,),) * 4, 2), (A1, ((1,),) * 6, 2),
+    (A1, ((1,),) * 6, 3), (A1, ((1,), (2,), (1,), (2,)), 2),
+    (G2, ((1, 0),) * 3, 1),
+], ids=["4k1", "4", "6", "6k3", "1212k2", "G2k1"])
 @pytest.mark.parametrize("method", ["adaptive", "magnus"])
-def test_error_estimates_are_honest(form_k2, form6_k2, n, method):
-    # open braid paths only: on a path followed by its reverse the
-    # symmetric Magnus scheme cancels exactly and the estimate says nothing
-    form = form_k2 if n == 4 else form6_k2
-    pts = (0, 1, 3, 7, 12, 20)[:n]
-    for i in range(1, n):
-        path = braid_path(pts, i)
+def test_error_estimates_are_honest(alg, weights, k, method):
+    # open paths only: on a path followed by its reverse the symmetric
+    # Magnus scheme cancels exactly and the estimate says nothing. The
+    # adaptive estimate must also stay within 10 tol, which the undamped
+    # fifth-order local error fails on these paths
+    form = kz_form(tensor_system(alg, weights), k)
+    pts = (0, 1, 3, 7, 12, 20)[:len(weights)]
+    paths = [braid_path(pts, i) for i in range(1, len(pts))]
+    paths += [rotation_path(pts), braid_path(pts, 1, wobble=0.25)]
+    for path in paths:
         ref = transport(form, path, tol=1e-12).matrix
-        for tol in (1e-5, 1e-7, 1e-9):
+        for tol in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
             res = transport(form, path, tol=tol, method=method)
             assert np.linalg.norm(res.matrix - ref) <= res.est_error + 1e-12
+            if method == "adaptive":
+                assert res.est_error <= 10 * tol
 
 
 def test_adaptive_error_decreases_with_tol(form_k2):
@@ -186,8 +216,9 @@ def test_path_singular_guard(method):
     with pytest.raises(PathSingularError) as info:
         transport(form, braid_path(z, 1), tol=1e-8, min_separation=1e-3,
                   method=method)
-    # the first time inside the guard, in the order the integrator asks
-    assert info.value.t == {"adaptive": 0.49957226853461323,
+    # the first time inside the guard, in the order the integrator asks:
+    # for DOP853 that of its one solve, at rtol 1e-10
+    assert info.value.t == {"adaptive": 0.49955181012379163,
                             "magnus": 0.4995872561222555}[method]
 
 
@@ -372,6 +403,11 @@ def test_tolerances_must_be_finite_and_positive(form_k2, block_k2, bad):
         require_tol(bad)
     with pytest.raises(ValidationError, match="finite"):
         transport(form_k2, braid_path(Z4, 1), tol=bad)
+    # a NaN or negative pole guard would be off, and this path runs into a
+    # pole of the form at t = 1/2
+    pole = braid_path((0, 2, 1 + 1j, 7), 1)
+    with pytest.raises(ValidationError, match="finite"):
+        transport(form_k2, pole, tol=1e-8, min_separation=bad)
     with pytest.raises(ValidationError, match="finite"):
         braid_generator(form_k2, block_k2, 1, block_tol=bad)
     with pytest.raises(ValidationError, match="finite"):
