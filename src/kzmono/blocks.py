@@ -40,7 +40,8 @@ from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError,
                      require_int)
-from .exact import QQi, SRMatrix, ZZi, integral, nullspace
+from .exact import (QQi, SRMatrix, ZZi, exact_dtype, exact_matmul, integral,
+                    nullspace)
 from .reps import irrep, root_vectors
 
 _MAX_REFLECTIONS = 10_000
@@ -198,10 +199,8 @@ def fusion_ring(alg, k):
     Every coefficient must be nonnegative on an admissible weight; then N
     must be symmetric, have the vacuum as unit and be associative. For each
     lam, N[lam] @ N.reshape(m, m^2) holds the (lam mu) nu coefficients and
-    N.reshape(m^2, m) @ N[lam] those of lam (mu nu). The products run in
-    float64 when m max(N)^2 < 2^53, which keeps them exact: every product
-    and partial sum is a nonnegative integer no larger than the full sum.
-    Otherwise the same products run on Python ints (dtype object). Failures
+    N.reshape(m^2, m) @ N[lam] those of lam (mu nu), exactly, in the dtype
+    `exact_dtype` picks for m products of entries at most max(N). Failures
     name the first weights in sorted order.
     """
     k = require_int(k, "level", 1)
@@ -242,7 +241,7 @@ def fusion_ring(alg, k):
 
     require(N == N.transpose(1, 0, 2), "fusion not symmetric at ({}, {})")
     require(N[:, 0] == np.eye(m, dtype=N.dtype), "vacuum not a unit at {}")
-    F = N.astype(float if m * int(N.max()) ** 2 < 2 ** 53 else object)
+    F = N.astype(exact_dtype(m, int(N.max()), int(N.max())))
     for a, lam in enumerate(weights):
         left = F[a] @ F.reshape(m, m * m)
         right = F.reshape(m * m, m) @ F[a]
@@ -293,9 +292,6 @@ class BlockSpace:
             self._total = inv @ self.coeffs
         return self._total
 
-    def coeffs_complex(self):
-        return self.coeffs.to_complex()
-
 
 def _require_distinct(points):
     for a in range(len(points)):
@@ -321,8 +317,9 @@ def block_subspace(system, k, points, at_infinity=None):
     the real and imaginary parts of the points (after the chart; a power
     of 2 for float points, 1 for Gaussian integers), D_f the lcm of the
     entry denominators of f_theta, and B = delta * basis the integral
-    invariant basis. Each step matrix c D_f z_s f_theta^(s) is then a
-    `ZZi` matrix, and the image (c D_f F(z))^(k+1) B is
+    invariant basis. Each step c D_f z_s f_theta^(s) then has entries in
+    Z[i], and the image (c D_f F(z))^(k+1) B, held as one integer array of
+    shape (total_dim, 2, m) of real and imaginary parts, is
     (c D_f)^(k+1) delta times F(z)^(k+1) basis. A nonzero scalar changes
     no kernel, and the kernel's reduced basis is unique, so the
     coefficients are those of the rational route, bit for bit; the
@@ -351,17 +348,21 @@ def block_subspace(system, k, points, at_infinity=None):
     pts = tuple(pts)
     _require_distinct(pts)
 
-    # (c D_f F(z))^(k+1) applied to the integral basis over Z[i]
     c = lcm(*{x.denominator for p in pts for x in (p.re, p.im)})
     _d_f, lowering = integral(highest_root_lowering(rep)
                               for rep in system.factors)
-    step = []
-    for f, p in zip(lowering, pts):
-        re, im = int(c * p.re), int(c * p.im)
-        step.append(f.map_values(lambda v, re=re, im=im: ZZi(re * v, im * v)))
-    image = system.integral_basis[1].map_values(ZZi)
+    # c z_s = x + i y acts on (Re, Im) as [[x, -y], [y, x]]
+    mixes = [np.array([[x, -y], [y, x]], dtype=object) for x, y in
+             ((int(c * p.re), int(c * p.im)) for p in pts)]
+    b = system.integral_basis[1]
+    parts = np.stack([b, np.zeros_like(b)], axis=1)
     for _ in range(k + 1):
-        image = system.slot_sum(step, image)
+        # exact terms, below 2^53 when int64, and fewer than 2^10 nonzero
+        parts = sum(exact_matmul(mix, system.contract((s,), f, parts))
+                    for s, (f, mix) in enumerate(zip(lowering, mixes)))
+    image = SRMatrix.from_rows(
+        [[ZZi(x, y) for x, y in zip(*row)]
+         for row in parts[parts.any(axis=(1, 2))].tolist()], b.shape[1])
     # a zero image holds no ring to read: every invariant is a block
     coeffs = nullspace(image) if image.data else SRMatrix(
         image.ncols, image.ncols, {(j, j): QQi(1) for j in range(image.ncols)})

@@ -23,7 +23,7 @@ partition and the largest entry is the largest over the blocks
 (`_triple_residual`); weight-preserving Omega join none. Both checks then
 run as dense products on integer matrices: as float64 BLAS products under
 an a-priori bound (2 s q A^2 < 2^53 for size s, q summands and largest
-entry A, see `_exact_dtype`) that makes every product and partial sum an
+entry A, see `exact_dtype`) that makes every product and partial sum an
 exactly held integer, and on Python ints past the bound. Only a block too
 large to hold densely runs as sparse products on Python ints.
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from ._integrators import expm
 from .errors import CoincidentPointsError, KzmonoError, require_int
-from .exact import SRMatrix, commutator, integral
+from .exact import SRMatrix, commutator, exact_dtype, integral
 from . import reps
 
 
@@ -77,9 +77,9 @@ class KZForm:
         d = system.invariant_dim
         self.dim = d
         self._pref = float(self.prefactor)
-        self._omega_rows = np.array(
-            [self.omega_inv[p].to_complex().ravel() for p in self.pairs],
-            dtype=complex).reshape(len(self.pairs), d * d)
+        self._omega_rows = np.array([
+            self.omega_inv[p].to_array(complex).ravel() for p in self.pairs
+        ], dtype=complex).reshape(len(self.pairs), d * d)
 
     @cached_property
     def omega_full(self):
@@ -217,38 +217,12 @@ def _kohno_residual(omega, relations):
     return Fraction(worst, denom * denom)
 
 
-def _exact_dtype(size, summands, big):
-    """The array dtype under which [A_p, sum_q A_q] is computed exactly.
-
-    A_p and the A_q are size x size integer matrices with |entries| at
-    most `big`, and each relation has at most `summands` terms A_q. Each
-    entry of A_p (sum_q A_q) is a sum of `size` integer products of size
-    at most summands * big^2, so if 2 size summands big^2 < 2^53 every
-    product, every partial sum in any order, and the difference of the two
-    products is an integer below 2^53, which float64 holds exactly: the
-    dtype is float64 and the products run in BLAS, exact whatever its
-    summation order and with or without fused multiply-adds. When the
-    bound fails it is `object` (Python ints), and the same products run
-    exactly on them.
-    """
-    return float if 2 * size * summands * big * big < 2 ** 53 else object
-
-
-def _dense(m, dtype):
-    """An integer SRMatrix as a dense array of the given dtype."""
-    out = np.zeros((m.nrows, m.ncols), dtype=dtype)
-    if m.data:
-        r, c = np.array(list(m.data), dtype=np.intp).T
-        out[r, c] = list(m.data.values())
-    return out
-
-
 def _restricted_residual(omega, relations):
     """`_kohno_residual` of the restricted Omega, as dense array products.
 
     The matrices are D*Omega as in `_kohno_residual`, stacked as one dense
     array built from the exact values on every call, in the dtype that
-    `_exact_dtype` picks for their size d, largest |entry| A and largest
+    `exact_dtype` picks for their size d, largest |entry| A and largest
     relation length q (float64 while 2 d q A^2 < 2^53, else Python ints);
     the same products run either way.
     """
@@ -257,8 +231,8 @@ def _restricted_residual(omega, relations):
     denom, mats = integral(omega.values())
     big = max((abs(v) for m in mats for v in m.data.values()), default=0)
     size = max(len(qs) for _p, qs in relations)
-    dtype = _exact_dtype(mats[0].nrows, size, big)
-    stack = np.array([_dense(m, dtype) for m in mats])
+    dtype = exact_dtype(2 * mats[0].nrows, big, size * big)
+    stack = np.array([m.to_array(dtype) for m in mats])
     index = {p: t for t, p in enumerate(omega)}
     rests = {}      # per left matrix, its relations' right sums
     for p, qs in relations:
@@ -344,38 +318,25 @@ def _triple_residual(mats, weights):
     of the third slot, straight to its block and position, so no array is
     larger than the blocks. A block of size 1 has a zero commutator and
     is skipped; blocks of one size s run as a (blocks, s, s) stack of
-    dense products, in the dtype `_exact_dtype` picks for the largest
+    dense products, in the dtype `exact_dtype` picks for the largest
     block, a few at a time so that a stack holds at most _BATCH entries.
     A block above _DENSE_MAX runs as sparse products on Python ints.
     """
     dims = [len(w) for w in weights]
-    strides = (dims[1] * dims[2], dims[2], 1)
-    wts = [np.array(w, dtype=np.int64).reshape(len(w), -1) for w in weights]
-    digits = np.indices(dims).reshape(3, -1)
-    total = wts[0][digits[0]] + wts[1][digits[1]] + wts[2][digits[2]]
+    total = reps.total_weights(weights)
     order = np.lexsort(total.T)
     label = np.empty(len(order), dtype=np.intp)
     label[order] = np.cumsum(np.concatenate(
         ([0], np.diff(total[order], axis=0).any(axis=1))))
     # stored entries (which Omega, row, column, value) on the triple space
-    which, rows, cols = ([np.zeros(0, dtype=np.intp)] for _ in range(3))
-    vals = [np.zeros(0, dtype=object)]
-    for t, ((i, j), k) in enumerate(zip(_TRIPLE_PAIRS, (2, 1, 0))):
-        if not mats[t].data:
-            continue
-        rc = np.array(list(mats[t].data), dtype=np.intp)
-        lifted = ((rc // dims[j]) * strides[i] + (rc % dims[j]) * strides[j])
-        lifted = lifted[..., None] + np.arange(dims[k]) * strides[k]
-        rows.append(lifted[:, 0].ravel())
-        cols.append(lifted[:, 1].ravel())
-        which.append(np.full(rows[-1].size, t))
-        vals.append(np.repeat(np.array(list(mats[t].data.values()),
-                                       dtype=object), dims[k]))
+    lifted = [reps.slot_embedding(dims, slots, m, range(len(total)))
+              for slots, m in zip(_TRIPLE_PAIRS, mats)]
+    rows, cols, vals = map(np.concatenate, zip(*lifted))
+    which = np.repeat(np.arange(3), [len(r) for r, _c, _v in lifted])
     big = max((abs(v) for m in mats for v in m.data.values()), default=0)
-    which, rows, cols, vals = map(np.concatenate, (which, rows, cols, vals))
     label = _join(label, rows, cols)
     sizes = np.bincount(label)
-    dtype = _exact_dtype(int(sizes.max()), 2, big)
+    dtype = exact_dtype(2 * int(sizes.max()), big, 2 * big)
     # blocks ranked by size, and each basis vector's position in its block
     rank = np.empty_like(sizes)
     rank[np.argsort(sizes, kind="stable")] = np.arange(len(sizes))
@@ -457,7 +418,7 @@ def flatness_check(form):
     and divides the integer residual by D^2; since [D A, D B] = D^2 [A, B]
     this is the same exact rational residual, with no gcd paid per
     product. Both run as dense products, in float64 where a bound makes
-    them exact (`_exact_dtype`). A nonzero residual can only come from a
+    them exact (`exact_dtype`). A nonzero residual can only come from a
     defective Omega assembly, so callers treat it as an internal failure,
     not a numerical tolerance.
     """
@@ -489,7 +450,7 @@ def rotation_monodromy(form):
         raise KzmonoError("invariant subspace is zero")
     csum = form.system.sum_casimirs()
     scalar = cmath.exp(1j * cmath.pi * float(csum / (form.k + form.h)))
-    mat = sum(form.omega_inv.values(), SRMatrix(d, d)).to_complex()
+    mat = sum(form.omega_inv.values(), SRMatrix(d, d)).to_array(complex)
     result = expm(-2j * np.pi * float(form.prefactor) * mat)
     residual = float(np.max(np.abs(result - scalar * np.eye(d))))
     return RotationReport(scalar=scalar, matrix=result, max_residual=residual)

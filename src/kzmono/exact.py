@@ -18,14 +18,14 @@ is the identity on its free coordinates, so restriction to its span is a
 row selection, and it holds one value type: `QQi` over Q(i), `Fraction`
 over Q. A rank is the column count minus the kernel's, and an inverse is
 a kernel too: for nonsingular A the kernel of [A | -I] is spanned by
-[A^-1; I], with its unit coordinates on the I block. No floats enter this
-module.
+[A^-1; I], with its unit coordinates on the I block. Floats enter only
+as exactly held integers, in dense integer products (`exact_dtype`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -175,8 +175,9 @@ def _coerce_qqi(x):
 class SRMatrix:
     """Sparse matrix with exact entries, dict-of-keys storage.
 
-    Entries are Fraction or QQi (one field per matrix); zeros are never
-    stored. Shapes are explicit because all-zero matrices are common.
+    Entries are Fraction or QQi over a field, or int or ZZi for data
+    scaled into Z or Z[i] (see `integral`); one kind per matrix. Zeros are
+    never stored. Shapes are explicit because all-zero matrices are common.
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -292,12 +293,6 @@ class SRMatrix:
     def rows_with_support(self):
         return sorted({r for (r, _c) in self.data})
 
-    def columns_index(self):
-        cols = {}
-        for (r, c), v in self.data.items():
-            cols.setdefault(c, []).append((r, v))
-        return cols
-
     def max_abs(self):
         """Largest |entry| as a Fraction (|re| + |im| for Gaussian values)."""
         best = Fraction(0)
@@ -315,10 +310,10 @@ class SRMatrix:
             rows[r][c] = v
         return rows
 
-    def to_complex(self):
-        out = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for (r, c) in sorted(self.data):
-            out[r, c] = complex(self.data[(r, c)])
+    def to_array(self, dtype):
+        out = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        r, c = np.array(list(self.data), dtype=np.intp).reshape(-1, 2).T
+        out[r, c] = list(self.data.values())
         return out
 
     def submatrix_rows(self, rows):
@@ -380,6 +375,29 @@ def integral(mats):
     return d, [SRMatrix(m.nrows, m.ncols,
                         {k: _scaled(v, d) for k, v in m.data.items()})
                for m in mats]
+
+
+def exact_dtype(n, *factors):
+    """float if float64 holds exactly every sum of n products whose k-th
+    factors are integers of absolute value at most factors[k], else object
+    (Python ints): the one place this bound is decided. Under
+    n * prod(max(f, 1)) < 2^53 every operand, product and partial sum is
+    an integer below 2^53, so BLAS is exact in any summation order, with
+    or without fused multiply-adds."""
+    return float if n * prod(max(f, 1) for f in factors) < 2**53 else object
+
+
+def max_abs(a):
+    """Largest |entry| of an integer array (int64 or Python ints), an int."""
+    return int(np.abs(a).max(initial=0))
+
+
+def exact_matmul(a, b):
+    """a @ b of integer arrays (int64 or Python ints), exactly, in the
+    dtype `exact_dtype` picks; a float64 result comes back as int64."""
+    dtype = exact_dtype(a.shape[-1], max_abs(a), max_abs(b))
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is float else out
 
 
 def _row_denominator_lcm(row):

@@ -46,17 +46,18 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+import numpy as np
 
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
-from .exact import (SRMatrix, commutator, integral, integral_echelon, kron,
-                    nullspace)
+from .exact import (SRMatrix, commutator, exact_dtype, exact_matmul, integral,
+                    integral_echelon, kron, max_abs, nullspace)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
-_F1 = Fraction(1)
 _ZERO_COLUMN = ({}, 1)      # e_i y = 0: no numerators over denominator 1
 
 
@@ -360,6 +361,43 @@ def local_omega(alg, lam, mu):
     return full
 
 
+def total_weights(factor_weights):
+    """Total weight of each basis vector of a tensor product, slot 0 major,
+    as an int64 (total dimension, rank) array, from the factor weights."""
+    total = np.zeros((1, len(factor_weights[0][0])), dtype=np.int64)
+    for weights in factor_weights:
+        total = (total[:, None] + np.array(weights, dtype=np.int64)).reshape(
+            -1, total.shape[1])
+    return total
+
+
+def slot_embedding(dims, slots, local, cols):
+    """local (x) Id at the unit vectors of the total indices cols, as arrays.
+
+    dims are the factor dimensions, the total index slot 0 major; local is
+    an SRMatrix on the listed slots, the first listed major. Returns
+    (rows, pos, values): the image of the unit vector cols[pos[t]] is the
+    sum over t of values[t] (local's entries, types kept) at rows[t]."""
+    local_dims = tuple(dims[s] for s in slots)
+    size = prod(local_dims)
+    if (local.nrows, local.ncols) != (size, size):
+        raise ValueError(f"local matrix is not {size} square")
+    digits = np.array(np.unravel_index(cols, dims))
+    at = list(slots)
+    loc = np.ravel_multi_index(tuple(digits[at]), local_dims)
+    # entries sorted by column: position p meets start[p] + k, k < hits[p]
+    entries = sorted(local.data, key=lambda rc: rc[1])
+    local_rows, local_cols = np.array(entries, dtype=np.intp).reshape(-1, 2).T
+    start = np.searchsorted(local_cols, loc)
+    hits = np.searchsorted(local_cols, loc, "right") - start
+    pos = np.repeat(np.arange(len(loc)), hits)
+    e = np.arange(len(pos)) + np.repeat(start - np.cumsum(hits) + hits, hits)
+    out = digits[:, pos]
+    out[at] = np.unravel_index(local_rows[e], local_dims)
+    values = np.array([local.data[rc] for rc in entries], dtype=object)
+    return np.ravel_multi_index(tuple(out), dims), pos, values[e]
+
+
 class TensorSystem:
     """Tensor product of irreducibles with its exact invariant subspace.
 
@@ -369,16 +407,13 @@ class TensorSystem:
     it is the identity on its free-coordinate rows, the last nonzero row of
     each vector; those rows are recorded and checked once with it, and
     restricting a slot-local operator (`restrict_local`) selects them
-    from its image. The basis is kept a second time as integers,
-    B = delta * basis with delta the lcm of its denominators
+    from its image. The basis is kept a second time as one dense integer
+    array, B = delta * basis with delta the lcm of its denominators
     (`integral_basis`; delta is 1 on A1 spin-1/2 but 2 on A1 (1)(2)(1)(2)
-    and 6 on A2 (1,1)^3), so that restriction and the block kernel
-    multiply integers only. Every operator acting on a few tensor factors
-    (generators, two-slot Casimirs, swaps, the contravariant form) goes
-    through the one primitive `apply_local`, which keeps it sparse; the
-    restricted Omega^{ij} and slot swaps never form a total-space matrix.
-    Only `omega_pair` embeds one, for `KZForm.omega_full`; the full-space
-    Kohno check reads the local matrices directly.
+    and 6 on A2 (1,1)^3), so that restriction, the Gram matrix and the
+    block kernel multiply integers only, each local matrix applied as one
+    contraction (`contract`); the e_i and f_i images and `omega_pair`
+    embed local matrices at unit columns (`slot_embedding`).
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -389,9 +424,7 @@ class TensorSystem:
         # the cap is checked on Weyl dimensions, before any module is built
         dim_of = {w: la.weyl_dimension(alg, w) for w in set(weights)}
         self.dims = tuple(dim_of[w] for w in weights)
-        total = 1
-        for d in self.dims:
-            total *= d
+        total = prod(self.dims)
         if total > max_dim:
             raise DimensionCapError(
                 f"tensor dimension {total} exceeds cap {max_dim}")
@@ -400,68 +433,29 @@ class TensorSystem:
         self.factors = tuple(irrep(alg, w) for w in weights)
         self.total_dim = total
         self.n = len(weights)
-        strides = [1] * self.n
-        for s in range(self.n - 2, -1, -1):
-            strides[s] = strides[s + 1] * self.dims[s + 1]
-        self.strides = tuple(strides)
         self._omega_inv = {}
         self._invariant = None
         self._unit_rows = None
         self._integral = None
         self._inv_gram = None
 
-    def apply_local(self, slots, local, cols=None):
-        """local (x) Id applied to the columns of cols (default: identity).
-
-        local is a matrix on the tensor product of the listed slots, the
-        first listed slot major; cols is a matrix on the total space. This
-        is the only place a total index is split into slot digits.
-        """
-        dims = [self.dims[s] for s in slots]
-        strides = [self.strides[s] for s in slots]
-        offset = [sum(d * st for d, st in zip(digits, strides))
-                  for digits in itertools.product(*map(range, dims))]
-        if (local.nrows, local.ncols) != (len(offset), len(offset)):
-            raise ValueError(f"local matrix is not {len(offset)} square")
-        hits = local.columns_index()
-        # per total index g: the local column of its slot digits, and g
-        # with those digits zeroed
-        split = {}
-        for g in (range(self.total_dim) if cols is None
-                  else {g for g, _c in cols.data}):
-            loc = 0
-            for d, st in zip(dims, strides):
-                loc = loc * d + (g // st) % d
-            split[g] = (hits.get(loc, ()), g - offset[loc])
-        out = SRMatrix(self.total_dim,
-                       self.total_dim if cols is None else cols.ncols)
-        if cols is None:
-            # the embedding itself: each entry is a local value, set once
-            for g, (col, base) in split.items():
-                for r, w in col:
-                    out.data[(base + offset[r], g)] = w
-            return out
-        for (g, c), v in cols.data.items():
-            col, base = split[g]
-            for r, w in col:
-                out.add_at(base + offset[r], c, w * v)
-        return out
-
-    def slot_sum(self, mats, cols=None):
-        """Sum over slots s of mats[s] acting on slot s, via apply_local."""
-        out = None
-        for s, m in enumerate(mats):
-            term = self.apply_local((s,), m, cols)
-            out = term if out is None else out + term
-        return out
+    def contract(self, slots, local, array):
+        """local (x) Id on an integer array of shape (total_dim, ...), for
+        an integer SRMatrix local on the listed slots, as one contraction:
+        the slots' axes to the front, one `exact_matmul`, and back."""
+        size = prod(self.dims[s] for s in slots)
+        front = range(len(slots))
+        moved = np.moveaxis(array.reshape(self.dims + array.shape[1:]),
+                            slots, front)
+        out = exact_matmul(_integer_array(local), moved.reshape(size, -1))
+        return np.moveaxis(out.reshape(moved.shape), front,
+                           slots).reshape(array.shape)
 
     # -- invariants ------------------------------------------------------
 
     def zero_weight_indices(self):
-        zero = tuple(0 for _ in range(self.alg.rank))
-        return [g for g, combo in enumerate(itertools.product(
-                    *[rep.basis_weights for rep in self.factors]))
-                if tuple(map(sum, zip(*combo))) == zero]
+        total = total_weights([rep.basis_weights for rep in self.factors])
+        return np.flatnonzero(~total.any(axis=1))
 
     @property
     def invariant_basis(self):
@@ -472,9 +466,9 @@ class TensorSystem:
 
     @property
     def integral_basis(self):
-        """(delta, B): B = delta * invariant_basis as an SRMatrix of ints,
-        delta the lcm of the basis denominators; B is delta on the unit
-        rows."""
+        """(delta, B): B = delta * invariant_basis as a dense array, int64
+        if float64 holds its entries and Python ints otherwise, delta the
+        lcm of the basis denominators; B is delta on the unit rows."""
         self.invariant_basis
         return self._integral
 
@@ -482,26 +476,32 @@ class TensorSystem:
     def invariant_dim(self):
         return self.invariant_basis.ncols
 
+    def _embedded(self, slots, local, cols):
+        """`slot_embedding` as an SRMatrix, one column per entry of cols."""
+        rows, pos, values = slot_embedding(self.dims, slots, local, cols)
+        return SRMatrix(self.total_dim, len(cols), dict(
+            zip(zip(rows.tolist(), pos.tolist()), values)))
+
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
-        select = SRMatrix(self.total_dim, len(zero_idx),
-                          {(g, q): _F1 for q, g in enumerate(zero_idx)})
+        empty = SRMatrix(self.total_dim, len(zero_idx))
         kernel = nullspace(*[
-            self.slot_sum(gens, select) for i in range(self.alg.rank)
-            for gens in ([rep.e[i] for rep in self.factors],
-                         [rep.f[i] for rep in self.factors])])
-        basis = select @ kernel
+            sum((self._embedded((s,), getattr(rep, kind)[i], zero_idx)
+                 for s, rep in enumerate(self.factors)), empty)
+            for i in range(self.alg.rank) for kind in ("e", "f")])
+        basis = SRMatrix(self.total_dim, kernel.ncols, {
+            (zero_idx[q].item(), j): v for (q, j), v in kernel.data.items()})
+        delta, (ints,) = integral([basis])
+        b = _integer_array(ints)
         # each vector is 1 at its free coordinate, its other entries sit at
         # pivots left of it: the basis is the identity on its last nonzeros
         # (checked here once; the basis never changes after)
-        unit_rows = [0] * basis.ncols
-        for g, j in basis.data:
-            unit_rows[j] = max(unit_rows[j], g)
-        if basis.submatrix_rows(unit_rows) != SRMatrix.identity(basis.ncols):
+        unit_rows = (len(b) - 1 - np.argmax(b[::-1] != 0, axis=0)).tolist()
+        if not np.array_equal(b[unit_rows],
+                              delta * np.eye(b.shape[1], dtype=b.dtype)):
             raise ConstructionError(
                 "invariant basis is not the identity on its free rows")
-        delta, (ints,) = integral([basis])
-        return basis, unit_rows, (delta, ints)
+        return basis, unit_rows, (delta, b)
 
     def invariant_gram(self):
         """Product contravariant form on the invariant basis, an SRMatrix.
@@ -509,14 +509,17 @@ class TensorSystem:
         Nondegenerate because the invariants are form-orthogonal to the
         image of the diagonal action; this is the pairing under which the
         two-slot Casimirs are self-adjoint and the block subspaces are the
-        duals of the raising-operator annihilator conditions.
+        duals of the raising-operator annihilator conditions. It is
+        B^T (G_1 (x) ... (x) G_n) B / delta^2, one G_s at a time.
         """
         if self._inv_gram is None:
-            b = self.invariant_basis
+            delta, b = self.integral_basis
             image = b
             for s, rep in enumerate(self.factors):
-                image = self.apply_local((s,), rep.gram, image)
-            self._inv_gram = b.transpose() @ image
+                _one, (gram,) = integral([rep.gram])
+                image = self.contract((s,), gram, image)
+            self._inv_gram = _fractions(exact_matmul(b.T, image),
+                                        delta * delta)
         return self._inv_gram
 
     def restrict_local(self, slots, local):
@@ -526,21 +529,23 @@ class TensorSystem:
         basis @ X, and the basis is the identity on its unit rows, so X is
         the image at those rows. The products run over Z: with L = D local
         and B = delta basis integral (`exact.integral`), the image L B is
-        formed slot-locally and X_int is its unit rows. If op = L/D maps
-        basis = B/delta to basis Y, then L B = D B Y and B is delta on its
-        unit rows, so X_int = D delta Y; the witness
+        one contraction (`contract`) and X_int is its unit rows. If
+        op = L/D maps basis = B/delta to basis Y, then L B = D B Y and B is
+        delta on its unit rows, so X_int = D delta Y; the witness
         B X_int == delta L B then holds, and conversely it gives
         op basis = basis X_int/(D delta). So the witness fails iff the span
-        is not preserved, and X = X_int/(D delta) as Fractions.
+        is not preserved, and X = X_int/(D delta) as Fractions. The witness
+        sums m + 1 products of size at most max|B| max|L B| per entry.
         """
-        delta, ints = self.integral_basis   # computes the unit rows too
+        delta, b = self.integral_basis   # computes the unit rows too
         scale, (op,) = integral([local])
-        image = self.apply_local(slots, op, ints)
-        xs = image.submatrix_rows(self._unit_rows)
-        if ints @ xs != image.scale(delta):
+        image = self.contract(slots, op, b)
+        xs = image[self._unit_rows]
+        dtype = exact_dtype(b.shape[1] + 1, max_abs(b), max_abs(image))
+        if (b.astype(dtype) @ xs.astype(dtype)
+                != delta * image.astype(dtype)).any():
             raise ValueError("operator does not preserve the subspace")
-        denom = scale * delta
-        return xs.map_values(lambda v: Fraction(v, denom))
+        return _fractions(xs, scale * delta)
 
     # -- Casimir pair operators ------------------------------------------
 
@@ -557,7 +562,7 @@ class TensorSystem:
     def omega_pair(self, i, j):
         """Exact two-slot Casimir Omega^{ij} on the total space, embedding
         `local_omega` (both assembly routes checked) of the slot weights."""
-        return self.apply_local(*self._pair(i, j))
+        return self._embedded(*self._pair(i, j), range(self.total_dim))
 
     def omega_restricted(self, i, j):
         """Omega^{ij} on the invariants, cached per unordered pair."""
@@ -591,6 +596,20 @@ class TensorSystem:
 
 def tensor_system(alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
     return TensorSystem(alg, weights, max_dim=max_dim)
+
+
+def _integer_array(m):
+    """An integer SRMatrix as an int64 array, or of Python ints past 2^53."""
+    return m.to_array(np.int64 if exact_dtype(1, m.max_abs()) is float
+                      else object)
+
+
+def _fractions(ints, denom):
+    """An integer array over denom as an SRMatrix of Fractions."""
+    r, c = np.nonzero(ints)
+    return SRMatrix(*ints.shape, {
+        (i, j): Fraction(v, denom)
+        for i, j, v in zip(r.tolist(), c.tolist(), ints[r, c].tolist())})
 
 
 # -- serialization ---------------------------------------------------------

@@ -403,19 +403,19 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     z0 = tuple(complex(p) for p in block.points)
     path = braid_path(z0, i, clockwise=clockwise)
     res = transport(form, path, tol=tol, method=method, dual=True)
-    cols = block.coeffs_complex()
+    cols = block.coeffs.to_array(complex)
 
     equal = system.weights[i - 1] == system.weights[i]
     if equal:
         # the restricted flip squares to Id, so it is its own inverse
-        acting = system.swap_restricted(i - 1).to_complex() @ res.matrix
+        acting = system.swap_restricted(i - 1).to_array(complex) @ res.matrix
         target = cols
     else:
         acting = res.matrix
         pts = list(block.points)
         pts[i - 1], pts[i] = pts[i], pts[i - 1]
         endpoint = block_subspace(system, block.k, pts)
-        target = endpoint.coeffs_complex()
+        target = endpoint.coeffs.to_array(complex)
 
     mat, residual = _in_block_basis(target, acting @ cols)
     if residual > block_tol:

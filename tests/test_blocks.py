@@ -222,8 +222,8 @@ def test_block_subspace_z_dependence_and_genericity():
         dims.add(bs.dim)
     assert dims == {1}
     # the k=1 line inside the 2-dim invariants genuinely moves with z
-    b1 = block_subspace(sys, 1, (0, 1, 3, 7)).coeffs_complex()
-    b2 = block_subspace(sys, 1, (0, 1, 3, 12)).coeffs_complex()
+    b1 = block_subspace(sys, 1, (0, 1, 3, 7)).coeffs.to_array(complex)
+    b2 = block_subspace(sys, 1, (0, 1, 3, 12)).coeffs.to_array(complex)
     import numpy as np
     c1 = b1[:, 0] / np.linalg.norm(b1[:, 0])
     c2 = b2[:, 0] / np.linalg.norm(b2[:, 0])
@@ -272,9 +272,9 @@ def test_block_subspace_infinity_chart_is_the_far_point_limit(n, k, finite):
     from scipy.linalg import subspace_angles
     sys = tensor_system(A1, ((1,),) * n)
     inf = block_subspace(sys, k, finite + (0,),
-                         at_infinity=n - 1).coeffs_complex()
+                         at_infinity=n - 1).coeffs.to_array(complex)
     for r in (10**2, 10**4, 10**8):
-        far = block_subspace(sys, k, finite + (r,)).coeffs_complex()
+        far = block_subspace(sys, k, finite + (r,)).coeffs.to_array(complex)
         assert max(subspace_angles(inf, far)) < 5 / r
 
 

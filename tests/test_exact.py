@@ -49,7 +49,7 @@ def test_srmatrix_matmul_against_numpy():
         b = random_fraction_matrix(rng, k, m)
         sa = SRMatrix.from_rows(a, k)
         sb = SRMatrix.from_rows(b, m)
-        prod = (sa @ sb).to_complex()
+        prod = (sa @ sb).to_array(complex)
         ref = np.array([[float(v) for v in row] for row in a]) @ \
             np.array([[float(v) for v in row] for row in b])
         assert np.allclose(prod, ref)

@@ -66,7 +66,7 @@ def reference_coefficients(form, z, v):
 
 def reference_evaluate(form, z, v):
     coef = reference_coefficients(form, z, v)
-    omega = np.array([form.omega_inv[p].to_complex() for p in form.pairs])
+    omega = np.array([form.omega_inv[p].to_array(complex) for p in form.pairs])
     out = np.tensordot(coef, omega, axes=(0, 0))
     if not np.isfinite(out).all():
         i, j = form.pairs[max(range(len(coef)), key=lambda p: abs(coef[p]))]
@@ -132,7 +132,7 @@ def test_form_matches_scalar_reference(config):
         return
     coef = form.coefficients(z, v)
     assert np.all(np.abs(coef - ref_coef) <= 1e-15 * np.abs(ref_coef))
-    omega = np.array([form.omega_inv[p].to_complex() for p in form.pairs])
+    omega = np.array([form.omega_inv[p].to_array(complex) for p in form.pairs])
     terms = np.tensordot(np.abs(ref_coef), np.abs(omega), axes=(0, 0))
     out = form.evaluate(z, v)
     assert out.shape == ref.shape == (form.dim, form.dim)

@@ -15,11 +15,23 @@ from kzmono.errors import (ConstructionError, DimensionCapError,
 from kzmono.exact import SRMatrix, commutator, nullspace
 from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
                          local_omega, rep_to_json, root_vectors,
-                         tensor_system)
+                         slot_embedding, tensor_system)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 G2 = build_algebra("G", 2)
+
+
+def embedded(system, assignments):
+    """sum over (slots, local) of local (x) Id on the total space, from the
+    columns `slot_embedding` gives at every unit vector."""
+    out = SRMatrix(system.total_dim, system.total_dim)
+    for slots, local in assignments:
+        rows, cols, values = slot_embedding(system.dims, slots, local,
+                                            range(system.total_dim))
+        out = out + SRMatrix(system.total_dim, system.total_dim, dict(
+            zip(zip(rows.tolist(), cols.tolist()), values)))
+    return out
 
 
 def su2_invariant_dim(labels):
@@ -180,8 +192,9 @@ def test_invariant_basis_is_annihilated():
     basis = sys.invariant_basis
     for i in range(A1.rank):
         for kind in ("e", "f"):
-            gens = [getattr(rep, kind)[i] for rep in sys.factors]
-            assert sys.slot_sum(gens, basis).is_zero()
+            gens = [((s,), getattr(rep, kind)[i])
+                    for s, rep in enumerate(sys.factors)]
+            assert (embedded(sys, gens) @ basis).is_zero()
 
 
 def test_dimension_cap():
@@ -248,8 +261,9 @@ def test_omega_commutes_with_diagonal_action():
     om = sys.omega_pair(0, 1)
     for i in range(A2.rank):
         for kind in ("e", "f"):
-            gens = [getattr(rep, kind)[i] for rep in sys.factors]
-            assert commutator(om, sys.slot_sum(gens)).is_zero()
+            gens = [((s,), getattr(rep, kind)[i])
+                    for s, rep in enumerate(sys.factors)]
+            assert commutator(om, embedded(sys, gens)).is_zero()
 
 
 def test_omega_self_adjoint_for_invariant_gram():
@@ -303,7 +317,7 @@ def test_restrict_local_reads_unit_rows():
     local = local_omega(A1, (1,), (1,))
     x = system.restrict_local((1, 2), local)
     assert x != SRMatrix.identity(system.invariant_dim).scale(x.get(0, 0))
-    assert basis @ x == system.apply_local((1, 2), local, basis)
+    assert basis @ x == embedded(system, [((1, 2), local)]) @ basis
 
 
 def test_invariant_basis_must_be_identity_on_unit_rows(monkeypatch):

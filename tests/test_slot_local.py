@@ -4,8 +4,11 @@ The reference below walks every total-space index, splits it into slot
 digits and applies one-slot matrices there; both Omega routes are assembled
 and compared on the full space, and the block kernel is the total-space
 power F(z)^(k+1) applied to the invariant basis. The library builds the same
-objects slot-locally through TensorSystem.apply_local; every output must be
-exactly equal.
+objects slot-locally: `slot_embedding` gives the columns of a local matrix
+at unit vectors (the e_i and f_i images, omega_pair), and
+`TensorSystem.contract` applies one to the integral invariant basis as one
+array contraction (restriction, Gram matrix, block image). Every output
+must be exactly equal.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from kzmono.errors import ConstructionError
 from kzmono.exact import (QQi, SRMatrix, _clear_denominators, bareiss_echelon,
                           nullspace)
 from kzmono.reps import (casimir_constants, local_omega, root_vectors,
-                         tensor_system)
+                         slot_embedding, tensor_system)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -38,14 +41,31 @@ CASES = [
 IDS = ["A1^6", "A2-4pt", "G2^3", "A1-mixed-float"]
 
 
+def _strides(system):
+    """Total-index strides, slot 0 major."""
+    out = [1] * system.n
+    for s in range(system.n - 2, -1, -1):
+        out[s] = out[s + 1] * system.dims[s + 1]
+    return out
+
+
+def _columns(m):
+    """{column: [(row, value), ...]} of an SRMatrix."""
+    cols = {}
+    for (r, c), v in m.data.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
+
+
 def _digits(system, g):
-    return tuple((g // system.strides[s]) % system.dims[s]
-                 for s in range(system.n))
+    return tuple((g // st) % d for st, d in zip(_strides(system),
+                                                 system.dims))
 
 
 def ref_slot_operator(system, assignments):
     """Total-space matrix of a product of one-slot operators, digit by digit."""
-    cols = [(s, m.columns_index()) for s, m in sorted(assignments.items())]
+    cols = [(s, _columns(m)) for s, m in sorted(assignments.items())]
+    strides = _strides(system)
     out = SRMatrix(system.total_dim, system.total_dim)
     for g in range(system.total_dim):
         dg = _digits(system, g)
@@ -55,7 +75,7 @@ def ref_slot_operator(system, assignments):
             if not hits:
                 partial = []
                 break
-            partial = [(gb + (r - dg[s]) * system.strides[s], vb * v)
+            partial = [(gb + (r - dg[s]) * strides[s], vb * v)
                        for gb, vb in partial for r, v in hits]
         for g2, v in partial:
             out.add_at(g2, g, v)
@@ -98,7 +118,7 @@ def ref_swap(system, i):
     for g in range(system.total_dim):
         dg = list(_digits(system, g))
         dg[i], dg[i + 1] = dg[i + 1], dg[i]
-        out.data[(sum(d * s for d, s in zip(dg, system.strides)), g)] = _F1
+        out.data[(sum(d * s for d, s in zip(dg, _strides(system))), g)] = _F1
     return out
 
 
@@ -115,15 +135,16 @@ def ref_invariant_basis(system):
         if tuple(acc) == zero:
             zero_idx.append(g)
     local = {g: q for q, g in enumerate(zero_idx)}
+    strides = _strides(system)
     rows = {}
     for i in range(rank):
         for tag in ("e", "f"):
             for s, rep in enumerate(system.factors):
-                cols = (rep.e[i] if tag == "e" else rep.f[i]).columns_index()
+                cols = _columns(rep.e[i] if tag == "e" else rep.f[i])
                 for g in zero_idx:
                     d = _digits(system, g)[s]
                     for r, v in cols.get(d, ()):
-                        g2 = g + (r - d) * system.strides[s]
+                        g2 = g + (r - d) * strides[s]
                         row = rows.setdefault((tag, i, g2),
                                               [_F0] * len(zero_idx))
                         row[local[g]] += v
@@ -201,19 +222,24 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
                 ref_swap(system, i), basis)
     for r in range(alg.rank):
         for kind in ("e", "f"):
-            assert system.slot_sum(
-                [getattr(rep, kind)[r] for rep in system.factors]) == sum(
-                (ref_slot_operator(system, {s: getattr(rep, kind)[r]})
-                 for s, rep in enumerate(system.factors)),
-                start=SRMatrix(system.total_dim, system.total_dim))
+            for s, rep in enumerate(system.factors):
+                gen = getattr(rep, kind)[r]
+                rows, cols, values = slot_embedding(
+                    system.dims, (s,), gen, range(system.total_dim))
+                assert SRMatrix(system.total_dim, system.total_dim, dict(
+                    zip(zip(rows.tolist(), cols.tolist()), values))) \
+                    == ref_slot_operator(system, {s: gen})
     bs = block_subspace(system, k, points)
     assert bs.coeffs == ref_block_coeffs(system, k, points, basis)
 
 
-def test_apply_local_rejects_wrong_local_shape():
+def test_local_shape_is_checked():
+    # V_1 (x) V_2 has dimension 6, not 4
     system = tensor_system(A1, ((1,), (2,)))
+    with pytest.raises(ValueError, match="6 square"):
+        slot_embedding(system.dims, (0, 1), SRMatrix.identity(4), [0])
     with pytest.raises(ValueError):
-        system.apply_local((0, 1), SRMatrix.identity(4))
+        system.restrict_local((0, 1), SRMatrix.identity(4))
 
 
 def test_omega_route_disagreement_raises(monkeypatch):

@@ -1,14 +1,20 @@
-"""The integer tensor layer against the rational routes it replaced.
+"""The array tensor layer against the sparse and rational routes it replaced.
 
 The references below are the earlier routes, kept here as test-only
-copies: `restrict_local` formed the image of the `Fraction` invariant basis
-and its witness in `Fraction` arithmetic; `block_subspace` applied
+copies. `ref_apply_local` and `ref_slot_sum` applied a local matrix to
+sparse columns by splitting every total index into slot digits in a
+Python loop. On them, `restrict_local` formed the image of the `Fraction`
+invariant basis and its witness in `Fraction` arithmetic, and later the
+image of the integral basis and a sparse integer witness
+(`ref_integer_restrict_local`); `invariant_gram` applied the factor Gram
+matrices slot by slot; `block_subspace` applied
 F(z) = sum_s z_s f_theta^(s) to the basis in `QQi` arithmetic; the
 restricted Kohno residual ran sparse commutators on Python ints, and the
 full-space one did the same on each three-factor system, its Omega
-embedded from the local matrices. The library restricts over Z (integral
-basis, integer-scaled local matrix), applies F over Z[i] to
-integer-scaled points, and runs both Kohno residuals as float64 BLAS
+embedded from the local matrices. The library holds the integral basis
+as one dense integer array and applies every local matrix to it as one
+contraction (restriction, Gram matrix, and the block image over Z[i] as
+real and imaginary arrays), and runs both Kohno residuals as float64 BLAS
 products under an exactness bound, the full-space one over the
 total-weight blocks of each three-factor space. Every output must be
 exactly equal, value types included.
@@ -20,16 +26,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import numpy as np
 import pytest
 
 from kzmono import connection, reps
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace, highest_root_lowering
-from kzmono.connection import (_exact_dtype, _kohno_relations,
-                               _restricted_residual, _triple_residual,
-                               flatness_check, kz_form)
-from kzmono.exact import (QQi, SRMatrix, commutator, integral,
-                          nullspace)
+from kzmono.connection import (_kohno_relations, _restricted_residual,
+                               _triple_residual, flatness_check, kz_form)
+from kzmono.exact import (QQi, SRMatrix, commutator, exact_dtype,
+                          exact_matmul, integral, nullspace)
 from kzmono.reps import TensorSystem, irrep, tensor_system
 
 A1 = build_algebra("A", 1)
@@ -39,15 +45,80 @@ C3 = build_algebra("C", 3)
 G2 = build_algebra("G", 2)
 
 
-# -- references (the rational routes) ---------------------------------------
+# -- references (the sparse and rational routes) ----------------------------
+
+def ref_apply_local(system, slots, local, cols=None):
+    """local (x) Id applied to the columns of cols (default: identity),
+    by a Python digit loop over the total indices of cols."""
+    strides = [1] * system.n
+    for s in range(system.n - 2, -1, -1):
+        strides[s] = strides[s + 1] * system.dims[s + 1]
+    dims = [system.dims[s] for s in slots]
+    strides = [strides[s] for s in slots]
+    offset = [sum(d * st for d, st in zip(digits, strides))
+              for digits in itertools.product(*map(range, dims))]
+    if (local.nrows, local.ncols) != (len(offset), len(offset)):
+        raise ValueError(f"local matrix is not {len(offset)} square")
+    hits = {}
+    for (r, c), v in local.data.items():
+        hits.setdefault(c, []).append((r, v))
+    split = {}
+    for g in (range(system.total_dim) if cols is None
+              else {g for g, _c in cols.data}):
+        loc = 0
+        for d, st in zip(dims, strides):
+            loc = loc * d + (g // st) % d
+        split[g] = (hits.get(loc, ()), g - offset[loc])
+    out = SRMatrix(system.total_dim,
+                   system.total_dim if cols is None else cols.ncols)
+    if cols is None:
+        for g, (col, base) in split.items():
+            for r, w in col:
+                out.data[(base + offset[r], g)] = w
+        return out
+    for (g, c), v in cols.data.items():
+        col, base = split[g]
+        for r, w in col:
+            out.add_at(base + offset[r], c, w * v)
+    return out
+
+
+def ref_slot_sum(system, mats, cols=None):
+    """Sum over slots s of mats[s] acting on slot s, via ref_apply_local."""
+    out = None
+    for s, m in enumerate(mats):
+        term = ref_apply_local(system, (s,), m, cols)
+        out = term if out is None else out + term
+    return out
+
 
 def ref_restrict_local(system, slots, local):
     basis = system.invariant_basis
-    image = system.apply_local(slots, local, basis)
+    image = ref_apply_local(system, slots, local, basis)
     xs = image.submatrix_rows(system._unit_rows)
     if basis @ xs != image:
         raise ValueError("operator does not preserve the subspace")
     return xs
+
+
+def ref_integer_restrict_local(system, slots, local):
+    """The restriction over Z with a sparse integer witness."""
+    delta, (ints,) = integral([system.invariant_basis])
+    scale, (op,) = integral([local])
+    image = ref_apply_local(system, slots, op, ints)
+    xs = image.submatrix_rows(system._unit_rows)
+    if ints @ xs != image.scale(delta):
+        raise ValueError("operator does not preserve the subspace")
+    denom = scale * delta
+    return xs.map_values(lambda v: Fraction(v, denom))
+
+
+def ref_invariant_gram(system):
+    b = system.invariant_basis
+    image = b
+    for s, rep in enumerate(system.factors):
+        image = ref_apply_local(system, (s,), rep.gram, image)
+    return b.transpose() @ image
 
 
 def ref_block_coeffs(system, k, points):
@@ -56,7 +127,7 @@ def ref_block_coeffs(system, k, points):
             for rep, z in zip(system.factors, points)]
     image = system.invariant_basis.map_values(QQi)
     for _ in range(k + 1):
-        image = system.slot_sum(step, image)
+        image = ref_slot_sum(system, step, image)
     return nullspace(image).map_values(QQi.from_complex)
 
 
@@ -101,13 +172,18 @@ def assert_identical(got, ref):
 # -- the systems ------------------------------------------------------------
 
 SYSTEMS = {
-    **{f"A1^{n}": (A1, ((1,),) * n, 2) for n in range(4, 9)},
+    # A1^3 has no invariants
+    **{f"A1^{n}": (A1, ((1,),) * n, 2) for n in range(3, 9)},
     # invariant bases with denominator lcm delta = 2, 2, 6 and 6
     "A1-mixed": (A1, ((1,), (2,), (1,), (2,)), 2),
     "G2-mixed": (G2, ((0, 1), (1, 0), (1, 0)), 2),
     "A2-adjoint^3": (A2, ((1, 1),) * 3, 2),
     "C3-mixed": (C3, ((1, 0, 0), (1, 0, 0), (0, 1, 0)), 1),
     "A2-4pt": (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2),
+    "A2^6": (A2, ((1, 0),) * 6, 1),
+    "G2^3": (G2, ((1, 0),) * 3, 1),
+    "G2^4": (G2, ((1, 0),) * 4, 1),
+    "B2^4": (B2, ((0, 1),) * 4, 1),
 }
 DELTA = {"A1-mixed": 2, "G2-mixed": 2, "A2-adjoint^3": 6, "C3-mixed": 6}
 
@@ -127,24 +203,49 @@ def test_integral_basis(case):
     name, system, _k = case
     delta, ints = system.integral_basis
     assert delta == DELTA.get(name, 1)
-    assert ints == system.invariant_basis.scale(delta)
-    assert {type(v) for v in ints.data.values()} <= {int}
+    assert ints.shape == (system.total_dim, system.invariant_dim)
+    assert ints.dtype == np.int64
+    assert np.array_equal(
+        ints, system.invariant_basis.scale(delta).to_array(object))
 
 
 def test_restriction_matches_rational_route(case):
     _name, system, _k = case
     for i, j in itertools.combinations(range(system.n), 2):
         key, local = system._pair(i, j)
-        assert_identical(system.omega_restricted(i, j),
-                         ref_restrict_local(system, key, local))
+        got = system.omega_restricted(i, j)
+        assert_identical(got, ref_restrict_local(system, key, local))
+        assert_identical(got, ref_integer_restrict_local(system, key, local))
     for i in range(system.n - 1):
         if system.weights[i] == system.weights[i + 1]:
             d = system.dims[i]
             flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): Fraction(1)
                                            for a in range(d)
                                            for b in range(d)})
-            assert_identical(system.swap_restricted(i),
-                             ref_restrict_local(system, (i, i + 1), flip))
+            got = system.swap_restricted(i)
+            assert_identical(got, ref_restrict_local(system, (i, i + 1),
+                                                     flip))
+            assert_identical(got, ref_integer_restrict_local(
+                system, (i, i + 1), flip))
+
+
+def test_gram_matches_sparse_route(case):
+    _name, system, _k = case
+    assert_identical(system.invariant_gram(), ref_invariant_gram(system))
+
+
+def test_restriction_witness_rejects_what_leaves_the_span():
+    # Omega^{01} plus a stray entry between two zero-weight vectors of
+    # V_1 (x) V_1 no longer preserves the invariants of A1 (1)^4; both
+    # the array witness and the sparse one refuse it
+    system = system_of("A1^4")
+    _key, local = system._pair(0, 1)
+    bad = local.copy()
+    bad.add_at(1, 1, Fraction(1))
+    with pytest.raises(ValueError, match="preserve"):
+        system.restrict_local((0, 1), bad)
+    with pytest.raises(ValueError, match="preserve"):
+        ref_integer_restrict_local(system, (0, 1), bad)
 
 
 def test_flatness_matches_rational_route(case):
@@ -233,6 +334,23 @@ def test_bound_failure_falls_back_to_exact_integers():
     assert type(got) is Fraction
 
 
+def test_exact_matmul_falls_back_to_python_ints():
+    # the same odd sum above 2^53 as one int64 product: it comes back as a
+    # Python int; scaled down it runs in float64 and comes back as int64
+    a, b, b2 = 2 ** 26 + 1, 2 ** 26 + 2, 2 ** 26 + 1
+    left = np.array([[a, a]], dtype=np.int64)
+    got = exact_matmul(left, np.array([[b], [b2]], dtype=np.int64))
+    assert got.dtype == object and got[0, 0] == a * (b + b2)
+    assert type(got[0, 0]) is int
+    small = exact_matmul(left // 2 ** 20, np.array([[5], [4]]))
+    assert small.dtype == np.int64 and small[0, 0] == 64 * 9
+    # an operand beyond 2^53 is not held by float64, even against zeros
+    assert exact_dtype(1, 0, 2 ** 60) is object
+    huge = np.array([[2 ** 60 + 1]], dtype=np.int64)
+    assert exact_matmul(huge, np.ones((1, 1), dtype=np.int64))[0, 0] \
+        == 2 ** 60 + 1
+
+
 @pytest.mark.parametrize("weights", [((1,),) * 3, ((1,),) * 2],
                          ids=["no-invariants", "no-relations"])
 def test_degenerate_restricted_residuals(weights):
@@ -290,16 +408,17 @@ def corrupt_local_omega(monkeypatch, how):
 
 
 def block_sizes(monkeypatch):
-    """Record the size `_exact_dtype` is asked about on each call: the
-    largest block of each three-factor check of `_full_residual`."""
+    """Record the block size s of each `exact_dtype` call of connection:
+    the largest block of each three-factor check of `_full_residual`,
+    whose commutator entries are sums of 2 s products."""
     sizes = []
-    clean = connection._exact_dtype
+    clean = connection.exact_dtype
 
-    def spy(size, summands, big):
-        sizes.append(size)
-        return clean(size, summands, big)
+    def spy(terms, *factors):
+        sizes.append(terms // 2)
+        return clean(terms, *factors)
 
-    monkeypatch.setattr(connection, "_exact_dtype", spy)
+    monkeypatch.setattr(connection, "exact_dtype", spy)
     return sizes
 
 
@@ -379,7 +498,7 @@ def test_triple_bound_failure_falls_back_to_exact_integers():
     l01 = SRMatrix(3, 3, {(0, 1): a, (0, 2): a})
     l12 = SRMatrix(3, 3, {(1, 0): b, (2, 0): b2})
     weights = [[(0,)], [(0,)] * 3, [(0,)]]
-    assert _exact_dtype(3, 2, b) is object
+    assert exact_dtype(2 * 3, b, 2 * b) is object
     got = _triple_residual([l01, SRMatrix(1, 1), l12], weights)
     embedded = {(0, 1): l01.map_values(Fraction),
                 (0, 2): SRMatrix(3, 3),
@@ -389,7 +508,7 @@ def test_triple_bound_failure_falls_back_to_exact_integers():
     assert type(got) is int
     assert got > 2 ** 53 and got % 2
     # the same matrices scaled down pass the bound and run in float64
-    assert _exact_dtype(3, 2, 2 ** 20) is float
+    assert exact_dtype(2 * 3, 2 ** 20, 2 * 2 ** 20) is float
     small = _triple_residual([SRMatrix(3, 3, {(0, 1): 3, (0, 2): 3}),
                               SRMatrix(1, 1),
                               SRMatrix(3, 3, {(1, 0): 5, (2, 0): 4})],

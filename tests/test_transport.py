@@ -359,7 +359,7 @@ def test_dual_transport_is_form_contragredient():
     path = braid_path((0, 1, 3, 7), 2)
     t_sec = transport(form, path, tol=1e-11).matrix
     t_dual = transport(form, path, tol=1e-11, dual=True).matrix
-    g = sys.invariant_gram().to_complex().real
+    g = sys.invariant_gram().to_array(complex).real
     expected = np.linalg.inv(g) @ np.linalg.inv(t_sec).T @ g
     assert np.linalg.norm(t_dual - expected) < 1e-8
 
