@@ -47,9 +47,8 @@ from .blocks import block_subspace, block_to_json, fusion_ring, \
 from .connection import flatness_check, kz_form, rotation_monodromy
 from .errors import (ConstructionError, KzmonoError, OracleMismatchError,
                      TransportError, ValidationError, require_int)
-from .exact import SRMatrix
-from .reps import (DEFAULT_DIMENSION_CAP, casimir_matrix, irrep, rep_to_json,
-                   tensor_system)
+from .reps import (DEFAULT_DIMENSION_CAP, casimir_is_scalar, irrep,
+                   rep_to_json, tensor_system)
 from .sections import verify_bbw
 from .transport import (DEFAULT_BLOCK_TOL, DEFAULT_TOL,
                         braid_word_transport, monodromy_to_json,
@@ -164,7 +163,7 @@ def cmd_verify(args):
     for w in sorted(set(system.weights)):
         rep = irrep(alg, w)
         scalar = casimir_scalar(alg, w)
-        good = casimir_matrix(rep) == SRMatrix.identity(rep.dim).scale(scalar)
+        good = casimir_is_scalar(rep)
         print(("ok " if good else "FAIL ")
               + f"casimir: weight {w} scalar {scalar} dim {rep.dim}")
         if not good:

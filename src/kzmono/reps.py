@@ -42,7 +42,6 @@ algebra from [e_alpha, f_alpha] acting in a small faithful module.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -311,54 +310,49 @@ def casimir_constants(alg):
     return tuple(out)
 
 
-def _casimir(alg, ems, fms, weights):
-    """sum_alpha (1/c_alpha)(e_alpha f_alpha + f_alpha e_alpha) + diag <w, w>,
-    for root vectors ems, fms acting on a basis of the given weights."""
-    n = len(weights)
-    total = SRMatrix(n, n)
-    for v, w in enumerate(weights):
-        total.put(v, v, la.pairing(alg, w, w))
-    for e, f, c in zip(ems, fms, casimir_constants(alg)):
-        total = total + (e @ f + f @ e).scale(1 / c)
-    return total
+def _dual_bases(rep):
+    """A basis x_k = (h_i, e_alpha, f_alpha) of g acting on rep and its dual
+    basis x^k = (sum_j G_ij h_j, f_alpha/c_alpha, e_alpha/c_alpha) under the
+    normalised form, G = alg.gram and c = `casimir_constants` (Humphreys
+    6.2): the Casimir is sum_k x_k x^k, Omega is sum_k x_k (x) x^k."""
+    ems, fms = root_vectors(rep)
+    inverse = [1 / c for c in casimir_constants(rep.alg)]
+    cartan = [sum((h.scale(g) for g, h in zip(row, rep.h)),
+                  SRMatrix(rep.dim, rep.dim)) for row in rep.alg.gram]
+    return ([*rep.h, *ems, *fms],
+            [*cartan, *(f.scale(c) for f, c in zip(fms, inverse)),
+             *(e.scale(c) for e, c in zip(ems, inverse))])
 
 
 def casimir_matrix(rep):
-    """Quadratic Casimir as an exact matrix; scalar <lam, lam+2rho> on irreps."""
-    return _casimir(rep.alg, *root_vectors(rep), rep.basis_weights)
+    """Quadratic Casimir sum_k x_k x^k (`_dual_bases`) as an exact matrix;
+    the scalar <lam, lam+2rho> on irreps."""
+    return sum((x @ y for x, y in zip(*_dual_bases(rep))),
+               SRMatrix(rep.dim, rep.dim))
+
+
+def casimir_is_scalar(rep):
+    """Whether `casimir_matrix` is <lam, lam+2rho> times the identity."""
+    scalar = la.casimir_scalar(rep.alg, rep.highest_weight)
+    return casimir_matrix(rep) == SRMatrix.identity(rep.dim).scale(scalar)
 
 
 @lru_cache(maxsize=None)
 def local_omega(alg, lam, mu):
-    """Two-slot Casimir Omega on V_lam (x) V_mu (V_lam index major), exactly.
-
-    Assembled two independent ways which must agree exactly: the dual basis
-    sum over root vectors plus the Cartan term, and one half of (pair
-    Casimir - scalar Casimirs), the pair Casimir being `_casimir` of the
-    coproduct root vectors. Every pair of slots carrying (lam, mu) embeds
-    this one matrix.
-    """
+    """Two-slot Casimir Omega = sum_k x_k (x) x^k on V_lam (x) V_mu, x_k on
+    V_lam (the major index) and x^k on V_mu (`_dual_bases`), exactly; every
+    pair of slots carrying (lam, mu) embeds this one matrix. Each factor
+    Casimir must be its scalar (`casimir_is_scalar`), or ConstructionError
+    is raised: the pair Casimir is C_lam (x) 1 + 1 (x) C_mu + 2 Omega by
+    bilinearity, so then Omega = (pair Casimir - c_lam - c_mu)/2."""
     ri, rj = irrep(alg, lam), irrep(alg, mu)
-    ei, fi = root_vectors(ri)
-    ej, fj = root_vectors(rj)
-    id_i, id_j = SRMatrix.identity(ri.dim), SRMatrix.identity(rj.dim)
-    shift = la.casimir_scalar(alg, lam) + la.casimir_scalar(alg, mu)
-    weights = list(itertools.product(ri.basis_weights, rj.basis_weights))
-    dim = len(weights)
-    full = SRMatrix(dim, dim)
-    for g, (wa, wb) in enumerate(weights):
-        full.put(g, g, la.pairing(alg, wa, wb))
-    for k, c in enumerate(casimir_constants(alg)):
-        full = full + (kron(ei[k], fj[k]) + kron(fi[k], ej[k])).scale(1 / c)
-    pair = _casimir(alg,
-                    [kron(e, id_j) + kron(id_i, x) for e, x in zip(ei, ej)],
-                    [kron(f, id_j) + kron(id_i, x) for f, x in zip(fi, fj)],
-                    [la.weight_add(wa, wb) for wa, wb in weights])
-    pair = pair - SRMatrix.identity(dim).scale(shift)
-    if pair.scale(Fraction(1, 2)) != full:
-        raise ConstructionError(
-            f"Omega routes disagree on {alg.name} {lam} x {mu}")
-    return full
+    for rep in dict.fromkeys((ri, rj)):
+        if not casimir_is_scalar(rep):
+            raise ConstructionError(f"{alg.name} {rep.highest_weight}: the "
+                                    "dual-basis Casimir is not its scalar")
+    size = ri.dim * rj.dim
+    return sum(map(kron, _dual_bases(ri)[0], _dual_bases(rj)[1]),
+               SRMatrix(size, size))
 
 
 def total_weights(factor_weights):
@@ -382,9 +376,15 @@ def slot_embedding(dims, slots, local, cols):
     size = prod(local_dims)
     if (local.nrows, local.ncols) != (size, size):
         raise ValueError(f"local matrix is not {size} square")
-    digits = np.array(np.unravel_index(cols, dims))
-    at = list(slots)
-    loc = np.ravel_multi_index(tuple(digits[at]), local_dims)
+    cols = np.asarray(cols, dtype=np.intp)
+    strides = np.cumprod((1, *dims[:0:-1]))[::-1][list(slots)]
+
+    def offset(local_index):    # what the listed slots' digits add
+        return sum(d * st for d, st in zip(
+            np.unravel_index(local_index, local_dims), strides))
+
+    loc = np.ravel_multi_index(
+        cols // strides[:, None] % np.array(local_dims)[:, None], local_dims)
     # entries sorted by column: position p meets start[p] + k, k < hits[p]
     entries = sorted(local.data, key=lambda rc: rc[1])
     local_rows, local_cols = np.array(entries, dtype=np.intp).reshape(-1, 2).T
@@ -392,10 +392,9 @@ def slot_embedding(dims, slots, local, cols):
     hits = np.searchsorted(local_cols, loc, "right") - start
     pos = np.repeat(np.arange(len(loc)), hits)
     e = np.arange(len(pos)) + np.repeat(start - np.cumsum(hits) + hits, hits)
-    out = digits[:, pos]
-    out[at] = np.unravel_index(local_rows[e], local_dims)
+    rows = (cols - offset(loc))[pos] + offset(local_rows[e])
     values = np.array([local.data[rc] for rc in entries], dtype=object)
-    return np.ravel_multi_index(tuple(out), dims), pos, values[e]
+    return rows, pos, values[e]
 
 
 class TensorSystem:
@@ -561,7 +560,7 @@ class TensorSystem:
 
     def omega_pair(self, i, j):
         """Exact two-slot Casimir Omega^{ij} on the total space, embedding
-        `local_omega` (both assembly routes checked) of the slot weights."""
+        `local_omega` (its factor Casimirs checked) of the slot weights."""
         return self._embedded(*self._pair(i, j), range(self.total_dim))
 
     def omega_restricted(self, i, j):

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import kzmono.algebra as la
 import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.blocks import admissible_weights
 from kzmono.errors import (ConstructionError, DimensionCapError,
                            NonDominantWeightError)
-from kzmono.exact import SRMatrix, commutator, nullspace
+from kzmono.exact import SRMatrix, commutator, kron, nullspace
 from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
                          local_omega, rep_to_json, root_vectors,
                          slot_embedding, tensor_system)
@@ -113,6 +114,7 @@ def test_casimir_matrix_is_the_right_scalar(alg, lam):
     rep = irrep(alg, lam)
     expected = SRMatrix.identity(rep.dim).scale(casimir_scalar(alg, lam))
     assert casimir_matrix(rep) == expected
+    assert reps.casimir_is_scalar(rep)
 
 
 def test_casimir_constants_simple_roots():
@@ -164,6 +166,68 @@ def test_wider_type_constructions():
         assert rep.dim == dim
         expected = SRMatrix.identity(dim).scale(casimir_scalar(alg, lam))
         assert casimir_matrix(rep) == expected
+
+
+def ref_casimir(alg, ems, fms, weights):
+    """The former module Casimir: sum_alpha (1/c_alpha)(e_alpha f_alpha +
+    f_alpha e_alpha) + diag <w, w>, for root vectors acting on a basis of
+    the given weights."""
+    n = len(weights)
+    total = SRMatrix(n, n)
+    for v, w in enumerate(weights):
+        total.put(v, v, la.pairing(alg, w, w))
+    for e, f, c in zip(ems, fms, casimir_constants(alg)):
+        total = total + (e @ f + f @ e).scale(1 / c)
+    return total
+
+
+def ref_local_omega(alg, lam, mu):
+    """The former two-route Omega on V_lam (x) V_mu: the dual-basis root sum
+    plus the Cartan pairing of each basis pair, checked against one half of
+    (pair Casimir of the coproduct root vectors - c_lam - c_mu)."""
+    ri, rj = irrep(alg, lam), irrep(alg, mu)
+    ei, fi = root_vectors(ri)
+    ej, fj = root_vectors(rj)
+    id_i, id_j = SRMatrix.identity(ri.dim), SRMatrix.identity(rj.dim)
+    shift = la.casimir_scalar(alg, lam) + la.casimir_scalar(alg, mu)
+    weights = [(wa, wb) for wa in ri.basis_weights for wb in rj.basis_weights]
+    dim = len(weights)
+    full = SRMatrix(dim, dim)
+    for g, (wa, wb) in enumerate(weights):
+        full.put(g, g, la.pairing(alg, wa, wb))
+    for k, c in enumerate(casimir_constants(alg)):
+        full = full + (kron(ei[k], fj[k]) + kron(fi[k], ej[k])).scale(1 / c)
+    pair = ref_casimir(alg,
+                       [kron(e, id_j) + kron(id_i, x) for e, x in zip(ei, ej)],
+                       [kron(f, id_j) + kron(id_i, x) for f, x in zip(fi, fj)],
+                       [la.weight_add(wa, wb) for wa, wb in weights])
+    pair = pair - SRMatrix.identity(dim).scale(shift)
+    assert pair.scale(Fraction(1, 2)) == full
+    return full
+
+
+def typed_entries(m):
+    return m.nrows, m.ncols, [(r, c, type(v), v) for r, c, v in m.entries()]
+
+
+@pytest.mark.parametrize("series,rank,lam,mu", [
+    ("A", 1, (1,), (1,)), ("A", 1, (1,), (2,)), ("A", 1, (3,), (2,)),
+    ("A", 2, (1, 0), (0, 1)), ("A", 2, (1, 1), (1, 1)),
+    ("G", 2, (1, 0), (1, 0)), ("G", 2, (0, 1), (1, 0)),
+    ("B", 2, (1, 0), (0, 1)), ("C", 3, (1, 0, 0), (0, 1, 0)),
+    ("D", 4, (1, 0, 0, 0), (0, 0, 0, 1)), ("A", 3, (1, 0, 0), (0, 0, 1)),
+    ("F", 4, (0, 0, 0, 1), (0, 0, 0, 1)),
+])
+def test_dual_basis_casimirs_match_former_routes(series, rank, lam, mu):
+    # one dual basis gives both Casimirs: the same entries, value types
+    # included, as the former assembly of each
+    alg = build_algebra(series, rank)
+    assert typed_entries(local_omega(alg, lam, mu)) \
+        == typed_entries(ref_local_omega(alg, lam, mu))
+    for w in (lam, mu):
+        rep = irrep(alg, w)
+        assert typed_entries(casimir_matrix(rep)) == typed_entries(
+            ref_casimir(alg, *root_vectors(rep), rep.basis_weights))
 
 
 # -- tensor systems ---------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import kzmono.algebra as la
 import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar, pairing, weight_add
 from kzmono.blocks import block_subspace, highest_root_lowering
@@ -243,13 +244,29 @@ def test_local_shape_is_checked():
 
 
 def test_omega_route_disagreement_raises(monkeypatch):
-    # doubling every <e_alpha, f_alpha> breaks the dual-basis route but not
-    # the scalar Casimirs, so the two Omega routes must disagree
+    # doubling every <e_alpha, f_alpha> breaks the dual bases, so the factor
+    # Casimirs sum_k x_k x^k are no longer their scalars
     doubled = tuple(2 * c for c in casimir_constants(A1))
     monkeypatch.setattr(reps, "casimir_constants", lambda alg: doubled)
     local_omega.cache_clear()
     try:
-        with pytest.raises(ConstructionError, match="routes disagree"):
+        with pytest.raises(ConstructionError, match="dual-basis Casimir"):
             tensor_system(A1, ((1,), (1,))).omega_pair(0, 1)
+    finally:
+        local_omega.cache_clear()
+
+
+def test_compensated_casimir_shift_raises(monkeypatch):
+    # +1 on c_(1) and -1 on c_(2) keeps c_lam + c_mu, which is all that
+    # (pair Casimir - c_lam - c_mu)/2 sees; each factor Casimir must equal
+    # its own scalar
+    clean = la.casimir_scalar
+    shift = {(1,): 1, (2,): -1}
+    monkeypatch.setattr(la, "casimir_scalar",
+                        lambda alg, w: clean(alg, w) + shift.get(w, 0))
+    local_omega.cache_clear()
+    try:
+        with pytest.raises(ConstructionError, match="dual-basis Casimir"):
+            local_omega(A1, (1,), (2,))
     finally:
         local_omega.cache_clear()
