@@ -5,7 +5,9 @@ in the fundamental-weight basis); roots are generated from the Cartan matrix
 by the root-string rules and also carried in Dynkin labels. The invariant
 form is normalised so the highest root has squared length 2, which fixes the
 Gram matrix of the fundamental weights as D * (A^{-1})^T with D the
-symmetrizers scaled to max 1.
+symmetrizers scaled to max 1. The form is also held on integers, as L times
+that Gram matrix (L the lcm of its denominators) and its rows against the
+positive roots, so that pairings and Weyl dimensions are integer sums.
 
 Conventions: cartan[i][j] = 2<a_i, a_j>/<a_j, a_j>, so the Dynkin label
 vector of the simple root a_i is the i-th row of the Cartan matrix, and
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
+from operator import mul
 
 from .errors import (ConstructionError, InvalidAlgebraError,
                      NonDominantWeightError, ValidationError, require_int)
@@ -62,7 +66,11 @@ class LieAlgebra:
     positive_roots / highest_root / weyl_vector are Dynkin-label tuples;
     positive_root_coords are the same roots in simple-root coordinates.
     gram is the Gram matrix of the fundamental weights under the normalised
-    invariant form; comarks are the integers <w_i, theta>.
+    invariant form; comarks are the integers <w_i, theta>. The same form on
+    integers: form = L * gram with L = form_scale the lcm of its
+    denominators, root_rows[a] = form @ alpha for the a-th positive root
+    (so <lam, alpha> = lam . root_rows[a] / L) and rho_pairings[a] =
+    rho . root_rows[a] = L <rho, alpha>, a positive integer.
     """
 
     series: str
@@ -78,6 +86,10 @@ class LieAlgebra:
     weyl_vector: tuple
     comarks: tuple
     dual_coxeter: int
+    form_scale: int
+    form: tuple
+    root_rows: tuple
+    rho_pairings: tuple
 
     @property
     def name(self):
@@ -203,6 +215,8 @@ def build_algebra(series, rank):
     # gram = D (A^{-1})^T from <w_i, a_j> = delta_ij d_j
     gram = tuple(tuple(d[i] * a_inv[j][i] for j in range(rank))
                  for i in range(rank))
+    scale = lcm(*(g.denominator for row in gram for g in row))
+    int_form = tuple(tuple(int(g * scale) for g in row) for row in gram)
 
     coords = _positive_roots(cartan)
     labels = tuple(tuple(sum(c[i] * cartan[i][j] for i in range(rank))
@@ -221,10 +235,10 @@ def build_algebra(series, rank):
     theta = labels[coords.index(theta_coords)]
 
     rho = tuple(1 for _ in range(rank))
+    root_rows = tuple(_image(int_form, a) for a in labels)
 
     def form(lam, mu):
-        return sum(Fraction(lam[i]) * gram[i][j] * mu[j]
-                   for i in range(rank) for j in range(rank))
+        return Fraction(_dot(lam, _image(int_form, mu)), scale)
 
     # normalisation and structural identities, all exact
     if form(theta, theta) != 2:
@@ -254,7 +268,18 @@ def build_algebra(series, rank):
         symmetrizers=d, gram=gram,
         positive_roots=labels, positive_root_coords=tuple(coords),
         highest_root=theta, highest_root_coords=theta_coords,
-        weyl_vector=rho, comarks=comarks, dual_coxeter=h)
+        weyl_vector=rho, comarks=comarks, dual_coxeter=h,
+        form_scale=scale, form=int_form, root_rows=root_rows,
+        rho_pairings=tuple(_dot(rho, row) for row in root_rows))
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _image(matrix, v):
+    """The integer vector matrix @ v."""
+    return tuple(_dot(row, v) for row in matrix)
 
 
 def check_weight(alg, weight):
@@ -282,14 +307,16 @@ def require_dominant(alg, weight):
 
 
 def pairing(alg, lam, mu):
-    """Normalised invariant form of two weights given by Dynkin labels."""
+    """Normalised invariant form of two weights given by Dynkin labels,
+    lam . form . mu over form_scale."""
     if len(lam) != alg.rank or len(mu) != alg.rank:
         raise NonDominantWeightError(
             f"weights must have length {alg.rank}: got {lam}, {mu}")
-    g = alg.gram
-    return sum(Fraction(lam[i]) * g[i][j] * mu[j]
-               for i in range(alg.rank) for j in range(alg.rank)
-               if lam[i] and mu[j])
+    # a zero weight gives the int 0 of the empty sum, every other pair a
+    # Fraction (the types `casimir_scalar` has always returned)
+    if not (any(lam) and any(mu)):
+        return 0
+    return Fraction(_dot(lam, _image(alg.form, mu)), alg.form_scale)
 
 
 def theta_level(alg, lam):
@@ -331,18 +358,23 @@ def weight_add(a, b):
 
 
 def weyl_dimension(alg, lam):
-    """prod <lam+rho, a> / <rho, a> over positive roots; always an integer."""
+    """prod <lam+rho, a> / <rho, a> over positive roots a; always an integer.
+
+    Each factor is (lam . r_a + rho . r_a) / rho . r_a with r_a the integer
+    root row of a (`LieAlgebra.root_rows`; the scale L cancels), so both
+    products are Python ints (E8's overflow int64) and one exact division
+    ends it (Humphreys, Introduction to Lie Algebras, 24.3).
+    """
     lam = require_dominant(alg, lam)
-    rho = alg.weyl_vector
-    num = Fraction(1)
-    lam_rho = weight_add(lam, rho)
-    for a in alg.positive_roots:
-        num *= pairing(alg, lam_rho, a) / pairing(alg, rho, a)
-    if num.denominator != 1 or num <= 0:
+    num = prod(_dot(lam, row) + r for row, r in zip(alg.root_rows,
+                                                    alg.rho_pairings))
+    den = prod(alg.rho_pairings)
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise ConstructionError(
-            f"{alg.name}: Weyl dimension product {num} of {lam} is not a "
-            f"positive integer")
-    return int(num)
+            f"{alg.name}: Weyl dimension product {Fraction(num, den)} of "
+            f"{lam} is not a positive integer")
+    return dim
 
 
 def casimir_scalar(alg, lam):

@@ -261,7 +261,7 @@ def _kohno_relations(n):
 
 
 _TRIPLE_PAIRS = ((0, 1), (0, 2), (1, 2))
-_BATCH = 1 << 18        # entries of one stack of dense blocks
+_BATCH = 1 << 14        # entries of one stack of dense blocks
 _DENSE_MAX = 1024       # largest block taken as dense products
 
 
@@ -331,8 +331,9 @@ def _triple_residual(mats, weights):
     # stored entries (which Omega, row, column, value) on the triple space
     lifted = [reps.slot_embedding(dims, slots, m, range(len(total)))
               for slots, m in zip(_TRIPLE_PAIRS, mats)]
-    rows, cols, vals = map(np.concatenate, zip(*lifted))
     which = np.repeat(np.arange(3), [len(r) for r, _c, _v in lifted])
+    rows, cols, vals = map(np.concatenate, zip(*lifted))
+    del lifted          # its arrays are copied into the three above
     big = max((abs(v) for m in mats for v in m.data.values()), default=0)
     label = _join(label, rows, cols)
     sizes = np.bincount(label)

@@ -22,8 +22,10 @@ u = e_i f_j y such a column, is an integer sum divided by u's denominator,
 and that division must leave no remainder: a remainder raises
 ConstructionError, so integrality is checked at every entry at no cost.
 The integral Gram matrix enters `exact.integral_echelon` as it is, and its
-rows D E_t are the lowering columns over the denominator D. `Fraction`
-values are made only when `irrep` wraps the columns as SRMatrix.
+rows D E_t are the lowering columns over the denominator D. A module
+keeps these integers (`Representation`); its `Fraction` matrices e, f, h
+and gram are built on first use, so Kac-Walton and `fusion_ring`, which
+read only the basis weights, build none.
 
 Matrix conventions (weights are Dynkin labels):
     [h_i, e_j] = cartan[j][i] e_j,   [e_i, f_j] = delta_ij h_i,
@@ -44,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -63,26 +65,54 @@ _ZERO_COLUMN = ({}, 1)      # e_i y = 0: no numerators over denominator 1
 class Representation:
     """Irreducible module with exact sparse generator matrices.
 
-    e, f, h are tuples of SRMatrix indexed by simple root; basis_weights
-    lists the weight of every basis vector; gram is the contravariant form
-    on the basis (block diagonal over weight spaces, e and f mutually
-    adjoint for it). Immutable after construction.
+    basis_weights lists the weight of every basis vector. The module holds
+    `_construct`'s integers: e_int and f_int give, per simple root, the
+    numerators {(row, col): int} with the per-column denominators
+    {col: int}, and gram_int is the contravariant form on the basis as
+    {(row, col): int} (block diagonal over weight spaces, e and f mutually
+    adjoint for it). e, f, h (tuples of SRMatrix indexed by simple root)
+    and gram are those matrices with `Fraction` entries, built on first
+    use, so a caller that reads only weights and dimensions (Kac-Walton,
+    `fusion_ring`) builds none. Immutable after construction.
     """
 
-    def __init__(self, alg, highest_weight, basis_weights, e, f, gram):
+    def __init__(self, alg, highest_weight, basis_weights, e_int, f_int,
+                 gram_int):
         self.alg = alg
         self.highest_weight = highest_weight
         self.basis_weights = tuple(basis_weights)
         self.dim = len(self.basis_weights)
-        self.e = tuple(e)
-        self.f = tuple(f)
-        self.gram = gram
-        self.h = tuple(
-            SRMatrix(self.dim, self.dim,
-                     {(v, v): Fraction(w[i])
-                      for v, w in enumerate(self.basis_weights) if w[i]})
-            for i in range(alg.rank))
+        self.e_int = tuple(e_int)
+        self.f_int = tuple(f_int)
+        self.gram_int = gram_int
         self._root_vectors = None
+
+    def _rational(self, columns):
+        return tuple(SRMatrix(self.dim, self.dim,
+                              {(r, c): Fraction(v, dens[c])
+                               for (r, c), v in nums.items()})
+                     for nums, dens in columns)
+
+    @cached_property
+    def e(self):
+        return self._rational(self.e_int)
+
+    @cached_property
+    def f(self):
+        return self._rational(self.f_int)
+
+    @cached_property
+    def h(self):
+        return tuple(SRMatrix(self.dim, self.dim,
+                              {(v, v): Fraction(w[i])
+                               for v, w in enumerate(self.basis_weights)
+                               if w[i]})
+                     for i in range(self.alg.rank))
+
+    @cached_property
+    def gram(self):
+        return SRMatrix(self.dim, self.dim,
+                        {rc: Fraction(v) for rc, v in self.gram_int.items()})
 
     @property
     def basis_hash(self):
@@ -208,16 +238,15 @@ def irrep(alg, lam):
 @lru_cache(maxsize=None)
 def _irrep(alg, lam):
     weights, e, f, gram = _construct(alg, lam)
-    dim = len(weights)
 
-    def matrix(cols):
-        return SRMatrix(dim, dim, {(r, c): Fraction(v, den)
-                                   for c, (col, den) in cols.items()
-                                   for r, v in col.items()})
+    def flat(cols):     # column dicts as (numerators, denominators)
+        return ({(r, c): v for c, (col, _den) in cols.items()
+                 for r, v in col.items()},
+                {c: den for c, (_col, den) in cols.items()})
 
     return Representation(
-        alg, lam, weights, map(matrix, e), map(matrix, f),
-        matrix({c: (col, 1) for c, col in gram.items()}))
+        alg, lam, weights, map(flat, e), map(flat, f),
+        {(r, c): v for c, col in gram.items() for r, v in col.items()})
 
 
 @lru_cache(maxsize=None)
@@ -509,14 +538,15 @@ class TensorSystem:
         image of the diagonal action; this is the pairing under which the
         two-slot Casimirs are self-adjoint and the block subspaces are the
         duals of the raising-operator annihilator conditions. It is
-        B^T (G_1 (x) ... (x) G_n) B / delta^2, one G_s at a time.
+        B^T (G_1 (x) ... (x) G_n) B / delta^2, one integer G_s
+        (`Representation.gram_int`) at a time.
         """
         if self._inv_gram is None:
             delta, b = self.integral_basis
             image = b
             for s, rep in enumerate(self.factors):
-                _one, (gram,) = integral([rep.gram])
-                image = self.contract((s,), gram, image)
+                image = self.contract((s,), SRMatrix(
+                    rep.dim, rep.dim, rep.gram_int), image)
             self._inv_gram = _fractions(exact_matmul(b.T, image),
                                         delta * delta)
         return self._inv_gram

@@ -176,21 +176,26 @@ def test_weyl_dimension_and_casimir():
 
 
 @pytest.mark.parametrize("shift, sign", [(1, 1), (0, -1)])
-def test_weyl_dimension_rejects_bad_product(monkeypatch, shift, sign):
-    # negative control: on A1 (1) the product is <lam+rho, a>/<rho, a> = 2/1;
-    # shifting both pairings by 1 makes it 3/2, flipping the numerator's
-    # sign makes it -2, and neither is a dimension
+def test_weyl_dimension_rejects_bad_product(shift, sign):
+    # negative control: on A1 (1) the product is <lam+rho, a>/<rho, a> = 2/1,
+    # read as (lam . r + rho . r)/rho . r over the integer root row r and
+    # rho pairing of the root. A copy of A1 whose row and rho pairing shift
+    # both pairings by 1 makes it 3/2, one that flips the numerator's sign
+    # makes it -2, and neither is a dimension
     a1 = build_algebra("A", 1)
-    rho = a1.weyl_vector
-    true_pairing = pairing
-
-    def corrupted(alg, lam, mu):
-        value = true_pairing(alg, lam, mu) + shift
-        return value if lam == rho else sign * value
-
-    monkeypatch.setattr("kzmono.algebra.pairing", corrupted)
-    with pytest.raises(ConstructionError, match="Weyl dimension product"):
-        weyl_dimension(a1, (1,))
+    lam = (1,)
+    scale = a1.form_scale
+    (row,), (rho_a,) = a1.root_rows, a1.rho_pairings
+    top = sign * (lam[0] * row[0] + rho_a + shift * scale)
+    low = rho_a + shift * scale
+    bad = dataclasses.replace(a1, root_rows=((top - low,),),
+                              rho_pairings=(low,))
+    product = Fraction(top, low)
+    assert product == (Fraction(3, 2) if sign > 0 else -2)
+    with pytest.raises(ConstructionError,
+                       match=f"Weyl dimension product {product} of"):
+        weyl_dimension(bad, lam)
+    assert weyl_dimension(a1, lam) == 2
 
 
 def test_adjoint_casimir_is_two_dual_coxeter():

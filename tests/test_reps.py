@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import kzmono.algebra as la
 import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar
-from kzmono.blocks import admissible_weights
+from kzmono.blocks import admissible_weights, fusion_ring
 from kzmono.errors import (ConstructionError, DimensionCapError,
                            NonDominantWeightError)
 from kzmono.exact import SRMatrix, commutator, kron, nullspace
@@ -461,6 +462,58 @@ def test_fusion_ladder_modules_frozen():
     assert count == 42
     assert digest.hexdigest() == \
         "715c4e867632dc99ff2c2bccce8b09f0e5390ced270d15027f469672f9e924bb"
+
+
+def eager_matrices(alg, lam):
+    """e, f, h and the Gram matrix as `irrep` wrapped them eagerly before
+    the module kept its integers: SRMatrix of Fractions, gram a 1-tuple."""
+    weights, e, f, gram = reps._construct(alg, lam)
+    dim = len(weights)
+
+    def matrix(cols):
+        return SRMatrix(dim, dim, {(r, c): Fraction(v, den)
+                                   for c, (col, den) in cols.items()
+                                   for r, v in col.items()})
+
+    h = tuple(SRMatrix(dim, dim, {(v, v): Fraction(w[i])
+                                  for v, w in enumerate(weights) if w[i]})
+              for i in range(alg.rank))
+    return {"e": tuple(map(matrix, e)), "f": tuple(map(matrix, f)), "h": h,
+            "gram": (matrix({c: (col, 1) for c, col in gram.items()}),)}
+
+
+def stored(mats):
+    """Shape, then every entry in storage order with its value type."""
+    return [((m.nrows, m.ncols), [(k, v, type(v)) for k, v in m.data.items()])
+            for m in mats]
+
+
+def assert_matches_eager_wrap(rep):
+    want = eager_matrices(rep.alg, rep.highest_weight)
+    for kind in ("e", "f", "h"):
+        assert stored(getattr(rep, kind)) == stored(want[kind]), kind
+    assert stored((rep.gram,)) == stored(want["gram"])
+
+
+def test_fusion_builds_no_module_matrices(monkeypatch):
+    # a fresh module cache, so no earlier test has touched these modules
+    monkeypatch.setattr(reps, "_irrep",
+                        lru_cache(maxsize=None)(reps._irrep.__wrapped__))
+    ring = fusion_ring.__wrapped__(A2, 5)
+    modules = [irrep(A2, lam) for lam in ring.weights]
+    assert len(modules) == 21
+    for rep in modules:
+        assert not {"e", "f", "h", "gram"} & set(vars(rep)), rep
+    for rep in modules:
+        assert_matches_eager_wrap(rep)
+        assert rep.e is rep.e and rep.gram is rep.gram    # built once
+
+
+def test_module_matrices_match_eager_wrap():
+    # multiplicities above 1, denominators above 1 and an exceptional type
+    for alg, lam in [(G2, (1, 1)), (build_algebra("B", 3), (0, 0, 1)),
+                     (build_algebra("F", 4), (0, 0, 0, 1))]:
+        assert_matches_eager_wrap(irrep(alg, lam))
 
 
 def test_dimension_check_raises(monkeypatch):
