@@ -1,15 +1,20 @@
 """Exact irreducible highest-weight modules and their tensor products.
 
 A module is generated from a highest-weight vector by the lowering operators
-in one pass, weight space by weight space. The candidates at a new weight mu
-are the vectors f_j y for y in the weight space of mu + a_j; each e_i f_j y
-is formed once, as f_j e_i y + delta_ij y_i y, and serves both as a row of
-the Gram matrix of the contravariant form on the candidates and, for a kept
-candidate, as its raising column. One reduced echelon form of that Gram
-matrix picks a basis and expresses every dependent candidate through it,
-which quotients out the radical and lands exactly on the irreducible module.
-The Weyl dimension bounds the basis as it grows and must equal its final
-size, so a defective echelon step stops the construction at once.
+in one pass, weight space by weight space. A weight w is lowered by a_i only
+if w - a_i is a weight of the module: the a_i-string through w is unbroken,
+from w - r a_i to w + q a_i with r - q = w_i (Humphreys 21.3), and every
+w + a_i, w + 2 a_i, ... is built before w, so that holds iff w_i + q >= 1
+(`_lowers`). The candidates at a new weight mu are the vectors f_j y for y
+in the weight space of mu + a_j; each e_i f_j y is formed once, as
+f_j e_i y + delta_ij y_i y, and serves both as a row of the Gram matrix of
+the contravariant form on the candidates and, for a kept candidate, as its
+raising column. One reduced echelon form of that Gram matrix picks a basis
+and expresses every dependent candidate through it, which quotients out the
+radical and lands exactly on the irreducible module. The Weyl dimension
+bounds the basis as it grows and must equal its final size, so a defective
+echelon step stops the construction at once, and a wrongly skipped weight
+leaves the basis short of it.
 
 The construction runs on integers. Every basis vector is a lowering
 monomial f_{j_m} ... f_{j_1} v_lam of Chevalley generators, and lam is
@@ -18,9 +23,11 @@ moving each f across the form as e and commuting it down to v_lam with
 [e_i, f_j] = delta_ij h_i only multiplies by integer weight labels. The e
 and f columns are rational; each is kept as integer numerators over one
 positive denominator, divided by their gcd. A Gram entry G_x . u, with
-u = e_i f_j y such a column, is an integer sum divided by u's denominator,
-and that division must leave no remainder: a remainder raises
+u = e_i f_j y over one denominator, is an integer sum divided by that
+denominator, and that division must leave no remainder: a remainder raises
 ConstructionError, so integrality is checked at every entry at no cost.
+Whether G_x . u is an integer does not depend on how u's fraction is
+written, so u is divided by its gcd only when it becomes a stored e column.
 The integral Gram matrix enters `exact.integral_echelon` as it is, and its
 rows D E_t are the lowering columns over the denominator D. A module
 keeps these integers (`Representation`); its `Fraction` matrices e, f, h
@@ -48,6 +55,7 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from operator import add, sub
 
 import numpy as np
 
@@ -59,7 +67,7 @@ from .exact import (SRMatrix, commutator, exact_dtype, exact_matmul, integral,
 
 DEFAULT_DIMENSION_CAP = 200_000
 
-_ZERO_COLUMN = ({}, 1)      # e_i y = 0: no numerators over denominator 1
+_ZERO_COLUMN = ({}, 1)      # a column not stored: no numerators over 1
 
 
 class Representation:
@@ -68,12 +76,13 @@ class Representation:
     basis_weights lists the weight of every basis vector. The module holds
     `_construct`'s integers: e_int and f_int give, per simple root, the
     numerators {(row, col): int} with the per-column denominators
-    {col: int}, and gram_int is the contravariant form on the basis as
-    {(row, col): int} (block diagonal over weight spaces, e and f mutually
-    adjoint for it). e, f, h (tuples of SRMatrix indexed by simple root)
-    and gram are those matrices with `Fraction` entries, built on first
-    use, so a caller that reads only weights and dimensions (Kac-Walton,
-    `fusion_ring`) builds none. Immutable after construction.
+    {col: int}, which have no entry for a zero column, and gram_int is the
+    contravariant form on the basis as {(row, col): int} (block diagonal
+    over weight spaces, e and f mutually adjoint for it). e, f, h (tuples
+    of SRMatrix indexed by simple root) and gram are those matrices with
+    `Fraction` entries, built on first use, so a caller that reads only
+    weights and dimensions (Kac-Walton, `fusion_ring`) builds none.
+    Immutable after construction.
     """
 
     def __init__(self, alg, highest_weight, basis_weights, e_int, f_int,
@@ -135,18 +144,31 @@ def _reduced(vec, den):
     return {r: v // g for r, v in vec.items()}, den // g
 
 
+def _lowers(index_of, w, i, alpha_i):
+    """Whether w - alpha_i is a weight of the module, given index_of, which
+    holds every weight above w: the alpha_i-string through w is unbroken
+    and runs from w - r alpha_i to w + q alpha_i with r - q = w_i
+    (Humphreys 21.3), so it is iff w_i + q >= 1."""
+    up = w
+    for _ in range(1 - w[i]):      # q must reach 1 - w_i
+        up = tuple(map(add, up, alpha_i))
+        if up not in index_of:
+            return False
+    return True
+
+
 def _construct(alg, lam):
     """One-pass lowering construction; see the module docstring.
 
     Returns the basis weights, then e_i and f_i as column dicts
-    {index: (numerators, denominator)}, each column the integers
-    {row: numerator} over one positive denominator, and the Gram matrix as
-    integer column dicts {index: {row: value}}. Each basis vector gets its
-    global index when it is created, so no reassembly follows.
-    u[i][b] = e_i f_j y for the b-th candidate f_j y is formed once; it
-    gives the Gram entries <f_i x, f_j y> = G_x . u[i][b], each an exact
-    integer division, and, if the candidate is kept, the raising column
-    of e_i.
+    {index: (numerators, denominator)}, each nonzero column the integers
+    {row: numerator} over one positive denominator (zero columns are not
+    stored), and the Gram matrix as integer column dicts
+    {index: {row: value}}. Each basis vector gets its global index when it
+    is created, so no reassembly follows. u[i][b] = e_i f_j y for the b-th
+    candidate f_j y is formed once, unreduced; it gives the Gram entries
+    <f_i x, f_j y> = G_x . u[i][b], each an exact integer division, and, if
+    the candidate is kept, the raising column of e_i, reduced then.
     """
     rank = alg.rank
     alpha = alg.cartan                 # row i: Dynkin labels of a_i
@@ -162,44 +184,49 @@ def _construct(alg, lam):
         parents_of = {}
         for w in layer:
             for i in range(rank):
-                mu = tuple(a - b for a, b in zip(w, alpha[i]))
-                parents_of.setdefault(mu, []).append(i)
+                if _lowers(index_of, w, i, alpha[i]):
+                    parents_of.setdefault(tuple(map(sub, w, alpha[i])),
+                                          []).append((i, index_of[w]))
         layer = []
         for mu, parents in sorted(parents_of.items()):
-            parents.sort()
-            span = [(j, y) for j in parents for y in
-                    index_of[tuple(a + b for a, b in zip(mu, alpha[j]))]]
+            parents.sort()          # each i once, so no range is compared
+            span = [(j, y) for j, ys in parents for y in ys]
             u = {}
-            for i in parents:
+            for i, _ys in parents:
                 ui = u[i] = []
+                ei = e[i]
                 for j, y in span:
                     # u = f_j e_i y + delta_ij y_i y over one denominator:
                     # e_i y's times the lcm of those of the f_j columns met
-                    raised, den_e = e[i].get(y, _ZERO_COLUMN)
-                    cols = [(v, f[j][r]) for r, v in raised.items()]
-                    common = lcm(*(d for _v, (_col, d) in cols))
+                    raised, den_e = ei.get(y, _ZERO_COLUMN)
+                    fj = f[j]
+                    cols = [(v, fj.get(r, _ZERO_COLUMN))
+                            for r, v in raised.items()]
+                    common = lcm(*[d for _v, (_col, d) in cols])
                     den = den_e * common
                     vec = {y: weights[y][i] * den} if i == j else {}
                     for v, (col, d) in cols:
                         v *= common // d
                         for r2, v2 in col.items():
                             vec[r2] = vec.get(r2, 0) + v * v2
-                    ui.append(_reduced(vec, den))
+                    ui.append((vec, den))
             # G is symmetric, so its column x is its row x; S is symmetric
             # too, so only its upper triangle is computed
             s_mat = [[0] * len(span) for _ in span]
             for a, (i, x) in enumerate(span):
                 gx = gram[x]
+                ui = u[i]
+                row = s_mat[a]
                 for b in range(a, len(span)):
-                    col, den = u[i][b]
+                    col, den = ui[b]
                     s_ab, rem = divmod(
-                        sum(gx[r] * v for r, v in col.items() if r in gx),
+                        sum([gx[r] * v for r, v in col.items() if r in gx]),
                         den)
                     if rem:
                         raise ConstructionError(
                             f"{alg.name} weight {lam}: Gram entry at weight "
                             f"{mu} is not an integer")
-                    s_mat[a][b] = s_mat[b][a] = s_ab
+                    row[b] = s_mat[b][a] = s_ab
             # S is a symmetric Gram matrix, so its reduced echelon form is
             # S_kk^-1 S[keep, :], with unit columns on keep; its rows are
             # read as D times that form
@@ -217,11 +244,14 @@ def _construct(alg, lam):
             for n, a in zip(new, keep):
                 gram[n] = {n2: s_mat[a][b] for n2, b in zip(new, keep)
                            if s_mat[a][b]}
-                for i in parents:
-                    e[i][n] = u[i][a]
+                for i, _ys in parents:
+                    col = _reduced(*u[i][a])
+                    if col[0]:
+                        e[i][n] = col
             for b, (i, x) in enumerate(span):
-                f[i][x] = _reduced({n: row[b] for n, row in zip(new, coeff)},
-                                   det)
+                col = {n: row[b] for n, row in zip(new, coeff) if row[b]}
+                if col:
+                    f[i][x] = _reduced(col, det)
     if len(weights) != expected:
         raise ConstructionError(
             f"{alg.name} weight {lam}: constructed dimension {len(weights)} "

@@ -1,23 +1,33 @@
-"""Integer module construction against the `Fraction` route it replaced.
+"""Integer module construction against the two routes it replaced.
 
-The reference below is the earlier `reps._construct`, kept here as a
-test-only copy: it formed e_i f_j y, the Gram sums and the lowering
-columns in `Fraction` arithmetic. The library keeps every column as integer
-numerators over one denominator, divides each Gram sum exactly and reads
-the lowering columns from the integral echelon rows D E_t. Weights, e, f
-and the Gram matrix must be exactly equal, value types included.
+`ref_construct` is the first `reps._construct`, kept here as a test-only
+copy: it formed e_i f_j y, the Gram sums and the lowering columns in
+`Fraction` arithmetic. The library keeps every column as integer numerators
+over one denominator, divides each Gram sum exactly and reads the lowering
+columns from the integral echelon rows D E_t. Weights, e, f and the Gram
+matrix must be exactly equal, value types included.
+
+`ref_integer_construct` is the integer construction as it was before it
+skipped lowerings that leave the module: it forms candidates at every
+w - a_i, so most echelons on the E types are empty, and it reduces every
+raising vector u = e_i f_j y as it is formed. The library applies the
+a_i-string test first and reduces u only when it becomes a stored e
+column. Weights, every nonzero e and f column (numerators and
+denominator) and the Gram matrix must be equal.
 """
 
 import builtins
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import kzmono.reps as reps
+from kzmono import algebra as la
 from kzmono.algebra import build_algebra
 from kzmono.blocks import admissible_weights
 from kzmono.errors import ConstructionError
-from kzmono.exact import SRMatrix, reduced_echelon
+from kzmono.exact import SRMatrix, integral_echelon, reduced_echelon
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -84,6 +94,78 @@ def ref_construct(alg, lam):
         matrix(gram)
 
 
+def _ref_reduced(vec, den):
+    vec = {r: v for r, v in vec.items() if v}
+    g = gcd(den, *vec.values())
+    if den < 0:
+        g = -g
+    return {r: v // g for r, v in vec.items()}, den // g
+
+
+def ref_integer_construct(alg, lam):
+    rank = alg.rank
+    alpha = alg.cartan
+    weights = [lam]
+    index_of = {lam: range(1)}
+    e = [{} for _ in range(rank)]
+    f = [{} for _ in range(rank)]
+    gram = {0: {0: 1}}
+
+    layer = [lam]
+    while layer:
+        parents_of = {}
+        for w in layer:
+            for i in range(rank):
+                mu = tuple(a - b for a, b in zip(w, alpha[i]))
+                parents_of.setdefault(mu, []).append(i)
+        layer = []
+        for mu, parents in sorted(parents_of.items()):
+            parents.sort()
+            span = [(j, y) for j in parents for y in
+                    index_of[tuple(a + b for a, b in zip(mu, alpha[j]))]]
+            u = {}
+            for i in parents:
+                ui = u[i] = []
+                for j, y in span:
+                    raised, den_e = e[i].get(y, ({}, 1))
+                    cols = [(v, f[j][r]) for r, v in raised.items()]
+                    common = lcm(*(d for _v, (_col, d) in cols))
+                    den = den_e * common
+                    vec = {y: weights[y][i] * den} if i == j else {}
+                    for v, (col, d) in cols:
+                        v *= common // d
+                        for r2, v2 in col.items():
+                            vec[r2] = vec.get(r2, 0) + v * v2
+                    ui.append(_ref_reduced(vec, den))
+            s_mat = [[0] * len(span) for _ in span]
+            for a, (i, x) in enumerate(span):
+                gx = gram[x]
+                for b in range(a, len(span)):
+                    col, den = u[i][b]
+                    s_ab, rem = divmod(
+                        sum(gx[r] * v for r, v in col.items() if r in gx),
+                        den)
+                    assert not rem
+                    s_mat[a][b] = s_mat[b][a] = s_ab
+            keep, det, coeff = integral_echelon(s_mat, len(span))
+            if not keep:
+                continue
+            new = range(len(weights), len(weights) + len(keep))
+            weights.extend([mu] * len(keep))
+            index_of[mu] = new
+            layer.append(mu)
+            for n, a in zip(new, keep):
+                gram[n] = {n2: s_mat[a][b] for n2, b in zip(new, keep)
+                           if s_mat[a][b]}
+                for i in parents:
+                    e[i][n] = u[i][a]
+            for b, (i, x) in enumerate(span):
+                f[i][x] = _ref_reduced(
+                    {n: row[b] for n, row in zip(new, coeff)}, det)
+    assert len(weights) == la.weyl_dimension(alg, lam)
+    return weights, e, f, gram
+
+
 def _typed(mat):
     return {k: (type(v), v) for k, v in mat.data.items()}
 
@@ -98,6 +180,12 @@ CASES = sorted({(s, r, lam) for s, r, k in LEVEL_CASES
                | set(EXTRA_CASES))
 
 
+# on the E types most w - a_i are not weights, so most lowerings are skipped
+SKIP_CASES = CASES + sorted(
+    (s, r, lam) for s, r, k in [("E", 6, 1), ("E", 7, 1)]
+    for lam in admissible_weights(build_algebra(s, r), k))
+
+
 @pytest.mark.parametrize("series, rank, lam", CASES,
                          ids=[f"{s}{r}-{lam}" for s, r, lam in CASES])
 def test_integer_construction_matches_fraction_route(series, rank, lam):
@@ -108,6 +196,40 @@ def test_integer_construction_matches_fraction_route(series, rank, lam):
     for got, want in zip((*rep.e, *rep.f, rep.gram), (*e, *f, gram)):
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
         assert _typed(got) == _typed(want)
+
+
+@pytest.mark.parametrize("series, rank, lam", SKIP_CASES,
+                         ids=[f"{s}{r}-{lam}" for s, r, lam in SKIP_CASES])
+def test_skipping_construction_matches_every_lowering(series, rank, lam):
+    alg = build_algebra(series, rank)
+    weights, e, f, gram = reps._construct(alg, lam)
+    ref_weights, ref_e, ref_f, ref_gram = ref_integer_construct(alg, lam)
+    assert weights == ref_weights
+    for got, want in zip((*e, *f), (*ref_e, *ref_f)):
+        assert got == {c: col for c, col in want.items() if col[0]}
+    assert gram == ref_gram
+
+
+@pytest.mark.parametrize("series, rank, lam, refused", [
+    ("A", 2, (1, 1), (0, 0)), ("G", 2, (1, 0), (0, 0))])
+def test_a_wrongly_skipped_weight_is_refused(monkeypatch, series, rank, lam,
+                                             refused):
+    # a string test that wrongly skips the zero weight loses its basis
+    # vectors and all below them; the Weyl dimension catches the shortfall
+    real = reps._lowers
+
+    def refusing(index_of, w, i, alpha_i):
+        if tuple(a - b for a, b in zip(w, alpha_i)) == refused:
+            return False
+        return real(index_of, w, i, alpha_i)
+
+    monkeypatch.setattr(reps, "_lowers", refusing)
+    alg = build_algebra(series, rank)
+    with pytest.raises(ConstructionError,
+                       match=rf"{alg.name} weight \({lam[0]}, {lam[1]}\): "
+                             r"constructed dimension \d+ != Weyl dimension "
+                             rf"{la.weyl_dimension(alg, lam)}"):
+        reps._irrep.__wrapped__(alg, lam)
 
 
 def test_corrupted_gram_numerator_is_refused(monkeypatch):

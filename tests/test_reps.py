@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -426,7 +427,12 @@ FROZEN_MODULES = [
      "d0ccff161b79b977d1bdf0c2a9a3a63bee1d68e3dc54d628c6b01a39964f1206"),
     ("G", 2, (2, 0),
      "a71aea63a18332e2fe7795f763350ef73dd27afda157a793d1eba72a3cdbedb2"),
+    ("E", 6, (1, 0, 0, 0, 0, 0),
+     "f353f04a631ab9164e6bdac95cb3879249ddfaa71894c4b1e093a7c6e3fcaf6d"),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1),
+     "a856a96bccbb6360add9d22598f5413c65f1237878621729d8cf920c229a9b2b"),
 ]
+FUSION_LADDER = [("A", 2, 5), ("A", 3, 2), ("G", 2, 3), ("F", 4, 2)]
 
 
 def _module_text(rep):
@@ -438,7 +444,8 @@ def _module_text(rep):
 @pytest.mark.parametrize("series,rank,lam,digest", FROZEN_MODULES,
                          ids=["A2-(2,1)", "G2-(1,1)", "B3-(0,0,1)",
                               "F4-(0,0,0,1)", "C3-(1,0,1)", "A3-(1,1,0)",
-                              "D4-(0,1,0,0)", "G2-(2,0)"])
+                              "D4-(0,1,0,0)", "G2-(2,0)",
+                              "E6-(1,0,0,0,0,0)", "E7-(0,0,0,0,0,0,1)"])
 def test_module_matrices_frozen(series, rank, lam, digest):
     rep = irrep(build_algebra(series, rank), lam)
     text = _module_text(rep)
@@ -450,8 +457,7 @@ def test_fusion_ladder_modules_frozen():
     # G2 k=3 and F4 k=2, in ring order and then admissible-weight order
     digest = hashlib.sha256()
     count = 0
-    for series, rank, k in [("A", 2, 5), ("A", 3, 2), ("G", 2, 3),
-                            ("F", 4, 2)]:
+    for series, rank, k in FUSION_LADDER:
         alg = build_algebra(series, rank)
         for lam in admissible_weights(alg, k):
             rep = irrep(alg, lam)
@@ -462,6 +468,25 @@ def test_fusion_ladder_modules_frozen():
     assert count == 42
     assert digest.hexdigest() == \
         "715c4e867632dc99ff2c2bccce8b09f0e5390ced270d15027f469672f9e924bb"
+
+
+WEYL_SYMMETRY_CASES = sorted(
+    {(s, r, lam) for s, r, k in FUSION_LADDER
+     for lam in admissible_weights(build_algebra(s, r), k)}
+    | {(s, r, lam) for s, r, lam, _digest in FROZEN_MODULES})
+
+
+@pytest.mark.parametrize(
+    "series, rank, lam", WEYL_SYMMETRY_CASES,
+    ids=[f"{s}{r}-{lam}" for s, r, lam in WEYL_SYMMETRY_CASES])
+def test_weight_multiplicities_are_weyl_symmetric(series, rank, lam):
+    # an oracle without elimination: the Weyl group permutes the weights of
+    # a module and keeps their multiplicities, so dim V_mu = dim V_{s_i mu}
+    alg = build_algebra(series, rank)
+    mult = Counter(irrep(alg, lam).basis_weights)
+    for mu, dim in mult.items():
+        for i in range(rank):
+            assert mult[la.simple_reflection(alg, mu, i)] == dim, (mu, i)
 
 
 def eager_matrices(alg, lam):
