@@ -82,6 +82,24 @@ class KZForm:
         ], dtype=complex).reshape(len(self.pairs), d * d)
 
     @cached_property
+    def gram_residues(self):
+        """The residues R_p = Omega^p/(k+h) in Gram-orthonormal coordinates.
+
+        Returns (C, S): C the lower Cholesky factor of the float invariant
+        Gram matrix G = C C^T (`TensorSystem.invariant_gram`), and
+        S[p] = C^T R_p C^{-T}, real, for the pairs in `pairs` order, built
+        from the float rows. In the coordinates x = C^T y every Omega^p,
+        self-adjoint for G, is symmetric, so S[p] is stored as the
+        symmetric part of the computed product. Built on first use.
+        """
+        chol = np.linalg.cholesky(
+            self.system.invariant_gram().to_array(float))
+        rows = self._pref * self._omega_rows.real.reshape(-1, self.dim,
+                                                          self.dim)
+        res = chol.T @ rows @ np.linalg.inv(chol).T
+        return chol, (res + res.transpose(0, 2, 1)) / 2
+
+    @cached_property
     def omega_full(self):
         """Omega^{ij} on the total space per pair, built once on demand."""
         return {p: self.system.omega_pair(*p) for p in self.pairs}

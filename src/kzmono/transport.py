@@ -45,6 +45,29 @@ braid-group elements; braid matrices are then expressed in the block basis.
 For unequal weights the generator still makes sense as a map into the block
 space at the permuted points and is returned in that endpoint basis.
 
+`braid_generator` knows that its path is an exact half-twist, and by
+default solves it without sampling the path. With m the midpoint,
+r = (z_b - z_a)/2 and u = e^{+-i pi t}, the moving points are m -+ r u, so
+every pair coefficient dlog(z_i - z_j) is du/(u - p) with an exact pole p:
+0 for the exchanged pair and +-(m - z_j)/r for a pair with one moving slot
+(Kohno, Ann. Inst. Fourier 37, 1987). The dual transport is then the
+Fuchsian system dY/du = sum_p R_p/(u - p) Y, R_p = Omega^p/(k+h). It runs
+in Gram-orthonormal coordinates x = C^T y, C the Cholesky factor of the
+invariant Gram matrix, where each R_p is symmetric
+(`KZForm.gram_residues`), and moves only the block frame, d x b. The arc
+goes in steps whose chord is at most half the distance rho to the nearest
+pole; at each centre u_0, with w_p = 1/(p - u_0), the Taylor coefficients
+obey (n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}),
+one (d, P d) @ (P d, b) product per term. The series is majorised by
+||Y_0|| (1 - x/rho)^{-M} (Cauchy's majorant method; Mezzarobba, "Rigorous
+multiple-precision evaluation of D-finite functions in SageMath", 2016), so
+every step's term count is fixed in advance from the closed-form tail, and
+the tails carried to the end by the flow majorant
+exp(int sum_p ||R_p||/|u - p| |du|) bound the error in exact arithmetic;
+float rounding is not covered. Letters whose planned work passes a fixed
+crossover (the multiply-adds sum_k N_k P d^2 b against DOP853's time,
+measured at A1 (1)^8 and (1)^10) go through `transport` like any path.
+
 Path segments return their points z(t) and velocities dz/dt as complex
 arrays. The integrators ask for A(t) on whole stacks of times: DOP853 for
 the eleven nodes of a step attempt, Magnus for the Gauss nodes of a chunk.
@@ -74,11 +97,19 @@ from .errors import (PathSingularError, TransportError, ValidationError,
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
 _MIN_TOL = 1e-13
+_MIN_SEPARATION = 1e-9
 _MAGNUS_MAX_STEPS = 1 << 16
 # Magnus steps whose cores are exponentiated as one stack
 _MAGNUS_CHUNK = 256
 _CONCAT_GAP = 1e-9
 _GAUSS_OFFSET = math.sqrt(3) / 6
+_TAYLOR_MAX_STEPS = 1 << 10
+_TAYLOR_MAX_TERMS = 1 << 8
+# braid letters planned past this many multiply-adds sum_k N_k P d^2 b run
+# DOP853 instead: at A1 (1)^10, k=2, Taylor letters of 1.3-2.0e8 took
+# 15-21 ms against DOP853's 15-27 ms, and at k=3 one of 3.5e8 took 68 ms
+# against 26 ms (2-CPU Xeon VM)
+_TAYLOR_MAX_MADDS = 250_000_000
 
 
 @dataclass(frozen=True)
@@ -303,7 +334,7 @@ def _require_positive(value, what):
 
 
 def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
-              min_separation=1e-9, dual=False):
+              min_separation=_MIN_SEPARATION, dual=False):
     """Parallel transport along a path; frame starts as the identity.
 
     dual=True transports dual-bundle frames (Y' = +A Y), the parallel
@@ -378,6 +409,209 @@ def _in_block_basis(columns, transported):
     return sol, float(np.linalg.norm(off) / denom)
 
 
+def _twist_poles(form, z0, a, b):
+    """The half-twist of slots a < b in u = e^{+-i pi t}: for each pair it
+    moves, its pole, its row in `form.pairs` and its span, the factor s
+    with |z_i - z_j| = s |u - p|.
+
+    With m the midpoint and r = (z_b - z_a)/2, z_a = m - r u and
+    z_b = m + r u, so the pair coefficient dlog(z_i - z_j) is du/(u - p):
+    p = 0 for (a, b), with span 2|r|, and c_j/r for (a, j) and -c_j/r for
+    (b, j), with span |r|, where c_j = m - z_j. Pairs of two fixed slots
+    have no coefficient.
+    """
+    mid = (z0[a] + z0[b]) / 2
+    rad = (z0[b] - z0[a]) / 2
+    poles, rows, spans = [], [], []
+    for row, pair in enumerate(form.pairs):
+        if pair == (a, b):
+            poles.append(0j)
+            spans.append(2 * abs(rad))
+        elif a in pair or b in pair:
+            moving = a if a in pair else b
+            c = (mid - z0[sum(pair) - moving]) / rad
+            poles.append(c if moving == a else -c)
+            spans.append(abs(rad))
+        else:
+            continue
+        rows.append(row)
+    return (np.array(poles, dtype=complex), np.array(rows, dtype=np.intp),
+            np.array(spans))
+
+
+def _guard_time(poles, sign, delta):
+    """The first t in [0, 1] at which u = e^{sign i pi t} is within
+    delta[p] of poles[p], or None.
+
+    On the unit circle |u - p|^2 = (1 - |p|)^2 + 4|p| sin^2((theta - arg p)/2),
+    so each pole's guard is one arc of angles, |theta - arg p| < alpha,
+    found in closed form.
+    """
+    first = math.inf
+    for p, dl in zip(poles.tolist(), delta.tolist()):
+        rho = abs(p)
+        gap = abs(1 - rho)
+        if dl <= gap:
+            continue
+        if rho == 0:
+            first = 0.0
+            continue
+        s = math.sqrt((dl - gap) * (dl + gap) / (4 * rho))
+        alpha = 2 * math.asin(s) if s < 1 else math.pi
+        phi = sign * cmath.phase(p)
+        for shift in (-2 * math.pi, 0.0, 2 * math.pi):
+            lo = phi - alpha + shift
+            if lo + 2 * alpha > 0 and lo < math.pi:
+                first = min(first, max(lo, 0.0) / math.pi)
+    return first if first <= 1 else None
+
+
+def _arc_times(poles, sign):
+    """Step times 0 = t_0 < ... < t_K = 1 on u = e^{sign i pi t}: each step's
+    chord is at most half the distance rho from its start to the nearest
+    pole. Pole 0 keeps rho <= 1, so there are at least seven steps."""
+    ts = [0.0]
+    while ts[-1] < 1.0:
+        if len(ts) > _TAYLOR_MAX_STEPS:
+            raise TransportError(
+                f"taylor stepper exceeded the step budget of "
+                f"{_TAYLOR_MAX_STEPS} steps")
+        u = cmath.exp(1j * sign * math.pi * ts[-1])
+        rho = float(np.abs(poles - u).min())
+        ts.append(min(1.0, ts[-1] + 2 / math.pi * math.asin(rho / 4)))
+    return np.array(ts)
+
+
+def _arc_distance(poles, ts, sign):
+    """(K, P) distances from each pole to each step's arc, exactly: |1 - |p||
+    if the pole's angle lies on the arc, else the nearer end."""
+    p = poles if sign > 0 else poles.conj()
+    phase = np.angle(p) % (2 * math.pi)
+    lo, hi = math.pi * ts[:-1, None], math.pi * ts[1:, None]
+    ends = np.exp(1j * np.concatenate((lo, hi), axis=1))
+    near = np.minimum(np.abs(p - ends[:, :1]), np.abs(p - ends[:, 1:]))
+    on_arc = (phase >= lo) & (phase <= hi)
+    return np.where(on_arc, np.abs(1 - np.abs(p)), near)
+
+
+def _taylor_plan(poles, norms, ts, sign, budget):
+    """The arc points u_k, each step's term count N_k and its tail factor,
+    and the flow majorant's exponent from each step's end to u = -1.
+
+    On step k the centre is u_k, rho_k the distance to the nearest pole and
+    q_k = |u_{k+1} - u_k|/rho_k <= 1/2. Since |p - u_k| >= rho_k, the
+    coefficients of sum_p ||S_p||/(u - p) in x = u - u_k are majorised by
+    those of M_k/(rho_k - x), M_k = sum_p ||S_p|| rho_k/|p - u_k|. So the
+    series of the frame is majorised by ||X_k||_F (1 - x/rho_k)^{-M_k}, whose
+    n-th coefficient at x = u_{k+1} - u_k is ||X_k||_F c_n q_k^n with
+    c_n = (M_k)_n/n!; as c_{n+1}/c_n = (M_k + n)/(n + 1), the tail from N on
+    is at most c_N q_k^N/(1 - q_k max(1, (M_k + N)/(N + 1))) ||X_k||_F. The
+    flow majorant exp(int sum_p ||S_p||/|u - p| |du|) bounds the growth of
+    any frame; per step its exponent is L_k = pi dt_k sum_p ||S_p||/d_pk with
+    d_pk the pole's distance to the arc. N_k is the least count whose tail,
+    for the a-priori frame bound ||X_k|| <= ||X_0|| exp(L_0 + ... + L_{k-1})
+    and carried to the end by exp(L_{k+1} + ...), is at most budget/K, with
+    budget relative to ||X_0||_F. Returns None when some step needs more
+    than _TAYLOR_MAX_TERMS terms.
+    """
+    us = np.exp(1j * sign * math.pi * ts)
+    us[-1] = -1.0
+    centre = us[:-1]
+    dist = np.abs(poles - centre[:, None])
+    rho = dist.min(axis=1)
+    q = np.abs(np.diff(us)) / rho
+    big_m = (norms * rho[:, None] / dist).sum(axis=1)
+    flow = math.pi * np.diff(ts) * (norms / _arc_distance(poles, ts, sign)
+                                    ).sum(axis=1)
+    after = flow[::-1].cumsum()[::-1] - flow
+    n = np.arange(1, _TAYLOR_MAX_TERMS + 1)
+    ratio = q[:, None] * np.maximum(1.0, (big_m[:, None] + n) / (n + 1))
+    # M_k = 0 (no residue) gives log c_n = -inf: one term is exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.cumsum(np.log((big_m[:, None] + n - 1) / n), axis=1)
+        log_tail = np.where(ratio < 1, log_c + n * np.log(q)[:, None]
+                            - np.log1p(-ratio), np.inf)
+    room = math.log(budget / len(q)) - (flow.sum() - flow)
+    fits = log_tail <= room[:, None]
+    if not fits.any(axis=1).all():
+        return None
+    counts = n[np.argmax(fits, axis=1)]
+    tails = np.exp(log_tail[np.arange(len(q)), counts - 1])
+    return us, counts, tails, after
+
+
+def _taylor_frame(res, poles, us, counts, x):
+    """The frame x carried along the arc u_0, ..., u_K by the Taylor series
+    of dX/du = sum_p S_p/(u - p) X, and the Frobenius norm of each step's
+    starting frame.
+
+    With w_p = 1/(p - u_k), (n+1) X_{n+1} = -sum_p S_p Z_{p,n} and
+    Z_{p,n} = w_p (X_n + Z_{p,n-1}); the terms are scaled by h^n,
+    h = u_{k+1} - u_k, so the frame at u_{k+1} is their sum. The residues
+    are real, so the one (d, P d) @ (P d, b) product of a term runs on the
+    float view of the complex Z.
+    """
+    npole = len(poles)
+    d, b = x.shape
+    flat = np.ascontiguousarray(res.transpose(1, 0, 2).reshape(d, npole * d))
+    z = np.empty((npole, d, b), dtype=complex)
+    zf = z.view(float).reshape(npole * d, 2 * b)
+    norms = []
+    for k, count in enumerate(counts.tolist()):
+        norms.append(np.linalg.norm(x))
+        scale = ((us[k + 1] - us[k]) / (poles - us[k]))[:, None, None]
+        terms = np.empty((count, d, b), dtype=complex)
+        terms[0] = x
+        z.fill(0)
+        prev = terms[0]
+        for m, term, out in zip(range(1, count), terms[1:],
+                                terms[1:].view(float)):
+            z += prev
+            z *= scale
+            np.matmul(flat, zf, out=out)
+            term *= -1.0 / m
+            prev = term
+        x = terms.sum(axis=0)
+    return x, np.array(norms)
+
+
+def _taylor_letter(form, z0, i, sign, frame, tol):
+    """The half-twist of slots i - 1, i applied to the block frame by Taylor
+    series on its exact poles, or None past the crossover.
+
+    Returns the moved frame and the bound on its error, relative to the
+    frame's 2-norm (see `braid_generator`), or None when the planned
+    multiply-adds exceed _TAYLOR_MAX_MADDS (or a step needs more than
+    _TAYLOR_MAX_TERMS terms), where DOP853 is faster.
+    """
+    poles, rows, spans = _twist_poles(form, z0, i - 1, i)
+    floor = _MIN_SEPARATION * max(_min_separation(form, np.array(z0)), 1e-30)
+    t = _guard_time(poles, sign, floor / spans)
+    if t is not None:
+        raise PathSingularError(
+            f"points within {floor} of a diagonal at t={t}", t=t)
+    chol, res = form.gram_residues
+    res = res[rows]
+    if not (np.isfinite(res).all() and np.isfinite(poles).all()):
+        raise TransportError(
+            "integrator failed: non-finite residue or pole")
+    norms = np.abs(np.linalg.eigvalsh(res)).max(axis=1)
+    inv = np.linalg.inv(chol)
+    x = chol.T @ frame
+    # est_error is ||C^{-T}||_2 (the carried tails) / ||frame||_2
+    to_est = np.linalg.norm(inv, 2) / np.linalg.norm(frame, 2)
+    budget = max(tol * 1e-2, _MIN_TOL) / (to_est * np.linalg.norm(x))
+    plan = _taylor_plan(poles, norms, _arc_times(poles, sign), sign, budget)
+    if plan is None:
+        return None
+    us, counts, tails, after = plan
+    d, b = frame.shape
+    if int((counts - 1).sum()) * len(poles) * d * d * b > _TAYLOR_MAX_MADDS:
+        return None
+    x, starts = _taylor_frame(res, poles, us, counts, x)
+    return inv.T @ x, float((starts * tails * np.exp(after)).sum() * to_est)
+
+
 def braid_generator(form, block, i, tol=DEFAULT_TOL,
                     block_tol=DEFAULT_BLOCK_TOL, clockwise=False,
                     method="adaptive"):
@@ -391,6 +625,18 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     permuted configuration. The block residual is the relative norm of the
     transported frame's component outside the target subspace and must stay
     below block_tol.
+
+    The default method solves the half-twist by Taylor series on its exact
+    poles (module docstring), moving only the block frame B, and est_error
+    is an a-priori bound on ||(Y~ - Y) B||_F / ||B||_2, the error of the
+    transport on the block: the truncation tail of every step carried to
+    the end by the flow majorant, at most max(tol/100, 1e-13). The bound
+    holds in exact arithmetic; float rounding is not covered. A point
+    coming within 1e-9 times the starting separation of the moving arc
+    raises PathSingularError naming the first such t. Letters whose planned work
+    passes a fixed crossover run DOP853 on the fundamental matrix instead,
+    with its first-order estimate, as method="magnus" runs the Magnus
+    ladder (see `transport`).
     """
     system = form.system
     n = system.n
@@ -401,28 +647,35 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
         raise ValidationError("block subspace is zero dimensional")
     _require_positive(block_tol, "block tolerance")
     z0 = tuple(complex(p) for p in block.points)
-    path = braid_path(z0, i, clockwise=clockwise)
-    res = transport(form, path, tol=tol, method=method, dual=True)
     cols = block.coeffs.to_array(complex)
+    moved = None
+    if method == "adaptive":
+        require_tol(tol)
+        moved = _taylor_letter(form, z0, i, -1 if clockwise else 1, cols, tol)
+    if moved is None:
+        res = transport(form, braid_path(z0, i, clockwise=clockwise),
+                        tol=tol, method=method, dual=True)
+        moved = res.matrix @ cols, res.est_error
+    frame, est_error = moved
 
     equal = system.weights[i - 1] == system.weights[i]
     if equal:
         # the restricted flip squares to Id, so it is its own inverse
-        acting = system.swap_restricted(i - 1).to_array(complex) @ res.matrix
+        acting = system.swap_restricted(i - 1).to_array(complex) @ frame
         target = cols
     else:
-        acting = res.matrix
+        acting = frame
         pts = list(block.points)
         pts[i - 1], pts[i] = pts[i], pts[i - 1]
         endpoint = block_subspace(system, block.k, pts)
         target = endpoint.coeffs.to_array(complex)
 
-    mat, residual = _in_block_basis(target, acting @ cols)
+    mat, residual = _in_block_basis(target, acting)
     if residual > block_tol:
         raise TransportError(
             f"braid generator {i}: block residual {residual:.3e} exceeds "
             f"{block_tol:.1e} (integrator or block construction failure)")
-    return MonodromyResult(matrix=mat, est_error=res.est_error,
+    return MonodromyResult(matrix=mat, est_error=est_error,
                            block_residual=residual)
 
 
@@ -447,8 +700,10 @@ def braid_word_transport(form, block, word, tol=DEFAULT_TOL,
     Requires all tensor weights equal so every generator is an endomorphism
     of the same fibre. Letter matrices are cached and reused. `tol` is
     checked first, so an empty word refuses a bad tolerance too. est_error
-    sums the letters' estimates, each of the error of a transported frame;
-    it is not a bound on the error of the word's matrix in the block basis.
+    sums the letters' estimates (see `braid_generator`: a Taylor truncation
+    bound on the transported block frame, or DOP853's first-order estimate
+    past the crossover), each of the error of a transported frame; it is
+    not a bound on the error of the word's matrix in the block basis.
     """
     require_tol(tol)
     letters = (parse_braid_word(word) if isinstance(word, str)

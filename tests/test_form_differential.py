@@ -22,6 +22,10 @@ Both methods also take stacks of configurations. Each row of a stack must
 be bitwise the row evaluated alone, and a failing stack must raise the
 error of its first failing row, as a loop over the rows would; the path
 monitor likewise names the first time inside its guard.
+
+The frozen braid matrices came from DOP853; they stay pinned at 1e-13 on
+that route, and `braid_generator`, which now solves its letters by Taylor
+series, is held to them within its error bound.
 """
 
 import cmath
@@ -39,8 +43,9 @@ from kzmono.blocks import block_subspace
 from kzmono.connection import kz_form
 from kzmono.errors import CoincidentPointsError, PathSingularError
 from kzmono.reps import tensor_system
-from kzmono.transport import (Segment, _FormOnPath, _min_separation,
-                              braid_generator)
+from kzmono.transport import (Segment, _FormOnPath, _in_block_basis,
+                              _min_separation, braid_generator, braid_path,
+                              transport)
 
 A1 = build_algebra("A", 1)
 FROZEN = pathlib.Path(__file__).with_name("braid_a1_6pt_k2_frozen.json")
@@ -237,13 +242,42 @@ def test_first_coincident_pair_is_named():
         form.evaluate(z, [1, 2, 3, 4, 5])
 
 
-def test_braid_generators_match_frozen_loop_version():
+def _frozen_case():
     doc = json.loads(FROZEN.read_text())
     system = tensor_system(build_algebra(*doc["algebra"]),
                            tuple(map(tuple, doc["weights"])))
     form = kz_form(system, doc["level"])
     block = block_subspace(system, doc["level"], doc["points"])
+    return doc, form, block
+
+
+def _dop853_letter(form, block, i, tol):
+    """A braid letter by the route that froze the values: DOP853 on the
+    fundamental matrix, then the slot swap, then block coordinates."""
+    path = braid_path(tuple(complex(p) for p in block.points), i)
+    res = transport(form, path, tol=tol, dual=True)
+    cols = block.coeffs.to_array(complex)
+    swap = form.system.swap_restricted(i - 1).to_array(complex)
+    return _in_block_basis(cols, swap @ res.matrix @ cols)[0], res.est_error
+
+
+def test_braid_generators_match_frozen_loop_version():
+    doc, form, block = _frozen_case()
     for i, frozen in doc["generators"].items():
         expected = np.array(frozen["re"]) + 1j * np.array(frozen["im"])
-        got = braid_generator(form, block, int(i), tol=doc["tol"]).matrix
+        got, _est = _dop853_letter(form, block, int(i), doc["tol"])
         assert np.abs(got - expected).max() <= 1e-13
+
+
+def test_taylor_braid_generators_match_frozen_values():
+    # braid_generator solves its letters by Taylor series now; both
+    # routes' error estimates, carried to block coordinates by the
+    # condition number of the block basis, cover the distance
+    doc, form, block = _frozen_case()
+    cond = np.linalg.cond(block.coeffs.to_array(complex))
+    for i, frozen in doc["generators"].items():
+        expected = np.array(frozen["re"]) + 1j * np.array(frozen["im"])
+        got = braid_generator(form, block, int(i), tol=doc["tol"])
+        _mat, dop_est = _dop853_letter(form, block, int(i), doc["tol"])
+        assert np.abs(got.matrix - expected).max() <= cond * (
+            got.est_error + dop_est)

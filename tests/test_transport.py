@@ -12,7 +12,8 @@ from kzmono.connection import kz_form, rotation_monodromy
 from kzmono.errors import (PathSingularError, TransportError,
                            ValidationError)
 from kzmono.reps import tensor_system
-from kzmono.transport import (_FormOnPath, braid_generator, braid_path,
+from kzmono.transport import (_FormOnPath, _in_block_basis, _taylor_letter,
+                              braid_generator, braid_path,
                               braid_word_transport, concat_paths,
                               constant_path, magnus_fixed_steps,
                               monodromy_to_json, parse_braid_word,
@@ -170,11 +171,14 @@ def test_transport_rejects_unrefinable_tol(form_k2, method, tol):
         transport(form_k2, braid_path(Z4, 2), tol=tol, method=method)
 
 
-@pytest.mark.parametrize("alg, weights, k", [
+HONEST_SYSTEMS = pytest.mark.parametrize("alg, weights, k", [
     (A1, ((1,),) * 4, 1), (A1, ((1,),) * 4, 2), (A1, ((1,),) * 6, 2),
     (A1, ((1,),) * 6, 3), (A1, ((1,), (2,), (1,), (2,)), 2),
     (G2, ((1, 0),) * 3, 1),
 ], ids=["4k1", "4", "6", "6k3", "1212k2", "G2k1"])
+
+
+@HONEST_SYSTEMS
 @pytest.mark.parametrize("method", ["adaptive", "magnus"])
 def test_error_estimates_are_honest(alg, weights, k, method):
     # open paths only: on a path followed by its reverse the symmetric
@@ -192,6 +196,28 @@ def test_error_estimates_are_honest(alg, weights, k, method):
             assert np.linalg.norm(res.matrix - ref) <= res.est_error + 1e-12
             if method == "adaptive":
                 assert res.est_error <= 10 * tol
+
+
+@HONEST_SYSTEMS
+def test_braid_letter_error_bounds_are_honest(alg, weights, k):
+    # the Taylor bound of a braid letter is on its transported block frame
+    # B, relative to ||B||_2; DOP853 at tol 1.01e-11 is the reference, and
+    # its own estimate of the fundamental matrix covers its frame
+    form = kz_form(tensor_system(alg, weights), k)
+    pts = (0, 1, 3, 7, 12, 20)[:len(weights)]
+    block = block_subspace(form.system, k, pts)
+    cols = block.coeffs.to_array(complex)
+    size = np.linalg.norm(cols, 2)
+    letters = [(i, False) for i in range(1, len(pts))] + [(1, True)]
+    for i, clockwise in letters:
+        ref = transport(form, braid_path(pts, i, clockwise=clockwise),
+                        tol=1.01e-11, dual=True)
+        for tol in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
+            frame, est = _taylor_letter(form, tuple(map(complex, pts)), i,
+                                        -1 if clockwise else 1, cols, tol)
+            dist = np.linalg.norm(frame - ref.matrix @ cols) / size
+            assert est >= dist - ref.est_error
+            assert 0 < est <= 10 * tol
 
 
 def test_adaptive_error_decreases_with_tol(form_k2):
@@ -391,6 +417,83 @@ def test_braid_generator_residual_rejection():
     block = block_subspace(sys, 1, Z4)
     with pytest.raises(TransportError):
         braid_generator(form, block, 1, tol=1e-4, block_tol=1e-15)
+
+
+@pytest.mark.parametrize("clockwise", [False, True])
+def test_braid_letter_path_singular_guard(clockwise):
+    # the third point sits on the braid circle of the first pair, which
+    # one moving point meets at t = 1/2 either way round; the guard, 1e-9
+    # times the starting separation sqrt(2), is entered in closed form at
+    # 1/2 - (2/pi) asin(sqrt(2) 1e-9 / 2) on the unit radius
+    form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
+    block = block_subspace(form.system, 1, (0, 2, 1 + 1j, 7))
+    with pytest.raises(PathSingularError) as info:
+        braid_generator(form, block, 1, clockwise=clockwise)
+    first = 0.5 - 2 / np.pi * np.arcsin(np.sqrt(2) * 1e-9 / 2)
+    assert info.value.t == pytest.approx(first, rel=1e-15)
+    # a point just off the circle is passed, with more steps
+    block = block_subspace(form.system, 1, (0, 2, 1 + 1.000001j, 7))
+    assert braid_generator(form, block, 1).block_residual < 1e-8
+
+
+def test_braid_letter_step_budget(form_k2, block_k2, monkeypatch):
+    # a half-twist takes at least seven steps of chord rho/2 <= 1/2
+    module = importlib.import_module("kzmono.transport")
+    monkeypatch.setattr(module, "_TAYLOR_MAX_STEPS", 4)
+    with pytest.raises(TransportError, match="step budget"):
+        braid_generator(form_k2, block_k2, 2)
+
+
+def test_braid_letter_non_finite_residue_fails(block_k2):
+    form = kz_form(block_k2.system, 2)
+    chol, res = form.gram_residues
+    res = res.copy()
+    res[0, 0, 0] = np.nan
+    form.__dict__["gram_residues"] = chol, res
+    with pytest.raises(TransportError, match="integrator failed"):
+        braid_generator(form, block_k2, 1)
+
+
+def test_braid_letter_wrong_pole_fails_the_block_residual(monkeypatch):
+    # negative control: the residue of each pair (a, j) placed at the pole
+    # of (b, j) moves the frame off the block subspace (a proper one: at
+    # k=1 it is one of the two invariant dimensions)
+    form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
+    block = block_subspace(form.system, 1, Z4)
+    module = importlib.import_module("kzmono.transport")
+    twist = module._twist_poles
+
+    def misplaced(form, z0, a, b):
+        poles, rows, spans = twist(form, z0, a, b)
+        moving_a = [a in form.pairs[r] and b not in form.pairs[r]
+                    for r in rows]
+        return np.where(moving_a, -poles, poles), rows, spans
+
+    assert braid_generator(form, block, 2).block_residual < 1e-12
+    monkeypatch.setattr(module, "_twist_poles", misplaced)
+    with pytest.raises(TransportError, match="block residual"):
+        braid_generator(form, block, 2, block_tol=1e-8)
+
+
+def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
+                                                     monkeypatch):
+    # past the multiply-add crossover a letter is DOP853 on the
+    # fundamental matrix, bit for bit, with its estimate; and the Taylor
+    # route evaluates the form nowhere
+    module = importlib.import_module("kzmono.transport")
+    calls = _count_evaluations(monkeypatch, form_k2)
+    taylor = braid_generator(form_k2, block_k2, 2)
+    assert not calls
+    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    res = braid_generator(form_k2, block_k2, 2)
+    ref = transport(form_k2, braid_path(Z4, 2), dual=True)
+    cols = block_k2.coeffs.to_array(complex)
+    swap = form_k2.system.swap_restricted(1).to_array(complex)
+    mat, residual = _in_block_basis(cols, swap @ ref.matrix @ cols)
+    assert np.array_equal(res.matrix, mat)
+    assert res.est_error == ref.est_error
+    assert res.block_residual == residual
+    assert np.abs(res.matrix - taylor.matrix).max() < 1e-10
 
 
 @pytest.mark.filterwarnings("error")
