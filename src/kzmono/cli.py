@@ -143,16 +143,24 @@ def cmd_verify(args):
     failures = []
 
     form = kz_form(system, level)
-    if doc.get("_inject_sign_error"):
+    inject = doc.get("_inject_sign_error")
+    if inject:
         # negative-control hook: flip one exact off-diagonal coefficient
-        pair = form.pairs[0]
-        bad = form.omega_full[pair].copy()
+        if form.n < 3:
+            raise ValidationError("_inject_sign_error: no Kohno relation "
+                                  f"on {form.n} points could see a flip")
+        bad = form.omega_full[0, 1].copy()
         entry = next(((r, c) for (r, c) in sorted(bad.data) if r != c), None)
-        if entry is not None:
-            bad.data[entry] = -bad.data[entry]
-        form.omega_full[pair] = bad
+        if entry is None:
+            raise ValidationError("_inject_sign_error: Omega^{01} has no "
+                                  "off-diagonal entry to flip")
+        bad.data[entry] = -bad.data[entry]
+        form.omega_full[0, 1] = bad
 
     report = flatness_check(form)
+    if inject and report.exact:
+        raise ValidationError("_inject_sign_error: the flipped entry breaks "
+                              "no Kohno relation of this system")
     line = (f"flatness: {report.checks} commutators, max deviation "
             f"{report.max_abs_full} on the full space, "
             f"{report.max_abs_restricted} on the invariants")

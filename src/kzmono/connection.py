@@ -15,17 +15,16 @@ which are verified exactly (in integer arithmetic after clearing one common
 denominator), on the full tensor space and restricted to the invariants.
 Every total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
 full-space check reduces to the three relations of each distinct weight
-triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it. The
-basis of V_a (x) V_b (x) V_c is partitioned into its total-weight blocks,
-joined wherever a stored local entry runs between two of them, so every
-Omega, and every commutator of them, is block diagonal over the
-partition and the largest entry is the largest over the blocks
-(`_triple_residual`); weight-preserving Omega join none. Both checks then
-run as dense products on integer matrices: as float64 BLAS products under
-an a-priori bound (2 s q A^2 < 2^53 for size s, q summands and largest
-entry A, see `exact_dtype`) that makes every product and partial sum an
-exactly held integer, and on Python ints past the bound. Only a block too
-large to hold densely runs as sparse products on Python ints.
+triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it.
+Every commutator is formed by `_block_residual` from the stored integer
+entries and a class per basis index: the total weight on a tensor space,
+one class on the invariants. Classes are joined wherever an entry runs
+between two, so every matrix and commutator is block diagonal over them
+and the largest entry is the largest over the blocks. Blocks run as
+batched dense products, in float64 under an a-priori bound
+(2 s q A^2 < 2^53 for size s, q summands and largest entry A, see
+`exact_dtype`) that keeps every partial sum an exact integer, else on
+Python ints; past _DENSE_MAX as sparse products on Python ints.
 
 Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
@@ -217,52 +216,6 @@ class FlatnessReport:
         return self.max_abs_full == 0 and self.max_abs_restricted == 0
 
 
-def _kohno_residual(omega, relations):
-    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
-
-    The commutators run on the integer matrices D*Omega, with D the lcm of
-    all entry denominators in `omega`; [D A, D B] = D^2 [A, B], so the
-    largest integer residual divided by D^2 is the exact rational one.
-    Sparse products on Python ints: this route serves only an altered
-    `KZForm.omega_full`.
-    """
-    denom, mats = integral(omega.values())
-    ints = dict(zip(omega, mats))
-    worst = 0
-    for p, qs in relations:
-        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
-        worst = max(worst, commutator(ints[p], rest).max_abs())
-    return Fraction(worst, denom * denom)
-
-
-def _restricted_residual(omega, relations):
-    """`_kohno_residual` of the restricted Omega, as dense array products.
-
-    The matrices are D*Omega as in `_kohno_residual`, stacked as one dense
-    array built from the exact values on every call, in the dtype that
-    `exact_dtype` picks for their size d, largest |entry| A and largest
-    relation length q (float64 while 2 d q A^2 < 2^53, else Python ints);
-    the same products run either way.
-    """
-    if not relations:
-        return Fraction(0)
-    denom, mats = integral(omega.values())
-    big = max((abs(v) for m in mats for v in m.data.values()), default=0)
-    size = max(len(qs) for _p, qs in relations)
-    dtype = exact_dtype(2 * mats[0].nrows, big, size * big)
-    stack = np.array([m.to_array(dtype) for m in mats])
-    index = {p: t for t, p in enumerate(omega)}
-    rests = {}      # per left matrix, its relations' right sums
-    for p, qs in relations:
-        rests.setdefault(index[p], []).append(
-            sum(stack[index[q]] for q in qs))
-    worst = 0
-    for t, bs in rests.items():
-        a, b = stack[t], np.array(bs)
-        worst = max(worst, int(np.abs(a @ b - b @ a).max(initial=0)))
-    return Fraction(worst, denom * denom)
-
-
 def _kohno_relations(n):
     """The Kohno relations (p, qs) on n slots: disjoint pairs, then every
     triple (i, j, k), in the order of `KZForm.pairs`."""
@@ -279,7 +232,9 @@ def _kohno_relations(n):
 
 
 _TRIPLE_PAIRS = ((0, 1), (0, 2), (1, 2))
-_BATCH = 1 << 14        # entries of one stack of dense blocks
+# the Kohno relations of three slots, by index into _TRIPLE_PAIRS
+_TRIPLE_RELATIONS = ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))
+_BATCH = 1 << 14        # entries of one stack of dense products
 _DENSE_MAX = 1024       # largest block taken as dense products
 
 
@@ -306,57 +261,45 @@ def _join(label, rows, cols):
     return ids[roots][label]
 
 
-def _sparse_block_residual(s, which, rows, cols, vals):
-    """The `_triple_residual` of one s x s block from its stored entries
-    (Omega index, row, column, value), as sparse products on Python ints."""
-    omega = [SRMatrix(s, s) for _ in _TRIPLE_PAIRS]
-    for t, r, c, v in zip(which.tolist(), rows.tolist(), cols.tolist(),
-                          vals.tolist()):
-        omega[t].data[r, c] = int(v)
-    rest = (omega[1] + omega[2], omega[0] + omega[2], omega[0] + omega[1])
-    return max(commutator(a, b).max_abs() for a, b in zip(omega, rest))
-
-
-def _triple_residual(mats, weights):
-    """Largest |[Omega_p, Omega_q + Omega_r]| on V_a (x) V_b (x) V_c, an int.
-
-    `mats` are the integer local matrices of the slot pairs (0, 1), (0, 2)
-    and (1, 2), the first slot index major, and weights[s] lists the basis
-    weights of slot s; {p, q, r} runs over the three pairs, so these are
-    the three Kohno relations of three slots. Omega^{01} is
-    L01[ab, a'b'] [c = c'], and likewise for the other two.
-
-    The basis is partitioned into its total-weight blocks, joined wherever
-    a stored entry of some Omega runs between two of them. Every Omega is
-    then block diagonal over the partition, hence so is every commutator
-    of them, and the largest |entry| of the residual is the largest over
-    the blocks. A weight-preserving Omega joins no blocks; a corrupted one
-    joins only the blocks its stray entries connect, and the residual is
-    still exact. Each stored entry of L_ij is scattered, for every digit
-    of the third slot, straight to its block and position, so no array is
-    larger than the blocks. A block of size 1 has a zero commutator and
-    is skipped; blocks of one size s run as a (blocks, s, s) stack of
-    dense products, in the dtype `exact_dtype` picks for the largest
-    block, a few at a time so that a stack holds at most _BATCH entries.
-    A block above _DENSE_MAX runs as sparse products on Python ints.
-    """
-    dims = [len(w) for w in weights]
+def _weight_label(weights):
+    """Class ids of the total weights of the tensor basis, slot 0 major."""
     total = reps.total_weights(weights)
     order = np.lexsort(total.T)
     label = np.empty(len(order), dtype=np.intp)
     label[order] = np.cumsum(np.concatenate(
         ([0], np.diff(total[order], axis=0).any(axis=1))))
-    # stored entries (which Omega, row, column, value) on the triple space
-    lifted = [reps.slot_embedding(dims, slots, m, range(len(total)))
-              for slots, m in zip(_TRIPLE_PAIRS, mats)]
-    which = np.repeat(np.arange(3), [len(r) for r, _c, _v in lifted])
-    rows, cols, vals = map(np.concatenate, zip(*lifted))
-    del lifted          # its arrays are copied into the three above
-    big = max((abs(v) for m in mats for v in m.data.values()), default=0)
+    return label
+
+
+def _block_residual(label, which, rows, cols, vals, relations):
+    """Largest |[M_p, sum_{q in qs} M_q]| over the relations (p, qs), an int.
+
+    M_t holds the integers vals[e] at (rows[e], cols[e]) where which[e] = t,
+    and label[x] is the class of basis index x. Joined along the entries
+    (`_join`), the classes block-diagonalise every M_t and commutator.
+    Blocks of one size s > 1 run as stacks of at most _BATCH entries per
+    product, in the dtype `exact_dtype` picks for the largest block, entry
+    and sum; a block above _DENSE_MAX as sparse products on Python ints.
+    """
     label = _join(label, rows, cols)
     sizes = np.bincount(label)
-    dtype = exact_dtype(2 * int(sizes.max()), big, 2 * big)
-    # blocks ranked by size, and each basis vector's position in its block
+    try:    # int64 holds the integers unless one is too large for it
+        vals = vals.astype(np.int64)
+    except OverflowError:
+        pass
+    big = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+    q = max(len(qs) for _p, qs in relations)
+    dtype = exact_dtype(2 * int(sizes.max(initial=0)), big, q * big)
+    if dtype is float:
+        vals = vals.astype(float)
+    # short sums are padded with the zero matrix `pad`
+    pad = 1 + max(int(which.max(initial=0)),
+                  *(max(p, *qs) for p, qs in relations))
+    terms = np.array([[p, *qs] + [pad] * (q - len(qs))
+                      for p, qs in relations]).T
+    # blocks ranked by size, each basis vector's position in its block, and
+    # the entries in block order: ranked blocks lo..hi-1 hold the entries
+    # order[start[lo]:start[hi]]; no entry array is copied whole
     rank = np.empty_like(sizes)
     rank[np.argsort(sizes, kind="stable")] = np.arange(len(sizes))
     members = np.argsort(label, kind="stable")
@@ -364,11 +307,8 @@ def _triple_residual(mats, weights):
     pos[members] = np.arange(len(label)) - np.repeat(
         np.cumsum(sizes) - sizes, sizes)
     key = rank[label[rows]]
-    keep = np.argsort(key, kind="stable")
-    key, which, vals = key[keep], which[keep], vals[keep]
-    rows, cols = pos[rows[keep]], pos[cols[keep]]
-    if dtype is float:
-        vals = vals.astype(float)
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], np.arange(len(sizes) + 1))
     ranked = np.sort(sizes)
     worst = 0
     for s in sorted(set(ranked[ranked > 1].tolist())):
@@ -376,19 +316,72 @@ def _triple_residual(mats, weights):
         step = max(1, _BATCH // (s * s)) if s <= _DENSE_MAX else 1
         for lo in range(first, stop, step):
             hi = min(lo + step, stop)
-            e = slice(*np.searchsorted(key, (lo, hi)))
-            if e.start == e.stop:
-                continue
+            e = order[start[lo]:start[hi]]
             if s > _DENSE_MAX:
-                worst = max(worst, _sparse_block_residual(
-                    s, which[e], rows[e], cols[e], vals[e]))
+                mats = [SRMatrix(s, s) for _ in range(pad)]
+                for t, r, c, v in zip(which[e].tolist(),
+                                      pos[rows[e]].tolist(),
+                                      pos[cols[e]].tolist(), vals[e].tolist()):
+                    mats[t].data[r, c] = int(v)
+                for p, qs in relations:
+                    b = sum((mats[t] for t in qs[1:]), mats[qs[0]])
+                    worst = max(worst, int(commutator(mats[p], b).max_abs()))
                 continue
-            omega = np.zeros((3, hi - lo, s, s), dtype=dtype)
-            omega[which[e], key[e] - lo, rows[e], cols[e]] = vals[e]
-            rest = omega[[1, 0, 0]] + omega[[2, 2, 1]]
-            worst = max(worst,
-                        int(np.abs(omega @ rest - rest @ omega).max()))
+            omega = np.zeros((pad + 1, hi - lo, s, s), dtype=dtype)
+            omega[which[e], key[e] - lo, pos[rows[e]], pos[cols[e]]] = vals[e]
+            chunk = max(1, _BATCH // ((hi - lo) * s * s))
+            for i in range(0, len(relations), chunk):
+                a = omega[terms[0, i:i + chunk]]
+                b = omega[terms[1, i:i + chunk]]
+                for t in terms[2:, i:i + chunk]:
+                    b += omega[t]
+                worst = max(worst, int(np.abs(a @ b - b @ a).max()))
     return worst
+
+
+def _kohno_residual(omega, relations, weights=None):
+    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
+
+    The commutators run on D*Omega, D the lcm of the entry denominators;
+    [D A, D B] = D^2 [A, B]. The basis is one class, or the total-weight
+    classes given each tensor factor's basis weights (an altered
+    `KZForm.omega_full`).
+    """
+    if not relations:
+        return Fraction(0)
+    denom, mats = integral(omega.values())
+    index = {p: t for t, p in enumerate(omega)}
+    which = np.repeat(np.arange(len(mats)), [len(m.data) for m in mats])
+    rows, cols = np.array([rc for m in mats for rc in m.data],
+                          dtype=np.intp).reshape(-1, 2).T
+    vals = np.array([v for m in mats for v in m.data.values()], dtype=object)
+    label = (np.zeros(mats[0].nrows, dtype=np.intp) if weights is None
+             else _weight_label(weights))
+    worst = _block_residual(label, which, rows, cols, vals, [
+        (index[p], [index[q] for q in qs]) for p, qs in relations])
+    return Fraction(worst, denom * denom)
+
+
+def _triple_residual(mats, weights):
+    """Largest |[Omega_p, Omega_q + Omega_r]| on V_a (x) V_b (x) V_c, an int.
+
+    `mats` are the integer local matrices L_ij of the slot pairs (0, 1),
+    (0, 2) and (1, 2), the first slot index major; weights[s] lists the
+    basis weights of slot s. Omega^{01} is L01[ab, a'b'] [c = c'], and
+    likewise for the other two: each stored entry is lifted for every
+    digit of the third slot (`reps.slot_embedding`), and the three
+    relations run over the total-weight classes (`_block_residual`), which
+    a weight-preserving Omega joins none of.
+    """
+    dims = [len(w) for w in weights]
+    label = _weight_label(weights)
+    # stored entries (which Omega, row, column, value) on the triple space
+    lifted = [reps.slot_embedding(dims, slots, m, np.arange(len(label)))
+              for slots, m in zip(_TRIPLE_PAIRS, mats)]
+    which = np.repeat(np.arange(3), [len(r) for r, _c, _v in lifted])
+    rows, cols, vals = map(np.concatenate, zip(*lifted))
+    del lifted          # its arrays are copied into the three above
+    return _block_residual(label, which, rows, cols, vals, _TRIPLE_RELATIONS)
 
 
 def _full_residual(form, relations):
@@ -400,17 +393,16 @@ def _full_residual(form, relations):
     space of weights (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on the
     other slots) an injective algebra map that keeps every entry, so
     max |iota(R)| = max |R|. Each distinct weight triple is checked once,
-    on the three local matrices scaled by their common denominator D, as
-    dense exact products over the total-weight blocks of the three-factor
-    space, joined where a stored entry connects two (`_triple_residual`).
-    If `omega_full` was built and no longer matches the local data, the
-    relations run on it as given.
+    on the three local matrices scaled by their common denominator D
+    (`_triple_residual`). If `omega_full` was built and no longer matches
+    the local data, the relations run on it as given (`_kohno_residual`).
     """
     system = form.system
     built = form.__dict__.get("omega_full")
     if built is not None and any(built[p] != system.omega_pair(*p)
                                  for p in form.pairs):
-        return _kohno_residual(built, relations)
+        return _kohno_residual(built, relations,
+                               [f.basis_weights for f in system.factors])
     triples = {}
     for t in itertools.combinations(range(form.n), 3):
         triples.setdefault(tuple(system.weights[s] for s in t), t)
@@ -429,23 +421,21 @@ def flatness_check(form):
 
     Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
     disjoint pairs, then every triple (i, j, k). On the invariants the
-    list runs on the restricted Omega^{ij}; on the full tensor space it is
-    reduced to one three-factor space per weight triple and, within it, to
-    its total-weight blocks, joined where an entry connects two
-    (`_full_residual`), so no total-space Omega is built. Each residual
-    scales its matrices by one common denominator D into integer matrices
-    and divides the integer residual by D^2; since [D A, D B] = D^2 [A, B]
-    this is the same exact rational residual, with no gcd paid per
-    product. Both run as dense products, in float64 where a bound makes
-    them exact (`exact_dtype`). A nonzero residual can only come from a
-    defective Omega assembly, so callers treat it as an internal failure,
-    not a numerical tolerance.
+    list runs on the restricted Omega^{ij} as stored (`_kohno_residual`);
+    on the full tensor space it is reduced to one three-factor space per
+    weight triple (`_full_residual`), so no total-space Omega is built.
+    Each residual scales its matrices by one common denominator D into
+    integer matrices and divides the integer residual by D^2; since
+    [D A, D B] = D^2 [A, B] this is the same exact rational residual, with
+    no gcd paid per product. Both run through `_block_residual`. A nonzero
+    residual can only come from a defective Omega assembly, so callers
+    treat it as an internal failure, not a numerical tolerance.
     """
     relations = _kohno_relations(form.n)
     return FlatnessReport(
         checks=len(relations),
         max_abs_full=_full_residual(form, relations),
-        max_abs_restricted=_restricted_residual(form.omega_inv, relations))
+        max_abs_restricted=_kohno_residual(form.omega_inv, relations))
 
 
 @dataclass

@@ -65,7 +65,30 @@ def test_verify_injected_sign_error_exit_1(tmp_path, capsys):
     doc = dict(A1_K1_MANIFEST, _inject_sign_error=True)
     path = write_manifest(tmp_path, doc)
     assert main(["verify", "--manifest", path]) == 1
-    assert "FAIL flatness" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL flatness" in out
+    assert "max deviation 2 on the full space" in out
+
+
+@pytest.mark.parametrize("doc, reason", [
+    # Omega^{01} is zero when slot 0 is trivial
+    (dict(A1_K1_MANIFEST, weights=[[0], [1], [1]],
+          points=[[0, 0], [1, 0], [3, 0]]), "no off-diagonal entry"),
+    (dict(A1_K1_MANIFEST, weights=[[1], [1]], points=[[0, 0], [1, 0]]),
+     "no Kohno relation on 2 points"),
+    # the first off-diagonal entry of Omega^{01} is flipped, yet every
+    # Kohno relation still holds exactly
+    ({"algebra": ["C", 3], "level": 1,
+      "weights": [[1, 0, 0], [1, 0, 0], [0, 1, 0]],
+      "points": [[0, 0], [1, 0], [3, 0]]}, "breaks no Kohno relation"),
+], ids=["zero-omega", "two-points", "unseen-flip"])
+def test_verify_sign_error_that_cannot_fail_exit_2(tmp_path, capsys, doc,
+                                                   reason):
+    path = write_manifest(tmp_path, dict(doc, _inject_sign_error=True))
+    assert main(["verify", "--manifest", path]) == 2
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    assert "all identities hold" not in captured.out
 
 
 def test_verify_prints_both_flatness_residuals(tmp_path, capsys,

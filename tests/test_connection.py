@@ -138,6 +138,34 @@ def test_flatness_negative_control():
     assert report.max_abs_full == ref_max_abs_full(form)
 
 
+@pytest.mark.parametrize("alg,weights,k,how,expect", [
+    (A1, ((1,),) * 6, 2, "flip", 2),
+    (A1, ((1,),) * 6, 2, "move", 1),
+    (G2, ((1, 0),) * 3, 1, "flip", Fraction(2, 9)),
+    (G2, ((1, 0),) * 3, 1, "move", Fraction(1, 9)),
+], ids=["A1^6-flip", "A1^6-move", "G2^3-flip", "G2^3-move"])
+def test_altered_full_omega_over_weight_classes(alg, weights, k, how,
+                                                expect):
+    # an altered omega_full runs over the total-weight classes of the
+    # total space; an entry moved to a column of another total weight
+    # joins two classes, and the residual over the joined ones is exact
+    form = kz_form(tensor_system(alg, weights), k)
+    bad = form.omega_full[(0, 1)].copy()
+    r, c = next(rc for rc in sorted(bad.data) if rc[0] != rc[1])
+    if how == "flip":
+        bad.data[(r, c)] = -bad.data[(r, c)]
+    else:
+        total = reps.total_weights([f.basis_weights
+                                    for f in form.system.factors])
+        c2 = int(np.flatnonzero((total != total[r]).any(axis=1))[0])
+        bad.data[(r, c2)] = bad.data.pop((r, c))
+    form.omega_full[(0, 1)] = bad
+    report = flatness_check(form)
+    assert report.max_abs_full == expect == ref_max_abs_full(form)
+    assert type(report.max_abs_full) is Fraction
+    assert report.max_abs_restricted == 0
+
+
 def test_braid_run_builds_no_total_space_omega():
     system = tensor_system(A1, ((1,),) * 4)
     form = kz_form(system, 2)

@@ -32,7 +32,7 @@ import pytest
 from kzmono import connection, reps
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace, highest_root_lowering
-from kzmono.connection import (_kohno_relations, _restricted_residual,
+from kzmono.connection import (_kohno_relations, _kohno_residual,
                                _triple_residual, flatness_check, kz_form)
 from kzmono.exact import (QQi, SRMatrix, commutator, exact_dtype,
                           exact_matmul, integral, nullspace)
@@ -307,7 +307,7 @@ def test_zero_image_block_kernel_is_the_gaussian_identity():
     assert bs.coeffs.data == {(0, 0): QQi(1)}
 
 
-def test_flipped_restricted_omega_matches_rational_route():
+def test_flipped_restricted_omega_matches_rational_route(monkeypatch):
     form = kz_form(tensor_system(A1, ((1,),) * 6), 2)
     bad = form.omega_inv[(0, 1)].copy()
     (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
@@ -318,6 +318,10 @@ def test_flipped_restricted_omega_matches_rational_route():
     assert report.max_abs_restricted == ref_kohno_residual(
         form.omega_inv, _kohno_relations(form.n))
     assert report.max_abs_full == 0
+    # the invariants are one class of size 5: with the cap at 1 it runs as
+    # sparse products on Python ints, to the same residual
+    monkeypatch.setattr(connection, "_DENSE_MAX", 1)
+    assert flatness_check(form) == report
 
 
 def test_bound_failure_falls_back_to_exact_integers():
@@ -328,10 +332,13 @@ def test_bound_failure_falls_back_to_exact_integers():
     big = {(0, 1): SRMatrix(3, 3, {(0, 1): Fraction(a), (0, 2): Fraction(a)}),
            (2, 3): SRMatrix(3, 3, {(1, 0): Fraction(b), (2, 0): Fraction(b2)})}
     relations = [((0, 1), [(2, 3)])]
-    got = _restricted_residual(big, relations)
+    got = _kohno_residual(big, relations)
     assert got == ref_kohno_residual(big, relations) == a * (b + b2)
     assert a * (b + b2) > 2 ** 53 and a * (b + b2) % 2
     assert type(got) is Fraction
+    # entries beyond int64 stay Python ints
+    huge = {p: m.scale(2 ** 40) for p, m in big.items()}
+    assert _kohno_residual(huge, relations) == a * (b + b2) * 2 ** 80
 
 
 def test_exact_matmul_falls_back_to_python_ints():
@@ -487,6 +494,23 @@ def test_triple_residual_memory_follows_the_blocks():
         tracemalloc.stop()
     assert got == 0
     assert peak < 1681 * 1681 * 8 // 3
+
+
+def test_restricted_residual_memory_follows_the_batch():
+    # A1 (1)^10: 990 relations on the 42 x 42 restricted Omega; their
+    # right-hand sums alone are 990 * 42^2 * 8 bytes as float64, 14 MB,
+    # while a stack of products holds at most _BATCH entries
+    form = kz_form(tensor_system(A1, ((1,),) * 10), 2)
+    relations = _kohno_relations(form.n)
+    assert (len(relations), form.dim) == (990, 42)
+    tracemalloc.start()
+    try:
+        got = _kohno_residual(form.omega_inv, relations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0
+    assert peak < 990 * 42 * 42 * 8 // 3
 
 
 def test_triple_bound_failure_falls_back_to_exact_integers():
