@@ -18,6 +18,10 @@ the same floats. Beside Y(1), `dop853` returns the sum of each accepted
 step's local error pulled back through the frame, from which the caller
 forms a first-order global error estimate of the one solve.
 
+`spectral_bound` bounds the spectral radius of matrices with real
+eigenvalues from above by the trace of a high power, with matrix products
+alone.
+
 `expm` is scaling and squaring with Pade approximants (Higham, "The scaling
 and squaring method for the matrix exponential revisited", SIAM J. Matrix
 Anal. Appl. 26, 2005). It takes one matrix or a stack (..., d, d): the
@@ -306,3 +310,26 @@ def expm(a):
     for _ in range(squarings):
         r = r @ r
     return r
+
+
+def spectral_bound(a):
+    """An upper bound on the spectral radius of each matrix of a stack
+    (..., d, d) with real eigenvalues, within a factor d^(1/256) of it.
+
+    With m = 2^8 = 256, tr(a^m) is the sum of lambda^m over the
+    eigenvalues, each nonnegative for even m, so rho^m <= tr(a^m) <=
+    d rho^m. a^m comes from repeated squaring, each square taken of the
+    matrix divided by its largest |entry|, whose logarithm is carried
+    apart, so nothing overflows.
+    """
+    a = np.asarray(a, dtype=float)
+    log_scale = np.zeros(a.shape[:-2])
+    for _ in range(8):
+        top = np.abs(a).max(axis=(-2, -1), initial=0.0)
+        top = np.where(top > 0, top, 1.0)
+        log_scale = 2 * (log_scale + np.log(top))
+        a = a / top[..., None, None]
+        a = a @ a
+    with np.errstate(divide="ignore"):
+        return np.exp((np.log(np.trace(a, axis1=-2, axis2=-1)) + log_scale)
+                      / 256)

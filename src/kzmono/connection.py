@@ -45,7 +45,7 @@ from math import inf
 
 import numpy as np
 
-from ._integrators import expm
+from ._integrators import expm, spectral_bound
 from .errors import CoincidentPointsError, KzmonoError, require_int
 from .exact import SRMatrix, commutator, exact_dtype, integral
 from . import reps
@@ -79,6 +79,43 @@ class KZForm:
         self._omega_rows = np.array([
             self.omega_inv[p].to_array(complex).ravel() for p in self.pairs
         ], dtype=complex).reshape(len(self.pairs), d * d)
+        self._residue_norms = {}
+
+    def residues(self, rows):
+        """R_p = Omega^p/(k+h) for the pair rows, a real (len(rows), d, d)
+        array from the float rows."""
+        flat = self._omega_rows[rows].real
+        return self._pref * flat.reshape(len(flat), self.dim, self.dim)
+
+    def residue_norms(self, groups):
+        """An upper bound on ||S_g||_2 for each group g, a tuple of pair
+        rows, where S_g is the sum of their `gram_residues`; no Gram matrix
+        is built.
+
+        S_g = C^T R_g C^{-T} is symmetric and similar to R_g, the sum of the
+        group's `residues`, so its 2-norm is the largest |eigenvalue| of
+        R_g, bounded within a factor d^(1/256) by `spectral_bound` (matrix
+        products alone: an eigenvalue routine's code would add about
+        0.7 MB to a verify job's resident memory). Each bound is computed
+        once per form, and once for all pairs whose slots carry the same
+        two weights: a slot permutation that fixes the weights conjugates
+        their residues on the invariants.
+        """
+        cache = self._residue_norms
+        weights = self.system.weights
+
+        def key(g):
+            if len(g) > 1:
+                return g
+            return tuple(sorted(weights[s] for s in self.pairs[g[0]]))
+
+        keys = [key(g) for g in groups]
+        todo = {k: g for k, g in zip(keys, groups) if k not in cache}
+        if todo:
+            sums = np.array([self.residues(list(g)).sum(axis=0)
+                             for g in todo.values()])
+            cache.update(zip(todo, spectral_bound(sums).tolist()))
+        return np.array([cache[k] for k in keys])
 
     @cached_property
     def gram_residues(self):
@@ -93,9 +130,7 @@ class KZForm:
         """
         chol = np.linalg.cholesky(
             self.system.invariant_gram().to_array(float))
-        rows = self._pref * self._omega_rows.real.reshape(-1, self.dim,
-                                                          self.dim)
-        res = chol.T @ rows @ np.linalg.inv(chol).T
+        res = chol.T @ self.residues(slice(None)) @ np.linalg.inv(chol).T
         return chol, (res + res.transpose(0, 2, 1)) / 2
 
     @cached_property

@@ -45,39 +45,49 @@ braid-group elements; braid matrices are then expressed in the block basis.
 For unequal weights the generator still makes sense as a map into the block
 space at the permuted points and is returned in that endpoint basis.
 
-`braid_generator` knows that its path is an exact half-twist, and by
-default solves it without sampling the path. With m the midpoint,
-r = (z_b - z_a)/2 and u = e^{+-i pi t}, the moving points are m -+ r u, so
-every pair coefficient dlog(z_i - z_j) is du/(u - p) with an exact pole p:
-0 for the exchanged pair and +-(m - z_j)/r for a pair with one moving slot
-(Kohno, Ann. Inst. Fourier 37, 1987). The dual transport is then the
-Fuchsian system dY/du = sum_p R_p/(u - p) Y, R_p = Omega^p/(k+h). It runs
-in Gram-orthonormal coordinates x = C^T y, C the Cholesky factor of the
-invariant Gram matrix, where each R_p is symmetric
-(`KZForm.gram_residues`), and moves only the block frame, d x b. The arc
-goes in steps whose chord is at most half the distance rho to the nearest
-pole; at each centre u_0, with w_p = 1/(p - u_0), the Taylor coefficients
-obey (n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}),
-one (d, P d) @ (P d, b) product per term. The series is majorised by
+Two paths are solved without sampling them, on their exact poles, by one
+arc solver: with u = e^{i sweep t}, every pair coefficient
+dlog(z_i - z_j) is du/(u - p) with an exact pole p (Kohno, Ann. Inst.
+Fourier 37, 1987).
+- The global rotation z(t) = e^{2 pi i t} z(0) of `rotation_path` (sweep
+  2 pi): every pair has p = 0. The adaptive `transport` moves the identity
+  frame along it.
+- The half-twist of `braid_generator` (sweep +-pi): with m the midpoint
+  and r = (z_b - z_a)/2 the moving points are m -+ r u, so p = 0 for the
+  exchanged pair and +-(m - z_j)/r for a pair with one moving slot; pairs
+  of two fixed slots have no coefficient. It moves the d x b block frame.
+Pairs at exactly one pole are merged by summing their residues, so the
+rotation has a single pole. The transport is then the Fuchsian system
+dY/du = +-sum_p R_p/(u - p) Y, R_p = Omega^p/(k+h) (+ dual, - sections).
+It runs in Gram-orthonormal coordinates x = C^T y, C the Cholesky factor
+of the invariant Gram matrix, where each R_p is symmetric
+(`KZForm.gram_residues`). The arc goes in steps whose chord is at most
+half the distance rho to the nearest pole; at each centre u_0, with
+w_p = 1/(p - u_0), the Taylor coefficients obey
+(n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}), one
+(d, P d) @ (P d, b) product per term. The series is majorised by
 ||Y_0|| (1 - x/rho)^{-M} (Cauchy's majorant method; Mezzarobba, "Rigorous
 multiple-precision evaluation of D-finite functions in SageMath", 2016), so
 every step's term count is fixed in advance from the closed-form tail, and
 the tails carried to the end by the flow majorant
 exp(int sum_p ||R_p||/|u - p| |du|) bound the error in exact arithmetic;
-float rounding is not covered. Letters whose planned work passes a fixed
-crossover (the multiply-adds sum_k N_k P d^2 b against DOP853's time,
-measured at A1 (1)^8 and (1)^10) go through `transport` like any path.
+float rounding is not covered. The plan needs only the residue norms
+(`KZForm.residue_norms`), so the Gram matrix is built only for arcs the
+solver then runs. Arcs whose planned work passes a fixed crossover (the
+multiply-adds sum_k N_k P d^2 b against DOP853's time, measured at
+A1 (1)^8 and (1)^10) are sampled and run DOP853 like any path, as are the
+paths of `braid_path`, `reverse_path`, `reparametrize` and `concat_paths`.
 
-Path segments return their points z(t) and velocities dz/dt as complex
-arrays. The integrators ask for A(t) on whole stacks of times: DOP853 for
-the eleven nodes of a step attempt, Magnus for the Gauss nodes of a chunk.
-The segment functions run once per time; the stacked points then go
-through one pair difference z[..., left] - z[..., right], shared by the
-pole monitor and the form's coefficients, and one `KZForm.evaluate` call,
-whose rows are bitwise the single-time values. The monitor takes the
-minimum of |z_i - z_j| over the form's pairs at every time; coming too
-close to a diagonal aborts with the first offending time, in the order the
-integrator would have reached it.
+Path segments take a 1-d array of times and return the points z(t) and
+velocities dz/dt as complex (times, n) arrays. The integrators ask for A(t)
+on whole stacks of times: DOP853 for the eleven nodes of a step attempt,
+Magnus for the Gauss nodes of a chunk. Each segment function runs once per
+stack; the points then go through one pair difference
+z[..., left] - z[..., right], shared by the pole monitor and the form's
+coefficients, and one `KZForm.evaluate` call, whose rows are bitwise the
+single-time values. The monitor takes the minimum of |z_i - z_j| over the
+form's pairs at every time; coming too close to a diagonal aborts with the
+first offending time, in the order the integrator would have reached it.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import dop853, expm
+from ._integrators import dop853, expm, spectral_bound
 from .blocks import block_subspace
 from .connection import _Points
 from .errors import (PathSingularError, TransportError, ValidationError,
@@ -105,8 +115,8 @@ _CONCAT_GAP = 1e-9
 _GAUSS_OFFSET = math.sqrt(3) / 6
 _TAYLOR_MAX_STEPS = 1 << 10
 _TAYLOR_MAX_TERMS = 1 << 8
-# braid letters planned past this many multiply-adds sum_k N_k P d^2 b run
-# DOP853 instead: at A1 (1)^10, k=2, Taylor letters of 1.3-2.0e8 took
+# arcs planned past this many multiply-adds sum_k N_k P d^2 b run DOP853
+# instead: at A1 (1)^10, k=2, Taylor letters of 1.3-2.0e8 took
 # 15-21 ms against DOP853's 15-27 ms, and at k=3 one of 3.5e8 took 68 ms
 # against 26 ms (2-CPU Xeon VM)
 _TAYLOR_MAX_MADDS = 250_000_000
@@ -116,7 +126,8 @@ _TAYLOR_MAX_MADDS = 250_000_000
 class Segment:
     """One smooth piece of a path: z(t) and dz/dt(t) for t in [0, 1].
 
-    Both return complex arrays with one entry per marked point.
+    Both take a 1-d array of times and return a complex array of shape
+    (len(ts), n), one row of marked points per time.
     """
 
     z: object
@@ -129,29 +140,41 @@ class Path:
     segments: tuple
 
     def start(self):
-        return self.segments[0].z(0.0)
+        return self.segments[0].z(np.zeros(1))[0]
 
     def end(self):
-        return self.segments[-1].z(1.0)
+        return self.segments[-1].z(np.ones(1))[0]
+
+
+class _FullTurn(Path):
+    """The loop z(t) = e^{2 pi i t} z(0) of `rotation_path`, along which
+    every pair coefficient is du/u, u = e^{2 pi i t}: the adaptive
+    `transport` solves it on that exact pole."""
 
 
 def constant_path(points):
     pts = np.array(points, dtype=complex)
-    zero = np.zeros_like(pts)
-    return Path(len(pts), (Segment(lambda t: pts, lambda t: zero),))
+
+    def z(ts):
+        return np.repeat(pts[None], len(ts), axis=0)
+
+    def dz(ts):
+        return np.zeros((len(ts), len(pts)), dtype=complex)
+
+    return Path(len(pts), (Segment(z, dz),))
 
 
 def rotation_path(points):
     pts = np.array(points, dtype=complex)
     w = 2j * math.pi
 
-    def z(t):
-        return cmath.exp(w * t) * pts
+    def z(ts):
+        return np.exp(w * ts)[:, None] * pts
 
-    def dz(t):
-        return w * cmath.exp(w * t) * pts
+    def dz(ts):
+        return (w * np.exp(w * ts))[:, None] * pts
 
-    return Path(len(pts), (Segment(z, dz),))
+    return _FullTurn(len(pts), (Segment(z, dz),))
 
 
 def braid_path(points, i, clockwise=False, wobble=0.0):
@@ -170,26 +193,26 @@ def braid_path(points, i, clockwise=False, wobble=0.0):
     rad = complex(pts[b] - pts[a]) / 2
     sgn = -1.0 if clockwise else 1.0
 
-    def arm(t):
-        return rad * (1 + wobble * math.sin(math.pi * t)) * \
-            cmath.exp(1j * sgn * math.pi * t)
+    def arm(ts):
+        return rad * (1 + wobble * np.sin(math.pi * ts)) * \
+            np.exp(1j * sgn * math.pi * ts)
 
-    def darm(t):
-        rho = 1 + wobble * math.sin(math.pi * t)
-        drho = wobble * math.pi * math.cos(math.pi * t)
+    def darm(ts):
+        rho = 1 + wobble * np.sin(math.pi * ts)
+        drho = wobble * math.pi * np.cos(math.pi * ts)
         return rad * (drho + rho * 1j * sgn * math.pi) * \
-            cmath.exp(1j * sgn * math.pi * t)
+            np.exp(1j * sgn * math.pi * ts)
 
-    def z(t):
-        w = arm(t)
-        out = pts.copy()
-        out[a], out[b] = mid - w, mid + w
+    def z(ts):
+        w = arm(ts)
+        out = np.repeat(pts[None], len(w), axis=0)
+        out[:, a], out[:, b] = mid - w, mid + w
         return out
 
-    def dz(t):
-        w = darm(t)
-        out = np.zeros(n, dtype=complex)
-        out[a], out[b] = -w, w
+    def dz(ts):
+        w = darm(ts)
+        out = np.zeros((len(w), n), dtype=complex)
+        out[:, a], out[:, b] = -w, w
         return out
 
     return Path(n, (Segment(z, dz),))
@@ -209,18 +232,21 @@ def reverse_path(path):
     segs = []
     for seg in reversed(path.segments):
         z, dz = seg.z, seg.dz
-        segs.append(Segment(lambda t, z=z: z(1.0 - t),
-                            lambda t, dz=dz: -dz(1.0 - t)))
+        segs.append(Segment(lambda ts, z=z: z(1.0 - ts),
+                            lambda ts, dz=dz: -dz(1.0 - ts)))
     return Path(path.n, tuple(segs))
 
 
 def reparametrize(path, fn, dfn):
-    """Same geometric path traversed with parameter t -> fn(t)."""
+    """Same geometric path traversed with parameter t -> fn(t).
+
+    fn and dfn map an array of times to an array of the same shape.
+    """
     segs = []
     for seg in path.segments:
         z, dz = seg.z, seg.dz
-        segs.append(Segment(lambda t, z=z: z(fn(t)),
-                            lambda t, dz=dz: dfn(t) * dz(fn(t))))
+        segs.append(Segment(lambda ts, z=z: z(fn(ts)),
+                            lambda ts, dz=dz: dfn(ts)[:, None] * dz(fn(ts))))
     return Path(path.n, tuple(segs))
 
 
@@ -242,8 +268,8 @@ class _FormOnPath:
     """A(t) for one segment as a stack over times, with diagonal-proximity
     monitoring.
 
-    The segment functions run once per time and their points are stacked,
-    so one `KZForm.evaluate` call serves the whole stack. Errors follow
+    The segment functions run once on the whole stack of times, and so
+    does one `KZForm.evaluate` call. Errors follow
     time order: the first time whose points are within the floor of a
     diagonal raises PathSingularError, unless the form fails at an earlier
     time.
@@ -255,9 +281,9 @@ class _FormOnPath:
         self.floor = floor
 
     def __call__(self, ts):
-        seg = self.segment
-        z = np.array([seg.z(t) for t in ts])
-        v = np.array([seg.dz(t) for t in ts])
+        ts = np.asarray(ts, dtype=float)
+        z = self.segment.z(ts)
+        v = self.segment.dz(ts)
         pts = _Points(self.form, z)
         near = np.flatnonzero(pts.sep < self.floor)
         if near.size:
@@ -341,17 +367,24 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
     structure of the block subspaces; the default transports sections
     (Y' = -A Y), the one the rotation-scalar oracle pins down.
 
-    DOP853 solves the path once at rtol max(tol/100, 1e-13), and est_error
-    is the first-order global error of that solve: every accepted step's
-    local error carried to the end of the path by the flow (see the module
-    docstring). Magnus solves it at 8, 16, 32, ... steps until the
-    Frobenius move between consecutive rungs is at most
-    tol * max(1, ||matrix||_F); the matrix is the last rung and est_error
-    its move. tol must exceed 1e-13. min_separation, finite and positive,
-    sets the pole guard: two of the form's points closer than
-    min_separation times the smallest pair distance at the start raise
-    PathSingularError. Magnus raises TransportError when its step budget
-    runs out first.
+    The adaptive method solves a `rotation_path` loop by the arc solver on
+    its exact pole u = 0 (module docstring), evaluating the form nowhere;
+    there est_error is the a-priori truncation bound on
+    ||matrix - Y(1)||_F, at most max(tol/100, 1e-13), which holds in exact
+    arithmetic and does not cover float rounding. Past the crossover, and
+    on every other path, DOP853 solves the path once at rtol
+    max(tol/100, 1e-13), and est_error is the first-order global error of
+    that solve: every accepted step's local error carried to the end of
+    the path by the flow (see the module docstring). Magnus solves it at
+    8, 16, 32, ... steps until the Frobenius move between consecutive
+    rungs is at most tol * max(1, ||matrix||_F); the matrix is the last
+    rung and est_error its move. tol must exceed 1e-13. min_separation,
+    finite and positive, sets the pole guard: two of the form's points
+    closer than min_separation times the smallest pair distance at the
+    start raise PathSingularError (in closed form on the rotation loop,
+    where the distances never shrink, so only min_separation > 1 raises,
+    at t = 0). Magnus raises TransportError when its step budget runs out
+    first.
     """
     require_tol(tol)
     if method not in _SEGMENT_SOLVERS:
@@ -360,12 +393,22 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
         raise ValidationError(
             f"path has {path.n} points, form expects {form.n}")
     _require_positive(min_separation, "minimum separation")
-    floor = min_separation * max(_min_separation(form, path.start()),
-                                 1e-30)
+    z0 = path.start()
+    floor = min_separation * max(_min_separation(form, z0), 1e-30)
     sign = 1.0 if dual else -1.0
+    rtol = max(tol * 1e-2, _MIN_TOL)
+    if method == "adaptive" and isinstance(path, _FullTurn) and form.dim:
+        # every pair coefficient is du/u: every pole is 0, and
+        # |z_i - z_j| = |z0_i - z0_j| |u|
+        npair = len(form.pairs)
+        moved = _arc_transport(form, 2 * math.pi, sign,
+                               np.zeros(npair, dtype=complex),
+                               np.arange(npair), np.abs(_Points(form, z0).dz),
+                               floor, np.eye(form.dim, dtype=complex), rtol)
+        if moved is not None:
+            return MonodromyResult(*moved)
     if method == "adaptive":
-        y, drift = _run_path(form, path, max(tol * 1e-2, _MIN_TOL), method,
-                             floor, sign)
+        y, drift = _run_path(form, path, rtol, method, floor, sign)
         return MonodromyResult(matrix=y,
                                est_error=float(np.linalg.norm(y @ drift)))
     prev = None
@@ -439,14 +482,15 @@ def _twist_poles(form, z0, a, b):
             np.array(spans))
 
 
-def _guard_time(poles, sign, delta):
-    """The first t in [0, 1] at which u = e^{sign i pi t} is within
-    delta[p] of poles[p], or None.
+def _guard_time(poles, sweep, delta):
+    """The first t in [0, 1] at which u = e^{i sweep t} is within delta[p]
+    of poles[p], or None.
 
     On the unit circle |u - p|^2 = (1 - |p|)^2 + 4|p| sin^2((theta - arg p)/2),
     so each pole's guard is one arc of angles, |theta - arg p| < alpha,
     found in closed form.
     """
+    span = abs(sweep)
     first = math.inf
     for p, dl in zip(poles.tolist(), delta.tolist()):
         rho = abs(p)
@@ -458,45 +502,46 @@ def _guard_time(poles, sign, delta):
             continue
         s = math.sqrt((dl - gap) * (dl + gap) / (4 * rho))
         alpha = 2 * math.asin(s) if s < 1 else math.pi
-        phi = sign * cmath.phase(p)
+        phi = math.copysign(1.0, sweep) * cmath.phase(p)
         for shift in (-2 * math.pi, 0.0, 2 * math.pi):
             lo = phi - alpha + shift
-            if lo + 2 * alpha > 0 and lo < math.pi:
-                first = min(first, max(lo, 0.0) / math.pi)
+            if lo + 2 * alpha > 0 and lo < span:
+                first = min(first, max(lo, 0.0) / span)
     return first if first <= 1 else None
 
 
-def _arc_times(poles, sign):
-    """Step times 0 = t_0 < ... < t_K = 1 on u = e^{sign i pi t}: each step's
+def _arc_times(poles, sweep):
+    """Step times 0 = t_0 < ... < t_K = 1 on u = e^{i sweep t}: each step's
     chord is at most half the distance rho from its start to the nearest
-    pole. Pole 0 keeps rho <= 1, so there are at least seven steps."""
+    pole. A pole at 0 keeps rho <= 1, so a half-twist takes at least seven
+    steps and a full turn thirteen."""
     ts = [0.0]
     while ts[-1] < 1.0:
         if len(ts) > _TAYLOR_MAX_STEPS:
             raise TransportError(
                 f"taylor stepper exceeded the step budget of "
                 f"{_TAYLOR_MAX_STEPS} steps")
-        u = cmath.exp(1j * sign * math.pi * ts[-1])
+        u = cmath.exp(1j * sweep * ts[-1])
         rho = float(np.abs(poles - u).min())
-        ts.append(min(1.0, ts[-1] + 2 / math.pi * math.asin(rho / 4)))
+        ts.append(min(1.0, ts[-1] + 2 * math.asin(rho / 4) / abs(sweep)))
     return np.array(ts)
 
 
-def _arc_distance(poles, ts, sign):
+def _arc_distance(poles, ts, sweep):
     """(K, P) distances from each pole to each step's arc, exactly: |1 - |p||
     if the pole's angle lies on the arc, else the nearer end."""
-    p = poles if sign > 0 else poles.conj()
+    p = poles if sweep > 0 else poles.conj()
     phase = np.angle(p) % (2 * math.pi)
-    lo, hi = math.pi * ts[:-1, None], math.pi * ts[1:, None]
+    lo, hi = abs(sweep) * ts[:-1, None], abs(sweep) * ts[1:, None]
     ends = np.exp(1j * np.concatenate((lo, hi), axis=1))
     near = np.minimum(np.abs(p - ends[:, :1]), np.abs(p - ends[:, 1:]))
     on_arc = (phase >= lo) & (phase <= hi)
     return np.where(on_arc, np.abs(1 - np.abs(p)), near)
 
 
-def _taylor_plan(poles, norms, ts, sign, budget):
-    """The arc points u_k, each step's term count N_k and its tail factor,
-    and the flow majorant's exponent from each step's end to u = -1.
+def _taylor_plan(poles, norms, ts, sweep):
+    """The arc points u_k, the logarithm of each step's tail bound for
+    1, ..., _TAYLOR_MAX_TERMS terms, and each step's flow exponent L_k.
 
     On step k the centre is u_k, rho_k the distance to the nearest pole and
     q_k = |u_{k+1} - u_k|/rho_k <= 1/2. Since |p - u_k| >= rho_k, the
@@ -507,23 +552,19 @@ def _taylor_plan(poles, norms, ts, sign, budget):
     c_n = (M_k)_n/n!; as c_{n+1}/c_n = (M_k + n)/(n + 1), the tail from N on
     is at most c_N q_k^N/(1 - q_k max(1, (M_k + N)/(N + 1))) ||X_k||_F. The
     flow majorant exp(int sum_p ||S_p||/|u - p| |du|) bounds the growth of
-    any frame; per step its exponent is L_k = pi dt_k sum_p ||S_p||/d_pk with
-    d_pk the pole's distance to the arc. N_k is the least count whose tail,
-    for the a-priori frame bound ||X_k|| <= ||X_0|| exp(L_0 + ... + L_{k-1})
-    and carried to the end by exp(L_{k+1} + ...), is at most budget/K, with
-    budget relative to ||X_0||_F. Returns None when some step needs more
-    than _TAYLOR_MAX_TERMS terms.
+    any frame; per step its exponent is L_k = |sweep| dt_k sum_p ||S_p||/d_pk
+    with d_pk the pole's distance to the arc. The sweep is a whole number
+    of half turns, so the arc ends on cos(sweep) = +-1 exactly.
     """
-    us = np.exp(1j * sign * math.pi * ts)
-    us[-1] = -1.0
+    us = np.exp(1j * sweep * ts)
+    us[-1] = math.cos(sweep)
     centre = us[:-1]
     dist = np.abs(poles - centre[:, None])
     rho = dist.min(axis=1)
     q = np.abs(np.diff(us)) / rho
     big_m = (norms * rho[:, None] / dist).sum(axis=1)
-    flow = math.pi * np.diff(ts) * (norms / _arc_distance(poles, ts, sign)
-                                    ).sum(axis=1)
-    after = flow[::-1].cumsum()[::-1] - flow
+    flow = abs(sweep) * np.diff(ts) * (norms / _arc_distance(poles, ts, sweep)
+                                       ).sum(axis=1)
     n = np.arange(1, _TAYLOR_MAX_TERMS + 1)
     ratio = q[:, None] * np.maximum(1.0, (big_m[:, None] + n) / (n + 1))
     # M_k = 0 (no residue) gives log c_n = -inf: one term is exact
@@ -531,13 +572,24 @@ def _taylor_plan(poles, norms, ts, sign, budget):
         log_c = np.cumsum(np.log((big_m[:, None] + n - 1) / n), axis=1)
         log_tail = np.where(ratio < 1, log_c + n * np.log(q)[:, None]
                             - np.log1p(-ratio), np.inf)
-    room = math.log(budget / len(q)) - (flow.sum() - flow)
+    return us, log_tail, flow
+
+
+def _term_counts(log_tail, flow, budget):
+    """Each step's term count N_k and its tail factor, or None when some step
+    needs more than _TAYLOR_MAX_TERMS terms.
+
+    N_k is the least count whose tail, for the a-priori frame bound
+    ||X_k|| <= ||X_0|| exp(L_0 + ... + L_{k-1}) and carried to the end by
+    exp(L_{k+1} + ...), is at most budget/K, with budget relative to
+    ||X_0||_F. A smaller budget never takes fewer terms.
+    """
+    room = math.log(budget / len(flow)) - (flow.sum() - flow)
     fits = log_tail <= room[:, None]
     if not fits.any(axis=1).all():
         return None
-    counts = n[np.argmax(fits, axis=1)]
-    tails = np.exp(log_tail[np.arange(len(q)), counts - 1])
-    return us, counts, tails, after
+    counts = np.argmax(fits, axis=1) + 1
+    return counts, np.exp(log_tail[np.arange(len(flow)), counts - 1])
 
 
 def _taylor_frame(res, poles, us, counts, x):
@@ -575,41 +627,76 @@ def _taylor_frame(res, poles, us, counts, x):
     return x, np.array(norms)
 
 
-def _taylor_letter(form, z0, i, sign, frame, tol):
-    """The half-twist of slots i - 1, i applied to the block frame by Taylor
-    series on its exact poles, or None past the crossover.
+def _merge_poles(poles):
+    """The distinct poles, in order of first appearance, and the positions
+    of the pairs at each: pairs at one pole share the sum of their
+    residues."""
+    at = {}
+    for pos, p in enumerate(poles.tolist()):
+        at.setdefault(p, []).append(pos)
+    return np.array(list(at), dtype=complex), list(at.values())
 
-    Returns the moved frame and the bound on its error, relative to the
-    frame's 2-norm (see `braid_generator`), or None when the planned
-    multiply-adds exceed _TAYLOR_MAX_MADDS (or a step needs more than
-    _TAYLOR_MAX_TERMS terms), where DOP853 is faster.
+
+def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
+                   bound):
+    """The frame moved along u = e^{i sweep t}, t in [0, 1], by the Taylor
+    series of dY/du = sign sum_p R_p/(u - p) Y, or None past the crossover.
+
+    R_p = Omega^p/(k+h) for the pairs `rows` of `form.pairs`, poles[p] the
+    pole of pair p and spans[p] its factor s with |z_i - z_j| = s |u - p|.
+    sign is +1 for the dual transport and -1 for sections. Pairs at one
+    pole are merged (`_merge_poles`). A point within `floor` of a diagonal
+    on the arc raises PathSingularError at the first such t
+    (`_guard_time`). The term counts are planned from the residue norms
+    (`KZForm.residue_norms`), which need no Gram matrix: if even the
+    loosest budget plans more multiply-adds sum_k (N_k - 1) P d^2 b than
+    _TAYLOR_MAX_MADDS, or a step more than _TAYLOR_MAX_TERMS terms, this
+    returns None before `KZForm.gram_residues` is built. Otherwise the
+    frame moves in Gram-orthonormal coordinates and the result is the
+    moved frame with a bound on its Frobenius error, the carried tails, at
+    most `bound`, in exact arithmetic.
     """
-    poles, rows, spans = _twist_poles(form, z0, i - 1, i)
-    floor = _MIN_SEPARATION * max(_min_separation(form, np.array(z0)), 1e-30)
-    t = _guard_time(poles, sign, floor / spans)
+    t = _guard_time(poles, sweep, floor / spans)
     if t is not None:
         raise PathSingularError(
             f"points within {floor} of a diagonal at t={t}", t=t)
+    if not (np.isfinite(poles).all()
+            and np.isfinite(form.residues(rows)).all()):
+        raise TransportError("integrator failed: non-finite residue or pole")
+    poles, at = _merge_poles(poles)
+    groups = [tuple(rows[pos].tolist()) for pos in at]
+    us, log_tail, flow = _taylor_plan(poles, form.residue_norms(groups),
+                                      _arc_times(poles, sweep), sweep)
+    d, b = frame.shape
+
+    def planned(budget):
+        plan = _term_counts(log_tail, flow, budget)
+        if plan is None or int((plan[0] - 1).sum()) * len(poles) * d * d * b \
+                > _TAYLOR_MAX_MADDS:
+            return None
+        return plan
+
+    # ||C^{-T}||_2 ||C^T frame||_F >= ||frame||_F, so this plan takes no
+    # more terms than the one below
+    if planned(bound / np.linalg.norm(frame)) is None:
+        return None
     chol, res = form.gram_residues
-    res = res[rows]
-    if not (np.isfinite(res).all() and np.isfinite(poles).all()):
-        raise TransportError(
-            "integrator failed: non-finite residue or pole")
-    norms = np.abs(np.linalg.eigvalsh(res)).max(axis=1)
+    res = res[rows] if len(at) == len(rows) else np.array(
+        [res[rows[pos]].sum(axis=0) for pos in at])
+    if not np.isfinite(res).all():
+        raise TransportError("integrator failed: non-finite residue or pole")
     inv = np.linalg.inv(chol)
     x = chol.T @ frame
-    # est_error is ||C^{-T}||_2 (the carried tails) / ||frame||_2
-    to_est = np.linalg.norm(inv, 2) / np.linalg.norm(frame, 2)
-    budget = max(tol * 1e-2, _MIN_TOL) / (to_est * np.linalg.norm(x))
-    plan = _taylor_plan(poles, norms, _arc_times(poles, sign), sign, budget)
+    # the error is C^{-T} (the carried tails); ||C^{-T}||_2^2 is the largest
+    # eigenvalue of C^{-T} C^{-1}, bounded from above
+    lift = math.sqrt(spectral_bound(inv.T @ inv))
+    plan = planned(bound / (lift * np.linalg.norm(x)))
     if plan is None:
         return None
-    us, counts, tails, after = plan
-    d, b = frame.shape
-    if int((counts - 1).sum()) * len(poles) * d * d * b > _TAYLOR_MAX_MADDS:
-        return None
-    x, starts = _taylor_frame(res, poles, us, counts, x)
-    return inv.T @ x, float((starts * tails * np.exp(after)).sum() * to_est)
+    counts, tails = plan
+    x, starts = _taylor_frame(sign * res, poles, us, counts, x)
+    after = flow[::-1].cumsum()[::-1] - flow
+    return inv.T @ x, float((starts * tails * np.exp(after)).sum() * lift)
 
 
 def braid_generator(form, block, i, tol=DEFAULT_TOL,
@@ -626,17 +713,17 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     transported frame's component outside the target subspace and must stay
     below block_tol.
 
-    The default method solves the half-twist by Taylor series on its exact
-    poles (module docstring), moving only the block frame B, and est_error
-    is an a-priori bound on ||(Y~ - Y) B||_F / ||B||_2, the error of the
-    transport on the block: the truncation tail of every step carried to
-    the end by the flow majorant, at most max(tol/100, 1e-13). The bound
-    holds in exact arithmetic; float rounding is not covered. A point
-    coming within 1e-9 times the starting separation of the moving arc
-    raises PathSingularError naming the first such t. Letters whose planned work
-    passes a fixed crossover run DOP853 on the fundamental matrix instead,
-    with its first-order estimate, as method="magnus" runs the Magnus
-    ladder (see `transport`).
+    The default method solves the half-twist by the arc solver, Taylor
+    series on its exact poles (module docstring), moving only the block
+    frame B, and est_error is an a-priori bound on ||(Y~ - Y) B||_F /
+    ||B||_2, the error of the transport on the block: the truncation tail
+    of every step carried to the end by the flow majorant, at most
+    max(tol/100, 1e-13). The bound holds in exact arithmetic; float
+    rounding is not covered. A point coming within 1e-9 times the starting
+    separation of the moving arc raises PathSingularError naming the first
+    such t. Letters whose planned work passes a fixed crossover run DOP853
+    on the fundamental matrix instead, with its first-order estimate, as
+    method="magnus" runs the Magnus ladder (see `transport`).
     """
     system = form.system
     n = system.n
@@ -651,7 +738,14 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     moved = None
     if method == "adaptive":
         require_tol(tol)
-        moved = _taylor_letter(form, z0, i, -1 if clockwise else 1, cols, tol)
+        floor = _MIN_SEPARATION * max(_min_separation(form, np.array(z0)),
+                                      1e-30)
+        size = np.linalg.norm(cols, 2)
+        moved = _arc_transport(form, -math.pi if clockwise else math.pi, 1.0,
+                               *_twist_poles(form, z0, i - 1, i), floor,
+                               cols, max(tol * 1e-2, _MIN_TOL) * size)
+        if moved is not None:
+            moved = moved[0], moved[1] / size
     if moved is None:
         res = transport(form, braid_path(z0, i, clockwise=clockwise),
                         tol=tol, method=method, dual=True)

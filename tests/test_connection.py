@@ -201,6 +201,27 @@ def test_rotation_monodromy_needs_invariants():
         rotation_monodromy(form)
 
 
+@pytest.mark.parametrize("alg, weights, k", [
+    (A1, ((1,),) * 6, 2), (A1, ((1,), (2,), (1,), (2,)), 2),
+    (A2, ((1, 0), (0, 1), (1, 0), (0, 1)), 2), (G2, ((1, 0),) * 3, 1),
+], ids=["A1^6", "A1-mixed", "A2-mixed", "G2^3"])
+def test_residue_norms_bound_the_gram_residue_norms(alg, weights, k):
+    # the bound on the largest |eigenvalue| of R_p, shared by the pairs of
+    # equal slot weights, bounds the 2-norm of the symmetric S_p within
+    # d^(1/256), for one pair or a sum; and the Gram residues are built
+    # only on request
+    form = kz_form(tensor_system(alg, weights), k)
+    groups = [(r,) for r in range(len(form.pairs))]
+    groups += [tuple(range(len(form.pairs))), (0, len(form.pairs) - 1)]
+    norms = form.residue_norms(groups)
+    assert "gram_residues" not in form.__dict__
+    _chol, res = form.gram_residues
+    for g, norm in zip(groups, norms):
+        exact = np.linalg.norm(res[list(g)].sum(axis=0), 2)
+        assert exact * (1 - 1e-12) <= norm
+        assert norm <= exact * form.dim ** (1 / 256) * (1 + 1e-12)
+
+
 def test_rotation_scalar_matches_casimirs_generic():
     rng = random.Random(4)
     for _ in range(5):

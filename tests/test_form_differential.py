@@ -210,10 +210,12 @@ def test_stack_matches_row_by_row(stack):
 def _stepped_segment(gaps):
     """A segment at the times 1..len(gaps) whose points 0 and 1 are
     gaps[t - 1] apart, point 0 moving at speed 1e300."""
-    def z(t):
-        return np.array([0, gaps[int(t) - 1], 2, 5], dtype=complex)
+    def z(ts):
+        return np.array([[0, gaps[int(t) - 1], 2, 5] for t in ts],
+                        dtype=complex)
 
-    return Segment(z, lambda t: np.array([1e300, 0, 0, 0], dtype=complex))
+    return Segment(z, lambda ts: np.repeat(
+        np.array([[1e300, 0, 0, 0]], dtype=complex), len(ts), axis=0))
 
 
 def test_path_monitor_names_the_first_time_in_the_guard():

@@ -21,7 +21,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from kzmono._integrators import dop853, expm
+from kzmono._integrators import dop853, expm, spectral_bound
 from kzmono.algebra import build_algebra
 from kzmono.connection import kz_form
 from kzmono.reps import tensor_system
@@ -132,6 +132,26 @@ def test_expm_of_a_stack_matches_scipy(d):
     grid = stack[1:].reshape(2, len(NORMS) // 2, d, d)
     assert np.array_equal(expm(grid),
                           expm(stack[1:]).reshape(grid.shape))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 14])
+def test_spectral_bound_brackets_the_spectral_radius(d):
+    # V diag(lambda) V^{-1} with real lambda, in a stack over scales from
+    # 1e-150 to 1e150 (no square may overflow or underflow), and with
+    # lambda = +-c, where the bound reaches its factor d^(1/256)
+    rng = np.random.default_rng(200 + d)
+    lams = [rng.normal(size=d), np.full(d, -2.5), np.resize([3.0, -3.0], d)]
+    mats, radii = [], []
+    for scale in (1e-150, 1.0, 1e150):
+        for lam in lams:
+            v = rng.normal(size=(d, d)) + 3 * np.eye(d)
+            mats.append(v @ np.diag(scale * lam) @ np.linalg.inv(v))
+            radii.append(scale * np.abs(lam).max())
+    got = spectral_bound(np.array(mats))
+    radii = np.array(radii)
+    assert np.all(got >= radii * (1 - 1e-12))
+    assert np.all(got <= radii * d ** (1 / 256) * (1 + 1e-12))
+    assert spectral_bound(np.zeros((d, d))) == 0
 
 
 def test_magnus_chunks_do_not_change_a_rung(form_a1_6, monkeypatch):

@@ -12,7 +12,8 @@ from kzmono.connection import kz_form, rotation_monodromy
 from kzmono.errors import (PathSingularError, TransportError,
                            ValidationError)
 from kzmono.reps import tensor_system
-from kzmono.transport import (_FormOnPath, _in_block_basis, _taylor_letter,
+from kzmono.transport import (_FormOnPath, _arc_transport, _in_block_basis,
+                              _min_separation, _twist_poles,
                               braid_generator, braid_path,
                               braid_word_transport, concat_paths,
                               constant_path, magnus_fixed_steps,
@@ -36,6 +37,28 @@ def form_k2():
 @pytest.fixture(scope="module")
 def block_k2(form_k2):
     return block_subspace(form_k2.system, 2, Z4)
+
+
+def _sampled(path):
+    """The same path without its pole record: `transport` samples it and
+    runs DOP853 or Magnus on it."""
+    return reparametrize(path, lambda t: t, np.ones_like)
+
+
+@pytest.mark.parametrize("path", [
+    constant_path(Z4), rotation_path(Z4), braid_path(Z4, 2),
+    braid_path(Z4, 1, clockwise=True, wobble=0.25),
+    reverse_path(braid_path(Z4, 3)),
+    reparametrize(rotation_path(Z4), lambda t: t * t, lambda t: 2 * t),
+], ids=["constant", "rotation", "braid", "wobble", "reverse", "warped"])
+def test_segments_take_stacks_of_times(path):
+    # one row of points per time, each as the time gives alone
+    ts = np.array([0.0, 0.25, 0.5, 1.0])
+    for fn in (path.segments[0].z, path.segments[0].dz):
+        stack = fn(ts)
+        assert stack.shape == (len(ts), 4) and stack.dtype == complex
+        for t, row in zip(ts, stack):
+            assert np.array_equal(fn(np.array([t]))[0], row)
 
 
 def test_constant_path_gives_identity(form_k2):
@@ -198,6 +221,20 @@ def test_error_estimates_are_honest(alg, weights, k, method):
                 assert res.est_error <= 10 * tol
 
 
+def _half_twist(form, pts, i, clockwise, frame, tol):
+    """The arc solver on the half-twist of slots i - 1, i, as
+    braid_generator runs it: the moved frame and its error bound relative
+    to ||frame||_2."""
+    z0 = tuple(map(complex, pts))
+    floor = 1e-9 * _min_separation(form, np.array(z0))
+    size = np.linalg.norm(frame, 2)
+    moved, bound = _arc_transport(
+        form, -np.pi if clockwise else np.pi, 1.0,
+        *_twist_poles(form, z0, i - 1, i), floor, frame,
+        max(tol / 100, 1e-13) * size)
+    return moved, bound / size
+
+
 @HONEST_SYSTEMS
 def test_braid_letter_error_bounds_are_honest(alg, weights, k):
     # the Taylor bound of a braid letter is on its transported block frame
@@ -213,16 +250,16 @@ def test_braid_letter_error_bounds_are_honest(alg, weights, k):
         ref = transport(form, braid_path(pts, i, clockwise=clockwise),
                         tol=1.01e-11, dual=True)
         for tol in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
-            frame, est = _taylor_letter(form, tuple(map(complex, pts)), i,
-                                        -1 if clockwise else 1, cols, tol)
+            frame, est = _half_twist(form, pts, i, clockwise, cols, tol)
             dist = np.linalg.norm(frame - ref.matrix @ cols) / size
             assert est >= dist - ref.est_error
             assert 0 < est <= 10 * tol
 
 
 def test_adaptive_error_decreases_with_tol(form_k2):
+    # DOP853's convergence in tol, on a sampled copy of the rotation loop
     exact = -1j * np.eye(form_k2.dim)
-    path = rotation_path(Z4)
+    path = _sampled(rotation_path(Z4))
     coarse = np.linalg.norm(
         transport(form_k2, path, tol=1e-5).matrix - exact)
     fine = np.linalg.norm(
@@ -475,6 +512,103 @@ def test_braid_letter_wrong_pole_fails_the_block_residual(monkeypatch):
         braid_generator(form, block, 2, block_tol=1e-8)
 
 
+@HONEST_SYSTEMS
+def test_rotation_arc_solver_matches_dop853(alg, weights, k):
+    # the arc solver on the exact pole u = 0 and DOP853 on a sampled copy
+    # of the same loop: both within their estimates of the exact scalar,
+    # and of each other
+    form = kz_form(tensor_system(alg, weights), k)
+    pts = (0, 1, 3, 7, 12, 20)[:len(weights)]
+    exact = rotation_monodromy(form).scalar * np.eye(form.dim)
+    for tol in (1e-5, 1e-8, 1e-10, 1e-11):
+        arc = transport(form, rotation_path(pts), tol=tol)
+        dop = transport(form, _sampled(rotation_path(pts)), tol=tol)
+        assert 0 < arc.est_error <= tol / 100
+        assert np.linalg.norm(arc.matrix - exact) <= arc.est_error + 1e-12
+        assert np.linalg.norm(dop.matrix - exact) <= dop.est_error + 1e-12
+        assert np.linalg.norm(arc.matrix - dop.matrix) <= \
+            arc.est_error + dop.est_error + 1e-12
+
+
+def test_rotation_arc_solver_evaluates_no_form(form_k2, monkeypatch):
+    calls = _count_evaluations(monkeypatch, form_k2)
+    for dual in (False, True):
+        transport(form_k2, rotation_path(Z4), dual=dual)
+    assert not calls
+
+
+def test_rotation_dual_transport_is_the_conjugate_scalar(form_k2):
+    # the dual transport of the loop is the inverse transpose of the
+    # sections' one, conj(s) Id for the unit scalar s
+    res = transport(form_k2, rotation_path(Z4), dual=True)
+    scalar = rotation_monodromy(form_k2).scalar
+    assert np.linalg.norm(res.matrix - np.conj(scalar) * np.eye(
+        form_k2.dim)) <= res.est_error + 1e-12
+
+
+def test_rotation_past_the_crossover_runs_dop853(form_k2, monkeypatch):
+    # past the multiply-add crossover the loop is DOP853, bit for bit as
+    # on its sampled copy, and the Gram residues are never built
+    module = importlib.import_module("kzmono.transport")
+    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    form = kz_form(form_k2.system, 2)
+    res = transport(form, rotation_path(Z4))
+    ref = transport(form, _sampled(rotation_path(Z4)))
+    assert np.array_equal(res.matrix, ref.matrix)
+    assert res.est_error == ref.est_error
+    assert "gram_residues" not in form.__dict__
+
+
+def test_rotation_guard_matches_dop853(form_k2):
+    # a guard of at least the starting separation is entered at t = 0 on
+    # either route; below it the loop never comes closer
+    for path in (rotation_path(Z4), _sampled(rotation_path(Z4))):
+        with pytest.raises(PathSingularError) as info:
+            transport(form_k2, path, min_separation=2.0)
+        assert info.value.t == 0.0
+    res = transport(form_k2, rotation_path(Z4), min_separation=0.5)
+    assert np.linalg.norm(res.matrix + 1j * np.eye(form_k2.dim)) < 1e-12
+
+
+def test_rotation_corrupted_residue_misses_the_scalar(form_k2):
+    # negative control: one entry of one Gram residue off by 0.01 (and its
+    # mirror, keeping it symmetric) moves the loop off the exact scalar
+    form = kz_form(form_k2.system, 2)
+    chol, res = form.gram_residues
+    res = res.copy()
+    res[0, 0, 1] += 0.01
+    res[0, 1, 0] += 0.01
+    form.__dict__["gram_residues"] = chol, res
+    moved = transport(form, rotation_path(Z4))
+    scalar = rotation_monodromy(form).scalar
+    assert np.linalg.norm(moved.matrix - scalar * np.eye(form.dim)) > 1e-8
+
+
+def test_half_twist_with_coincident_poles(form_k2, monkeypatch):
+    # points 0, 1, 2, 3 and sigma_2: pairs (0, 1) and (2, 3) share the
+    # pole 3, (0, 2) and (1, 3) the pole -3, so five pairs give three
+    # poles; summing their residues moves the frame as the five apart do
+    pts = (0, 1, 2, 3)
+    block = block_subspace(form_k2.system, 2, pts)
+    cols = block.coeffs.to_array(complex)
+    module = importlib.import_module("kzmono.transport")
+    poles, _rows, _spans = _twist_poles(form_k2, tuple(map(complex, pts)),
+                                        1, 2)
+    assert len(module._merge_poles(poles)[1]) == 3 < len(poles) == 5
+    for clockwise in (False, True):
+        merged, merged_est = _half_twist(form_k2, pts, 2, clockwise, cols,
+                                         1e-10)
+        monkeypatch.setattr(module, "_merge_poles", lambda p: (
+            p, [[pos] for pos in range(len(p))]))
+        apart, apart_est = _half_twist(form_k2, pts, 2, clockwise, cols,
+                                       1e-10)
+        monkeypatch.undo()
+        assert np.linalg.norm(merged - apart) / np.linalg.norm(cols, 2) \
+            <= merged_est + apart_est + 1e-12
+        assert braid_generator(form_k2, block, 2, clockwise=clockwise
+                               ).block_residual < 1e-10
+
+
 def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
                                                      monkeypatch):
     # past the multiply-add crossover a letter is DOP853 on the
@@ -494,6 +628,19 @@ def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
     assert res.est_error == ref.est_error
     assert res.block_residual == residual
     assert np.abs(res.matrix - taylor.matrix).max() < 1e-10
+
+
+def test_dop853_letter_builds_no_gram_residues(block_k2, monkeypatch):
+    # the plan needs only the residue norms, so a letter sent to DOP853
+    # leaves the Gram residues unbuilt
+    module = importlib.import_module("kzmono.transport")
+    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    form = kz_form(block_k2.system, 2)
+    braid_generator(form, block_k2, 2)
+    assert "gram_residues" not in form.__dict__
+    monkeypatch.undo()
+    braid_generator(form, block_k2, 2)
+    assert "gram_residues" in form.__dict__
 
 
 @pytest.mark.filterwarnings("error")
