@@ -18,13 +18,13 @@ from .blocks import (BlockSpace, FusionRing, block_dim, block_subspace,
 from .connection import (KZForm, flatness_check, kz_form,
                          rotation_monodromy)
 from .exact import QQi, SRMatrix
-from .reps import (Representation, TensorSystem, casimir_matrix, irrep,
-                   tensor_system)
-from .sections import SectionSpace, intertwiner, verify_bbw
-from .transport import (MonodromyResult, Path, braid_generator, braid_path,
+from .monodromy import (MonodromyResult, Path, braid_generator, braid_path,
                         braid_word_transport, constant_path,
                         parse_braid_word, projective_compare, rotation_path,
                         transport)
+from .reps import (Representation, TensorSystem, casimir_matrix, irrep,
+                   tensor_system)
+from .sections import SectionSpace, intertwiner, verify_bbw
 
 __all__ = [
     "LieAlgebra", "ParityReport", "build_algebra", "casimir_scalar",

@@ -47,12 +47,12 @@ from .blocks import block_subspace, block_to_json, fusion_ring, \
 from .connection import flatness_check, kz_form, rotation_monodromy
 from .errors import (ConstructionError, KzmonoError, OracleMismatchError,
                      TransportError, ValidationError, require_int)
+from .monodromy import (DEFAULT_BLOCK_TOL, DEFAULT_TOL,
+                        braid_word_transport, monodromy_to_json,
+                        parse_braid_word, require_tol)
 from .reps import (DEFAULT_DIMENSION_CAP, casimir_is_scalar, irrep,
                    rep_to_json, tensor_system)
 from .sections import verify_bbw
-from .transport import (DEFAULT_BLOCK_TOL, DEFAULT_TOL,
-                        braid_word_transport, monodromy_to_json,
-                        parse_braid_word, require_tol)
 
 
 def load_manifest(path):
@@ -217,7 +217,7 @@ def cmd_braid(args):
         res = braid_word_transport(form, bs, word, tol=tol,
                                    block_tol=compare_tol)
     else:
-        from .transport import MonodromyResult
+        from .monodromy import MonodromyResult
         res = MonodromyResult(matrix=np.eye(bs.dim, dtype=complex),
                               est_error=0.0, block_residual=0.0)
     manifest_echo = {k: v for k, v in sorted(doc.items())

@@ -61,7 +61,7 @@ class KZForm:
     in `pairs` order, so the form is evaluated in one array pass over all
     pairs. The total-space Omega^{ij} (`omega_full`) are built only on
     explicit access; the full-space Kohno check works from the local
-    matrices, and reads `omega_full` only if it was built and altered.
+    matrices, or from `omega_full` as it stands if it was built.
     """
 
     def __init__(self, system, k):
@@ -379,7 +379,7 @@ def _kohno_residual(omega, relations, weights=None):
 
     The commutators run on D*Omega, D the lcm of the entry denominators;
     [D A, D B] = D^2 [A, B]. The basis is one class, or the total-weight
-    classes given each tensor factor's basis weights (an altered
+    classes given each tensor factor's basis weights (a built
     `KZForm.omega_full`).
     """
     if not relations:
@@ -429,13 +429,13 @@ def _full_residual(form, relations):
     other slots) an injective algebra map that keeps every entry, so
     max |iota(R)| = max |R|. Each distinct weight triple is checked once,
     on the three local matrices scaled by their common denominator D
-    (`_triple_residual`). If `omega_full` was built and no longer matches
-    the local data, the relations run on it as given (`_kohno_residual`).
+    (`_triple_residual`). If `omega_full` was built, the relations run on
+    it as it stands (`_kohno_residual`): built from the same local
+    matrices, it gives the same residual, and a caller may have altered it.
     """
     system = form.system
     built = form.__dict__.get("omega_full")
-    if built is not None and any(built[p] != system.omega_pair(*p)
-                                 for p in form.pairs):
+    if built is not None:
         return _kohno_residual(built, relations,
                                [f.basis_weights for f in system.factors])
     triples = {}

@@ -44,8 +44,9 @@ exports are reproducible.
 Root vectors for non-simple roots come from a fixed iterated-bracket scheme
 (always bracketing with the lowest simple index that stays in the root
 system), so "e_alpha" names the same abstract element in every module; the
-pairings <e_alpha, f_alpha> needed for dual bases are extracted once per
-algebra from [e_alpha, f_alpha] acting in a small faithful module.
+pairings <e_alpha, f_alpha> needed for dual bases follow from root data
+alone, by a recursion along that scheme over the simple-root strings
+(`casimir_constants`).
 """
 
 from __future__ import annotations
@@ -318,54 +319,35 @@ def root_vectors(rep):
 
 
 @lru_cache(maxsize=None)
-def _reference_weight(alg):
-    """Fundamental weight of smallest module dimension (lowest index wins)."""
-    best = None
-    for i in range(alg.rank):
-        w = tuple(int(i == j) for j in range(alg.rank))
-        d = la.weyl_dimension(alg, w)
-        if best is None or d < best[0]:
-            best = (d, w)
-    return best[1]
-
-
-@lru_cache(maxsize=None)
 def casimir_constants(alg):
-    """c_alpha = <e_alpha, f_alpha> for every positive root.
+    """c_alpha = <e_alpha, f_alpha> for every positive root, from root data.
 
-    [e_alpha, f_alpha] acts on a weight-mu vector as c_alpha <mu, alpha>;
-    the constants are representation independent, so they are read off in a
-    small faithful module and validated across its whole weight spectrum.
-    For a simple root, c equals 1/d_i, which is checked.
+    A simple root has c = 1/d_i. Otherwise `_bracket_scheme` sets
+    e_alpha = [e_i, e_beta] and f_alpha = [f_i, f_beta] with
+    alpha = beta + a_i, and invariance of the form gives
+    c_alpha = -<e_beta, ad e_i ad f_i f_beta>. Let beta - r a_i, ...,
+    beta + q a_i be the a_i-string through beta. The root vectors of the
+    string through -beta span an irreducible module of the sl2 of a_i, of
+    highest weight r + q (Humphreys 8.4), and f_beta lies r steps below its
+    top, where e f acts as (r + 1) q (Humphreys 7.2). So
+    c_alpha = -q (r + 1) c_beta, and no module is built. `local_omega`
+    checks every factor Casimir it uses against its scalar.
     """
-    ref = irrep(alg, _reference_weight(alg))
-    ems, fms = root_vectors(ref)
+    coords = alg.positive_root_coords
+    roots = set(coords)
     out = []
-    for k, label in enumerate(alg.positive_roots):
-        m = commutator(ems[k], fms[k])
-        for (r, c) in m.data:
-            if r != c:
-                raise ConstructionError(
-                    f"{alg.name}: [e,f] for root {label} is not diagonal")
-        c_val = None
-        for v, w in enumerate(ref.basis_weights):
-            pa = la.pairing(alg, w, label)
-            if pa:
-                val = m.get(v, v) / pa
-                if c_val is None:
-                    c_val = val
-                elif c_val != val:
-                    raise ConstructionError(
-                        f"{alg.name}: inconsistent <e,f> for root {label}")
-        if not c_val:
-            raise ConstructionError(
-                f"{alg.name}: could not extract <e,f> for root {label}")
-        out.append(c_val)
-    for i, (kind, idx, _low) in enumerate(_bracket_scheme(alg)):
-        if kind == "simple" and out[i] != 1 / alg.symmetrizers[idx]:
-            raise ConstructionError(
-                f"{alg.name}: <e,f> for simple root {idx + 1} is {out[i]}, "
-                f"not 1/d = {1 / alg.symmetrizers[idx]}")
+    for kind, i, low in _bracket_scheme(alg):
+        if kind == "simple":
+            out.append(1 / alg.symmetrizers[i])
+            continue
+        probe, r = list(coords[low]), 0
+        while True:
+            probe[i] -= 1
+            if tuple(probe) not in roots:
+                break
+            r += 1
+        q = r - alg.positive_roots[low][i]
+        out.append(-q * (r + 1) * out[low])
     return tuple(out)
 
 

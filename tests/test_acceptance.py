@@ -17,11 +17,11 @@ from kzmono.blocks import block_dim, block_subspace, fusion_ring
 from kzmono.connection import flatness_check, kz_form, rotation_monodromy
 from kzmono.errors import NoIntertwinerError
 from kzmono.exact import SRMatrix
+from kzmono.monodromy import (braid_generator, projective_compare,
+                              rotation_path, transport)
 from kzmono.reps import _irrep, casimir_constants, casimir_matrix, irrep, \
     tensor_system
 from kzmono.sections import SectionSpace, intertwiner
-from kzmono.transport import (braid_generator, projective_compare,
-                              rotation_path, transport)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)

@@ -148,7 +148,7 @@ def test_braid_word_and_projective_match(tmp_path, capsys):
     m2 = json.loads((out2 / "monodromy.json").read_text())
 
     import numpy as np
-    from kzmono.transport import projective_compare
+    from kzmono.monodromy import projective_compare
     a = np.array(m1["matrix_re"]) + 1j * np.array(m1["matrix_im"])
     b = np.array(m2["matrix_re"]) + 1j * np.array(m2["matrix_im"])
     _c, resid = projective_compare(a, b)

@@ -42,10 +42,10 @@ from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
 from kzmono.connection import kz_form
 from kzmono.errors import CoincidentPointsError, PathSingularError
-from kzmono.reps import tensor_system
-from kzmono.transport import (Segment, _FormOnPath, _in_block_basis,
+from kzmono.monodromy import (Segment, _FormOnPath, _in_block_basis,
                               _min_separation, braid_generator, braid_path,
                               transport)
+from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
 FROZEN = pathlib.Path(__file__).with_name("braid_a1_6pt_k2_frozen.json")

@@ -20,10 +20,10 @@ from kzmono.blocks import admissible_weights, block_subspace, fusion_ring
 from kzmono.connection import kz_form
 from kzmono.errors import (NonDominantWeightError, ValidationError,
                            require_int)
+from kzmono.monodromy import (braid_generator, braid_path,
+                              braid_word_transport)
 from kzmono.reps import irrep, tensor_system
 from kzmono.sections import SectionSpace
-from kzmono.transport import (braid_generator, braid_path,
-                              braid_word_transport)
 
 A1 = build_algebra("A", 1)
 SYSTEM = tensor_system(A1, ((1,),) * 4)

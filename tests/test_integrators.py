@@ -9,7 +9,6 @@ squarings. A Magnus rung must not depend on how its steps are cut into
 exponentiated stacks.
 """
 
-import importlib
 import math
 import os
 import pathlib
@@ -21,12 +20,13 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+import kzmono.monodromy as monodromy
 from kzmono._integrators import dop853, expm, spectral_bound
 from kzmono.algebra import build_algebra
 from kzmono.connection import kz_form
-from kzmono.reps import tensor_system
-from kzmono.transport import (_FormOnPath, braid_path, magnus_fixed_steps,
+from kzmono.monodromy import (_FormOnPath, braid_path, magnus_fixed_steps,
                               rotation_path)
+from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
 G2 = build_algebra("G", 2)
@@ -157,8 +157,7 @@ def test_spectral_bound_brackets_the_spectral_radius(d):
 def test_magnus_chunks_do_not_change_a_rung(form_a1_6, monkeypatch):
     path = braid_path(PTS6, 2)
     whole = magnus_fixed_steps(form_a1_6, path, 16, dual=True)
-    module = importlib.import_module("kzmono.transport")
-    monkeypatch.setattr(module, "_MAGNUS_CHUNK", 3)
+    monkeypatch.setattr(monodromy, "_MAGNUS_CHUNK", 3)
     chunked = magnus_fixed_steps(form_a1_6, path, 16, dual=True)
     assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
 

@@ -124,9 +124,49 @@ def test_casimir_constants_simple_roots():
     assert casimir_constants(A1) == (Fraction(1),)
     # G2 roots sort by height then lex, so (0,1) (long, d=1) precedes
     # (1,0) (short, d=1/3)
-    cs = casimir_constants(G2)
-    assert cs[0] == 1
-    assert cs[1] == 3
+    assert casimir_constants(G2) == (1, 3, -3, 12, -36, 36)
+
+
+def ref_casimir_constants(alg):
+    """Test-only extraction of <e_alpha, f_alpha>: [e_alpha, f_alpha] acts
+    on a weight-mu vector as c_alpha <mu, alpha>, read off in the fundamental
+    module of smallest dimension (lowest index wins) across its whole weight
+    spectrum."""
+    fundamentals = [tuple(int(i == j) for j in range(alg.rank))
+                    for i in range(alg.rank)]
+    ref = irrep(alg, min(fundamentals,
+                         key=lambda w: la.weyl_dimension(alg, w)))
+    out = []
+    for e, f, root in zip(*root_vectors(ref), alg.positive_roots):
+        m = commutator(e, f)
+        assert all(r == c for r, c in m.data)
+        values = {m.get(v, v) / la.pairing(alg, w, root)
+                  for v, w in enumerate(ref.basis_weights)
+                  if la.pairing(alg, w, root)}
+        assert len(values) == 1 and 0 not in values
+        out.append(values.pop())
+    return tuple(out)
+
+
+RANK_8_TYPES = [(s, r) for s, ranks in [
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
+    ("D", range(4, 9)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))]
+    for r in ranks]
+
+
+@pytest.mark.parametrize("series,rank", RANK_8_TYPES,
+                         ids=[f"{s}{r}" for s, r in RANK_8_TYPES])
+def test_casimir_constants_match_module_extraction(series, rank):
+    alg = build_algebra(series, rank)
+    got, ref = casimir_constants(alg), ref_casimir_constants(alg)
+    assert got == ref
+    assert all(type(c) is Fraction for c in got + ref)
+
+
+def test_casimir_constants_build_no_module():
+    before = reps._irrep.cache_info()
+    casimir_constants.__wrapped__(build_algebra("E", 8))
+    assert reps._irrep.cache_info() == before
 
 
 def test_root_vectors_heights_and_nonzero():
@@ -550,9 +590,26 @@ def test_dimension_check_raises(monkeypatch):
         reps._irrep.__wrapped__(A2, (1, 1))
 
 
-def test_casimir_constants_checks_simple_roots():
-    # A1 with d_1 = 1/2 would need <e, f> = 2; the module gives 1
-    bad = dataclasses.replace(build_algebra("A", 1),
-                              symmetrizers=(Fraction(1, 2),))
-    with pytest.raises(ConstructionError, match="simple root 1"):
-        casimir_constants(bad)
+def test_inconsistent_symmetrizer_caught_at_local_omega():
+    # A1 with d_1 = 1/2 takes <e, f> = 2 from its root data, where the
+    # module pairs e and f to 1: the dual-basis Casimir of the first module
+    # that uses the constants is off its scalar
+    bad = dataclasses.replace(A1, symmetrizers=(Fraction(1, 2),))
+    assert casimir_constants(bad) == (Fraction(2),)
+    assert not reps.casimir_is_scalar(irrep(bad, (1,)))
+    with pytest.raises(ConstructionError,
+                       match="dual-basis Casimir is not its scalar"):
+        local_omega(bad, (1,), (1,))
+
+
+@pytest.mark.parametrize("root", [2, 3, 4, 5])
+def test_flipped_constant_caught_at_local_omega(monkeypatch, root):
+    # a wrong sign on one non-simple constant of G2 breaks the dual bases
+    flipped = list(casimir_constants(G2))
+    flipped[root] = -flipped[root]
+    monkeypatch.setattr(reps, "casimir_constants",
+                        lambda alg: tuple(flipped))
+    assert not reps.casimir_is_scalar(irrep(G2, (1, 0)))
+    with pytest.raises(ConstructionError,
+                       match="dual-basis Casimir is not its scalar"):
+        local_omega.__wrapped__(G2, (1, 0), (1, 0))

@@ -1,18 +1,16 @@
 """Numerical transport: oracles, braid relations, block preservation."""
 
-import importlib
-
 import numpy as np
 import pytest
 
+import kzmono.monodromy as monodromy
 from kzmono._integrators import dop853
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
 from kzmono.connection import kz_form, rotation_monodromy
 from kzmono.errors import (PathSingularError, TransportError,
                            ValidationError)
-from kzmono.reps import tensor_system
-from kzmono.transport import (_FormOnPath, _arc_transport, _in_block_basis,
+from kzmono.monodromy import (_FormOnPath, _arc_transport, _in_block_basis,
                               _min_separation, _twist_poles,
                               braid_generator, braid_path,
                               braid_word_transport, concat_paths,
@@ -21,6 +19,7 @@ from kzmono.transport import (_FormOnPath, _arc_transport, _in_block_basis,
                               projective_compare, reparametrize,
                               require_tol, reverse_path, rotation_path,
                               transport)
+from kzmono.reps import tensor_system
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -177,9 +176,7 @@ def test_adaptive_runs_one_solve(form_k2, monkeypatch, tol):
 
 
 def test_magnus_step_budget(form_k2, monkeypatch):
-    # the package re-exports the transport function under the module's name
-    module = importlib.import_module("kzmono.transport")
-    monkeypatch.setattr(module, "_MAGNUS_MAX_STEPS", 16)
+    monkeypatch.setattr(monodromy, "_MAGNUS_MAX_STEPS", 16)
     calls = _count_evaluations(monkeypatch, form_k2)
     with pytest.raises(TransportError):
         transport(form_k2, braid_path(Z4, 2), tol=1e-12, method="magnus")
@@ -475,8 +472,7 @@ def test_braid_letter_path_singular_guard(clockwise):
 
 def test_braid_letter_step_budget(form_k2, block_k2, monkeypatch):
     # a half-twist takes at least seven steps of chord rho/2 <= 1/2
-    module = importlib.import_module("kzmono.transport")
-    monkeypatch.setattr(module, "_TAYLOR_MAX_STEPS", 4)
+    monkeypatch.setattr(monodromy, "_TAYLOR_MAX_STEPS", 4)
     with pytest.raises(TransportError, match="step budget"):
         braid_generator(form_k2, block_k2, 2)
 
@@ -497,8 +493,7 @@ def test_braid_letter_wrong_pole_fails_the_block_residual(monkeypatch):
     # k=1 it is one of the two invariant dimensions)
     form = kz_form(tensor_system(A1, ((1,),) * 4), 1)
     block = block_subspace(form.system, 1, Z4)
-    module = importlib.import_module("kzmono.transport")
-    twist = module._twist_poles
+    twist = _twist_poles
 
     def misplaced(form, z0, a, b):
         poles, rows, spans = twist(form, z0, a, b)
@@ -507,7 +502,7 @@ def test_braid_letter_wrong_pole_fails_the_block_residual(monkeypatch):
         return np.where(moving_a, -poles, poles), rows, spans
 
     assert braid_generator(form, block, 2).block_residual < 1e-12
-    monkeypatch.setattr(module, "_twist_poles", misplaced)
+    monkeypatch.setattr(monodromy, "_twist_poles", misplaced)
     with pytest.raises(TransportError, match="block residual"):
         braid_generator(form, block, 2, block_tol=1e-8)
 
@@ -549,8 +544,7 @@ def test_rotation_dual_transport_is_the_conjugate_scalar(form_k2):
 def test_rotation_past_the_crossover_runs_dop853(form_k2, monkeypatch):
     # past the multiply-add crossover the loop is DOP853, bit for bit as
     # on its sampled copy, and the Gram residues are never built
-    module = importlib.import_module("kzmono.transport")
-    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    monkeypatch.setattr(monodromy, "_TAYLOR_MAX_MADDS", 0)
     form = kz_form(form_k2.system, 2)
     res = transport(form, rotation_path(Z4))
     ref = transport(form, _sampled(rotation_path(Z4)))
@@ -591,14 +585,13 @@ def test_half_twist_with_coincident_poles(form_k2, monkeypatch):
     pts = (0, 1, 2, 3)
     block = block_subspace(form_k2.system, 2, pts)
     cols = block.coeffs.to_array(complex)
-    module = importlib.import_module("kzmono.transport")
     poles, _rows, _spans = _twist_poles(form_k2, tuple(map(complex, pts)),
                                         1, 2)
-    assert len(module._merge_poles(poles)[1]) == 3 < len(poles) == 5
+    assert len(monodromy._merge_poles(poles)[1]) == 3 < len(poles) == 5
     for clockwise in (False, True):
         merged, merged_est = _half_twist(form_k2, pts, 2, clockwise, cols,
                                          1e-10)
-        monkeypatch.setattr(module, "_merge_poles", lambda p: (
+        monkeypatch.setattr(monodromy, "_merge_poles", lambda p: (
             p, [[pos] for pos in range(len(p))]))
         apart, apart_est = _half_twist(form_k2, pts, 2, clockwise, cols,
                                        1e-10)
@@ -614,11 +607,10 @@ def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
     # past the multiply-add crossover a letter is DOP853 on the
     # fundamental matrix, bit for bit, with its estimate; and the Taylor
     # route evaluates the form nowhere
-    module = importlib.import_module("kzmono.transport")
     calls = _count_evaluations(monkeypatch, form_k2)
     taylor = braid_generator(form_k2, block_k2, 2)
     assert not calls
-    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    monkeypatch.setattr(monodromy, "_TAYLOR_MAX_MADDS", 0)
     res = braid_generator(form_k2, block_k2, 2)
     ref = transport(form_k2, braid_path(Z4, 2), dual=True)
     cols = block_k2.coeffs.to_array(complex)
@@ -633,8 +625,7 @@ def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
 def test_dop853_letter_builds_no_gram_residues(block_k2, monkeypatch):
     # the plan needs only the residue norms, so a letter sent to DOP853
     # leaves the Gram residues unbuilt
-    module = importlib.import_module("kzmono.transport")
-    monkeypatch.setattr(module, "_TAYLOR_MAX_MADDS", 0)
+    monkeypatch.setattr(monodromy, "_TAYLOR_MAX_MADDS", 0)
     form = kz_form(block_k2.system, 2)
     braid_generator(form, block_k2, 2)
     assert "gram_residues" not in form.__dict__
