@@ -40,9 +40,9 @@ from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError,
                      require_int)
-from .exact import (QQi, SRMatrix, ZZi, exact_dtype, exact_matmul, integral,
-                    nullspace)
-from .reps import irrep, root_vectors
+from .exact import QQi, SRMatrix, ZZi, exact_dtype, exact_matmul, exact_mul, \
+    nullspace
+from .reps import dense, irrep
 
 _MAX_REFLECTIONS = 10_000
 # rows of one Kac-Walton stack: enough to share numpy's per-call cost among
@@ -287,9 +287,9 @@ class BlockSpace:
 
     def basis_in_total_space(self):
         if self._total is None:
-            inv = self.system.invariant_basis.map_values(
-                lambda v: QQi(v))
-            self._total = inv @ self.coeffs
+            self._total = SRMatrix.from_rows(
+                (self.system.invariant_basis.to_array(object)
+                 @ self.coeffs.to_array(object)).tolist(), self.coeffs.ncols)
         return self._total
 
 
@@ -299,11 +299,6 @@ def _require_distinct(points):
             if points[a] == points[b]:
                 raise CoincidentPointsError(
                     f"marked points {a} and {b} coincide")
-
-
-def highest_root_lowering(rep):
-    """Lowering operator of the highest root in this module."""
-    return root_vectors(rep)[1][-1]
 
 
 def block_subspace(system, k, points, at_infinity=None):
@@ -316,10 +311,11 @@ def block_subspace(system, k, points, at_infinity=None):
     The kernel is taken over Z[i]. Let c be the lcm of the denominators of
     the real and imaginary parts of the points (after the chart; a power
     of 2 for float points, 1 for Gaussian integers), D_f the lcm of the
-    entry denominators of f_theta, and B = delta * basis the integral
-    invariant basis. Each step c D_f z_s f_theta^(s) then has entries in
-    Z[i], and the image (c D_f F(z))^(k+1) B, held as one integer array of
-    shape (total_dim, 2, m) of real and imaginary parts, is
+    denominators of the factors' f_theta (their last `generators`), and
+    B = delta * basis the integral invariant basis. Each step
+    c D_f z_s f_theta^(s) then has entries in Z[i], and the image
+    (c D_f F(z))^(k+1) B, held as one integer array of shape
+    (total_dim, 2, m) of real and imaginary parts, is
     (c D_f)^(k+1) delta times F(z)^(k+1) basis. A nonzero scalar changes
     no kernel, and the kernel's reduced basis is unique, so the
     coefficients are those of the rational route, bit for bit; the
@@ -349,8 +345,12 @@ def block_subspace(system, k, points, at_infinity=None):
     _require_distinct(pts)
 
     c = lcm(*{x.denominator for p in pts for x in (p.re, p.im)})
-    _d_f, lowering = integral(highest_root_lowering(rep)
-                              for rep in system.factors)
+    gens = [rep.generators for rep in system.factors]
+    d_f = lcm(*(dens[-1] for _x, dens in gens))
+    lowering = [exact_mul(dense(rep.dim, *(z[gen == len(dens) - 1] for z in (
+        rows, cols, values))), np.array([d_f // dens[-1]], dtype=object))
+        for rep, ((gen, rows, cols, values), dens)
+        in zip(system.factors, gens)]
     # c z_s = x + i y acts on (Re, Im) as [[x, -y], [y, x]]
     mixes = [np.array([[x, -y], [y, x]], dtype=object) for x, y in
              ((int(c * p.re), int(c * p.im)) for p in pts)]

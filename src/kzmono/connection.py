@@ -41,13 +41,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, lcm
 
 import numpy as np
 
 from ._integrators import expm, spectral_bound
 from .errors import CoincidentPointsError, KzmonoError, require_int
-from .exact import SRMatrix, commutator, exact_dtype, integral
+from .exact import (exact_dtype, exact_mul, int_array, integral, join,
+                    max_abs, sum_by_key)
 from . import reps
 
 
@@ -55,7 +56,7 @@ class KZForm:
     """KZ connection data for a tensor system at level k.
 
     Eagerly assembles every Omega^{ij} restricted to the invariants (exact
-    SRMatrix, from the local matrix through `TensorSystem.restrict_local`)
+    SRMatrix, from the local integers through `TensorSystem.omega_restricted`)
     and keeps float copies for the integrator, one flattened d x d matrix
     per row. `left` and `right` are the index arrays of the pairs (i, j),
     in `pairs` order, so the form is evaluated in one array pass over all
@@ -318,11 +319,8 @@ def _block_residual(label, which, rows, cols, vals, relations):
     """
     label = _join(label, rows, cols)
     sizes = np.bincount(label)
-    try:    # int64 holds the integers unless one is too large for it
-        vals = vals.astype(np.int64)
-    except OverflowError:
-        pass
-    big = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+    ints = vals = int_array(vals)
+    big = max_abs(vals)
     q = max(len(qs) for _p, qs in relations)
     dtype = exact_dtype(2 * int(sizes.max(initial=0)), big, q * big)
     if dtype is float:
@@ -353,14 +351,16 @@ def _block_residual(label, which, rows, cols, vals, relations):
             hi = min(lo + step, stop)
             e = order[start[lo]:start[hi]]
             if s > _DENSE_MAX:
-                mats = [SRMatrix(s, s) for _ in range(pad)]
-                for t, r, c, v in zip(which[e].tolist(),
-                                      pos[rows[e]].tolist(),
-                                      pos[cols[e]].tolist(), vals[e].tolist()):
-                    mats[t].data[r, c] = int(v)
-                for p, qs in relations:
-                    b = sum((mats[t] for t in qs[1:]), mats[qs[0]])
-                    worst = max(worst, int(commutator(mats[p], b).max_abs()))
+                t, r, c = which[e], pos[rows[e]], pos[cols[e]]
+                v = ints[e].astype(object)
+                for p, qs in relations:     # AB - BA, B summing qs
+                    a, b, parts = t == p, np.isin(t, qs), []
+                    for x, y, sign in ((a, b, 1), (b, a, -1)):
+                        hit, at = join(c[x], r[y])  # (i, m) meets (m, j)
+                        parts.append((r[x][at] * s + c[y][hit],
+                                      sign * v[x][at] * v[y][hit]))
+                    sums = sum_by_key(*map(np.concatenate, zip(*parts)))[1]
+                    worst = max(worst, max_abs(sums))
                 continue
             omega = np.zeros((pad + 1, hi - lo, s, s), dtype=dtype)
             omega[which[e], key[e] - lo, pos[rows[e]], pos[cols[e]]] = vals[e]
@@ -401,8 +401,9 @@ def _triple_residual(mats, weights):
     """Largest |[Omega_p, Omega_q + Omega_r]| on V_a (x) V_b (x) V_c, an int.
 
     `mats` are the integer local matrices L_ij of the slot pairs (0, 1),
-    (0, 2) and (1, 2), the first slot index major; weights[s] lists the
-    basis weights of slot s. Omega^{01} is L01[ab, a'b'] [c = c'], and
+    (0, 2) and (1, 2), the first slot index major, as entries like
+    `reps.local_omega`'s; weights[s] lists the basis weights of slot s.
+    Omega^{01} is L01[ab, a'b'] [c = c'], and
     likewise for the other two: each stored entry is lifted for every
     digit of the third slot (`reps.slot_embedding`), and the three
     relations run over the total-weight classes (`_block_residual`), which
@@ -428,10 +429,11 @@ def _full_residual(form, relations):
     space of weights (w_a, w_b, w_c) and iota: X -> X (x) Id (Id on the
     other slots) an injective algebra map that keeps every entry, so
     max |iota(R)| = max |R|. Each distinct weight triple is checked once,
-    on the three local matrices scaled by their common denominator D
-    (`_triple_residual`). If `omega_full` was built, the relations run on
-    it as it stands (`_kohno_residual`): built from the same local
-    matrices, it gives the same residual, and a caller may have altered it.
+    on the integers of the three local matrices over their common
+    denominator D (`_triple_residual`). If `omega_full` was built, the
+    relations run on it as it stands (`_kohno_residual`): built from the
+    same local matrices, it gives the same residual, and a caller may have
+    altered it.
     """
     system = form.system
     built = form.__dict__.get("omega_full")
@@ -443,8 +445,11 @@ def _full_residual(form, relations):
         triples.setdefault(tuple(system.weights[s] for s in t), t)
     worst = Fraction(0)
     for ws, t in triples.items():
-        denom, mats = integral(reps.local_omega(system.alg, ws[i], ws[j])
-                               for i, j in _TRIPLE_PAIRS)
+        local = [reps.local_omega(system.alg, ws[i], ws[j])
+                 for i, j in _TRIPLE_PAIRS]
+        denom = lcm(*(d for d, *_entries in local))
+        mats = [(r, c, exact_mul(v, np.array([denom // d], dtype=object)))
+                for d, r, c, v in local]
         weights = [system.factors[s].basis_weights for s in t]
         worst = max(worst, Fraction(_triple_residual(mats, weights),
                                     denom * denom))
@@ -494,7 +499,8 @@ def rotation_monodromy(form):
         raise KzmonoError("invariant subspace is zero")
     csum = form.system.sum_casimirs()
     scalar = cmath.exp(1j * cmath.pi * float(csum / (form.k + form.h)))
-    mat = sum(form.omega_inv.values(), SRMatrix(d, d)).to_array(complex)
+    mat = sum((m.to_array(object) for m in form.omega_inv.values()),
+              np.zeros((d, d), dtype=object)).astype(complex)
     result = expm(-2j * np.pi * float(form.prefactor) * mat)
     residual = float(np.max(np.abs(result - scalar * np.eye(d))))
     return RotationReport(scalar=scalar, matrix=result, max_residual=residual)

@@ -1,25 +1,24 @@
-"""Exact sparse linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals and Gaussian rationals.
 
-Matrices are dict-of-keys sparse with `Fraction` (or `QQi`) entries. The
-elimination kernel runs on integers from clearing to the reduced form:
-`_clear_denominators` scales each row by the lcm of its denominators into
-Python ints (over Q) or `ZZi` Gaussian integers (over Q(i)), and Bareiss
-elimination divides with `//`. Every such division is exact by Sylvester's
-identity: each updated entry is a minor of the integral input, divisible
-by the previous pivot (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
+`SRMatrix` is storage only: a dict-of-keys sparse matrix with `Fraction`
+(or `QQi`) entries, read at the boundaries and by elimination. Arithmetic
+runs on integer numpy arrays, int64 while float64 holds every partial sum
+and Python ints past that (`exact_dtype`): dense and entrywise products
+(`exact_matmul`, `exact_mul`), and sparse operators held as their nonzero
+entries, matched by index (`join`) and summed by position (`sum_by_key`).
+Elimination runs on integers: `_clear_denominators` scales each row by
+the lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
+integers (over Q(i)), and Bareiss elimination divides with `//`, exactly
+by Sylvester's identity (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
 back-substitutes on the same integers, and `reduced_echelon` lifts each
-entry of that unique reduced form into Q or Q(i) once, so `Fraction`/`QQi`
-values appear only where data enters and leaves; a caller whose data stays
-integral (module construction) reads the integral rows D E_t directly.
-Data already over Z or Z[i] (an image computed from integer-scaled
-matrices; see `integral`) enters elimination as it is. The one exact solve
-reads that form: `nullspace`, the joint kernel of sparse blocks. Its basis
-is the identity on its free coordinates, so restriction to its span is a
-row selection, and it holds one value type: `QQi` over Q(i), `Fraction`
-over Q. A rank is the column count minus the kernel's, and an inverse is
-a kernel too: for nonsingular A the kernel of [A | -I] is spanned by
-[A^-1; I], with its unit coordinates on the I block. Floats enter only
-as exactly held integers, in dense integer products (`exact_dtype`).
+entry of that unique reduced form into Q or Q(i) once; module
+construction reads the integral rows D E_t directly, and data already
+over Z or Z[i] (see `integral`) enters elimination as it is. The one exact
+solve reads that form: `nullspace`, the joint kernel of sparse blocks, the
+identity on its free coordinates (restriction to its span is a row
+selection), holding `QQi` over Q(i) and `Fraction` over Q. A rank is the
+column count minus the kernel's, and for nonsingular A the kernel of
+[A | -I] is spanned by [A^-1; I].
 """
 
 from __future__ import annotations
@@ -173,11 +172,12 @@ def _coerce_qqi(x):
 
 
 class SRMatrix:
-    """Sparse matrix with exact entries, dict-of-keys storage.
+    """Sparse matrix with exact entries, dict-of-keys storage only.
 
     Entries are Fraction or QQi over a field, or int or ZZi for data
     scaled into Z or Z[i] (see `integral`); one kind per matrix. Zeros are
     never stored. Shapes are explicit because all-zero matrices are common.
+    It holds no arithmetic: products and sums run on arrays (`to_array`).
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -186,10 +186,6 @@ class SRMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.data = {} if data is None else data
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -209,22 +205,6 @@ class SRMatrix:
     def get(self, i, j):
         return self.data.get((i, j), _ZERO)
 
-    def put(self, i, j, v):
-        if v:
-            self.data[(i, j)] = v
-        else:
-            self.data.pop((i, j), None)
-
-    def add_at(self, i, j, v):
-        if not v:
-            return
-        cur = self.data.get((i, j))
-        new = v if cur is None else cur + v
-        if new:
-            self.data[(i, j)] = new
-        else:
-            del self.data[(i, j)]
-
     def copy(self):
         return SRMatrix(self.nrows, self.ncols, dict(self.data))
 
@@ -237,54 +217,6 @@ class SRMatrix:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
             and self.data == other.data
 
-    def __add__(self, other):
-        self._check_shape(other)
-        out = dict(self.data)
-        res = SRMatrix(self.nrows, self.ncols, out)
-        for k, v in other.data.items():
-            res.add_at(k[0], k[1], v)
-        return res
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        out = dict(self.data)
-        res = SRMatrix(self.nrows, self.ncols, out)
-        for k, v in other.data.items():
-            res.add_at(k[0], k[1], -v)
-        return res
-
-    def __neg__(self):
-        return SRMatrix(self.nrows, self.ncols,
-                        {k: -v for k, v in self.data.items()})
-
-    def scale(self, c):
-        if not c:
-            return SRMatrix(self.nrows, self.ncols)
-        return SRMatrix(self.nrows, self.ncols,
-                        {k: c * v for k, v in self.data.items()})
-
-    def __matmul__(self, other):
-        self._check_inner(other)
-        rows_of_other = {}
-        for (r, c), v in other.data.items():
-            rows_of_other.setdefault(r, []).append((c, v))
-        res = SRMatrix(self.nrows, other.ncols)
-        for (i, k), a in self.data.items():
-            hits = rows_of_other.get(k)
-            if hits is None:
-                continue
-            for j, b in hits:
-                res.add_at(i, j, a * b)
-        return res
-
-    def transpose(self):
-        return SRMatrix(self.ncols, self.nrows,
-                        {(c, r): v for (r, c), v in self.data.items()})
-
-    def map_values(self, fn):
-        return SRMatrix(self.nrows, self.ncols,
-                        {k: fn(v) for k, v in self.data.items()})
-
     def entries(self):
         """Deterministic (row, col, value) iteration, sorted by position."""
         for (r, c) in sorted(self.data):
@@ -292,15 +224,6 @@ class SRMatrix:
 
     def rows_with_support(self):
         return sorted({r for (r, _c) in self.data})
-
-    def max_abs(self):
-        """Largest |entry| as a Fraction (|re| + |im| for Gaussian values)."""
-        best = Fraction(0)
-        for v in self.data.values():
-            size = abs(v.re) + abs(v.im) if isinstance(v, QQi) else abs(v)
-            if size > best:
-                best = size
-        return best
 
     def to_rows(self):
         """Dense rows, filled with the zero of the ring of the entries."""
@@ -325,31 +248,8 @@ class SRMatrix:
                 data[(i, c)] = v
         return SRMatrix(len(rows), self.ncols, data)
 
-    def _check_shape(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch: {(self.nrows, self.ncols)} "
-                             f"vs {(other.nrows, other.ncols)}")
-
-    def _check_inner(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError(f"inner dimension mismatch: {self.ncols} "
-                             f"vs {other.nrows}")
-
     def __repr__(self):
         return f"SRMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def kron(a, b):
-    """Kronecker product a (x) b; the index of a is the major one."""
-    data = {}
-    for (r1, c1), v1 in a.data.items():
-        for (r2, c2), v2 in b.data.items():
-            data[(r1 * b.nrows + r2, c1 * b.ncols + c2)] = v1 * v2
-    return SRMatrix(a.nrows * b.nrows, a.ncols * b.ncols, data)
 
 
 def _ring_zero(values):
@@ -398,6 +298,40 @@ def exact_matmul(a, b):
     dtype = exact_dtype(a.shape[-1], max_abs(a), max_abs(b))
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return out.astype(np.int64) if dtype is float else out
+
+
+def int_array(a):
+    """An integer array as int64 if float64 holds it, else Python ints."""
+    return a.astype(np.int64 if exact_dtype(1, max_abs(a)) is float
+                    else object)
+
+
+def exact_mul(a, b, n=1):
+    """a * b of integer arrays that broadcast, exactly: int64 if float64
+    holds every sum of n such products, else Python ints."""
+    dtype = np.int64 if exact_dtype(n, max_abs(a), max_abs(b)) is float \
+        else object
+    return a.astype(dtype) * b.astype(dtype)
+
+
+def join(keys, queries):
+    """Every pair of positions (q, t) with queries[q] == keys[t], as two
+    index arrays, q ascending: each query meets every equal key."""
+    order = np.argsort(keys, kind="stable")
+    start = np.searchsorted(keys[order], queries)
+    hits = np.searchsorted(keys[order], queries, "right") - start
+    q = np.repeat(np.arange(len(queries)), hits)
+    return q, order[np.arange(len(q)) - np.repeat(np.cumsum(hits) - hits
+                                                    - start, hits)]
+
+
+def sum_by_key(keys, values):
+    """The distinct non-negative keys, ascending, each with the sum of its
+    values, in the dtype of values; keys whose sum is zero are dropped."""
+    order = np.argsort(keys, kind="stable")
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    sums = np.add.reduceat(values[order], first)
+    return keys[order][first][sums != 0], sums[sums != 0]
 
 
 def _row_denominator_lcm(row):

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,15 +347,17 @@ def _ladder():
 
 
 def require_tol(tol):
-    """Raise ValidationError unless tol is a finite number, not a bool,
-    that the ladder can refine below."""
-    if isinstance(tol, bool) or not _MIN_TOL < tol < math.inf:
+    """Raise ValidationError unless tol is a finite real number, not a
+    bool, that the ladder can refine below."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and _MIN_TOL < tol < math.inf):
         raise ValidationError(
             f"tolerance must be finite and exceed {_MIN_TOL:g}, got {tol!r}")
 
 
 def _require_positive(value, what):
-    if isinstance(value, bool) or not 0 < value < math.inf:
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < math.inf):
         raise ValidationError(
             f"{what} must be finite and positive, got {value!r}")
 

@@ -63,8 +63,9 @@ import numpy as np
 from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
-from .exact import (SRMatrix, commutator, exact_dtype, exact_matmul, integral,
-                    integral_echelon, kron, max_abs, nullspace)
+from .exact import (SRMatrix, exact_dtype, exact_matmul, exact_mul, int_array,
+                    integral, integral_echelon, join, max_abs, nullspace,
+                    sum_by_key)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -81,9 +82,9 @@ class Representation:
     contravariant form on the basis as {(row, col): int} (block diagonal
     over weight spaces, e and f mutually adjoint for it). e, f, h (tuples
     of SRMatrix indexed by simple root) and gram are those matrices with
-    `Fraction` entries, built on first use, so a caller that reads only
-    weights and dimensions (Kac-Walton, `fusion_ring`) builds none.
-    Immutable after construction.
+    `Fraction` entries, and `generators` the integer basis of g acting
+    here, all built on first use, so a caller that reads only weights and
+    dimensions (Kac-Walton, `fusion_ring`) builds none. Immutable.
     """
 
     def __init__(self, alg, highest_weight, basis_weights, e_int, f_int,
@@ -95,7 +96,6 @@ class Representation:
         self.e_int = tuple(e_int)
         self.f_int = tuple(f_int)
         self.gram_int = gram_int
-        self._root_vectors = None
 
     def _rational(self, columns):
         return tuple(SRMatrix(self.dim, self.dim,
@@ -123,6 +123,40 @@ class Representation:
     def gram(self):
         return SRMatrix(self.dim, self.dim,
                         {rc: Fraction(v) for rc, v in self.gram_int.items()})
+
+    @cached_property
+    def generators(self):
+        """x_k = (h_i, e_alpha, f_alpha), roots in `_bracket_scheme` order,
+        as ((k, rows, cols, values), dens): x_k holds values[t] / dens[k] at
+        (rows[t], cols[t]) where k[t] = k. Each bracket, an `exact_matmul`,
+        is divided by the gcd of its entries and its denominator."""
+        n = self.dim
+
+        def simple(columns):
+            nums, dens = columns
+            d = lcm(*dens.values())
+            rows, cols = np.array(list(nums), dtype=np.intp).reshape(-1, 2).T
+            values = [v * (d // dens[c]) for (_r, c), v in nums.items()]
+            return (rows, cols, int_array(np.array(values, dtype=object))), d
+
+        def bracket(x, y):
+            a, b = dense(n, *x[0]), dense(n, *y[0])
+            num = exact_matmul(a, b) - exact_matmul(b, a)
+            g = gcd(x[1] * y[1], int(np.gcd.reduce(num, axis=None)))
+            return _entries(num // g), x[1] * y[1] // g
+
+        one = [list(map(simple, self.e_int)), list(map(simple, self.f_int))]
+        roots = [[], []]
+        for kind, i, low in _bracket_scheme(self.alg):
+            for simples, built in zip(one, roots):
+                built.append(simples[i] if kind == "simple"
+                             else bracket(simples[i], built[low]))
+        w = np.array(self.basis_weights, dtype=np.int64).reshape(n, -1).T
+        gens = [((a, a, h[a]), 1) for h, a in zip(w, map(np.flatnonzero, w))]
+        gens += roots[0] + roots[1]
+        rows, cols, values = map(np.concatenate, zip(*(g for g, _d in gens)))
+        k = np.repeat(np.arange(len(gens)), [len(g[0]) for g, _d in gens])
+        return (k, rows, cols, int_array(values)), tuple(d for _g, d in gens)
 
     @property
     def basis_hash(self):
@@ -303,21 +337,6 @@ def _bracket_scheme(alg):
     return tuple(plan)
 
 
-def root_vectors(rep):
-    """Matrices of e_alpha, f_alpha for every positive root, cached."""
-    if rep._root_vectors is None:
-        ems, fms = [], []
-        for kind, i, low in _bracket_scheme(rep.alg):
-            if kind == "simple":
-                ems.append(rep.e[i])
-                fms.append(rep.f[i])
-            else:
-                ems.append(commutator(rep.e[i], ems[low]))
-                fms.append(commutator(rep.f[i], fms[low]))
-        rep._root_vectors = (tuple(ems), tuple(fms))
-    return rep._root_vectors
-
-
 @lru_cache(maxsize=None)
 def casimir_constants(alg):
     """c_alpha = <e_alpha, f_alpha> for every positive root, from root data.
@@ -351,49 +370,79 @@ def casimir_constants(alg):
     return tuple(out)
 
 
-def _dual_bases(rep):
-    """A basis x_k = (h_i, e_alpha, f_alpha) of g acting on rep and its dual
-    basis x^k = (sum_j G_ij h_j, f_alpha/c_alpha, e_alpha/c_alpha) under the
-    normalised form, G = alg.gram and c = `casimir_constants` (Humphreys
-    6.2): the Casimir is sum_k x_k x^k, Omega is sum_k x_k (x) x^k."""
-    ems, fms = root_vectors(rep)
-    inverse = [1 / c for c in casimir_constants(rep.alg)]
-    cartan = [sum((h.scale(g) for g, h in zip(row, rep.h)),
-                  SRMatrix(rep.dim, rep.dim)) for row in rep.alg.gram]
-    return ([*rep.h, *ems, *fms],
-            [*cartan, *(f.scale(c) for f, c in zip(fms, inverse)),
-             *(e.scale(c) for e, c in zip(ems, inverse))])
+def _dual_bases(ri, rj):
+    """The basis x_k = (h_i, e_alpha, f_alpha) of g on ri and its dual basis
+    x^k = (sum_j G_ij h_j, f_alpha/c_alpha, e_alpha/c_alpha) on rj under the
+    normalised form, G = alg.form / form_scale and c = `casimir_constants`
+    (Humphreys 6.2): the Casimir is sum_k x_k x^k (ri = rj), Omega is
+    sum_k x_k (x) x^k. Returns D and entries X, Y (as `generators`) with
+    x_k x^k = X_k Y_k / D and x_k (x) x^k = X_k (x) Y_k / D."""
+    alg = ri.alg
+    (k, rows, cols, values), dens = ri.generators
+    (ky, ry, cy, vy), dens_j = rj.generators
+    r, p = alg.rank, len(alg.positive_roots)
+    cartan = np.array(rj.basis_weights, dtype=np.int64).reshape(
+        rj.dim, -1) @ np.array(alg.form, dtype=np.int64).T
+    i, a = np.nonzero(cartan.T)     # sum_j G_ij h_j is diagonal
+    roots = ky >= r
+    y = tuple(np.concatenate(z) for z in (
+        (i, np.where(ky < r + p, ky + p, ky - p)[roots]), (a, ry[roots]),
+        (a, cy[roots]), (cartan[a, i], vy[roots])))
+    coeffs = [Fraction(1, d * alg.form_scale) for d in dens[:r]] + [
+        1 / (d * dj * c) for d, dj, c in zip(
+            dens[r:], dens_j[r + p:] + dens_j[r:], 2 * casimir_constants(alg))]
+    d = lcm(*(q.denominator for q in coeffs))
+    w = np.array([int(q * d) for q in coeffs], dtype=object)
+    return d, (k, rows, cols, exact_mul(values, w[k])), y
+
+
+def _casimir(rep):
+    """(D, S): sum_k x_k x^k = S / D, S an integer array, X_k and Y_k
+    (`_dual_bases`) meeting on k and the inner index."""
+    d, (kx, rx, cx, vx), (ky, ry, cy, vy) = _dual_bases(rep, rep)
+    n = rep.dim
+    q, e = join(ky * n + ry, kx * n + cx)
+    keys, sums = sum_by_key(rx[q] * n + cy[e], exact_mul(
+        vx[q], vy[e], rep.alg.dimension * n))
+    return d, dense(n, keys // n, keys % n, sums)
 
 
 def casimir_matrix(rep):
     """Quadratic Casimir sum_k x_k x^k (`_dual_bases`) as an exact matrix;
     the scalar <lam, lam+2rho> on irreps."""
-    return sum((x @ y for x, y in zip(*_dual_bases(rep))),
-               SRMatrix(rep.dim, rep.dim))
+    return _fractions(*_casimir(rep)[::-1])
 
 
 def casimir_is_scalar(rep):
-    """Whether `casimir_matrix` is <lam, lam+2rho> times the identity."""
-    scalar = la.casimir_scalar(rep.alg, rep.highest_weight)
-    return casimir_matrix(rep) == SRMatrix.identity(rep.dim).scale(scalar)
+    """Whether sum_k x_k x^k is <lam, lam+2rho> times the identity, on the
+    module's integers: S == D <lam, lam+2rho> Id (`_casimir`)."""
+    d, s = _casimir(rep)
+    c = la.casimir_scalar(rep.alg, rep.highest_weight) * d
+    return np.array_equal(s, np.diag([c] * rep.dim))
 
 
 @lru_cache(maxsize=None)
 def local_omega(alg, lam, mu):
     """Two-slot Casimir Omega = sum_k x_k (x) x^k on V_lam (x) V_mu, x_k on
-    V_lam (the major index) and x^k on V_mu (`_dual_bases`), exactly; every
-    pair of slots carrying (lam, mu) embeds this one matrix. Each factor
-    Casimir must be its scalar (`casimir_is_scalar`), or ConstructionError
-    is raised: the pair Casimir is C_lam (x) 1 + 1 (x) C_mu + 2 Omega by
-    bilinearity, so then Omega = (pair Casimir - c_lam - c_mu)/2."""
+    V_lam (the major index) and x^k on V_mu (`_dual_bases`), exactly, as
+    (D, rows, cols, values): D Omega, D the lcm of its denominators, holds
+    values[t] at (rows[t], cols[t]), by row then column, summed from the
+    outer products of the nonzeros of X_k and Y_k; every slot pair carrying
+    (lam, mu) embeds it. Each factor Casimir must be its scalar
+    (`casimir_is_scalar`), or ConstructionError is raised: the pair Casimir
+    is C_lam (x) 1 + 1 (x) C_mu + 2 Omega."""
     ri, rj = irrep(alg, lam), irrep(alg, mu)
     for rep in dict.fromkeys((ri, rj)):
         if not casimir_is_scalar(rep):
             raise ConstructionError(f"{alg.name} {rep.highest_weight}: the "
                                     "dual-basis Casimir is not its scalar")
-    size = ri.dim * rj.dim
-    return sum(map(kron, _dual_bases(ri)[0], _dual_bases(rj)[1]),
-               SRMatrix(size, size))
+    d, (kx, rx, cx, vx), (ky, ry, cy, vy) = _dual_bases(ri, rj)
+    q, e = join(ky, kx)         # the pairs of nonzeros of one k
+    n, size = rj.dim, ri.dim * rj.dim
+    keys, values = sum_by_key((rx[q] * n + ry[e]) * size + cx[q] * n + cy[e],
+                              exact_mul(vx[q], vy[e], alg.dimension))
+    g = gcd(d, int(np.gcd.reduce(values)))
+    return d // g, keys // size, keys % size, values // g
 
 
 def total_weights(factor_weights):
@@ -410,12 +459,13 @@ def slot_embedding(dims, slots, local, cols):
     """local (x) Id at the unit vectors of the total indices cols, as arrays.
 
     dims are the factor dimensions, the total index slot 0 major; local is
-    an SRMatrix on the listed slots, the first listed major. Returns
-    (rows, pos, values): the image of the unit vector cols[pos[t]] is the
-    sum over t of values[t] (local's entries, types kept) at rows[t]."""
+    a matrix on the listed slots, the first listed major, as its entries
+    (rows, cols, values) like `local_omega`'s. Returns (rows, pos, values):
+    the image of cols[pos[t]] is the sum of values[t] at rows[t]."""
     local_dims = tuple(dims[s] for s in slots)
     size = prod(local_dims)
-    if (local.nrows, local.ncols) != (size, size):
+    local_rows, local_cols, local_values = local
+    if max(local_rows.max(initial=0), local_cols.max(initial=0)) >= size:
         raise ValueError(f"local matrix is not {size} square")
     cols = np.asarray(cols, dtype=np.intp)
     strides = np.cumprod((1, *dims[:0:-1]))[::-1][list(slots)]
@@ -426,16 +476,9 @@ def slot_embedding(dims, slots, local, cols):
 
     loc = np.ravel_multi_index(
         cols // strides[:, None] % np.array(local_dims)[:, None], local_dims)
-    # entries sorted by column: position p meets start[p] + k, k < hits[p]
-    entries = sorted(local.data, key=lambda rc: rc[1])
-    local_rows, local_cols = np.array(entries, dtype=np.intp).reshape(-1, 2).T
-    start = np.searchsorted(local_cols, loc)
-    hits = np.searchsorted(local_cols, loc, "right") - start
-    pos = np.repeat(np.arange(len(loc)), hits)
-    e = np.arange(len(pos)) + np.repeat(start - np.cumsum(hits) + hits, hits)
+    pos, e = join(local_cols, loc)
     rows = (cols - offset(loc))[pos] + offset(local_rows[e])
-    values = np.array([local.data[rc] for rc in entries], dtype=object)
-    return rows, pos, values[e]
+    return rows, pos, local_values[e]
 
 
 class TensorSystem:
@@ -481,13 +524,13 @@ class TensorSystem:
 
     def contract(self, slots, local, array):
         """local (x) Id on an integer array of shape (total_dim, ...), for
-        an integer SRMatrix local on the listed slots, as one contraction:
+        an integer array local on the listed slots, as one contraction:
         the slots' axes to the front, one `exact_matmul`, and back."""
         size = prod(self.dims[s] for s in slots)
         front = range(len(slots))
         moved = np.moveaxis(array.reshape(self.dims + array.shape[1:]),
                             slots, front)
-        out = exact_matmul(_integer_array(local), moved.reshape(size, -1))
+        out = exact_matmul(local, moved.reshape(size, -1))
         return np.moveaxis(out.reshape(moved.shape), front,
                            slots).reshape(array.shape)
 
@@ -516,23 +559,22 @@ class TensorSystem:
     def invariant_dim(self):
         return self.invariant_basis.ncols
 
-    def _embedded(self, slots, local, cols):
-        """`slot_embedding` as an SRMatrix, one column per entry of cols."""
-        rows, pos, values = slot_embedding(self.dims, slots, local, cols)
-        return SRMatrix(self.total_dim, len(cols), dict(
-            zip(zip(rows.tolist(), pos.tolist()), values)))
-
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
-        empty = SRMatrix(self.total_dim, len(zero_idx))
+        def block(mats):    # a sum over slots, no two meeting at an entry
+            rows, pos, values = map(np.concatenate, zip(*(slot_embedding(
+                self.dims, (s,), _entries(m.to_array(object)), zero_idx)
+                for s, m in enumerate(mats))))
+            return _matrix(self.total_dim, len(zero_idx), rows, pos,
+                           values.tolist())
+
         kernel = nullspace(*[
-            sum((self._embedded((s,), getattr(rep, kind)[i], zero_idx)
-                 for s, rep in enumerate(self.factors)), empty)
+            block(integral(getattr(rep, kind)[i] for rep in self.factors)[1])
             for i in range(self.alg.rank) for kind in ("e", "f")])
         basis = SRMatrix(self.total_dim, kernel.ncols, {
             (zero_idx[q].item(), j): v for (q, j), v in kernel.data.items()})
         delta, (ints,) = integral([basis])
-        b = _integer_array(ints)
+        b = int_array(ints.to_array(object))
         # each vector is 1 at its free coordinate, its other entries sit at
         # pivots left of it: the basis is the identity on its last nonzeros
         # (checked here once; the basis never changes after)
@@ -557,29 +599,31 @@ class TensorSystem:
             delta, b = self.integral_basis
             image = b
             for s, rep in enumerate(self.factors):
-                image = self.contract((s,), SRMatrix(
-                    rep.dim, rep.dim, rep.gram_int), image)
+                image = self.contract((s,), int_array(SRMatrix(
+                    rep.dim, rep.dim, rep.gram_int).to_array(object)), image)
             self._inv_gram = _fractions(exact_matmul(b.T, image),
                                         delta * delta)
         return self._inv_gram
 
     def restrict_local(self, slots, local):
-        """Exact matrix X of local (x) Id on the invariants, an SRMatrix.
+        """Exact matrix X of local (x) Id on the invariants, an SRMatrix, for
+        local = (D, rows, cols, values) on the listed slots: L / D with L
+        the integers values at (rows, cols), as `local_omega` gives them.
 
         If the operator preserves the span, its image of the basis is
         basis @ X, and the basis is the identity on its unit rows, so X is
-        the image at those rows. The products run over Z: with L = D local
-        and B = delta basis integral (`exact.integral`), the image L B is
-        one contraction (`contract`) and X_int is its unit rows. If
-        op = L/D maps basis = B/delta to basis Y, then L B = D B Y and B is
-        delta on its unit rows, so X_int = D delta Y; the witness
-        B X_int == delta L B then holds, and conversely it gives
-        op basis = basis X_int/(D delta). So the witness fails iff the span
-        is not preserved, and X = X_int/(D delta) as Fractions. The witness
-        sums m + 1 products of size at most max|B| max|L B| per entry.
+        the image at those rows. With B = delta basis integral, the image
+        L B is one contraction (`contract`) and X_int is its unit rows. If
+        L/D maps basis = B/delta to basis Y, then L B = D B Y and B is delta
+        on its unit rows, so X_int = D delta Y; the witness B X_int ==
+        delta L B then holds, and conversely it gives (L/D) basis = basis
+        X_int/(D delta). So the witness fails iff the span is not preserved,
+        and X = X_int/(D delta). Each witness entry sums m + 1 products of
+        size at most max|B| max|L B|.
         """
+        scale, *entries = local
+        op = dense(prod(self.dims[s] for s in slots), *entries)
         delta, b = self.integral_basis   # computes the unit rows too
-        scale, (op,) = integral([local])
         image = self.contract(slots, op, b)
         xs = image[self._unit_rows]
         dtype = exact_dtype(b.shape[1] + 1, max_abs(b), max_abs(image))
@@ -603,7 +647,11 @@ class TensorSystem:
     def omega_pair(self, i, j):
         """Exact two-slot Casimir Omega^{ij} on the total space, embedding
         `local_omega` (its factor Casimirs checked) of the slot weights."""
-        return self._embedded(*self._pair(i, j), range(self.total_dim))
+        key, (denom, *local) = self._pair(i, j)
+        rows, cols, values = slot_embedding(self.dims, key, local,
+                                            range(self.total_dim))
+        return _matrix(self.total_dim, self.total_dim, rows, cols,
+                       [Fraction(v, denom) for v in values.tolist()])
 
     def omega_restricted(self, i, j):
         """Omega^{ij} on the invariants, cached per unordered pair."""
@@ -625,10 +673,10 @@ class TensorSystem:
             raise ValueError("swap slot out of range")
         if self.weights[i] != self.weights[i + 1]:
             raise ValueError("slot swap needs equal weights on both slots")
-        d = self.dims[i]
-        flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): 1
-                                       for a in range(d) for b in range(d)})
-        return self.restrict_local((i, i + 1), flip)
+        a, b = np.divmod(np.arange(self.dims[i] ** 2), self.dims[i])
+        return self.restrict_local((i, i + 1), (1, b * self.dims[i] + a,
+                                                a * self.dims[i] + b,
+                                                np.ones_like(a)))
 
     def __repr__(self):
         return (f"TensorSystem({self.alg.name}, {self.weights}, "
@@ -639,18 +687,31 @@ def tensor_system(alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
     return TensorSystem(alg, weights, max_dim=max_dim)
 
 
-def _integer_array(m):
-    """An integer SRMatrix as an int64 array, or of Python ints past 2^53."""
-    return m.to_array(np.int64 if exact_dtype(1, m.max_abs()) is float
-                      else object)
+def dense(n, rows, cols, values):
+    """The n x n integer array holding values at (rows, cols)."""
+    if max(rows.max(initial=0), cols.max(initial=0)) >= n:
+        raise ValueError(f"local matrix is not {n} square")
+    out = np.zeros((n, n), dtype=values.dtype)
+    out[rows, cols] = values
+    return out
+
+
+def _entries(a):
+    """The nonzero entries (rows, cols, values) of a 2-d array."""
+    r, c = np.nonzero(a)
+    return r, c, a[r, c]
+
+
+def _matrix(nrows, ncols, rows, cols, values):
+    """An SRMatrix holding values[t] at (rows[t], cols[t])."""
+    return SRMatrix(nrows, ncols, dict(zip(zip(rows.tolist(), cols.tolist()),
+                                           values)))
 
 
 def _fractions(ints, denom):
     """An integer array over denom as an SRMatrix of Fractions."""
-    r, c = np.nonzero(ints)
-    return SRMatrix(*ints.shape, {
-        (i, j): Fraction(v, denom)
-        for i, j, v in zip(r.tolist(), c.tolist(), ints[r, c].tolist())})
+    r, c, v = _entries(ints)
+    return _matrix(*ints.shape, r, c, [Fraction(x, denom) for x in v.tolist()])
 
 
 # -- serialization ---------------------------------------------------------

@@ -31,34 +31,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import build_algebra
 from .errors import NoIntertwinerError, require_int
-from .exact import SRMatrix, kron, nullspace
+from .exact import SRMatrix, nullspace
 from .reps import irrep
 
 
 class SectionSpace:
-    """Monomial-basis action matrices on degree <= m polynomials."""
+    """Monomial-basis action matrices (int64) on degree <= m polynomials."""
 
     def __init__(self, m):
         self.m = m = require_int(m, "degree", 0)
         self.dim = m + 1
-        e = SRMatrix(self.dim, self.dim)
-        f = SRMatrix(self.dim, self.dim)
-        h = SRMatrix(self.dim, self.dim)
-        for j in range(self.dim):
-            if j < m:
-                e.data[(j + 1, j)] = Fraction(j - m)
-            if j > 0:
-                f.data[(j - 1, j)] = Fraction(-j)
-            if 2 * j != m:
-                h.data[(j, j)] = Fraction(2 * j - m)
-        self.e, self.f, self.h = e, f, h
+        j = np.arange(self.dim)
+        self.e = np.diag(j[:-1] - m, -1)      # e(w^j) = (j - m) w^(j+1)
+        self.f = np.diag(-j[1:], 1)           # f(w^j) = -j w^(j-1)
+        self.h = np.diag(2 * j - m)
 
     def casimir(self):
-        """e f + f e + h^2/2 under the theta-normalised form."""
-        return (self.e @ self.f + self.f @ self.e
-                + (self.h @ self.h).scale(Fraction(1, 2)))
+        """e f + f e + h^2/2 under the theta-normalised form, in Fractions."""
+        twice = 2 * (self.e @ self.f + self.f @ self.e) + self.h @ self.h
+        return twice.astype(object) * Fraction(1, 2)
 
     def __repr__(self):
         return f"SectionSpace(m={self.m}, dim={self.dim})"
@@ -74,13 +69,13 @@ def intertwiner(ss, rep):
         raise NoIntertwinerError(
             f"dimension mismatch: sections {ss.dim}, module {rep.dim}")
     d = ss.dim
-    eye = SRMatrix.identity(d)
+    eye = np.eye(d, dtype=np.int64)
     # T flattened row-major: X_abs T - T X_mod = 0 reads
     # (X_abs (x) I - I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
-    basis = nullspace(*[kron(x_abs, eye) - kron(eye, x_mod.transpose())
-                        for x_mod, x_abs in [(ss.e, rep.e[0]),
-                                             (ss.f, rep.f[0]),
-                                             (ss.h, rep.h[0])]])
+    basis = nullspace(SRMatrix.from_rows(np.concatenate([
+        np.kron(x_abs.to_array(object), eye) - np.kron(eye, x_mod.T)
+        for x_mod, x_abs in [(ss.e, rep.e[0]), (ss.f, rep.f[0]),
+                             (ss.h, rep.h[0])]]).tolist()))
     if basis.ncols != 1:
         raise NoIntertwinerError(
             f"intertwiner space has dimension {basis.ncols}, expected 1")

@@ -12,7 +12,7 @@ from kzmono import reps
 from kzmono.connection import (_kohno_relations, _kohno_residual,
                                flatness_check, kz_form, rotation_monodromy)
 from kzmono.errors import CoincidentPointsError, KzmonoError
-from kzmono.exact import commutator
+from kzmono.exact import integral
 from kzmono.monodromy import braid_generator
 from kzmono.reps import tensor_system
 
@@ -109,19 +109,27 @@ def test_flatness_random_small_systems_property():
 
 
 def ref_max_abs_full(form):
-    """Test-only Kohno residual on the full space, in Fraction arithmetic."""
-    omega = form.omega_full
-    worst = Fraction(0)
+    """Test-only Kohno residual on the full space: dense int64 products of
+    D Omega, D the lcm of the denominators (every entry far below 2^20, so
+    no product or sum leaves int64), divided by D^2 at the end."""
+    denom, mats = integral(form.omega_full.values())
+    omega = {p: m.to_array(np.int64) for p, m in zip(form.omega_full, mats)}
+    assert max(np.abs(m).max() for m in omega.values()) < 2 ** 20
+
+    def commutator(a, b):
+        return int(np.abs(a @ b - b @ a).max())
+
+    worst = 0
     for p in form.pairs:
         for q in form.pairs:
             if q > p and not set(p) & set(q):
-                worst = max(worst, commutator(omega[p], omega[q]).max_abs())
+                worst = max(worst, commutator(omega[p], omega[q]))
         for k2 in range(form.n):
             if k2 not in p:
                 rest = omega[(min(p[0], k2), max(p[0], k2))] \
                     + omega[(min(p[1], k2), max(p[1], k2))]
-                worst = max(worst, commutator(omega[p], rest).max_abs())
-    return worst
+                worst = max(worst, commutator(omega[p], rest))
+    return Fraction(worst, denom * denom)
 
 
 def test_flatness_negative_control():
@@ -289,15 +297,16 @@ def test_flatness_restricted_negative_control(alg, weights, k):
 
 def _flip_local_omega(monkeypatch):
     """Make every local Omega come back with its first off-diagonal entry
-    negated, as a copy: the cached matrices stay as they are."""
+    (its entries run by row, then column) negated, as a copy: the cached
+    arrays stay as they are."""
     clean = reps.local_omega
 
     def flipped(alg, lam, mu):
-        bad = clean(alg, lam, mu).copy()
-        entry = next((rc for rc in sorted(bad.data) if rc[0] != rc[1]), None)
-        if entry is not None:
-            bad.data[entry] = -bad.data[entry]
-        return bad
+        denom, rows, cols, values = clean(alg, lam, mu)
+        values = values.copy()
+        off = np.flatnonzero(rows != cols)[:1]
+        values[off] = -values[off]
+        return denom, rows, cols, values
 
     monkeypatch.setattr(reps, "local_omega", flipped)
 

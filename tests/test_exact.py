@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, commutator,
-                          nullspace)
+from kzmono.exact import QQi, SRMatrix, ZZi, bareiss_echelon, nullspace
 
 
 def random_fraction_matrix(rng, n, m, density=0.6):
@@ -39,30 +38,6 @@ def test_qqi_interops_with_fraction():
     assert Fraction(1, 2) * a == QQi(Fraction(1, 2), Fraction(1, 2))
     assert a + Fraction(1) == QQi(2, 1)
     assert 1 - a == QQi(0, -1)
-
-
-def test_srmatrix_matmul_against_numpy():
-    rng = random.Random(7)
-    for _ in range(20):
-        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
-        a = random_fraction_matrix(rng, n, k)
-        b = random_fraction_matrix(rng, k, m)
-        sa = SRMatrix.from_rows(a, k)
-        sb = SRMatrix.from_rows(b, m)
-        prod = (sa @ sb).to_array(complex)
-        ref = np.array([[float(v) for v in row] for row in a]) @ \
-            np.array([[float(v) for v in row] for row in b])
-        assert np.allclose(prod, ref)
-
-
-def test_srmatrix_add_scale_transpose():
-    a = SRMatrix.from_rows([[Fraction(1), Fraction(0)],
-                            [Fraction(2), Fraction(-1)]])
-    b = a.scale(Fraction(1, 2))
-    assert (b + b) == a
-    assert (a - a).is_zero()
-    assert a.transpose().get(0, 1) == Fraction(2)
-    assert commutator(a, SRMatrix.identity(2)).is_zero()
 
 
 def test_bareiss_stays_integral_on_integer_input():
@@ -105,7 +80,7 @@ def test_nullspace_matches_rank_and_annihilates():
         rows = random_fraction_matrix(rng, n, m)
         mat = SRMatrix.from_rows(rows, m)
         ns = nullspace(mat)
-        assert (mat @ ns).is_zero()
+        assert not (mat.to_array(object) @ ns.to_array(object)).any()
         # numpy cross-check of the rank
         dense = np.array([[float(v) for v in row] for row in rows])
         assert m - ns.ncols == np.linalg.matrix_rank(dense)
@@ -115,7 +90,7 @@ def test_nullspace_over_gaussian_rationals():
     i = QQi(0, 1)
     rows = [[QQi(1), i, QQi(0)],
             [QQi(2), QQi(0, 2), QQi(0)]]  # second row = 2 * first
-    cols = nullspace(SRMatrix.from_rows(rows)).transpose().to_rows()
+    cols = nullspace(SRMatrix.from_rows(rows)).to_array(object).T.tolist()
     assert len(cols) == 2
     for col in cols:
         for row in rows:

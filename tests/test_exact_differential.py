@@ -177,6 +177,13 @@ def copy(rows):
     return [list(row) for row in rows]
 
 
+def columns(vectors, nrows):
+    """The SRMatrix whose columns are the given vectors."""
+    return SRMatrix(nrows, len(vectors), {
+        (r, c): v for c, vec in enumerate(vectors) for r, v in enumerate(vec)
+        if v})
+
+
 def assert_field_values(cols):
     for col in cols:
         for v in col:
@@ -211,7 +218,7 @@ def test_nullspace_and_rank_match_reference(entries, data):
     rows, ncols = data.draw(matrices(entries))
     cols = nullspace(SRMatrix.from_rows(copy(rows), ncols))
     ref = ref_nullspace_rows(copy(rows), ncols)
-    assert cols == SRMatrix.from_rows(ref, ncols).transpose()
+    assert cols == columns(ref, ncols)
     assert_field_values([cols.data.values()])
     assert cols.ncols == ncols - ref_rank_rows(copy(rows), ncols)
 
@@ -229,9 +236,9 @@ def test_joint_nullspace_is_the_nullspace_of_the_stacked_blocks(entries,
     joint = nullspace(*blocks)
     assert joint == nullspace(SRMatrix.from_rows(rows, ncols))
     ref = ref_nullspace_rows(copy(rows), ncols)
-    assert joint == SRMatrix.from_rows(ref, ncols).transpose()
+    assert joint == columns(ref, ncols)
     for block in blocks:
-        assert (block @ joint).is_zero()
+        assert not (block.to_array(object) @ joint.to_array(object)).any()
 
 
 @DOMAINS

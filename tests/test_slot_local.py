@@ -13,17 +13,21 @@ must be exactly equal.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kzmono.algebra as la
 import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar, pairing, weight_add
-from kzmono.blocks import block_subspace, highest_root_lowering
+from kzmono.blocks import block_subspace
 from kzmono.errors import ConstructionError
 from kzmono.exact import (QQi, SRMatrix, _clear_denominators, bareiss_echelon,
                           nullspace)
-from kzmono.reps import (casimir_constants, local_omega, root_vectors,
-                         slot_embedding, tensor_system)
+from kzmono.reps import (casimir_constants, local_omega, slot_embedding,
+                         tensor_system)
+
+from fraction_reference import (dense, entries, local_of, product,
+                                ref_root_vectors, scaled)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -51,9 +55,10 @@ def _strides(system):
 
 
 def _columns(m):
-    """{column: [(row, value), ...]} of an SRMatrix."""
+    """{column: [(row, value), ...]} of an SRMatrix or an object array."""
     cols = {}
-    for (r, c), v in m.data.items():
+    for (r, c), v in (m.data.items() if isinstance(m, SRMatrix) else
+                      ((rc, m[rc]) for rc in zip(*np.nonzero(m)))):
         cols.setdefault(c, []).append((r, v))
     return cols
 
@@ -64,10 +69,11 @@ def _digits(system, g):
 
 
 def ref_slot_operator(system, assignments):
-    """Total-space matrix of a product of one-slot operators, digit by digit."""
+    """Total-space matrix of a product of one-slot operators, digit by digit,
+    as an object array."""
     cols = [(s, _columns(m)) for s, m in sorted(assignments.items())]
     strides = _strides(system)
-    out = SRMatrix(system.total_dim, system.total_dim)
+    out = np.zeros((system.total_dim,) * 2, dtype=object)
     for g in range(system.total_dim):
         dg = _digits(system, g)
         partial = [(g, _F1)]
@@ -79,7 +85,7 @@ def ref_slot_operator(system, assignments):
             partial = [(gb + (r - dg[s]) * strides[s], vb * v)
                        for gb, vb in partial for r, v in hits]
         for g2, v in partial:
-            out.add_at(g2, g, v)
+            out[g2, g] += v
     return out
 
 
@@ -87,39 +93,39 @@ def ref_omega(system, i, j):
     """Omega^{ij} by both routes on the total space; they must agree."""
     alg = system.alg
     cs = casimir_constants(alg)
-    ei, fi = root_vectors(system.factors[i])
-    ej, fj = root_vectors(system.factors[j])
+    ei, fi = ref_root_vectors(system.factors[i])
+    ej, fj = ref_root_vectors(system.factors[j])
     wi = system.factors[i].basis_weights
     wj = system.factors[j].basis_weights
-    full = SRMatrix(system.total_dim, system.total_dim)
-    pair = SRMatrix(system.total_dim, system.total_dim)
+    full = np.zeros((system.total_dim,) * 2, dtype=object)
+    pair = np.zeros((system.total_dim,) * 2, dtype=object)
     shift = casimir_scalar(alg, system.weights[i]) \
         + casimir_scalar(alg, system.weights[j])
     for g in range(system.total_dim):
         dg = _digits(system, g)
-        full.put(g, g, pairing(alg, wi[dg[i]], wj[dg[j]]))
+        full[g, g] = pairing(alg, wi[dg[i]], wj[dg[j]])
         s = weight_add(wi[dg[i]], wj[dg[j]])
-        pair.put(g, g, pairing(alg, s, s) - shift)
+        pair[g, g] = pairing(alg, s, s) - shift
     for k, c in enumerate(cs):
         inv_c = 1 / c
-        full = full + (ref_slot_operator(system, {i: ei[k], j: fj[k]})
-                       + ref_slot_operator(system, {i: fi[k], j: ej[k]})
-                       ).scale(inv_c)
+        full += scaled(ref_slot_operator(system, {i: ei[k], j: fj[k]})
+                       + ref_slot_operator(system, {i: fi[k], j: ej[k]}),
+                       inv_c)
         ee = ref_slot_operator(system, {i: ei[k]}) \
             + ref_slot_operator(system, {j: ej[k]})
         ff = ref_slot_operator(system, {i: fi[k]}) \
             + ref_slot_operator(system, {j: fj[k]})
-        pair = pair + (ee @ ff + ff @ ee).scale(inv_c)
-    assert pair.scale(Fraction(1, 2)) == full
+        pair += scaled(product(ee, ff) + product(ff, ee), inv_c)
+    assert np.array_equal(scaled(pair, Fraction(1, 2)), full)
     return full
 
 
 def ref_swap(system, i):
-    out = SRMatrix(system.total_dim, system.total_dim)
+    out = np.zeros((system.total_dim,) * 2, dtype=object)
     for g in range(system.total_dim):
         dg = list(_digits(system, g))
         dg[i], dg[i + 1] = dg[i + 1], dg[i]
-        out.data[(sum(d * s for d, s in zip(dg, _strides(system))), g)] = _F1
+        out[sum(d * s for d, s in zip(dg, _strides(system))), g] = _F1
     return out
 
 
@@ -158,22 +164,23 @@ def ref_invariant_basis(system):
 def ref_invariant_gram(system, basis):
     form = ref_slot_operator(
         system, {s: rep.gram for s, rep in enumerate(system.factors)})
-    return basis.transpose() @ (form @ basis)
+    return dense(basis).T @ product(form, dense(basis))
 
 
 def ref_block_coeffs(system, k, points, basis):
+    """The kernel of F(z)^(k+1) on the basis, F(z) = sum_s z_s f_theta^(s)
+    on the total space, applied k + 1 times."""
     pts = [QQi.from_complex(z) for z in points]
-    step = SRMatrix(system.total_dim, system.total_dim)
-    for s, rep in enumerate(system.factors):
-        op = ref_slot_operator(system, {s: highest_root_lowering(rep)})
-        step = step + op.map_values(lambda v, z=pts[s]: z * v)
-    power = step
-    for _ in range(k):
-        power = power @ step
-    qbasis = basis.map_values(QQi)
-    image = power @ qbasis
-    return nullspace(image).map_values(
-        lambda v: v if isinstance(v, QQi) else QQi(v))
+    step = sum(scaled(ref_slot_operator(
+        system, {s: ref_root_vectors(rep)[1][-1]}), pts[s])
+        for s, rep in enumerate(system.factors))
+    image = dense(basis)
+    for _ in range(k + 1):
+        image = product(step, image)
+    kernel = nullspace(SRMatrix.from_rows(image.tolist(), basis.ncols))
+    return SRMatrix(kernel.nrows, kernel.ncols, {
+        rc: v if isinstance(v, QQi) else QQi(v)
+        for rc, v in kernel.data.items()})
 
 
 def ref_restrict(op, basis):
@@ -183,13 +190,13 @@ def ref_restrict(op, basis):
     basis[R] X = (op @ basis)[R] is solved by its own back-substitution.
     """
     support = basis.rows_with_support()
-    rows_t = basis.submatrix_rows(support).transpose().to_rows()
+    rows_t = dense(basis.submatrix_rows(support)).T.tolist()
     sel = [support[c] for (_r, c) in
            bareiss_echelon(_clear_denominators(rows_t), len(support))]
     n = basis.ncols
     assert len(sel) == n
     lhs = basis.submatrix_rows(sel).to_rows()
-    rhs = (op @ basis).submatrix_rows(sel).to_rows()
+    rhs = product(op, dense(basis))[sel].tolist()
     aug = _clear_denominators([a + b for a, b in zip(lhs, rhs)])
     # lhs is nonsingular, so all n pivots fall in its n columns
     pivots = bareiss_echelon(aug, 2 * n)
@@ -211,11 +218,12 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
     system = tensor_system(alg, weights)
     basis = ref_invariant_basis(system)
     assert system.invariant_basis == basis
-    assert system.invariant_gram() == ref_invariant_gram(system, basis)
+    assert np.array_equal(dense(system.invariant_gram()),
+                          ref_invariant_gram(system, basis))
     for i in range(system.n):
         for j in range(i + 1, system.n):
             ref = ref_omega(system, i, j)
-            assert system.omega_pair(i, j) == ref
+            assert np.array_equal(dense(system.omega_pair(i, j)), ref)
             assert system.omega_restricted(i, j) == ref_restrict(ref, basis)
     for i in range(system.n - 1):
         if weights[i] == weights[i + 1]:
@@ -226,21 +234,26 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
             for s, rep in enumerate(system.factors):
                 gen = getattr(rep, kind)[r]
                 rows, cols, values = slot_embedding(
-                    system.dims, (s,), gen, range(system.total_dim))
-                assert SRMatrix(system.total_dim, system.total_dim, dict(
-                    zip(zip(rows.tolist(), cols.tolist()), values))) \
-                    == ref_slot_operator(system, {s: gen})
+                    system.dims, (s,), entries(gen), range(system.total_dim))
+                got = np.zeros((system.total_dim,) * 2, dtype=object)
+                got[rows, cols] = values
+                assert np.array_equal(got,
+                                      ref_slot_operator(system, {s: gen}))
     bs = block_subspace(system, k, points)
     assert bs.coeffs == ref_block_coeffs(system, k, points, basis)
 
 
+def identity(n):
+    return SRMatrix(n, n, {(i, i): _F1 for i in range(n)})
+
+
 def test_local_shape_is_checked():
-    # V_1 (x) V_2 has dimension 6, not 4
+    # V_1 (x) V_2 has dimension 6: an entry at index 6 lies outside it
     system = tensor_system(A1, ((1,), (2,)))
     with pytest.raises(ValueError, match="6 square"):
-        slot_embedding(system.dims, (0, 1), SRMatrix.identity(4), [0])
-    with pytest.raises(ValueError):
-        system.restrict_local((0, 1), SRMatrix.identity(4))
+        slot_embedding(system.dims, (0, 1), entries(identity(7)), [0])
+    with pytest.raises(ValueError, match="6 square"):
+        system.restrict_local((0, 1), local_of(identity(7)))
 
 
 def test_omega_route_disagreement_raises(monkeypatch):

@@ -31,12 +31,15 @@ import pytest
 
 from kzmono import connection, reps
 from kzmono.algebra import build_algebra
-from kzmono.blocks import block_subspace, highest_root_lowering
+from kzmono.blocks import block_subspace
 from kzmono.connection import (_kohno_relations, _kohno_residual,
                                _triple_residual, flatness_check, kz_form)
-from kzmono.exact import (QQi, SRMatrix, commutator, exact_dtype,
-                          exact_matmul, integral, nullspace)
+from kzmono.exact import (QQi, SRMatrix, exact_dtype, exact_matmul, integral,
+                          nullspace)
 from kzmono.reps import TensorSystem, irrep, tensor_system
+
+from fraction_reference import (dense, entries, local_of, omega_matrix,
+                                product, ref_root_vectors, scaled)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -47,9 +50,10 @@ G2 = build_algebra("G", 2)
 
 # -- references (the sparse and rational routes) ----------------------------
 
-def ref_apply_local(system, slots, local, cols=None):
-    """local (x) Id applied to the columns of cols (default: identity),
-    by a Python digit loop over the total indices of cols."""
+def ref_apply_local(system, slots, local, cols):
+    """local (x) Id applied to the columns of cols, by a Python digit loop
+    over the total indices of cols; local, cols and the result are object
+    arrays."""
     strides = [1] * system.n
     for s in range(system.n - 2, -1, -1):
         strides[s] = strides[s + 1] * system.dims[s + 1]
@@ -57,88 +61,83 @@ def ref_apply_local(system, slots, local, cols=None):
     strides = [strides[s] for s in slots]
     offset = [sum(d * st for d, st in zip(digits, strides))
               for digits in itertools.product(*map(range, dims))]
-    if (local.nrows, local.ncols) != (len(offset), len(offset)):
+    if local.shape != (len(offset), len(offset)):
         raise ValueError(f"local matrix is not {len(offset)} square")
     hits = {}
-    for (r, c), v in local.data.items():
-        hits.setdefault(c, []).append((r, v))
-    split = {}
-    for g in (range(system.total_dim) if cols is None
-              else {g for g, _c in cols.data}):
+    for r, c in zip(*np.nonzero(local)):
+        hits.setdefault(c, []).append((r, local[r, c]))
+    out = np.zeros((system.total_dim, cols.shape[1]), dtype=object)
+    for g, c in zip(*np.nonzero(cols)):
         loc = 0
         for d, st in zip(dims, strides):
             loc = loc * d + (g // st) % d
-        split[g] = (hits.get(loc, ()), g - offset[loc])
-    out = SRMatrix(system.total_dim,
-                   system.total_dim if cols is None else cols.ncols)
-    if cols is None:
-        for g, (col, base) in split.items():
-            for r, w in col:
-                out.data[(base + offset[r], g)] = w
-        return out
-    for (g, c), v in cols.data.items():
-        col, base = split[g]
-        for r, w in col:
-            out.add_at(base + offset[r], c, w * v)
+        for r, w in hits.get(loc, ()):
+            out[g - offset[loc] + offset[r], c] += w * cols[g, c]
     return out
 
 
-def ref_slot_sum(system, mats, cols=None):
+def ref_slot_sum(system, mats, cols):
     """Sum over slots s of mats[s] acting on slot s, via ref_apply_local."""
-    out = None
-    for s, m in enumerate(mats):
-        term = ref_apply_local(system, (s,), m, cols)
-        out = term if out is None else out + term
-    return out
+    return sum(ref_apply_local(system, (s,), m, cols)
+               for s, m in enumerate(mats))
 
 
 def ref_restrict_local(system, slots, local):
-    basis = system.invariant_basis
-    image = ref_apply_local(system, slots, local, basis)
-    xs = image.submatrix_rows(system._unit_rows)
-    if basis @ xs != image:
+    basis = dense(system.invariant_basis)
+    image = ref_apply_local(system, slots, dense(local), basis)
+    xs = image[system._unit_rows]
+    if not np.array_equal(product(basis, xs), image):
         raise ValueError("operator does not preserve the subspace")
-    return xs
+    return SRMatrix.from_rows(xs.tolist(), xs.shape[1])
 
 
 def ref_integer_restrict_local(system, slots, local):
-    """The restriction over Z with a sparse integer witness."""
+    """The restriction over Z with an integer witness."""
     delta, (ints,) = integral([system.invariant_basis])
     scale, (op,) = integral([local])
-    image = ref_apply_local(system, slots, op, ints)
-    xs = image.submatrix_rows(system._unit_rows)
-    if ints @ xs != image.scale(delta):
+    b = dense(ints)
+    image = ref_apply_local(system, slots, dense(op), b)
+    xs = image[system._unit_rows]
+    if not np.array_equal(product(b, xs), delta * image):
         raise ValueError("operator does not preserve the subspace")
     denom = scale * delta
-    return xs.map_values(lambda v: Fraction(v, denom))
+    return SRMatrix(*xs.shape, {(i, j): Fraction(xs[i, j], denom)
+                                for i, j in zip(*np.nonzero(xs))})
 
 
 def ref_invariant_gram(system):
-    b = system.invariant_basis
+    b = dense(system.invariant_basis)
     image = b
     for s, rep in enumerate(system.factors):
-        image = ref_apply_local(system, (s,), rep.gram, image)
-    return b.transpose() @ image
+        image = ref_apply_local(system, (s,), dense(rep.gram), image)
+    return SRMatrix.from_rows(product(b.T, image).tolist(), b.shape[1])
 
 
 def ref_block_coeffs(system, k, points):
     """Block coefficients at the (already charted) points, over Q(i)."""
-    step = [highest_root_lowering(rep).scale(z)
+    step = [scaled(ref_root_vectors(rep)[1][-1], z)
             for rep, z in zip(system.factors, points)]
-    image = system.invariant_basis.map_values(QQi)
+    image = scaled(dense(system.invariant_basis), QQi(1))
     for _ in range(k + 1):
         image = ref_slot_sum(system, step, image)
-    return nullspace(image).map_values(QQi.from_complex)
+    kernel = nullspace(SRMatrix.from_rows(image.tolist(), image.shape[1]))
+    return SRMatrix(kernel.nrows, kernel.ncols, {
+        rc: QQi.from_complex(v) for rc, v in kernel.data.items()})
 
 
 def ref_kohno_residual(omega, relations):
     denom = lcm(*{v.denominator for m in omega.values()
                   for v in m.data.values()})
-    ints = {p: m.scale(denom).map_values(int) for p, m in omega.items()}
+    ints = {}
+    for p, m in omega.items():
+        ints[p] = np.zeros((m.nrows, m.ncols), dtype=object)
+        for (r, c), v in m.data.items():
+            ints[p][r, c] = int(v * denom)
     worst = 0
     for p, qs in relations:
-        rest = sum((ints[q] for q in qs[1:]), ints[qs[0]])
-        worst = max(worst, commutator(ints[p], rest).max_abs())
+        rest = sum(ints[q] for q in qs)
+        residual = product(ints[p], rest) - product(rest, ints[p])
+        worst = max(worst, int(np.abs(residual).max(initial=0)))
     return Fraction(worst, denom * denom)
 
 
@@ -205,14 +204,14 @@ def test_integral_basis(case):
     assert delta == DELTA.get(name, 1)
     assert ints.shape == (system.total_dim, system.invariant_dim)
     assert ints.dtype == np.int64
-    assert np.array_equal(
-        ints, system.invariant_basis.scale(delta).to_array(object))
+    assert np.array_equal(ints, delta * dense(system.invariant_basis))
 
 
 def test_restriction_matches_rational_route(case):
     _name, system, _k = case
     for i, j in itertools.combinations(range(system.n), 2):
         key, local = system._pair(i, j)
+        local = omega_matrix(local, system.dims[i] * system.dims[j])
         got = system.omega_restricted(i, j)
         assert_identical(got, ref_restrict_local(system, key, local))
         assert_identical(got, ref_integer_restrict_local(system, key, local))
@@ -240,10 +239,10 @@ def test_restriction_witness_rejects_what_leaves_the_span():
     # the array witness and the sparse one refuse it
     system = system_of("A1^4")
     _key, local = system._pair(0, 1)
-    bad = local.copy()
-    bad.add_at(1, 1, Fraction(1))
+    bad = omega_matrix(local, 4)
+    bad.data[(1, 1)] += 1
     with pytest.raises(ValueError, match="preserve"):
-        system.restrict_local((0, 1), bad)
+        system.restrict_local((0, 1), local_of(bad))
     with pytest.raises(ValueError, match="preserve"):
         ref_integer_restrict_local(system, (0, 1), bad)
 
@@ -337,7 +336,8 @@ def test_bound_failure_falls_back_to_exact_integers():
     assert a * (b + b2) > 2 ** 53 and a * (b + b2) % 2
     assert type(got) is Fraction
     # entries beyond int64 stay Python ints
-    huge = {p: m.scale(2 ** 40) for p, m in big.items()}
+    huge = {p: SRMatrix(3, 3, {k: v * 2 ** 40 for k, v in m.data.items()})
+            for p, m in big.items()}
     assert _kohno_residual(huge, relations) == a * (b + b2) * 2 ** 80
 
 
@@ -407,9 +407,11 @@ def corrupt_local_omega(monkeypatch, how):
     clean = reps.local_omega
 
     def corrupted(alg, lam, mu):
-        bad = clean(alg, lam, mu).copy()
+        denom, rows, cols, values = clean(alg, lam, mu)
+        bad = SRMatrix(0, 0, dict(zip(zip(rows.tolist(), cols.tolist()),
+                                      values.tolist())))
         how(alg, lam, mu, bad)
-        return bad
+        return (denom, *entries(bad))
 
     monkeypatch.setattr(reps, "local_omega", corrupted)
 
@@ -483,8 +485,10 @@ def test_triple_residual_memory_follows_the_blocks():
     # 22.6 MB as float64, while no weight block exceeds 82; entries are
     # scattered straight to their blocks, so no local matrix is densified
     ws = [(40,), (40,), (1,)]
-    _denom, mats = integral(reps.local_omega(A1, ws[i], ws[j])
-                            for i, j in ((0, 1), (0, 2), (1, 2)))
+    local = [reps.local_omega(A1, ws[i], ws[j])
+             for i, j in ((0, 1), (0, 2), (1, 2))]
+    denom = lcm(*(d for d, *_entries in local))
+    mats = [(r, c, v * (denom // d)) for d, r, c, v in local]
     weights = [irrep(A1, w).basis_weights for w in ws]
     tracemalloc.start()
     try:
@@ -523,18 +527,19 @@ def test_triple_bound_failure_falls_back_to_exact_integers():
     l12 = SRMatrix(3, 3, {(1, 0): b, (2, 0): b2})
     weights = [[(0,)], [(0,)] * 3, [(0,)]]
     assert exact_dtype(2 * 3, b, 2 * b) is object
-    got = _triple_residual([l01, SRMatrix(1, 1), l12], weights)
-    embedded = {(0, 1): l01.map_values(Fraction),
-                (0, 2): SRMatrix(3, 3),
-                (1, 2): l12.map_values(Fraction)}
+    got = _triple_residual([entries(l01), entries(SRMatrix(1, 1)),
+                            entries(l12)], weights)
+    embedded = {p: SRMatrix(3, 3, {k: Fraction(v) for k, v in m.data.items()})
+                for p, m in (((0, 1), l01), ((0, 2), SRMatrix(3, 3)),
+                             ((1, 2), l12))}
     assert got == ref_kohno_residual(embedded, _kohno_relations(3)) \
         == a * (b + b2)
     assert type(got) is int
     assert got > 2 ** 53 and got % 2
     # the same matrices scaled down pass the bound and run in float64
     assert exact_dtype(2 * 3, 2 ** 20, 2 * 2 ** 20) is float
-    small = _triple_residual([SRMatrix(3, 3, {(0, 1): 3, (0, 2): 3}),
-                              SRMatrix(1, 1),
-                              SRMatrix(3, 3, {(1, 0): 5, (2, 0): 4})],
-                             weights)
+    small = _triple_residual([
+        entries(SRMatrix(3, 3, {(0, 1): 3, (0, 2): 3})),
+        entries(SRMatrix(1, 1)),
+        entries(SRMatrix(3, 3, {(1, 0): 5, (2, 0): 4}))], weights)
     assert small == 3 * (5 + 4) and type(small) is int

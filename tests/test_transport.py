@@ -635,10 +635,12 @@ def test_dop853_letter_builds_no_gram_residues(block_k2, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True,
+                                 "1e-8", None, 1e-8 + 0j])
 def test_tolerances_must_be_finite_and_positive(form_k2, block_k2, bad):
     # refused before any integration, so no numpy warning is raised either;
-    # True is refused although it compares as 1.0, and braid_word_transport
+    # True is refused although it compares as 1.0, a str, None or a complex
+    # number is refused although it cannot be compared, and braid_word_transport
     # refuses tol before it parses the word, even an empty one
     with pytest.raises(ValidationError, match="finite"):
         require_tol(bad)
