@@ -401,13 +401,13 @@ def _triple_residual(mats, weights):
     """Largest |[Omega_p, Omega_q + Omega_r]| on V_a (x) V_b (x) V_c, an int.
 
     `mats` are the integer local matrices L_ij of the slot pairs (0, 1),
-    (0, 2) and (1, 2), the first slot index major, as entries like
-    `reps.local_omega`'s; weights[s] lists the basis weights of slot s.
-    Omega^{01} is L01[ab, a'b'] [c = c'], and
-    likewise for the other two: each stored entry is lifted for every
-    digit of the third slot (`reps.slot_embedding`), and the three
-    relations run over the total-weight classes (`_block_residual`), which
-    a weight-preserving Omega joins none of.
+    (0, 2) and (1, 2), the first slot index major, as (size, rows, cols,
+    values) like `reps.local_omega`'s; weights[s] lists the basis weights
+    of slot s. Omega^{01} is L01[ab, a'b'] [c = c'], and likewise for the
+    other two: each stored entry is lifted for every digit of the third
+    slot (`reps.slot_embedding`), and the three relations run over the
+    total-weight classes (`_block_residual`), which a weight-preserving
+    Omega joins none of.
     """
     dims = [len(w) for w in weights]
     label = _weight_label(weights)
@@ -448,8 +448,8 @@ def _full_residual(form, relations):
         local = [reps.local_omega(system.alg, ws[i], ws[j])
                  for i, j in _TRIPLE_PAIRS]
         denom = lcm(*(d for d, *_entries in local))
-        mats = [(r, c, exact_mul(v, np.array([denom // d], dtype=object)))
-                for d, r, c, v in local]
+        mats = [(n, r, c, exact_mul(v, np.array([denom // d], dtype=object)))
+                for d, n, r, c, v in local]
         weights = [system.factors[s].basis_weights for s in t]
         worst = max(worst, Fraction(_triple_residual(mats, weights),
                                     denom * denom))

@@ -1,24 +1,23 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-`SRMatrix` is storage only: a dict-of-keys sparse matrix with `Fraction`
-(or `QQi`) entries, read at the boundaries and by elimination. Arithmetic
-runs on integer numpy arrays, int64 while float64 holds every partial sum
-and Python ints past that (`exact_dtype`): dense and entrywise products
-(`exact_matmul`, `exact_mul`), and sparse operators held as their nonzero
+`SRMatrix` is storage only: dict-of-keys with `Fraction` (or `QQi`)
+entries, read at the boundaries and by elimination. Arithmetic runs on
+integer numpy arrays, int64 while float64 holds every partial sum and
+Python ints past that (`exact_dtype`): dense and entrywise products
+(`exact_matmul`, `exact_mul`), and sparse operators as their nonzero
 entries, matched by index (`join`) and summed by position (`sum_by_key`).
-Elimination runs on integers: `_clear_denominators` scales each row by
-the lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
+Elimination runs on integers: `_clear_denominators` scales each row by the
+lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
 integers (over Q(i)), and Bareiss elimination divides with `//`, exactly
 by Sylvester's identity (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
 back-substitutes on the same integers, and `reduced_echelon` lifts each
-entry of that unique reduced form into Q or Q(i) once; module
-construction reads the integral rows D E_t directly, and data already
-over Z or Z[i] (see `integral`) enters elimination as it is. The one exact
-solve reads that form: `nullspace`, the joint kernel of sparse blocks, the
-identity on its free coordinates (restriction to its span is a row
-selection), holding `QQi` over Q(i) and `Fraction` over Q. A rank is the
-column count minus the kernel's, and for nonsingular A the kernel of
-[A | -I] is spanned by [A^-1; I].
+entry of that unique reduced form into Q or Q(i) once; module construction
+reads the integral rows D E_t directly, and data over Z or Z[i] (see
+`integral`) enters elimination as it is. The one exact solve reads that
+form: `nullspace`, the joint kernel of sparse blocks, the identity on its
+free coordinates (restriction to its span is a row selection), holding
+`QQi` over Q(i) and `Fraction` over Q. A rank is the column count minus
+the kernel's; for nonsingular A, [A | -I] has kernel [A^-1; I].
 """
 
 from __future__ import annotations

@@ -397,40 +397,42 @@ def _dual_bases(ri, rj):
 
 
 def _casimir(rep):
-    """(D, S): sum_k x_k x^k = S / D, S an integer array, X_k and Y_k
-    (`_dual_bases`) meeting on k and the inner index."""
+    """(D, keys, sums): sum_k x_k x^k = S / D, S holding sums at keys =
+    row * dim + col; X_k, Y_k (`_dual_bases`) meet on k and the inner index."""
     d, (kx, rx, cx, vx), (ky, ry, cy, vy) = _dual_bases(rep, rep)
     n = rep.dim
     q, e = join(ky * n + ry, kx * n + cx)
-    keys, sums = sum_by_key(rx[q] * n + cy[e], exact_mul(
-        vx[q], vy[e], rep.alg.dimension * n))
-    return d, dense(n, keys // n, keys % n, sums)
+    return (d, *sum_by_key(rx[q] * n + cy[e], exact_mul(
+        vx[q], vy[e], rep.alg.dimension * n)))
 
 
 def casimir_matrix(rep):
     """Quadratic Casimir sum_k x_k x^k (`_dual_bases`) as an exact matrix;
     the scalar <lam, lam+2rho> on irreps."""
-    return _fractions(*_casimir(rep)[::-1])
+    d, keys, sums = _casimir(rep)
+    return _matrix(rep.dim, rep.dim, keys // rep.dim, keys % rep.dim,
+                   [Fraction(v, d) for v in sums.tolist()])
 
 
 def casimir_is_scalar(rep):
     """Whether sum_k x_k x^k is <lam, lam+2rho> times the identity, on the
-    module's integers: S == D <lam, lam+2rho> Id (`_casimir`)."""
-    d, s = _casimir(rep)
+    entries of the module's integers S: S == D <lam, lam+2rho> Id."""
+    d, keys, sums = _casimir(rep)
     c = la.casimir_scalar(rep.alg, rep.highest_weight) * d
-    return np.array_equal(s, np.diag([c] * rep.dim))
+    diagonal = np.arange(rep.dim) * (rep.dim + 1) if c else []
+    return np.array_equal(keys, diagonal) and bool((sums == c).all())
 
 
 @lru_cache(maxsize=None)
 def local_omega(alg, lam, mu):
     """Two-slot Casimir Omega = sum_k x_k (x) x^k on V_lam (x) V_mu, x_k on
     V_lam (the major index) and x^k on V_mu (`_dual_bases`), exactly, as
-    (D, rows, cols, values): D Omega, D the lcm of its denominators, holds
-    values[t] at (rows[t], cols[t]), by row then column, summed from the
-    outer products of the nonzeros of X_k and Y_k; every slot pair carrying
-    (lam, mu) embeds it. Each factor Casimir must be its scalar
-    (`casimir_is_scalar`), or ConstructionError is raised: the pair Casimir
-    is C_lam (x) 1 + 1 (x) C_mu + 2 Omega."""
+    (D, size, rows, cols, values): D Omega, size x size with D the lcm of
+    its denominators, holds values[t] at (rows[t], cols[t]), by row then
+    column, summed from the outer products of the nonzeros of X_k and Y_k;
+    every slot pair carrying (lam, mu) embeds it. Each factor Casimir must
+    be its scalar (`casimir_is_scalar`), or ConstructionError is raised:
+    the pair Casimir is C_lam (x) 1 + 1 (x) C_mu + 2 Omega."""
     ri, rj = irrep(alg, lam), irrep(alg, mu)
     for rep in dict.fromkeys((ri, rj)):
         if not casimir_is_scalar(rep):
@@ -442,7 +444,7 @@ def local_omega(alg, lam, mu):
     keys, values = sum_by_key((rx[q] * n + ry[e]) * size + cx[q] * n + cy[e],
                               exact_mul(vx[q], vy[e], alg.dimension))
     g = gcd(d, int(np.gcd.reduce(values)))
-    return d // g, keys // size, keys % size, values // g
+    return d // g, size, keys // size, keys % size, values // g
 
 
 def total_weights(factor_weights):
@@ -459,13 +461,14 @@ def slot_embedding(dims, slots, local, cols):
     """local (x) Id at the unit vectors of the total indices cols, as arrays.
 
     dims are the factor dimensions, the total index slot 0 major; local is
-    a matrix on the listed slots, the first listed major, as its entries
-    (rows, cols, values) like `local_omega`'s. Returns (rows, pos, values):
-    the image of cols[pos[t]] is the sum of values[t] at rows[t]."""
+    a matrix on the listed slots, the first listed major, as (size, rows,
+    cols, values) like `local_omega`'s, size their dimension. Returns (rows,
+    pos, values): cols[pos[t]] maps to the sum of values[t] at rows[t]."""
     local_dims = tuple(dims[s] for s in slots)
     size = prod(local_dims)
-    local_rows, local_cols, local_values = local
-    if max(local_rows.max(initial=0), local_cols.max(initial=0)) >= size:
+    local_size, local_rows, local_cols, local_values = local
+    if local_size != size or max(local_rows.max(initial=0),
+                                 local_cols.max(initial=0)) >= size:
         raise ValueError(f"local matrix is not {size} square")
     cols = np.asarray(cols, dtype=np.intp)
     strides = np.cumprod((1, *dims[:0:-1]))[::-1][list(slots)]
@@ -527,6 +530,8 @@ class TensorSystem:
         an integer array local on the listed slots, as one contraction:
         the slots' axes to the front, one `exact_matmul`, and back."""
         size = prod(self.dims[s] for s in slots)
+        if local.shape != (size, size):
+            raise ValueError(f"local matrix is not {size} square")
         front = range(len(slots))
         moved = np.moveaxis(array.reshape(self.dims + array.shape[1:]),
                             slots, front)
@@ -563,8 +568,8 @@ class TensorSystem:
         zero_idx = self.zero_weight_indices()
         def block(mats):    # a sum over slots, no two meeting at an entry
             rows, pos, values = map(np.concatenate, zip(*(slot_embedding(
-                self.dims, (s,), _entries(m.to_array(object)), zero_idx)
-                for s, m in enumerate(mats))))
+                self.dims, (s,), (d, *_entries(m.to_array(object))), zero_idx)
+                for s, (m, d) in enumerate(zip(mats, self.dims)))))
             return _matrix(self.total_dim, len(zero_idx), rows, pos,
                            values.tolist())
 
@@ -607,8 +612,8 @@ class TensorSystem:
 
     def restrict_local(self, slots, local):
         """Exact matrix X of local (x) Id on the invariants, an SRMatrix, for
-        local = (D, rows, cols, values) on the listed slots: L / D with L
-        the integers values at (rows, cols), as `local_omega` gives them.
+        local = (D, size, rows, cols, values) on the listed slots, size their
+        dimension: L / D, L holding values at (rows, cols) (`local_omega`).
 
         If the operator preserves the span, its image of the basis is
         basis @ X, and the basis is the identity on its unit rows, so X is
@@ -621,16 +626,14 @@ class TensorSystem:
         and X = X_int/(D delta). Each witness entry sums m + 1 products of
         size at most max|B| max|L B|.
         """
-        scale, *entries = local
-        op = dense(prod(self.dims[s] for s in slots), *entries)
         delta, b = self.integral_basis   # computes the unit rows too
-        image = self.contract(slots, op, b)
+        image = self.contract(slots, dense(*local[1:]), b)
         xs = image[self._unit_rows]
         dtype = exact_dtype(b.shape[1] + 1, max_abs(b), max_abs(image))
         if (b.astype(dtype) @ xs.astype(dtype)
                 != delta * image.astype(dtype)).any():
             raise ValueError("operator does not preserve the subspace")
-        return _fractions(xs, scale * delta)
+        return _fractions(xs, local[0] * delta)
 
     # -- Casimir pair operators ------------------------------------------
 
@@ -674,8 +677,8 @@ class TensorSystem:
         if self.weights[i] != self.weights[i + 1]:
             raise ValueError("slot swap needs equal weights on both slots")
         a, b = np.divmod(np.arange(self.dims[i] ** 2), self.dims[i])
-        return self.restrict_local((i, i + 1), (1, b * self.dims[i] + a,
-                                                a * self.dims[i] + b,
+        return self.restrict_local((i, i + 1), (1, len(a), b * self.dims[i]
+                                                + a, a * self.dims[i] + b,
                                                 np.ones_like(a)))
 
     def __repr__(self):
@@ -689,8 +692,6 @@ def tensor_system(alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
 
 def dense(n, rows, cols, values):
     """The n x n integer array holding values at (rows, cols)."""
-    if max(rows.max(initial=0), cols.max(initial=0)) >= n:
-        raise ValueError(f"local matrix is not {n} square")
     out = np.zeros((n, n), dtype=values.dtype)
     out[rows, cols] = values
     return out

@@ -27,17 +27,19 @@ def dense(m):
     return m.to_array(object)
 
 
-def omega_matrix(local, size):
-    """`local_omega`'s (D, rows, cols, values) as an SRMatrix of Fractions."""
-    d, rows, cols, values = local
+def omega_matrix(local):
+    """`local_omega`'s (D, size, rows, cols, values) as an SRMatrix of
+    Fractions."""
+    d, size, rows, cols, values = local
     return SRMatrix(size, size, {
         (r, c): Fraction(v, d)
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())})
 
 
 def local_of(m):
-    """An exact SRMatrix in `local_omega`'s layout (D, rows, cols, values),
-    D the lcm of its denominators (`TensorSystem.restrict_local` reads it)."""
+    """An exact SRMatrix in `local_omega`'s layout (D, size, rows, cols,
+    values), D the lcm of its denominators (`TensorSystem.restrict_local`
+    reads it)."""
     d, (ints,) = integral([m])
     return (d, *entries(ints))
 
@@ -71,10 +73,11 @@ def scalar(c, n):
 
 
 def entries(m):
-    """The entries (rows, cols, values) of an SRMatrix, values as objects."""
+    """A square SRMatrix as (size, rows, cols, values), the local layout of
+    `slot_embedding`, values as objects."""
     keys = sorted(m.data)
     r, c = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-    return r, c, np.array([m.data[k] for k in keys], dtype=object)
+    return m.nrows, r, c, np.array([m.data[k] for k in keys], dtype=object)
 
 
 @lru_cache(maxsize=None)

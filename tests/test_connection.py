@@ -302,11 +302,11 @@ def _flip_local_omega(monkeypatch):
     clean = reps.local_omega
 
     def flipped(alg, lam, mu):
-        denom, rows, cols, values = clean(alg, lam, mu)
+        denom, size, rows, cols, values = clean(alg, lam, mu)
         values = values.copy()
         off = np.flatnonzero(rows != cols)[:1]
         values[off] = -values[off]
-        return denom, rows, cols, values
+        return denom, size, rows, cols, values
 
     monkeypatch.setattr(reps, "local_omega", flipped)
 

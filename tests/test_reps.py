@@ -24,7 +24,7 @@ from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
                          tensor_system)
 
 from fraction_reference import (commutator, dense, entries, local_of,
-                                omega_matrix, product, ref_casimir,
+                                omega_matrix, ref_casimir,
                                 ref_dual_bases, ref_local_omega, scalar)
 
 A1 = build_algebra("A", 1)
@@ -230,15 +230,40 @@ def test_wider_type_constructions():
 
 def ref_pair_omega(alg, lam, mu):
     """Omega by the second route: one half of (the Casimir of the pair
-    action x_k (x) 1 + 1 (x) x_k - c_lam - c_mu)."""
+    action x_k (x) 1 + 1 (x) x_k - c_lam - c_mu), as {(row, col): value}
+    over its nonzeros. The pair action is formed from the nonzeros of the
+    factors, row by row, and multiplied entry by entry, so no pair-space
+    array is dense."""
     (xi, di), (xj, dj) = ref_dual_bases(irrep(alg, lam)), \
         ref_dual_bases(irrep(alg, mu))
-    id_i, id_j = np.eye(len(xi[0]), dtype=int), np.eye(len(xj[0]), dtype=int)
-    pair = sum(product(np.kron(a, id_j) + np.kron(id_i, b),
-                       np.kron(c, id_j) + np.kron(id_i, d))
-               for a, b, c, d in zip(xi, xj, di, dj))
+    n, m = len(xi[0]), len(xj[0])
+
+    def pair(a, b):     # a (x) 1 + 1 (x) b, as {row: {col: value}}
+        out = {}
+
+        def add(r, c, v):
+            row = out.setdefault(r, {})
+            row[c] = row.get(c, 0) + v
+
+        for r, c in zip(*(z.tolist() for z in np.nonzero(a))):
+            for j in range(m):
+                add(r * m + j, c * m + j, a[r, c])
+        for r, c in zip(*(z.tolist() for z in np.nonzero(b))):
+            for i in range(n):
+                add(i * m + r, i * m + c, b[r, c])
+        return out
+
+    casimir = Counter()
+    for a, b, c, d in zip(xi, xj, di, dj):
+        left, right = pair(a, b), pair(c, d)
+        for r, row in left.items():
+            for k, v in row.items():
+                for col, w in right.get(k, {}).items():
+                    casimir[r, col] += v * w
     shift = la.casimir_scalar(alg, lam) + la.casimir_scalar(alg, mu)
-    return (pair - scalar(shift, len(pair))) * Fraction(1, 2)
+    for i in range(n * m):
+        casimir[i, i] -= shift
+    return {key: v * Fraction(1, 2) for key, v in casimir.items() if v}
 
 
 def integers(omega):
@@ -267,14 +292,16 @@ CASIMIR_PAIRS = [
 
 
 def assert_matches_fraction_route(alg, lam, mu):
-    d, rows, cols, values = local_omega(alg, lam, mu)
+    d, size, rows, cols, values = local_omega(alg, lam, mu)
     got = [(r, c, v) for r, c, v in zip(rows.tolist(), cols.tolist(),
                                          values.tolist())]
     ref = ref_local_omega(alg, lam, mu)
     assert (d, got) == integers(ref)
     assert type(d) is int and {type(v) for _r, _c, v in got} <= {int}
-    if len(ref) <= 30:
-        assert np.array_equal(ref, ref_pair_omega(alg, lam, mu))
+    assert (size, len(ref)) == (irrep(alg, lam).dim * irrep(alg, mu).dim,) * 2
+    assert ref_pair_omega(alg, lam, mu) == {
+        (r, c): ref[r, c] for r, c in zip(*(z.tolist() for z in
+                                            np.nonzero(ref)))}
     for w in (lam, mu):
         rep = irrep(alg, w)
         want = SRMatrix.from_rows(ref_casimir(rep).tolist())
@@ -304,13 +331,13 @@ def test_dual_basis_casimirs_on_python_ints(monkeypatch, series, rank, lam,
     monkeypatch.setattr(reps, "local_omega", reps.local_omega.__wrapped__)
     alg = build_algebra(series, rank)
     assert irrep(alg, lam).generators[0][3].dtype == object
-    d, rows, cols, values = reps.local_omega(alg, lam, mu)
+    d, size, rows, cols, values = reps.local_omega(alg, lam, mu)
     monkeypatch.undo()
     want = local_omega(alg, lam, mu)
-    assert values.dtype == object and want[3].dtype == np.int64
-    assert d == want[0]
-    assert np.array_equal(rows, want[1]) and np.array_equal(cols, want[2])
-    assert values.tolist() == want[3].tolist()
+    assert values.dtype == object and want[4].dtype == np.int64
+    assert (d, size) == want[:2]
+    assert np.array_equal(rows, want[2]) and np.array_equal(cols, want[3])
+    assert values.tolist() == want[4].tolist()
 
 
 # -- tensor systems ---------------------------------------------------------
@@ -462,7 +489,7 @@ def test_restrict_local_reads_unit_rows():
     assert np.array_equal(dense(x), scalar(Fraction(3, 2), d))
     # a non-scalar restriction meets the witness basis @ X == image
     x = system.restrict_local((1, 2), local_omega(A1, (1,), (1,)))
-    local = omega_matrix(local_omega(A1, (1,), (1,)), 4)
+    local = omega_matrix(local_omega(A1, (1,), (1,)))
     assert not np.array_equal(dense(x), scalar(x.get(0, 0), d))
     assert np.array_equal(dense(basis) @ dense(x),
                           embedded(system, [((1, 2), local)]) @ dense(basis))

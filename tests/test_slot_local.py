@@ -248,12 +248,20 @@ def identity(n):
 
 
 def test_local_shape_is_checked():
-    # V_1 (x) V_2 has dimension 6: an entry at index 6 lies outside it
+    # V_1 (x) V_2 has dimension 6, not 4 or 7: a local of another size is
+    # refused, whether its entries fit inside the pair space or not, and
+    # so is the Omega of V_1 (x) V_1
     system = tensor_system(A1, ((1,), (2,)))
+    for local in (identity(4), identity(7)):
+        with pytest.raises(ValueError, match="6 square"):
+            slot_embedding(system.dims, (0, 1), entries(local), [0])
+        with pytest.raises(ValueError, match="6 square"):
+            system.restrict_local((0, 1), local_of(local))
+    omega = local_omega(A1, (1,), (1,))
     with pytest.raises(ValueError, match="6 square"):
-        slot_embedding(system.dims, (0, 1), entries(identity(7)), [0])
+        slot_embedding(system.dims, (0, 1), omega[1:], range(6))
     with pytest.raises(ValueError, match="6 square"):
-        system.restrict_local((0, 1), local_of(identity(7)))
+        system.restrict_local((0, 1), omega)
 
 
 def test_omega_route_disagreement_raises(monkeypatch):

@@ -211,7 +211,7 @@ def test_restriction_matches_rational_route(case):
     _name, system, _k = case
     for i, j in itertools.combinations(range(system.n), 2):
         key, local = system._pair(i, j)
-        local = omega_matrix(local, system.dims[i] * system.dims[j])
+        local = omega_matrix(local)
         got = system.omega_restricted(i, j)
         assert_identical(got, ref_restrict_local(system, key, local))
         assert_identical(got, ref_integer_restrict_local(system, key, local))
@@ -239,7 +239,7 @@ def test_restriction_witness_rejects_what_leaves_the_span():
     # the array witness and the sparse one refuse it
     system = system_of("A1^4")
     _key, local = system._pair(0, 1)
-    bad = omega_matrix(local, 4)
+    bad = omega_matrix(local)
     bad.data[(1, 1)] += 1
     with pytest.raises(ValueError, match="preserve"):
         system.restrict_local((0, 1), local_of(bad))
@@ -407,8 +407,8 @@ def corrupt_local_omega(monkeypatch, how):
     clean = reps.local_omega
 
     def corrupted(alg, lam, mu):
-        denom, rows, cols, values = clean(alg, lam, mu)
-        bad = SRMatrix(0, 0, dict(zip(zip(rows.tolist(), cols.tolist()),
+        denom, size, rows, cols, values = clean(alg, lam, mu)
+        bad = SRMatrix(size, size, dict(zip(zip(rows.tolist(), cols.tolist()),
                                       values.tolist())))
         how(alg, lam, mu, bad)
         return (denom, *entries(bad))
@@ -488,7 +488,7 @@ def test_triple_residual_memory_follows_the_blocks():
     local = [reps.local_omega(A1, ws[i], ws[j])
              for i, j in ((0, 1), (0, 2), (1, 2))]
     denom = lcm(*(d for d, *_entries in local))
-    mats = [(r, c, v * (denom // d)) for d, r, c, v in local]
+    mats = [(n, r, c, v * (denom // d)) for d, n, r, c, v in local]
     weights = [irrep(A1, w).basis_weights for w in ws]
     tracemalloc.start()
     try:
