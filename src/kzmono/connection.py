@@ -2,8 +2,8 @@
 
 The form is (1/(k+h)) sum_{i<j} Omega^{ij} (dz_i - dz_j)/(z_i - z_j) on the
 trivial bundle of tensor invariants. The Casimir coefficients stay exact
-rational until the z-dependent scalar factors are mixed in, which happens in
-floating point as the very last step: the pair coefficients
+integers until the z-dependent scalar factors are mixed in, which happens
+in floating point as the very last step: the pair coefficients
 (v_i - v_j)/(z_i - z_j) are one array over all pairs, contracted with the
 float Omega^{ij} in one matrix product. Both take whole stacks of point
 sets, so a path evaluates the form at many times in one call.
@@ -11,17 +11,15 @@ sets, so a path evaluates the form at many times in one call.
 Flatness is equivalent to the Kohno commutation relations
     [Omega^{ij}, Omega^{kl}] = 0            for disjoint pairs,
     [Omega^{ij}, Omega^{ik} + Omega^{jk}] = 0   for distinct i, j, k,
-which are verified exactly (in integer arithmetic after clearing one common
-denominator), on the full tensor space and restricted to the invariants.
-Every total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
+verified exactly on the full tensor space and on the invariants. Every
+total-space Omega^{ij} embeds one local matrix on V_i (x) V_j, so the
 full-space check reduces to the three relations of each distinct weight
 triple on V_a (x) V_b (x) V_c; no total-space Omega is built for it.
-Every commutator is formed by `_block_residual` from the stored integer
-entries and a class per basis index: the total weight on a tensor space,
-one class on the invariants. Classes are joined wherever an entry runs
-between two, so every matrix and commutator is block diagonal over them
-and the largest entry is the largest over the blocks. Blocks run as
-batched dense products, in float64 under an a-priori bound
+`_block_residual` forms every commutator from integer entries over one
+common denominator and a class per basis index (the total weight on a
+tensor space, one class on the invariants), joined wherever an entry runs
+between two, so every matrix and commutator is block diagonal over them.
+Blocks run as batched dense products, in float64 under an a-priori bound
 (2 s q A^2 < 2^53 for size s, q summands and largest entry A, see
 `exact_dtype`) that keeps every partial sum an exact integer, else on
 Python ints; past _DENSE_MAX as sparse products on Python ints.
@@ -30,7 +28,8 @@ Around the global rotation loop z_i(t) = exp(2 pi i t) z_i the tangent is
 dz = 2 pi i z, so the form is the constant (2 pi i/(k+h)) sum Omega^{ij} and
 transport equals exp(-(2 pi i/(k+h)) sum Omega^{ij}). On invariants the sum
 of all Omega^{ij} is the scalar -(sum_i c_i)/2 (the diagonal Casimir
-vanishes there), so the loop acts as exp(pi i sum_i c_i/(k+h)).
+vanishes there), so the loop acts as exp(pi i sum_i c_i/(k+h)), checked
+exactly as that sum in integers, with no matrix exponential formed.
 """
 
 from __future__ import annotations
@@ -45,24 +44,24 @@ from math import inf, lcm
 
 import numpy as np
 
-from ._integrators import expm, spectral_bound
+from ._integrators import spectral_bound
 from .errors import CoincidentPointsError, KzmonoError, require_int
 from .exact import (exact_dtype, exact_mul, int_array, integral, join,
-                    max_abs, sum_by_key)
+                    max_abs, sum_by_key, to_float)
 from . import reps
 
 
 class KZForm:
     """KZ connection data for a tensor system at level k.
 
-    Eagerly assembles every Omega^{ij} restricted to the invariants (exact
-    SRMatrix, from the local integers through `TensorSystem.omega_restricted`)
-    and keeps float copies for the integrator, one flattened d x d matrix
-    per row. `left` and `right` are the index arrays of the pairs (i, j),
-    in `pairs` order, so the form is evaluated in one array pass over all
-    pairs. The total-space Omega^{ij} (`omega_full`) are built only on
-    explicit access; the full-space Kohno check works from the local
-    matrices, or from `omega_full` as it stands if it was built.
+    Eagerly restricts every Omega^{ij} to the invariants, as `omega_inv` =
+    (D, stack): stack[p] = D Omega^p, integers, in `pairs` order; the exact
+    checks read it, the integrator its float copy, one flattened d x d
+    matrix per row. `left` and `right` are the index arrays of the pairs
+    (i, j), in `pairs` order, so the form is evaluated in one array pass
+    over all pairs. The total-space Omega^{ij} (`omega_full`) are built
+    only on explicit access; the full-space Kohno check works from the
+    local matrices, or from `omega_full` as it stands if it was built.
     """
 
     def __init__(self, system, k):
@@ -70,16 +69,17 @@ class KZForm:
         self.k = k = require_int(k, "level", 1)
         self.h = system.alg.dual_coxeter
         self.prefactor = Fraction(1, k + self.h)
-        n = system.n
-        self.left, self.right = np.triu_indices(n, 1)
+        self.left, self.right = np.triu_indices(system.n, 1)
         self.pairs = list(zip(self.left.tolist(), self.right.tolist()))
-        self.omega_inv = {p: system.omega_restricted(*p) for p in self.pairs}
-        d = system.invariant_dim
-        self.dim = d
+        d = self.dim = system.invariant_dim
+        restricted = [system.omega_restricted(*p) for p in self.pairs]
+        denom = lcm(*(dn for dn, _x in restricted))
+        self.omega_inv = denom, int_array(np.array(
+            [exact_mul(x, np.array(denom // dn)) for dn, x in restricted]
+        ).reshape(len(self.pairs), d, d))
         self._pref = float(self.prefactor)
-        self._omega_rows = np.array([
-            self.omega_inv[p].to_array(complex).ravel() for p in self.pairs
-        ], dtype=complex).reshape(len(self.pairs), d * d)
+        self._omega_rows = to_float(*self.omega_inv).reshape(
+            len(self.pairs), d * d).astype(complex)
         self._residue_norms = {}
 
     def residues(self, rows):
@@ -129,8 +129,7 @@ class KZForm:
         self-adjoint for G, is symmetric, so S[p] is stored as the
         symmetric part of the computed product. Built on first use.
         """
-        chol = np.linalg.cholesky(
-            self.system.invariant_gram().to_array(float))
+        chol = np.linalg.cholesky(to_float(*self.system.invariant_gram()))
         res = chol.T @ self.residues(slice(None)) @ np.linalg.inv(chol).T
         return chol, (res + res.transpose(0, 2, 1)) / 2
 
@@ -150,14 +149,13 @@ class KZForm:
         Raises CoincidentPointsError for the first point set, in row order,
         with a coincident pair or a non-finite quotient.
         """
-        pts, coef = self._quotients(z, v)
-        rows = coef.reshape(pts.sep.size, len(self.pairs))
+        pts, coef, rows = self._quotients(z, v)
         self._check_rows(pts, rows, np.isfinite(rows).all(axis=-1))
         return coef
 
     def _quotients(self, z, v):
-        """The points and their pair quotients, C-contiguous, non-finite
-        ones included (an exact coincidence divides by zero)."""
+        """The points, their pair quotients (C-contiguous, non-finite ones
+        included) and the quotients as one row per point set."""
         pts = z if isinstance(z, _Points) else _Points(self, z)
         v = np.asarray(v, dtype=complex)
         if v.shape != pts.z.shape:
@@ -166,15 +164,18 @@ class KZForm:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             coef = np.ascontiguousarray(self._pref * dv / pts.dz)
         # numpy divides through the reciprocal of a complex number, which
-        # overflows below the smallest normal float; Python does not
-        tiny = np.flatnonzero((pts.sep > 0) & (pts.sep < sys.float_info.min))
+        # overflows below the smallest normal float and can round a subnormal
+        # part one unit off; Python does neither (a coincidence is refused)
+        rows = coef.reshape(pts.sep.size, len(self.pairs))
+        part, low = np.abs(rows.view(float)), sys.float_info.min
+        tiny = np.flatnonzero((pts.sep > 0).ravel() & (
+            (pts.sep < low).ravel() | ((part > 0) & (part < low)).any(-1)))
         if tiny.size:
-            rows = coef.reshape(pts.sep.size, len(self.pairs))
             dv, dz = (a.reshape(rows.shape) for a in (dv, pts.dz))
             for r in tiny:
                 rows[r] = [self._pref * complex(a) / complex(b)
                            for a, b in zip(dv[r], dz[r])]
-        return pts, coef
+        return pts, coef, rows
 
     def _check_rows(self, pts, rows, ok):
         """Raise CoincidentPointsError for the first point set r of the
@@ -208,10 +209,9 @@ class KZForm:
         so close that the form overflows raise CoincidentPointsError for
         the first failing point set (see `_check_rows`).
         """
-        pts, coef = self._quotients(z, v)
+        pts, coef, rows = self._quotients(z, v)
         with np.errstate(over="ignore", invalid="ignore"):
             flat = coef[..., None, :] @ self._omega_rows
-        rows = coef.reshape(pts.sep.size, len(self.pairs))
         finite = np.isfinite(flat.reshape(len(rows), self.dim ** 2))
         self._check_rows(pts, rows, np.isfinite(rows).all(axis=-1)
                          & finite.all(axis=-1))
@@ -268,8 +268,6 @@ def _kohno_relations(n):
 
 
 _TRIPLE_PAIRS = ((0, 1), (0, 2), (1, 2))
-# the Kohno relations of three slots, by index into _TRIPLE_PAIRS
-_TRIPLE_RELATIONS = ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))
 _BATCH = 1 << 14        # entries of one stack of dense products
 _DENSE_MAX = 1024       # largest block taken as dense products
 
@@ -307,12 +305,12 @@ def _weight_label(weights):
     return label
 
 
-def _block_residual(label, which, rows, cols, vals, relations):
+def _block_residual(label, which, rows, cols, vals, pairs, relations):
     """Largest |[M_p, sum_{q in qs} M_q]| over the relations (p, qs), an int.
 
-    M_t holds the integers vals[e] at (rows[e], cols[e]) where which[e] = t,
-    and label[x] is the class of basis index x. Joined along the entries
-    (`_join`), the classes block-diagonalise every M_t and commutator.
+    M_p, p = pairs[t], holds vals[e] at (rows[e], cols[e]) where which[e]
+    = t; label[x] is the class of basis index x. Joined along the entries
+    (`_join`), the classes block-diagonalise every M_p and commutator.
     Blocks of one size s > 1 run as stacks of at most _BATCH entries per
     product, in the dtype `exact_dtype` picks for the largest block, entry
     and sum; a block above _DENSE_MAX as sparse products on Python ints.
@@ -321,13 +319,14 @@ def _block_residual(label, which, rows, cols, vals, relations):
     sizes = np.bincount(label)
     ints = vals = int_array(vals)
     big = max_abs(vals)
-    q = max(len(qs) for _p, qs in relations)
+    index = {p: t for t, p in enumerate(pairs)}
+    relations = [(index[p], [index[q] for q in qs]) for p, qs in relations]
+    q = max((len(qs) for _p, qs in relations), default=0)
     dtype = exact_dtype(2 * int(sizes.max(initial=0)), big, q * big)
     if dtype is float:
         vals = vals.astype(float)
     # short sums are padded with the zero matrix `pad`
-    pad = 1 + max(int(which.max(initial=0)),
-                  *(max(p, *qs) for p, qs in relations))
+    pad = len(pairs)
     terms = np.array([[p, *qs] + [pad] * (q - len(qs))
                       for p, qs in relations]).T
     # blocks ranked by size, each basis vector's position in its block, and
@@ -374,27 +373,28 @@ def _block_residual(label, which, rows, cols, vals, relations):
     return worst
 
 
-def _kohno_residual(omega, relations, weights=None):
-    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly.
-
-    The commutators run on D*Omega, D the lcm of the entry denominators;
-    [D A, D B] = D^2 [A, B]. The basis is one class, or the total-weight
-    classes given each tensor factor's basis weights (a built
-    `KZForm.omega_full`).
-    """
-    if not relations:
-        return Fraction(0)
+def _kohno_residual(omega, relations, weights):
+    """Largest |[Omega_p, sum_q Omega_q]| over the relations, exactly, on a
+    built `KZForm.omega_full` over the total-weight classes of the factor
+    basis weights: commutators of D Omega, D the lcm of the denominators,
+    divided by D^2."""
     denom, mats = integral(omega.values())
-    index = {p: t for t, p in enumerate(omega)}
     which = np.repeat(np.arange(len(mats)), [len(m.data) for m in mats])
     rows, cols = np.array([rc for m in mats for rc in m.data],
                           dtype=np.intp).reshape(-1, 2).T
     vals = np.array([v for m in mats for v in m.data.values()], dtype=object)
-    label = (np.zeros(mats[0].nrows, dtype=np.intp) if weights is None
-             else _weight_label(weights))
-    worst = _block_residual(label, which, rows, cols, vals, [
-        (index[p], [index[q] for q in qs]) for p, qs in relations])
-    return Fraction(worst, denom * denom)
+    return Fraction(_block_residual(_weight_label(weights), which, rows, cols,
+                                    vals, list(omega), relations), denom ** 2)
+
+
+def _restricted_residual(omega, pairs, relations):
+    """As `_kohno_residual`, on the invariants as one class, from omega =
+    (D, stack) with stack[t] = D Omega^{pairs[t]} (`KZForm.omega_inv`)."""
+    denom, stack = omega
+    which, rows, cols = np.nonzero(stack)
+    return Fraction(_block_residual(
+        np.zeros(stack.shape[1], dtype=np.intp), which, rows, cols,
+        stack[which, rows, cols], pairs, relations), denom ** 2)
 
 
 def _triple_residual(mats, weights):
@@ -417,7 +417,8 @@ def _triple_residual(mats, weights):
     which = np.repeat(np.arange(3), [len(r) for r, _c, _v in lifted])
     rows, cols, vals = map(np.concatenate, zip(*lifted))
     del lifted          # its arrays are copied into the three above
-    return _block_residual(label, which, rows, cols, vals, _TRIPLE_RELATIONS)
+    return _block_residual(label, which, rows, cols, vals, _TRIPLE_PAIRS,
+                           _kohno_relations(3))
 
 
 def _full_residual(form, relations):
@@ -460,47 +461,43 @@ def flatness_check(form):
     """Verify the Kohno relations exactly; report the worst deviation.
 
     Each relation (p, qs) reads [Omega_p, sum_{q in qs} Omega_q] = 0: the
-    disjoint pairs, then every triple (i, j, k). On the invariants the
-    list runs on the restricted Omega^{ij} as stored (`_kohno_residual`);
-    on the full tensor space it is reduced to one three-factor space per
-    weight triple (`_full_residual`), so no total-space Omega is built.
-    Each residual scales its matrices by one common denominator D into
-    integer matrices and divides the integer residual by D^2; since
-    [D A, D B] = D^2 [A, B] this is the same exact rational residual, with
-    no gcd paid per product. Both run through `_block_residual`. A nonzero
-    residual can only come from a defective Omega assembly, so callers
-    treat it as an internal failure, not a numerical tolerance.
+    disjoint pairs, then every triple (i, j, k), on the invariants from the
+    stored stack (`_restricted_residual`) and on the full tensor space per
+    three-factor weight triple (`_full_residual`). A nonzero residual can
+    only come from a defective Omega assembly, so callers treat it as an
+    internal failure, not a numerical tolerance.
     """
     relations = _kohno_relations(form.n)
     return FlatnessReport(
         checks=len(relations),
         max_abs_full=_full_residual(form, relations),
-        max_abs_restricted=_kohno_residual(form.omega_inv, relations))
+        max_abs_restricted=_restricted_residual(form.omega_inv, form.pairs,
+                                                relations))
 
 
 @dataclass
 class RotationReport:
-    """Global-rotation monodromy: exact scalar prediction vs matrix exp."""
+    """Global-rotation monodromy: exact scalar, exact identity deviation."""
 
     scalar: complex
-    matrix: np.ndarray
     max_residual: float
 
 
 def rotation_monodromy(form):
     """Monodromy of the loop z(t) = exp(2 pi i t) z.
 
-    Returns the predicted scalar exp(pi i sum_i c_i/(k + h)) together with
-    the matrix exponential exp(-(2 pi i/(k+h)) sum Omega^{ij}) and their
-    difference on the invariants (derivation in the module docstring).
+    Returns the predicted scalar exp(pi i sum_i c_i/(k + h)) and the float
+    of max |sum Omega^{ij} + (sum_i c_i)/2 Id|, formed in integers on the
+    stored stack: 0.0 exactly iff the identity holds, and then the loop's
+    exp(-(2 pi i/(k+h)) sum Omega^{ij}) is the scalar times Id exactly
+    (module docstring). Per-pair shifts that cancel in the sum pass.
     """
-    d = form.dim
-    if d == 0:
+    if form.dim == 0:
         raise KzmonoError("invariant subspace is zero")
     csum = form.system.sum_casimirs()
     scalar = cmath.exp(1j * cmath.pi * float(csum / (form.k + form.h)))
-    mat = sum((m.to_array(object) for m in form.omega_inv.values()),
-              np.zeros((d, d), dtype=object)).astype(complex)
-    result = expm(-2j * np.pi * float(form.prefactor) * mat)
-    residual = float(np.max(np.abs(result - scalar * np.eye(d))))
-    return RotationReport(scalar=scalar, matrix=result, max_residual=residual)
+    denom, stack = form.omega_inv
+    # D (sum Omega + csum/2 Id), in Python ints and Fractions
+    dev = stack.sum(0, dtype=object) + np.eye(form.dim, dtype=object) * (
+        denom * csum / 2)
+    return RotationReport(scalar, float(np.abs(dev).max() / denom))

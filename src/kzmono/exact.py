@@ -305,6 +305,13 @@ def int_array(a):
                     else object)
 
 
+def to_float(denom, ints):
+    """ints / denom in float64, each entry the float of its Fraction."""
+    if exact_dtype(1, max_abs(ints), denom) is float:
+        return ints.astype(float) / denom       # both exact: one rounding
+    return (ints.astype(object) / denom).astype(float)
+
+
 def exact_mul(a, b, n=1):
     """a * b of integer arrays that broadcast, exactly: int64 if float64
     holds every sum of n such products, else Python ints."""

@@ -104,6 +104,7 @@ from .blocks import block_subspace
 from .connection import _Points
 from .errors import (PathSingularError, TransportError, ValidationError,
                      require_int)
+from .exact import to_float
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOCK_TOL = 1e-8
@@ -758,7 +759,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     equal = system.weights[i - 1] == system.weights[i]
     if equal:
         # the restricted flip squares to Id, so it is its own inverse
-        acting = system.swap_restricted(i - 1).to_array(complex) @ frame
+        acting = to_float(*system.swap_restricted(i - 1)) @ frame
         target = cols
     else:
         acting = frame

@@ -591,14 +591,14 @@ class TensorSystem:
         return basis, unit_rows, (delta, b)
 
     def invariant_gram(self):
-        """Product contravariant form on the invariant basis, an SRMatrix.
+        """(delta^2, B^T (G_1 (x) ... (x) G_n) B), the product contravariant
+        form on the invariant basis over delta^2 (`integral_basis`).
 
         Nondegenerate because the invariants are form-orthogonal to the
         image of the diagonal action; this is the pairing under which the
         two-slot Casimirs are self-adjoint and the block subspaces are the
-        duals of the raising-operator annihilator conditions. It is
-        B^T (G_1 (x) ... (x) G_n) B / delta^2, one integer G_s
-        (`Representation.gram_int`) at a time.
+        duals of the raising-operator annihilator conditions. One integer
+        G_s (`Representation.gram_int`) is applied at a time.
         """
         if self._inv_gram is None:
             delta, b = self.integral_basis
@@ -606,14 +606,14 @@ class TensorSystem:
             for s, rep in enumerate(self.factors):
                 image = self.contract((s,), int_array(SRMatrix(
                     rep.dim, rep.dim, rep.gram_int).to_array(object)), image)
-            self._inv_gram = _fractions(exact_matmul(b.T, image),
-                                        delta * delta)
+            self._inv_gram = delta * delta, int_array(exact_matmul(b.T,
+                                                                   image))
         return self._inv_gram
 
     def restrict_local(self, slots, local):
-        """Exact matrix X of local (x) Id on the invariants, an SRMatrix, for
-        local = (D, size, rows, cols, values) on the listed slots, size their
-        dimension: L / D, L holding values at (rows, cols) (`local_omega`).
+        """Exact matrix X of local (x) Id on the invariants as (D delta,
+        X_int), for local = (D, size, rows, cols, values) on the listed
+        slots, size their dimension: L / D, L holding values at (rows, cols).
 
         If the operator preserves the span, its image of the basis is
         basis @ X, and the basis is the identity on its unit rows, so X is
@@ -633,7 +633,7 @@ class TensorSystem:
         if (b.astype(dtype) @ xs.astype(dtype)
                 != delta * image.astype(dtype)).any():
             raise ValueError("operator does not preserve the subspace")
-        return _fractions(xs, local[0] * delta)
+        return local[0] * delta, int_array(xs)
 
     # -- Casimir pair operators ------------------------------------------
 
@@ -657,7 +657,7 @@ class TensorSystem:
                        [Fraction(v, denom) for v in values.tolist()])
 
     def omega_restricted(self, i, j):
-        """Omega^{ij} on the invariants, cached per unordered pair."""
+        """Omega^{ij} on the invariants (`restrict_local`), cached."""
         key, local = self._pair(i, j)
         if key not in self._omega_inv:
             self._omega_inv[key] = self.restrict_local(key, local)
@@ -670,7 +670,8 @@ class TensorSystem:
     # -- slot swap --------------------------------------------------------
 
     def swap_restricted(self, i):
-        """Adjacent slot transposition on the invariants (equal factors)."""
+        """Adjacent slot transposition on the invariants (equal factors),
+        as `restrict_local` returns it."""
         i = require_int(i, "swap slot")
         if not (0 <= i < self.n - 1):
             raise ValueError("swap slot out of range")
@@ -707,12 +708,6 @@ def _matrix(nrows, ncols, rows, cols, values):
     """An SRMatrix holding values[t] at (rows[t], cols[t])."""
     return SRMatrix(nrows, ncols, dict(zip(zip(rows.tolist(), cols.tolist()),
                                            values)))
-
-
-def _fractions(ints, denom):
-    """An integer array over denom as an SRMatrix of Fractions."""
-    r, c, v = _entries(ints)
-    return _matrix(*ints.shape, r, c, [Fraction(x, denom) for x in v.tolist()])
 
 
 # -- serialization ---------------------------------------------------------

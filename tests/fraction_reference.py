@@ -9,7 +9,9 @@ the Kronecker products x_k (x) x^k. Products run over the nonzeros of
 both factors (`product`), so E6 and F4 modules stay within a second. The
 helpers the tests share sit here too: SRMatrix to object array (`dense`),
 to entry arrays (`entries`) and to `local_omega`'s layout (`local_of`),
-and back (`omega_matrix`).
+and back (`omega_matrix`); a (denominator, integer array) pair as the
+SRMatrix of Fractions it stands for (`rational`), and a form's Omega stack
+as one such matrix per pair (`omega_of`).
 """
 
 from fractions import Fraction
@@ -34,6 +36,23 @@ def omega_matrix(local):
     return SRMatrix(size, size, {
         (r, c): Fraction(v, d)
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())})
+
+
+def rational(pair):
+    """(D, X), X an integer array, as `restrict_local` and
+    `invariant_gram` return it: the SRMatrix of Fractions X / D."""
+    denom, ints = pair
+    r, c = np.nonzero(ints)
+    return SRMatrix(*ints.shape, {
+        (i, j): Fraction(int(ints[i, j]), denom)
+        for i, j in zip(r.tolist(), c.tolist())})
+
+
+def omega_of(form):
+    """`KZForm.omega_inv`, (D, stack), as one SRMatrix of Fractions per
+    pair."""
+    denom, stack = form.omega_inv
+    return {p: rational((denom, m)) for p, m in zip(form.pairs, stack)}
 
 
 def local_of(m):

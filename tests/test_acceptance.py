@@ -23,6 +23,8 @@ from kzmono.reps import _irrep, casimir_constants, casimir_matrix, irrep, \
     tensor_system
 from kzmono.sections import SectionSpace, intertwiner
 
+from fraction_reference import omega_of, rational
+
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 G2 = build_algebra("G", 2)
@@ -59,8 +61,8 @@ def test_criterion_1_exact_flatness():
         system = tensor_system(alg, weights)
         forms = [kz_form(system, k) for k in levels]
         for form in forms:
-            assert all(form.omega_inv[p] is system.omega_restricted(*p)
-                       for p in form.pairs)
+            assert omega_of(form) == {p: rational(system.omega_restricted(*p))
+                                      for p in form.pairs}
         rep = flatness_check(forms[0])
         assert rep.max_abs_full == 0 and rep.max_abs_restricted == 0
         checked += rep.checks

@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kzmono.cli import main
@@ -99,10 +100,9 @@ def test_verify_prints_both_flatness_residuals(tmp_path, capsys,
 
     def corrupted_form(system, k):
         form = kz_form(system, k)
-        bad = form.omega_inv[(0, 1)].copy()
-        (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
-        bad.data[(r, c)] = -bad.data[(r, c)]
-        form.omega_inv[(0, 1)] = bad
+        stack = form.omega_inv[1]     # Omega^{01} is its first matrix
+        (r, c) = next((r, c) for r, c in zip(*np.nonzero(stack[0])) if r != c)
+        stack[0, r, c] = -stack[0, r, c]
         return form
 
     monkeypatch.setattr(cli, "kz_form", corrupted_form)
@@ -114,6 +114,31 @@ def test_verify_prints_both_flatness_residuals(tmp_path, capsys,
                          r"0 on the full space, (\S+) on the invariants",
                          line)
     assert match and Fraction(match[1]) > 0
+
+
+def test_verify_fails_rotation_on_a_shifted_pair(tmp_path, capsys,
+                                                monkeypatch):
+    # Omega^{01} + Id on the stored stack moves sum_{i<j} Omega^{ij} off
+    # -(sum_i c_i)/2 Id by exactly Id; a scalar commutes with everything,
+    # so flatness still holds and only the rotation line fails
+    from kzmono import cli
+
+    def shifted_form(system, k):
+        form = kz_form(system, k)
+        denom, stack = form.omega_inv
+        stack[0] += denom * np.eye(form.dim, dtype=stack.dtype)
+        return form
+
+    monkeypatch.setattr(cli, "kz_form", shifted_form)
+    path = write_manifest(tmp_path, A1_K1_MANIFEST)
+    assert main(["verify", "--manifest", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert next(s for s in out if "rotation" in s).startswith(
+        "FAIL rotation: scalar ")
+    assert next(s for s in out if "rotation" in s).endswith(
+        "residual 1.00e+00")
+    assert next(s for s in out if "flatness" in s).startswith("ok ")
+    assert out[-1] == "verification failed: rotation"
 
 
 def test_verify_rank_two_suite(tmp_path):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.exact import QQi, SRMatrix, ZZi, bareiss_echelon, nullspace
+from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, nullspace,
+                          to_float)
 
 
 def random_fraction_matrix(rng, n, m, density=0.6):
@@ -125,3 +126,18 @@ def test_nullspace_has_one_value_type_per_field():
     assert {type(v) for v in mixed.to_rows()[0][1:]} == {QQi}
     assert {type(v) for v in SRMatrix(1, 2, {(0, 0): 3}).to_rows()[0]} \
         == {int}
+
+
+@pytest.mark.parametrize("denom, ints", [
+    (12, np.array([[1, -7], [0, 2 ** 52 + 1]], dtype=np.int64)),
+    # past 2^53 an int64 entry or the denominator is no float64: Python
+    # divides the ints, still once
+    (3, np.array([2 ** 60 + 1, -(2 ** 54) - 1], dtype=np.int64)),
+    (3, np.array([2 ** 80 + 1, 5], dtype=object)),
+    (2 ** 60 + 3, np.array([1, -(2 ** 61)], dtype=np.int64)),
+], ids=["int64", "int64-past-2^53", "python-ints", "wide-denominator"])
+def test_to_float_is_the_float_of_each_fraction(denom, ints):
+    got = to_float(denom, ints)
+    assert got.dtype == float and got.shape == ints.shape
+    assert got.ravel().tolist() == [float(Fraction(int(x), denom))
+                                    for x in ints.ravel()]

@@ -25,6 +25,8 @@ from kzmono.monodromy import (braid_generator, braid_path,
 from kzmono.reps import irrep, tensor_system
 from kzmono.sections import SectionSpace
 
+from fraction_reference import rational
+
 A1 = build_algebra("A", 1)
 SYSTEM = tensor_system(A1, ((1,),) * 4)
 POINTS = (0, 1, 3, 7)
@@ -57,8 +59,10 @@ ENTRIES = {
     "codim_bound dim_zp": (lambda x: codim_bound(3, 2, x, 6), 1),
     "codim_bound n": (lambda x: codim_bound(3, 2, 1, x), 6),
     "omega_pair slot": (lambda x: SYSTEM.omega_pair(x, 1), 0),
-    "omega_restricted slot": (lambda x: SYSTEM.omega_restricted(0, x), 2),
-    "swap_restricted slot": (lambda x: SYSTEM.swap_restricted(x), 1),
+    "omega_restricted slot": (
+        lambda x: rational(SYSTEM.omega_restricted(0, x)), 2),
+    "swap_restricted slot": (lambda x: rational(SYSTEM.swap_restricted(x)),
+                             1),
     "braid_path generator": (lambda x: braid_path(POINTS, x).end(), 2),
     "braid_generator index": (
         lambda x: braid_generator(FORM, BLOCK, x).matrix, 1),

@@ -24,7 +24,7 @@ from kzmono.reps import (casimir_constants, casimir_matrix, irrep,
                          tensor_system)
 
 from fraction_reference import (commutator, dense, entries, local_of,
-                                omega_matrix, ref_casimir,
+                                omega_matrix, rational, ref_casimir,
                                 ref_dual_bases, ref_local_omega, scalar)
 
 A1 = build_algebra("A", 1)
@@ -419,7 +419,7 @@ def test_omega_pair_symmetric_and_trivial_slot():
 def test_sum_of_omegas_is_minus_half_casimir_sum_on_invariants():
     sys = tensor_system(A1, ((1,), (1,), (1,), (1,)))
     d = sys.invariant_dim
-    total = sum(dense(sys.omega_restricted(i, j))
+    total = sum(dense(rational(sys.omega_restricted(i, j)))
                 for i in range(4) for j in range(i + 1, 4))
     c = -sys.sum_casimirs() / 2
     assert c == -3
@@ -443,12 +443,12 @@ def test_omega_self_adjoint_for_invariant_gram():
     # contravariant form: Omega^T G = G Omega, exactly
     for sys in (tensor_system(A1, ((1,), (1,), (2,), (2,))),
                 tensor_system(A2, ((1, 0), (0, 1), (1, 0), (0, 1)))):
-        assert nullspace(sys.invariant_gram()).ncols == 0
-        g = dense(sys.invariant_gram())
+        assert nullspace(rational(sys.invariant_gram())).ncols == 0
+        g = dense(rational(sys.invariant_gram()))
         assert np.array_equal(g.T, g)
         for i in range(sys.n):
             for j in range(i + 1, sys.n):
-                om = dense(sys.omega_restricted(i, j))
+                om = dense(rational(sys.omega_restricted(i, j)))
                 assert np.array_equal(om.T @ g, g @ om)
 
 
@@ -464,7 +464,7 @@ def test_kohno_relations_on_full_space():
 
 def test_swap_restricted_is_involution():
     sys = tensor_system(A1, ((1,), (1,), (1,), (1,)))
-    m = dense(sys.swap_restricted(0))
+    m = dense(rational(sys.swap_restricted(0)))
     assert np.array_equal(m @ m, scalar(1, sys.invariant_dim))
     with pytest.raises(ValueError):
         tensor_system(A1, ((1,), (2,))).swap_restricted(0)
@@ -484,11 +484,11 @@ def test_restrict_local_reads_unit_rows():
     basis = system.invariant_basis
     # the slot-0 Casimir is the scalar 3/2 on V_1, so on the invariants too
     d = system.invariant_dim
-    x = system.restrict_local((0,),
-                              local_of(casimir_matrix(system.factors[0])))
+    x = rational(system.restrict_local(
+        (0,), local_of(casimir_matrix(system.factors[0]))))
     assert np.array_equal(dense(x), scalar(Fraction(3, 2), d))
     # a non-scalar restriction meets the witness basis @ X == image
-    x = system.restrict_local((1, 2), local_omega(A1, (1,), (1,)))
+    x = rational(system.restrict_local((1, 2), local_omega(A1, (1,), (1,))))
     local = omega_matrix(local_omega(A1, (1,), (1,)))
     assert not np.array_equal(dense(x), scalar(x.get(0, 0), d))
     assert np.array_equal(dense(basis) @ dense(x),

@@ -17,7 +17,11 @@ contraction (restriction, Gram matrix, and the block image over Z[i] as
 real and imaginary arrays), and runs both Kohno residuals as float64 BLAS
 products under an exactness bound, the full-space one over the
 total-weight blocks of each three-factor space. Every output must be
-exactly equal, value types included.
+exactly equal, value types included. Restrictions and the Gram matrix come
+as (denominator, integer array), compared as the Fractions they stand for
+(`rational`); `KZForm` keeps the restricted Omega as one integer stack over
+one denominator, whose float rows and Gram residues must be bit for bit
+those of the former route, each Fraction rounded to a float on its own.
 """
 
 import itertools
@@ -32,14 +36,15 @@ import pytest
 from kzmono import connection, reps
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
-from kzmono.connection import (_kohno_relations, _kohno_residual,
+from kzmono.connection import (_kohno_relations, _restricted_residual,
                                _triple_residual, flatness_check, kz_form)
 from kzmono.exact import (QQi, SRMatrix, exact_dtype, exact_matmul, integral,
                           nullspace)
 from kzmono.reps import TensorSystem, irrep, tensor_system
 
 from fraction_reference import (dense, entries, local_of, omega_matrix,
-                                product, ref_root_vectors, scaled)
+                                omega_of, product, rational,
+                                ref_root_vectors, scaled)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -212,7 +217,7 @@ def test_restriction_matches_rational_route(case):
     for i, j in itertools.combinations(range(system.n), 2):
         key, local = system._pair(i, j)
         local = omega_matrix(local)
-        got = system.omega_restricted(i, j)
+        got = rational(system.omega_restricted(i, j))
         assert_identical(got, ref_restrict_local(system, key, local))
         assert_identical(got, ref_integer_restrict_local(system, key, local))
     for i in range(system.n - 1):
@@ -221,7 +226,7 @@ def test_restriction_matches_rational_route(case):
             flip = SRMatrix(d * d, d * d, {(b * d + a, a * d + b): Fraction(1)
                                            for a in range(d)
                                            for b in range(d)})
-            got = system.swap_restricted(i)
+            got = rational(system.swap_restricted(i))
             assert_identical(got, ref_restrict_local(system, (i, i + 1),
                                                      flip))
             assert_identical(got, ref_integer_restrict_local(
@@ -230,7 +235,60 @@ def test_restriction_matches_rational_route(case):
 
 def test_gram_matches_sparse_route(case):
     _name, system, _k = case
-    assert_identical(system.invariant_gram(), ref_invariant_gram(system))
+    assert_identical(rational(system.invariant_gram()),
+                     ref_invariant_gram(system))
+
+
+def test_stack_matches_rational_route(case):
+    # KZForm keeps every restricted Omega in one integer stack over one
+    # denominator: entry for entry the rational restriction, and its float
+    # rows and Gram residues bit for bit the former Fraction -> float route
+    _name, system, k = case
+    form = kz_form(system, k)
+    denom, stack = form.omega_inv
+    d = system.invariant_dim
+    assert stack.shape == (len(form.pairs), d, d)
+    assert stack.dtype == np.int64
+    refs = {p: ref_restrict_local(system, p, omega_matrix(system._pair(*p)[1]))
+            for p in form.pairs}
+    for p, got in omega_of(form).items():
+        assert_identical(got, refs[p])
+    rows = np.array([refs[p].to_array(complex).ravel() for p in form.pairs],
+                    dtype=complex).reshape(len(form.pairs), d * d)
+    assert form._omega_rows.dtype == complex
+    assert form._omega_rows.tobytes() == rows.tobytes()
+    if d == 0:
+        return
+    chol = np.linalg.cholesky(ref_invariant_gram(system).to_array(float))
+    res = chol.T @ (float(form.prefactor) * rows.real.reshape(-1, d, d)) \
+        @ np.linalg.inv(chol).T
+    got_chol, got_res = form.gram_residues
+    assert got_chol.tobytes() == chol.tobytes()
+    assert got_res.tobytes() == ((res + res.transpose(0, 2, 1)) / 2).tobytes()
+
+
+def flip_first(form):
+    """Negate the first off-diagonal entry of the stored Omega^{01}, by
+    row, then column; False if it has none."""
+    stack = form.omega_inv[1]
+    hits = [(r, c) for r, c in zip(*np.nonzero(stack[0])) if r != c]
+    if hits:
+        stack[(0, *hits[0])] *= -1
+    return bool(hits)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flip"])
+def test_restricted_residual_matches_rational_route(case, flip):
+    _name, system, k = case
+    form = kz_form(system, k)
+    relations = _kohno_relations(form.n)
+    flipped = flip and flip_first(form)
+    got = _restricted_residual(form.omega_inv, form.pairs, relations)
+    ref = ref_kohno_residual(omega_of(form), relations)
+    assert got == ref
+    assert type(got) is type(ref) is Fraction
+    assert (got == 0) == (not flipped)
+    assert flatness_check(form).max_abs_restricted == got
 
 
 def test_restriction_witness_rejects_what_leaves_the_span():
@@ -254,7 +312,7 @@ def test_flatness_matches_rational_route(case):
     report = flatness_check(form)
     assert report.checks == len(relations)
     for got, ref in ((report.max_abs_restricted,
-                      ref_kohno_residual(form.omega_inv, relations)),
+                      ref_kohno_residual(omega_of(form), relations)),
                      (report.max_abs_full, ref_full_residual(form))):
         assert got == ref == 0
         assert type(got) is type(ref) is Fraction
@@ -308,14 +366,11 @@ def test_zero_image_block_kernel_is_the_gaussian_identity():
 
 def test_flipped_restricted_omega_matches_rational_route(monkeypatch):
     form = kz_form(tensor_system(A1, ((1,),) * 6), 2)
-    bad = form.omega_inv[(0, 1)].copy()
-    (r, c) = next((r, c) for (r, c) in sorted(bad.data) if r != c)
-    bad.data[(r, c)] = -bad.data[(r, c)]
-    form.omega_inv[(0, 1)] = bad
+    assert flip_first(form)
     report = flatness_check(form)
     assert report.max_abs_restricted == 4
     assert report.max_abs_restricted == ref_kohno_residual(
-        form.omega_inv, _kohno_relations(form.n))
+        omega_of(form), _kohno_relations(form.n))
     assert report.max_abs_full == 0
     # the invariants are one class of size 5: with the cap at 1 it runs as
     # sparse products on Python ints, to the same residual
@@ -328,17 +383,20 @@ def test_bound_failure_falls_back_to_exact_integers():
     # a (b + b') = 2^53 + 5 * 2^26 + 3 is odd and above 2^53, so no
     # float64 product can carry it
     a, b, b2 = 2 ** 26 + 1, 2 ** 26 + 2, 2 ** 26 + 1
-    big = {(0, 1): SRMatrix(3, 3, {(0, 1): Fraction(a), (0, 2): Fraction(a)}),
-           (2, 3): SRMatrix(3, 3, {(1, 0): Fraction(b), (2, 0): Fraction(b2)})}
+    pairs = [(0, 1), (2, 3)]
+    stack = np.zeros((2, 3, 3), dtype=np.int64)
+    stack[0, 0, 1:] = a
+    stack[1, 1:, 0] = b, b2
+    big = {p: rational((1, m)) for p, m in zip(pairs, stack)}
     relations = [((0, 1), [(2, 3)])]
-    got = _kohno_residual(big, relations)
+    got = _restricted_residual((1, stack), pairs, relations)
     assert got == ref_kohno_residual(big, relations) == a * (b + b2)
     assert a * (b + b2) > 2 ** 53 and a * (b + b2) % 2
     assert type(got) is Fraction
     # entries beyond int64 stay Python ints
-    huge = {p: SRMatrix(3, 3, {k: v * 2 ** 40 for k, v in m.data.items()})
-            for p, m in big.items()}
-    assert _kohno_residual(huge, relations) == a * (b + b2) * 2 ** 80
+    huge = stack.astype(object) * 2 ** 40
+    assert _restricted_residual((1, huge), pairs, relations) \
+        == a * (b + b2) * 2 ** 80
 
 
 def test_exact_matmul_falls_back_to_python_ints():
@@ -367,7 +425,7 @@ def test_degenerate_restricted_residuals(weights):
     assert type(report.max_abs_restricted) is Fraction
     assert report.exact
     relations = _kohno_relations(form.n)
-    assert report.max_abs_restricted == ref_kohno_residual(form.omega_inv,
+    assert report.max_abs_restricted == ref_kohno_residual(omega_of(form),
                                                            relations)
 
 
@@ -509,7 +567,7 @@ def test_restricted_residual_memory_follows_the_batch():
     assert (len(relations), form.dim) == (990, 42)
     tracemalloc.start()
     try:
-        got = _kohno_residual(form.omega_inv, relations)
+        got = _restricted_residual(form.omega_inv, form.pairs, relations)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
