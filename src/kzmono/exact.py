@@ -10,12 +10,12 @@ Elimination runs on integers: `_clear_denominators` scales each row by the
 lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
 integers (over Q(i)), and Bareiss elimination divides with `//`, exactly
 by Sylvester's identity (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
-back-substitutes on the same integers, and `reduced_echelon` lifts each
-entry of that unique reduced form into Q or Q(i) once; module construction
-reads the integral rows D E_t directly, and data over Z or Z[i] (see
-`integral`) enters elimination as it is. The one exact solve reads that
-form: `nullspace`, the joint kernel of sparse blocks, the identity on its
-free coordinates (restriction to its span is a row selection), holding
+back-substitutes on the same integers, to the rows D E_t of the unique
+reduced form; module construction reads them directly, and data over Z or
+Z[i] (see `integral`) enters elimination as it is. The one exact solve
+reads them too: `nullspace`, the joint kernel of sparse blocks, the
+identity on its free coordinates (restriction to its span is a row
+selection), lifts only the entries S_t[j] / D at the free columns j, into
 `QQi` over Q(i) and `Fraction` over Q. A rank is the column count minus
 the kernel's; for nonsingular A, [A | -I] has kernel [A^-1; I].
 """
@@ -439,10 +439,11 @@ def bareiss_echelon(rows, ncols):
 
 
 def integral_echelon(rows, ncols):
-    """The reduced echelon form of `reduced_echelon` before its lift.
+    """Reduced row echelon form of dense rows over Q or Q(i), in integers.
 
     Returns the pivot columns, D and the integral rows S_t = D E_t (ints
-    or `ZZi`), E_t the reduced rows; D is 1 when there are no pivots.
+    or `ZZi`), E_t the reduced rows (1 at their own pivot, 0 at every other
+    one); D is 1 when there are no pivots.
 
     The back-substitution stays in Z or Z[i]. Let R_t be the Bareiss rows,
     p_t their pivots at columns c_t and D the last pivot, the determinant
@@ -477,26 +478,13 @@ def integral_echelon(rows, ncols):
     return pivots, det, reduced
 
 
-def reduced_echelon(rows, ncols):
-    """Reduced row echelon form of dense rows over Q or Q(i), exactly.
-
-    `bareiss_echelon` on the cleared rows, then one back-substitution on
-    the same integers (`integral_echelon`). Returns the pivot columns and
-    their rows as `Fraction`/`QQi` values: 1 at their own pivot, 0 at
-    every other one. Each entry is lifted once, as S_t[j] / D.
-    """
-    pivots, det, integral_rows = integral_echelon(rows, ncols)
-    lifted_det = _lift(det)
-    return pivots, [[_lift(v) / lifted_det if v else _lift(v) for v in row]
-                    for row in integral_rows]
-
-
 def nullspace(*mats):
     """Joint right kernel of SRMatrix blocks with one column count.
 
     The supported rows of every block, in the order given, go through one
-    reduced echelon form; the result has one column per free column, 1 at
-    its own free coordinate and 0 at every other free coordinate. Blocks
+    reduced echelon form (`integral_echelon`); the result has one column
+    per free column fc, 1 at its own free coordinate, 0 at every other free
+    coordinate and -S_t[fc] / D at the pivot of row t. Blocks
     may hold field values (Fraction, QQi) or integers (int, ZZi); the
     kernel is over Q(i) when any value is Gaussian and over Q otherwise,
     and every one of its entries, the 1s included, is a QQi or a Fraction
@@ -512,13 +500,14 @@ def nullspace(*mats):
             raise ValueError(f"column count mismatch: {mat.ncols} "
                              f"vs {ncols}")
         rows.extend(mat.submatrix_rows(mat.rows_with_support()).to_rows())
-    pivots, reduced = reduced_echelon(rows, ncols)
+    pivots, det, integral_rows = integral_echelon(rows, ncols)
+    lifted_det = _lift(det)
     free_cols = sorted(set(range(ncols)) - set(pivots))
     out = SRMatrix(ncols, len(free_cols))
     for j, fc in enumerate(free_cols):
         out.data[(fc, j)] = one
-        for c, row in zip(pivots, reduced):
+        for c, row in zip(pivots, integral_rows):
             if row[fc]:
-                out.data[(c, j)] = -row[fc]
+                out.data[(c, j)] = -(_lift(row[fc]) / lifted_det)
     return out
 

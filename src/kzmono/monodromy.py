@@ -261,11 +261,6 @@ class MonodromyResult:
     block_residual: float | None = None
 
 
-def _min_separation(form, z):
-    """min |z_i - z_j| over the form's pairs (inf with fewer than two)."""
-    return _Points(form, z).sep
-
-
 class _FormOnPath:
     """A(t) for one segment as a stack over times, with diagonal-proximity
     monitoring.
@@ -397,8 +392,8 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
         raise ValidationError(
             f"path has {path.n} points, form expects {form.n}")
     _require_positive(min_separation, "minimum separation")
-    z0 = path.start()
-    floor = min_separation * max(_min_separation(form, z0), 1e-30)
+    start = _Points(form, path.start())
+    floor = min_separation * max(start.sep, 1e-30)
     sign = 1.0 if dual else -1.0
     rtol = max(tol * 1e-2, _MIN_TOL)
     if method == "adaptive" and isinstance(path, _FullTurn) and form.dim:
@@ -407,7 +402,7 @@ def transport(form, path, tol=DEFAULT_TOL, method="adaptive",
         npair = len(form.pairs)
         moved = _arc_transport(form, 2 * math.pi, sign,
                                np.zeros(npair, dtype=complex),
-                               np.arange(npair), np.abs(_Points(form, z0).dz),
+                               np.arange(npair), np.abs(start.dz),
                                floor, np.eye(form.dim, dtype=complex), rtol)
         if moved is not None:
             return MonodromyResult(*moved)
@@ -742,8 +737,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
     moved = None
     if method == "adaptive":
         require_tol(tol)
-        floor = _MIN_SEPARATION * max(_min_separation(form, np.array(z0)),
-                                      1e-30)
+        floor = _MIN_SEPARATION * max(_Points(form, z0).sep, 1e-30)
         size = np.linalg.norm(cols, 2)
         moved = _arc_transport(form, -math.pi if clockwise else math.pi, 1.0,
                                *_twist_poles(form, z0, i - 1, i), floor,

@@ -29,10 +29,10 @@ ConstructionError, so integrality is checked at every entry at no cost.
 Whether G_x . u is an integer does not depend on how u's fraction is
 written, so u is divided by its gcd only when it becomes a stored e column.
 The integral Gram matrix enters `exact.integral_echelon` as it is, and its
-rows D E_t are the lowering columns over the denominator D. A module
-keeps these integers (`Representation`); its `Fraction` matrices e, f, h
-and gram are built on first use, so Kac-Walton and `fusion_ring`, which
-read only the basis weights, build none.
+rows D E_t are the lowering columns over the denominator D. A module is
+these integers (`Representation`): every reader takes the numerators over
+their denominators, and `rep_to_json` forms one `Fraction` per exported
+entry.
 
 Matrix conventions (weights are Dynkin labels):
     [h_i, e_j] = cartan[j][i] e_j,   [e_i, f_j] = delta_ij h_i,
@@ -75,16 +75,16 @@ _ZERO_COLUMN = ({}, 1)      # a column not stored: no numerators over 1
 class Representation:
     """Irreducible module with exact sparse generator matrices.
 
-    basis_weights lists the weight of every basis vector. The module holds
+    basis_weights lists the weight of every basis vector, and h_i acts on
+    a basis vector as its weight's i-th label. The module holds
     `_construct`'s integers: e_int and f_int give, per simple root, the
     numerators {(row, col): int} with the per-column denominators
     {col: int}, which have no entry for a zero column, and gram_int is the
     contravariant form on the basis as {(row, col): int} (block diagonal
-    over weight spaces, e and f mutually adjoint for it). e, f, h (tuples
-    of SRMatrix indexed by simple root) and gram are those matrices with
-    `Fraction` entries, and `generators` the integer basis of g acting
-    here, all built on first use, so a caller that reads only weights and
-    dimensions (Kac-Walton, `fusion_ring`) builds none. Immutable.
+    over weight spaces, e and f mutually adjoint for it). `generators`, the
+    integer basis of g acting here, is built on first use, so a caller that
+    reads only weights and dimensions (Kac-Walton, `fusion_ring`) builds
+    no matrix. Immutable.
     """
 
     def __init__(self, alg, highest_weight, basis_weights, e_int, f_int,
@@ -97,33 +97,6 @@ class Representation:
         self.f_int = tuple(f_int)
         self.gram_int = gram_int
 
-    def _rational(self, columns):
-        return tuple(SRMatrix(self.dim, self.dim,
-                              {(r, c): Fraction(v, dens[c])
-                               for (r, c), v in nums.items()})
-                     for nums, dens in columns)
-
-    @cached_property
-    def e(self):
-        return self._rational(self.e_int)
-
-    @cached_property
-    def f(self):
-        return self._rational(self.f_int)
-
-    @cached_property
-    def h(self):
-        return tuple(SRMatrix(self.dim, self.dim,
-                              {(v, v): Fraction(w[i])
-                               for v, w in enumerate(self.basis_weights)
-                               if w[i]})
-                     for i in range(self.alg.rank))
-
-    @cached_property
-    def gram(self):
-        return SRMatrix(self.dim, self.dim,
-                        {rc: Fraction(v) for rc, v in self.gram_int.items()})
-
     @cached_property
     def generators(self):
         """x_k = (h_i, e_alpha, f_alpha), roots in `_bracket_scheme` order,
@@ -132,20 +105,13 @@ class Representation:
         is divided by the gcd of its entries and its denominator."""
         n = self.dim
 
-        def simple(columns):
-            nums, dens = columns
-            d = lcm(*dens.values())
-            rows, cols = np.array(list(nums), dtype=np.intp).reshape(-1, 2).T
-            values = [v * (d // dens[c]) for (_r, c), v in nums.items()]
-            return (rows, cols, int_array(np.array(values, dtype=object))), d
-
         def bracket(x, y):
             a, b = dense(n, *x[0]), dense(n, *y[0])
             num = exact_matmul(a, b) - exact_matmul(b, a)
             g = gcd(x[1] * y[1], int(np.gcd.reduce(num, axis=None)))
             return _entries(num // g), x[1] * y[1] // g
 
-        one = [list(map(simple, self.e_int)), list(map(simple, self.f_int))]
+        one = [list(map(_simple, self.e_int)), list(map(_simple, self.f_int))]
         roots = [[], []]
         for kind, i, low in _bracket_scheme(self.alg):
             for simples, built in zip(one, roots):
@@ -167,6 +133,27 @@ class Representation:
     def __repr__(self):
         return (f"Representation({self.alg.name}, "
                 f"{self.highest_weight}, dim={self.dim})")
+
+
+def _simple(columns):
+    """A simple generator's columns, numerators {(row, col): int} over
+    denominators {col: int}, as ((rows, cols, values), d): the matrix holds
+    values[t] / d at (rows[t], cols[t]), d the lcm of the denominators."""
+    nums, dens = columns
+    d = lcm(*dens.values())
+    rows, cols = np.array(list(nums), dtype=np.intp).reshape(-1, 2).T
+    values = [v * (d // dens[c]) for (_r, c), v in nums.items()]
+    return (rows, cols, int_array(np.array(values, dtype=object))), d
+
+
+def _over_lcm(columns):
+    """Simple generators of several modules (`_simple`) as (rows, cols,
+    values) over their common denominator D: placed on slot k, the k-th
+    for each k, they sum to D times the diagonal generator."""
+    simples = [_simple(c) for c in columns]
+    d = lcm(*(dk for _m, dk in simples))
+    return [(rows, cols, exact_mul(values, np.array(d // dk)))
+            for (rows, cols, values), dk in simples]
 
 
 def _reduced(vec, den):
@@ -487,19 +474,23 @@ def slot_embedding(dims, slots, local, cols):
 class TensorSystem:
     """Tensor product of irreducibles with its exact invariant subspace.
 
-    The invariant basis is `nullspace` of the diagonal e_i and f_i images
-    of the zero-weight subspace, where the invariants must live, embedded
-    back into the total space. It is read from one reduced echelon form, so
-    it is the identity on its free-coordinate rows, the last nonzero row of
-    each vector; those rows are recorded and checked once with it, and
-    restricting a slot-local operator (`restrict_local`) selects them
-    from its image. The basis is kept a second time as one dense integer
+    The invariant basis is `nullspace` of the diagonal e_i images of the
+    zero-weight subspace, where the invariants must live, embedded back
+    into the total space. A zero-weight vector killed by every e_i is a
+    highest-weight vector of weight 0, so it spans a trivial submodule and
+    every f_i kills it too (Humphreys 20-21): the f_i add no constraint,
+    and that they kill the basis is checked exactly once it is solved, each
+    f_i summed over the slots on one common denominator. The basis is read
+    from one reduced echelon form, so it is the identity on its
+    free-coordinate rows, the last nonzero row of each vector; those rows
+    are recorded and checked once with it, and restricting a slot-local
+    operator (`restrict_local`) selects them from its image. The basis is kept a second time as one dense integer
     array, B = delta * basis with delta the lcm of its denominators
     (`integral_basis`; delta is 1 on A1 spin-1/2 but 2 on A1 (1)(2)(1)(2)
     and 6 on A2 (1,1)^3), so that restriction, the Gram matrix and the
     block kernel multiply integers only, each local matrix applied as one
-    contraction (`contract`); the e_i and f_i images and `omega_pair`
-    embed local matrices at unit columns (`slot_embedding`).
+    contraction (`contract`); the e_i images and `omega_pair` embed local
+    matrices at unit columns (`slot_embedding`).
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -523,6 +514,7 @@ class TensorSystem:
         self._invariant = None
         self._unit_rows = None
         self._integral = None
+        self._max_b = None
         self._inv_gram = None
 
     def contract(self, slots, local, array):
@@ -548,8 +540,8 @@ class TensorSystem:
     @property
     def invariant_basis(self):
         if self._invariant is None:
-            (self._invariant, self._unit_rows,
-             self._integral) = self._compute_invariants()
+            (self._invariant, self._unit_rows, self._integral,
+             self._max_b) = self._compute_invariants()
         return self._invariant
 
     @property
@@ -566,16 +558,16 @@ class TensorSystem:
 
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
-        def block(mats):    # a sum over slots, no two meeting at an entry
+
+        def block(i):       # a sum over slots, no two meeting at an entry
             rows, pos, values = map(np.concatenate, zip(*(slot_embedding(
-                self.dims, (s,), (d, *_entries(m.to_array(object))), zero_idx)
-                for s, (m, d) in enumerate(zip(mats, self.dims)))))
+                self.dims, (s,), (d, *m), zero_idx) for s, (m, d) in
+                enumerate(zip(_over_lcm(rep.e_int[i] for rep in self.factors),
+                              self.dims)))))
             return _matrix(self.total_dim, len(zero_idx), rows, pos,
                            values.tolist())
 
-        kernel = nullspace(*[
-            block(integral(getattr(rep, kind)[i] for rep in self.factors)[1])
-            for i in range(self.alg.rank) for kind in ("e", "f")])
+        kernel = nullspace(*map(block, range(self.alg.rank)))
         basis = SRMatrix(self.total_dim, kernel.ncols, {
             (zero_idx[q].item(), j): v for (q, j), v in kernel.data.items()})
         delta, (ints,) = integral([basis])
@@ -588,7 +580,17 @@ class TensorSystem:
                               delta * np.eye(b.shape[1], dtype=b.dtype)):
             raise ConstructionError(
                 "invariant basis is not the identity on its free rows")
-        return basis, unit_rows, (delta, b)
+        for i in range(self.alg.rank):
+            # at most log2(total_dim) slots have a nonzero f_i, and each
+            # int64 image is below 2^53, so the int64 sum cannot overflow
+            image = sum(self.contract((s,), dense(d, *m), b) for s, (m, d) in
+                        enumerate(zip(_over_lcm(rep.f_int[i]
+                                                for rep in self.factors),
+                                      self.dims)))
+            if image.any():
+                raise ConstructionError(
+                    f"invariant basis is not killed by f_{i + 1}")
+        return basis, unit_rows, (delta, b), max_abs(b)
 
     def invariant_gram(self):
         """(delta^2, B^T (G_1 (x) ... (x) G_n) B), the product contravariant
@@ -629,7 +631,7 @@ class TensorSystem:
         delta, b = self.integral_basis   # computes the unit rows too
         image = self.contract(slots, dense(*local[1:]), b)
         xs = image[self._unit_rows]
-        dtype = exact_dtype(b.shape[1] + 1, max_abs(b), max_abs(image))
+        dtype = exact_dtype(b.shape[1] + 1, self._max_b, max_abs(image))
         if (b.astype(dtype) @ xs.astype(dtype)
                 != delta * image.astype(dtype)).any():
             raise ValueError("operator does not preserve the subspace")
@@ -712,8 +714,12 @@ def _matrix(nrows, ncols, rows, cols, values):
 
 # -- serialization ---------------------------------------------------------
 
-def _triplets(mat):
-    return [[r, c, v.numerator, v.denominator] for r, c, v in mat.entries()]
+def _triplets(columns):
+    """[row, col, numerator, denominator] per entry of integer columns
+    (`Representation.e_int`), by position, each one reduced `Fraction`."""
+    nums, dens = columns
+    return [[r, c, q.numerator, q.denominator] for (r, c), q in sorted(
+        ((rc, Fraction(v, dens[rc[1]])) for rc, v in nums.items()))]
 
 
 def rep_to_json(rep):
@@ -726,7 +732,8 @@ def rep_to_json(rep):
         "matrices": {},
     }
     for i in range(rep.alg.rank):
-        doc["matrices"][f"e{i + 1}"] = _triplets(rep.e[i])
-        doc["matrices"][f"f{i + 1}"] = _triplets(rep.f[i])
-        doc["matrices"][f"h{i + 1}"] = _triplets(rep.h[i])
+        doc["matrices"][f"e{i + 1}"] = _triplets(rep.e_int[i])
+        doc["matrices"][f"f{i + 1}"] = _triplets(rep.f_int[i])
+        doc["matrices"][f"h{i + 1}"] = [[v, v, w[i], 1] for v, w in
+                                        enumerate(rep.basis_weights) if w[i]]
     return json.dumps(doc, sort_keys=True)

@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import build_algebra
 from .errors import NoIntertwinerError, require_int
 from .exact import SRMatrix, nullspace
-from .reps import irrep
+from .reps import _simple, dense, irrep
 
 
 class SectionSpace:
@@ -70,12 +70,16 @@ def intertwiner(ss, rep):
             f"dimension mismatch: sections {ss.dim}, module {rep.dim}")
     d = ss.dim
     eye = np.eye(d, dtype=np.int64)
-    # T flattened row-major: X_abs T - T X_mod = 0 reads
-    # (X_abs (x) I - I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
+    # the module's integers: X_abs = N / D for e and f, the weights for h
+    (e, de), (f, df) = _simple(rep.e_int[0]), _simple(rep.f_int[0])
+    h = np.diag([w for (w,) in rep.basis_weights])
+    # T flattened row-major: D (X_abs T - T X_mod) = 0 reads
+    # (N (x) I - D I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
     basis = nullspace(SRMatrix.from_rows(np.concatenate([
-        np.kron(x_abs.to_array(object), eye) - np.kron(eye, x_mod.T)
-        for x_mod, x_abs in [(ss.e, rep.e[0]), (ss.f, rep.f[0]),
-                             (ss.h, rep.h[0])]]).tolist()))
+        np.kron(n_abs, eye) - den * np.kron(eye, x_mod.T)
+        for x_mod, n_abs, den in [(ss.e, dense(d, *e), de),
+                                  (ss.f, dense(d, *f), df),
+                                  (ss.h, h, 1)]]).tolist()))
     if basis.ncols != 1:
         raise NoIntertwinerError(
             f"intertwiner space has dimension {basis.ncols}, expected 1")

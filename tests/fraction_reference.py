@@ -1,17 +1,23 @@
-"""The former `Fraction` route of the root vectors, dual bases and
-Casimirs, as a test-only reference on numpy object arrays.
+"""The former `Fraction` route of the module matrices, root vectors, dual
+bases, Casimirs and invariants, as a test-only reference on numpy object
+arrays.
 
-`kzmono.reps` builds them from each module's integers (`generators`,
-`local_omega`); the functions here follow the earlier dict-of-keys route
-step by step, from the module's `Fraction` matrices e, f, h: root vectors
+A module is its integers (`Representation.e_int`, `f_int`, `gram_int`);
+`view` gives the `Fraction` matrices e, f, h and gram that it once held
+beside them. `kzmono.reps` builds the root vectors and Casimirs from the
+integers (`generators`, `local_omega`); the functions here follow the
+earlier dict-of-keys route step by step, from those views: root vectors
 by iterated commutators, dual bases by scaling, and Omega as the sum of
 the Kronecker products x_k (x) x^k. Products run over the nonzeros of
-both factors (`product`), so E6 and F4 modules stay within a second. The
-helpers the tests share sit here too: SRMatrix to object array (`dense`),
-to entry arrays (`entries`) and to `local_omega`'s layout (`local_of`),
-and back (`omega_matrix`); a (denominator, integer array) pair as the
-SRMatrix of Fractions it stands for (`rational`), and a form's Omega stack
-as one such matrix per pair (`omega_of`).
+both factors (`product`), so E6 and F4 modules stay within a second.
+`ref_invariant_basis` is the joint kernel of the diagonal e_i and f_i on
+the zero weight space, rows built digit by digit. The helpers the tests
+share sit here too: SRMatrix to object array (`dense`), to entry arrays
+(`entries`) and to `local_omega`'s layout (`local_of`), and back
+(`omega_matrix`); a (denominator, integer array) pair as the SRMatrix of
+Fractions it stands for (`rational`), a form's Omega stack as one such
+matrix per pair (`omega_of`), and the slot digits of a total index
+(`slot_strides`, `slot_digits`).
 """
 
 from fractions import Fraction
@@ -20,8 +26,27 @@ from functools import lru_cache
 import numpy as np
 
 from kzmono import reps
-from kzmono.exact import SRMatrix, integral
+from kzmono.exact import SRMatrix, integral, nullspace
 from kzmono.reps import casimir_constants, irrep
+
+
+@lru_cache(maxsize=None)
+def view(rep, kind):
+    """The module's `Fraction` matrices, as `Representation` held them:
+    kind "e", "f" or "h" gives a tuple of SRMatrix by simple root (h_i the
+    weights' i-th labels on the diagonal), "gram" the contravariant form."""
+    n = rep.dim
+    if kind == "gram":
+        return SRMatrix(n, n, {rc: Fraction(v)
+                               for rc, v in rep.gram_int.items()})
+    if kind == "h":
+        return tuple(SRMatrix(n, n, {(v, v): Fraction(w[i])
+                                     for v, w in enumerate(rep.basis_weights)
+                                     if w[i]})
+                     for i in range(rep.alg.rank))
+    return tuple(SRMatrix(n, n, {(r, c): Fraction(v, dens[c])
+                                 for (r, c), v in nums.items()})
+                 for nums, dens in getattr(rep, f"{kind}_int"))
 
 
 def dense(m):
@@ -104,7 +129,7 @@ def ref_root_vectors(rep):
     """The former `reps.root_vectors`: e_alpha = [e_i, e_beta] and
     f_alpha = [f_i, f_beta] along `_bracket_scheme`, from the `Fraction`
     matrices of the module, as object arrays."""
-    e, f = [dense(m) for m in rep.e], [dense(m) for m in rep.f]
+    e, f = [[dense(m) for m in view(rep, kind)] for kind in ("e", "f")]
     ems, fms = [], []
 
     def bracket(a, b):
@@ -120,7 +145,7 @@ def ref_dual_bases(rep):
     """The former `reps._dual_bases`: x_k = (h_i, e_alpha, f_alpha) and
     x^k = (sum_j G_ij h_j, f_alpha/c_alpha, e_alpha/c_alpha)."""
     ems, fms = ref_root_vectors(rep)
-    hs = [dense(m) for m in rep.h]
+    hs = [dense(m) for m in view(rep, "h")]
     inverse = [1 / c for c in casimir_constants(rep.alg)]
     cartan = [sum((scaled(h, g) for g, h in zip(row, hs)), 0 * hs[0])
               for row in rep.alg.gram]
@@ -148,3 +173,52 @@ def ref_local_omega(alg, lam, mu):
         omega[np.add.outer(rx * n, ry), np.add.outer(cx * n, cy)] += \
             np.multiply.outer(x[rx, cx], y[ry, cy])
     return omega
+
+
+def slot_strides(system):
+    """Total-index strides, slot 0 major."""
+    out = [1] * system.n
+    for s in range(system.n - 2, -1, -1):
+        out[s] = out[s + 1] * system.dims[s + 1]
+    return out
+
+
+def slot_digits(system, g):
+    """The slot digits of the total index g."""
+    return tuple((g // st) % d for st, d in zip(slot_strides(system),
+                                                 system.dims))
+
+
+def ref_invariant_basis(system):
+    """Joint kernel of the diagonal e_i and f_i inside the zero weight
+    space, every row built by a digit loop over the total indices."""
+    rank = system.alg.rank
+    zero = tuple([0] * rank)
+    zero_idx = []
+    for g in range(system.total_dim):
+        acc = [0] * rank
+        for s, d in enumerate(slot_digits(system, g)):
+            for q, x in enumerate(system.factors[s].basis_weights[d]):
+                acc[q] += x
+        if tuple(acc) == zero:
+            zero_idx.append(g)
+    local = {g: q for q, g in enumerate(zero_idx)}
+    strides = slot_strides(system)
+    rows = {}
+    for i in range(rank):
+        for kind in ("e", "f"):
+            for s, rep in enumerate(system.factors):
+                cols = {}
+                for (r, c), v in view(rep, kind)[i].data.items():
+                    cols.setdefault(c, []).append((r, v))
+                for g in zero_idx:
+                    d = slot_digits(system, g)[s]
+                    for r, v in cols.get(d, ()):
+                        g2 = g + (r - d) * strides[s]
+                        row = rows.setdefault((kind, i, g2),
+                                              [Fraction(0)] * len(zero_idx))
+                        row[local[g]] += v
+    kernel = nullspace(SRMatrix.from_rows(list(rows.values()),
+                                          len(zero_idx)))
+    return SRMatrix(system.total_dim, kernel.ncols,
+                    {(zero_idx[q], j): v for (q, j), v in kernel.data.items()})

@@ -2,10 +2,13 @@
 
 `ref_construct` is the first `reps._construct`, kept here as a test-only
 copy: it formed e_i f_j y, the Gram sums and the lowering columns in
-`Fraction` arithmetic. The library keeps every column as integer numerators
-over one denominator, divides each Gram sum exactly and reads the lowering
-columns from the integral echelon rows D E_t. Weights, e, f and the Gram
-matrix must be exactly equal, value types included.
+`Fraction` arithmetic, its lowering columns read from the lifted reduced
+echelon form (`ref_reduced_echelon`, the former `exact.reduced_echelon`).
+The library keeps every column as integer numerators over one
+denominator, divides each Gram sum exactly and reads the lowering columns
+from the integral echelon rows D E_t. Weights, e, f and the Gram matrix
+(`fraction_reference.view` of the module) must be exactly equal, value
+types included.
 
 `ref_integer_construct` is the integer construction as it was before it
 skipped lowerings that leave the module: it forms candidates at every
@@ -27,10 +30,22 @@ from kzmono import algebra as la
 from kzmono.algebra import build_algebra
 from kzmono.blocks import admissible_weights
 from kzmono.errors import ConstructionError
-from kzmono.exact import SRMatrix, integral_echelon, reduced_echelon
+from kzmono.exact import SRMatrix, _lift, integral_echelon
+
+from fraction_reference import view
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def ref_reduced_echelon(rows, ncols):
+    """The former `exact.reduced_echelon`: the pivot columns and the rows
+    of `integral_echelon` with every entry lifted into its field, as
+    S_t[j] / D."""
+    pivots, det, integral_rows = integral_echelon(rows, ncols)
+    lifted_det = _lift(det)
+    return pivots, [[_lift(v) / lifted_det if v else _lift(v) for v in row]
+                    for row in integral_rows]
 
 
 def ref_construct(alg, lam):
@@ -70,7 +85,7 @@ def ref_construct(alg, lam):
                     s_mat[a][b] = s_mat[b][a] = sum(
                         (gx[r] * v for r, v in u[i][b].items() if r in gx),
                         start=_F0)
-            keep, coeff = reduced_echelon(s_mat, len(span))
+            keep, coeff = ref_reduced_echelon(s_mat, len(span))
             if not keep:
                 continue
             new = range(len(weights), len(weights) + len(keep))
@@ -193,7 +208,8 @@ def test_integer_construction_matches_fraction_route(series, rank, lam):
     rep = reps._irrep.__wrapped__(alg, lam)
     weights, e, f, gram = ref_construct(alg, lam)
     assert rep.basis_weights == tuple(weights)
-    for got, want in zip((*rep.e, *rep.f, rep.gram), (*e, *f, gram)):
+    for got, want in zip((*view(rep, "e"), *view(rep, "f"),
+                          view(rep, "gram")), (*e, *f, gram)):
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
         assert _typed(got) == _typed(want)
 

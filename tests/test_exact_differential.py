@@ -7,9 +7,9 @@ Gaussian integers, divides with `//` and back-substitutes on the same
 integers. Every output (cleared rows, echelon form and pivots, nullspace,
 the joint nullspace of several row blocks, rank) must be exactly equal,
 over Q and over Q(i), including floats converted exactly into
-coefficients of more than 700 bits. The reduced echelon form of a symmetric
-matrix must equal the reference solve on its pivot rows, the identity
-module construction relies on, and the inverse Cartan matrix read from
+coefficients of more than 700 bits. The integral echelon rows of a
+symmetric matrix, lifted over D, must equal the reference solve on its
+pivot rows, the identity module construction relies on, and the inverse Cartan matrix read from
 the kernel of [A | -I] must equal the reference solve A X = I.
 """
 
@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 from kzmono.algebra import build_algebra
 from kzmono.errors import InvalidAlgebraError
 from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators, _lift,
-                          bareiss_echelon, integral_echelon, nullspace,
-                          reduced_echelon)
+                          bareiss_echelon, integral_echelon, nullspace)
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -244,30 +243,27 @@ def test_joint_nullspace_is_the_nullspace_of_the_stacked_blocks(entries,
 @DOMAINS
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_reduced_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
-                                                                 data):
+def test_integral_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
+                                                                  data):
     # S = B B^T is symmetric, so its rows at the pivot columns span its row
-    # space and S_kk^-1 S[keep, :] is its reduced echelon form
+    # space and S_kk^-1 S[keep, :] is its reduced echelon form; the integral
+    # rows are D times it, over Z or Z[i]
     b_rows, _ = data.draw(matrices(entries, min_rows=1))
     n = len(b_rows)
     s = [[sum((x * y for x, y in zip(b_rows[i], b_rows[j])),
               start=Fraction(0)) for j in range(n)] for i in range(n)]
     keep = [c for (_r, c) in ref_bareiss_echelon(ref_clear_denominators(s),
                                                  n)]
-    pivots, reduced = reduced_echelon(copy(s), n)
+    pivots, det, integral_rows = integral_echelon(copy(s), n)
     assert pivots == keep
+    assert all(type(v) in (int, ZZi) for row in integral_rows for v in row)
+    reduced = [[_lift(v) / _lift(det) for v in row] for row in integral_rows]
     if keep:
         s_kk = [[s[a][c] for c in keep] for a in keep]
         assert reduced == ref_solve_rows(s_kk, [s[a] for a in keep])
     else:
-        assert reduced == []
+        assert (det, reduced) == (1, [])
     assert_field_values(reduced)
-    # the integral core: the same pivots and D times the reduced rows
-    core_pivots, det, integral_rows = integral_echelon(copy(s), n)
-    assert core_pivots == pivots
-    assert all(type(v) in (int, ZZi) for row in integral_rows for v in row)
-    assert [[_lift(v) for v in row] for row in integral_rows] == \
-        [[x * _lift(det) for x in row] for row in reduced]
 
 
 def supported_types(max_rank):

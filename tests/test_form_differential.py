@@ -40,11 +40,10 @@ from hypothesis import strategies as st
 
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
-from kzmono.connection import kz_form
+from kzmono.connection import _Points, kz_form
 from kzmono.errors import CoincidentPointsError, PathSingularError
 from kzmono.monodromy import (Segment, _FormOnPath, _in_block_basis,
-                              _min_separation, braid_generator, braid_path,
-                              transport)
+                              braid_generator, braid_path, transport)
 from kzmono.reps import tensor_system
 
 from fraction_reference import omega_of, rational
@@ -157,7 +156,7 @@ def test_form_matches_scalar_reference(config):
 def test_min_separation_matches_scalar_reference(config):
     z, _v = config
     form = form_for(len(z))
-    assert _min_separation(form, np.array(z)) == reference_min_separation(z)
+    assert _Points(form, np.array(z)).sep == reference_min_separation(z)
 
 
 @st.composite

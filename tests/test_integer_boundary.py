@@ -38,7 +38,7 @@ BLOCK = block_subspace(SYSTEM, 2, POINTS)
 ENTRIES = {
     "build_algebra rank": (lambda x: build_algebra("A", x), 2),
     "check_weight label": (lambda x: check_weight(A1, (x,)), 1),
-    "irrep label": (lambda x: irrep(A1, (x,)).e, 2),
+    "irrep label": (lambda x: irrep(A1, (x,)).e_int, 2),
     "tensor_system label": (
         lambda x: tensor_system(A1, ((x,), (1,))).weights, 1),
     "tensor_system max_dim": (

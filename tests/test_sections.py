@@ -11,7 +11,7 @@ from kzmono.exact import SRMatrix, nullspace
 from kzmono.reps import irrep
 from kzmono.sections import SectionSpace, intertwiner, verify_bbw
 
-from fraction_reference import commutator
+from fraction_reference import commutator, view
 
 A1 = build_algebra("A", 1)
 
@@ -55,7 +55,7 @@ def test_intertwiner_exists_and_unique(m):
     ss = SectionSpace(m)
     rep = irrep(A1, (m,))
     ts = np.array(t, dtype=object)
-    assert np.array_equal(ts @ ss.e, rep.e[0].to_array(object) @ ts)
+    assert np.array_equal(ts @ ss.e, view(rep, "e")[0].to_array(object) @ ts)
 
 
 def test_intertwiner_mismatch_rejected():

@@ -2,10 +2,12 @@
 
 The reference below walks every total-space index, splits it into slot
 digits and applies one-slot matrices there; both Omega routes are assembled
-and compared on the full space, and the block kernel is the total-space
-power F(z)^(k+1) applied to the invariant basis. The library builds the same
-objects slot-locally: `slot_embedding` gives the columns of a local matrix
-at unit vectors (the e_i and f_i images, omega_pair), and
+and compared on the full space, the invariants are the joint kernel of the
+diagonal e_i and f_i (`fraction_reference.ref_invariant_basis`), and the
+block kernel is the total-space power F(z)^(k+1) applied to the invariant
+basis. The library builds the same objects slot-locally: `slot_embedding`
+gives the columns of a local matrix at unit vectors (the e_i images,
+omega_pair), and
 `TensorSystem.contract` applies one to the integral invariant basis as one
 array contraction (restriction, Gram matrix, block image). Every output
 must be exactly equal.
@@ -27,13 +29,14 @@ from kzmono.reps import (casimir_constants, local_omega, slot_embedding,
                          tensor_system)
 
 from fraction_reference import (dense, entries, local_of, product,
-                                rational, ref_root_vectors, scaled)
+                                rational, ref_invariant_basis,
+                                ref_root_vectors, scaled, slot_digits,
+                                slot_strides, view)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 G2 = build_algebra("G", 2)
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 # (algebra, weights, level, points); the last case has float points
@@ -46,14 +49,6 @@ CASES = [
 IDS = ["A1^6", "A2-4pt", "G2^3", "A1-mixed-float"]
 
 
-def _strides(system):
-    """Total-index strides, slot 0 major."""
-    out = [1] * system.n
-    for s in range(system.n - 2, -1, -1):
-        out[s] = out[s + 1] * system.dims[s + 1]
-    return out
-
-
 def _columns(m):
     """{column: [(row, value), ...]} of an SRMatrix or an object array."""
     cols = {}
@@ -63,19 +58,14 @@ def _columns(m):
     return cols
 
 
-def _digits(system, g):
-    return tuple((g // st) % d for st, d in zip(_strides(system),
-                                                 system.dims))
-
-
 def ref_slot_operator(system, assignments):
     """Total-space matrix of a product of one-slot operators, digit by digit,
     as an object array."""
     cols = [(s, _columns(m)) for s, m in sorted(assignments.items())]
-    strides = _strides(system)
+    strides = slot_strides(system)
     out = np.zeros((system.total_dim,) * 2, dtype=object)
     for g in range(system.total_dim):
-        dg = _digits(system, g)
+        dg = slot_digits(system, g)
         partial = [(g, _F1)]
         for s, colidx in cols:
             hits = colidx.get(dg[s])
@@ -102,7 +92,7 @@ def ref_omega(system, i, j):
     shift = casimir_scalar(alg, system.weights[i]) \
         + casimir_scalar(alg, system.weights[j])
     for g in range(system.total_dim):
-        dg = _digits(system, g)
+        dg = slot_digits(system, g)
         full[g, g] = pairing(alg, wi[dg[i]], wj[dg[j]])
         s = weight_add(wi[dg[i]], wj[dg[j]])
         pair[g, g] = pairing(alg, s, s) - shift
@@ -123,47 +113,15 @@ def ref_omega(system, i, j):
 def ref_swap(system, i):
     out = np.zeros((system.total_dim,) * 2, dtype=object)
     for g in range(system.total_dim):
-        dg = list(_digits(system, g))
+        dg = list(slot_digits(system, g))
         dg[i], dg[i + 1] = dg[i + 1], dg[i]
-        out[sum(d * s for d, s in zip(dg, _strides(system))), g] = _F1
+        out[sum(d * s for d, s in zip(dg, slot_strides(system))), g] = _F1
     return out
 
 
-def ref_invariant_basis(system):
-    """Joint kernel of the diagonal e_i, f_i inside the zero weight space."""
-    rank = system.alg.rank
-    zero = tuple([0] * rank)
-    zero_idx = []
-    for g in range(system.total_dim):
-        acc = [0] * rank
-        for s, d in enumerate(_digits(system, g)):
-            for q, x in enumerate(system.factors[s].basis_weights[d]):
-                acc[q] += x
-        if tuple(acc) == zero:
-            zero_idx.append(g)
-    local = {g: q for q, g in enumerate(zero_idx)}
-    strides = _strides(system)
-    rows = {}
-    for i in range(rank):
-        for tag in ("e", "f"):
-            for s, rep in enumerate(system.factors):
-                cols = _columns(rep.e[i] if tag == "e" else rep.f[i])
-                for g in zero_idx:
-                    d = _digits(system, g)[s]
-                    for r, v in cols.get(d, ()):
-                        g2 = g + (r - d) * strides[s]
-                        row = rows.setdefault((tag, i, g2),
-                                              [_F0] * len(zero_idx))
-                        row[local[g]] += v
-    kernel = nullspace(SRMatrix.from_rows(list(rows.values()),
-                                          len(zero_idx)))
-    return SRMatrix(system.total_dim, kernel.ncols,
-                    {(zero_idx[q], j): v for (q, j), v in kernel.data.items()})
-
-
 def ref_invariant_gram(system, basis):
-    form = ref_slot_operator(
-        system, {s: rep.gram for s, rep in enumerate(system.factors)})
+    form = ref_slot_operator(system, {s: view(rep, "gram")
+                                      for s, rep in enumerate(system.factors)})
     return dense(basis).T @ product(form, dense(basis))
 
 
@@ -233,7 +191,7 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
     for r in range(alg.rank):
         for kind in ("e", "f"):
             for s, rep in enumerate(system.factors):
-                gen = getattr(rep, kind)[r]
+                gen = view(rep, kind)[r]
                 rows, cols, values = slot_embedding(
                     system.dims, (s,), entries(gen), range(system.total_dim))
                 got = np.zeros((system.total_dim,) * 2, dtype=object)

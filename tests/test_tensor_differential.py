@@ -1,7 +1,10 @@
 """The array tensor layer against the sparse and rational routes it replaced.
 
 The references below are the earlier routes, kept here as test-only
-copies. `ref_apply_local` and `ref_slot_sum` applied a local matrix to
+copies. The invariants were the joint kernel of the diagonal e_i and f_i
+(`fraction_reference.ref_invariant_basis`); the library solves the e_i
+alone and checks the f_i after. `ref_apply_local` and `ref_slot_sum`
+applied a local matrix to
 sparse columns by splitting every total index into slot digits in a
 Python loop. On them, `restrict_local` formed the image of the `Fraction`
 invariant basis and its witness in `Fraction` arithmetic, and later the
@@ -38,13 +41,15 @@ from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
 from kzmono.connection import (_kohno_relations, _restricted_residual,
                                _triple_residual, flatness_check, kz_form)
+from kzmono.errors import ConstructionError
 from kzmono.exact import (QQi, SRMatrix, exact_dtype, exact_matmul, integral,
                           nullspace)
 from kzmono.reps import TensorSystem, irrep, tensor_system
 
 from fraction_reference import (dense, entries, local_of, omega_matrix,
                                 omega_of, product, rational,
-                                ref_root_vectors, scaled)
+                                ref_invariant_basis, ref_root_vectors,
+                                scaled, view)
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -114,7 +119,7 @@ def ref_invariant_gram(system):
     b = dense(system.invariant_basis)
     image = b
     for s, rep in enumerate(system.factors):
-        image = ref_apply_local(system, (s,), dense(rep.gram), image)
+        image = ref_apply_local(system, (s,), dense(view(rep, "gram")), image)
     return SRMatrix.from_rows(product(b.T, image).tolist(), b.shape[1])
 
 
@@ -210,6 +215,54 @@ def test_integral_basis(case):
     assert ints.shape == (system.total_dim, system.invariant_dim)
     assert ints.dtype == np.int64
     assert np.array_equal(ints, delta * dense(system.invariant_basis))
+
+
+def test_invariant_basis_matches_digit_loop_reference(case):
+    # the e-rows alone against the joint kernel of the e- and f-rows
+    _name, system, _k = case
+    assert_identical(system.invariant_basis, ref_invariant_basis(system))
+
+
+def test_invariants_solve_the_e_rows_alone(monkeypatch):
+    # one block per simple root goes to the kernel, so the f-rows cannot
+    # come back unnoticed
+    calls = []
+
+    def counting(*blocks):
+        calls.append(len(blocks))
+        return nullspace(*blocks)
+
+    monkeypatch.setattr(reps, "nullspace", counting)
+    for name in ("A1^4", "G2-mixed", "C3-mixed"):
+        alg, weights, _k = SYSTEMS[name]
+        calls.clear()
+        assert tensor_system(alg, weights).invariant_dim
+        assert calls == [alg.rank], name
+
+
+@pytest.mark.parametrize("name", ["A1^4", "G2-mixed"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["copy", "corrupt"])
+def test_f_post_check_rejects_a_corrupted_f_column(name, corrupt):
+    # slot 0 gets a copy of its module whose f_i v_lam (column 0, nonzero
+    # as lam_i > 0) is doubled; the invariants always meet that column, so
+    # the e-only kernel comes out as before and only the f check sees it
+    alg, weights, _k = SYSTEMS[name]
+    system = tensor_system(alg, weights)
+    rep = system.factors[0]
+    i = next(i for i, label in enumerate(rep.highest_weight) if label)
+    f_int = list(rep.f_int)
+    nums, dens = f_int[i]
+    if corrupt:
+        f_int[i] = ({rc: 2 * v if rc[1] == 0 else v
+                     for rc, v in nums.items()}, dens)
+    system.factors = (reps.Representation(
+        alg, rep.highest_weight, rep.basis_weights, rep.e_int, f_int,
+        rep.gram_int), *system.factors[1:])
+    if not corrupt:
+        assert system.invariant_basis == system_of(name).invariant_basis
+        return
+    with pytest.raises(ConstructionError, match=f"not killed by f_{i + 1}"):
+        system.invariant_basis
 
 
 def test_restriction_matches_rational_route(case):

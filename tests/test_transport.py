@@ -7,12 +7,11 @@ import kzmono.monodromy as monodromy
 from kzmono._integrators import dop853
 from kzmono.algebra import build_algebra
 from kzmono.blocks import block_subspace
-from kzmono.connection import kz_form, rotation_monodromy
+from kzmono.connection import _Points, kz_form, rotation_monodromy
 from kzmono.errors import (PathSingularError, TransportError,
                            ValidationError)
 from kzmono.monodromy import (_FormOnPath, _arc_transport, _in_block_basis,
-                              _min_separation, _twist_poles,
-                              braid_generator, braid_path,
+                              _twist_poles, braid_generator, braid_path,
                               braid_word_transport, concat_paths,
                               constant_path, magnus_fixed_steps,
                               monodromy_to_json, parse_braid_word,
@@ -225,7 +224,7 @@ def _half_twist(form, pts, i, clockwise, frame, tol):
     braid_generator runs it: the moved frame and its error bound relative
     to ||frame||_2."""
     z0 = tuple(map(complex, pts))
-    floor = 1e-9 * _min_separation(form, np.array(z0))
+    floor = 1e-9 * _Points(form, z0).sep
     size = np.linalg.norm(frame, 2)
     moved, bound = _arc_transport(
         form, -np.pi if clockwise else np.pi, 1.0,
