@@ -64,14 +64,20 @@ of the invariant Gram matrix, where each R_p is symmetric
 (`KZForm.gram_residues`). The arc goes in steps whose chord is at most
 half the distance rho to the nearest pole; at each centre u_0, with
 w_p = 1/(p - u_0), the Taylor coefficients obey
-(n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}), one
-(d, P d) @ (P d, b) product per term. The series is majorised by
-||Y_0|| (1 - x/rho)^{-M} (Cauchy's majorant method; Mezzarobba, "Rigorous
-multiple-precision evaluation of D-finite functions in SageMath", 2016), so
-every step's term count is fixed in advance from the closed-form tail, and
-the tails carried to the end by the flow majorant
-exp(int sum_p ||R_p||/|u - p| |du|) bound the error in exact arithmetic;
-float rounding is not covered. The plan needs only the residue norms
+(n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}). A
+square frame (b = d: the rotation's identity, or a letter whose block
+fills the invariants) runs this recurrence once for all K steps, on a
+stack of K identities, one (d, P d) @ (K, P d, d) product per term, and
+is then carried through the K step maps; a block frame (b < d) runs it
+one step at a time, one (d, P d) @ (P d, b) product per term. The series
+is majorised by ||Y_0|| (1 - x/rho)^{-M} (Cauchy's majorant method;
+Mezzarobba, "Rigorous multiple-precision evaluation of D-finite functions
+in SageMath", 2016), so every step's term count is fixed in advance from
+the closed-form tail, and the tails carried to the end by the flow
+majorant exp(int sum_p ||R_p||/|u - p| |du|) bound the error in exact
+arithmetic; float rounding is not covered. When every pole is 0, as on the
+rotation, the flow exp(+-i theta R) is unitary in Gram coordinates and
+carries the tails with factor 1. The plan needs only the residue norms
 (`KZForm.residue_norms`), so the Gram matrix is built only for arcs the
 solver then runs. Arcs whose planned work passes a fixed crossover (the
 multiply-adds sum_k N_k P d^2 b against DOP853's time, measured at
@@ -552,8 +558,12 @@ def _taylor_plan(poles, norms, ts, sweep):
     is at most c_N q_k^N/(1 - q_k max(1, (M_k + N)/(N + 1))) ||X_k||_F. The
     flow majorant exp(int sum_p ||S_p||/|u - p| |du|) bounds the growth of
     any frame; per step its exponent is L_k = |sweep| dt_k sum_p ||S_p||/d_pk
-    with d_pk the pole's distance to the arc. The sweep is a whole number
-    of half turns, so the arc ends on cos(sweep) = +-1 exactly.
+    with d_pk the pole's distance to the arc. When every pole is 0,
+    du/u = i dtheta and the flow X(theta) = exp(i theta S_0) X_0, S_0 real
+    symmetric in Gram coordinates, is unitary: it keeps every frame's norm
+    and carries every tail with factor 1, so L_k = 0. The sweep is a
+    whole number of half turns, so the arc ends on cos(sweep) = +-1
+    exactly.
     """
     us = np.exp(1j * sweep * ts)
     us[-1] = math.cos(sweep)
@@ -563,7 +573,7 @@ def _taylor_plan(poles, norms, ts, sweep):
     q = np.abs(np.diff(us)) / rho
     big_m = (norms * rho[:, None] / dist).sum(axis=1)
     flow = abs(sweep) * np.diff(ts) * (norms / _arc_distance(poles, ts, sweep)
-                                       ).sum(axis=1)
+                                       ).sum(axis=1) * poles.any()
     n = np.arange(1, _TAYLOR_MAX_TERMS + 1)
     ratio = q[:, None] * np.maximum(1.0, (big_m[:, None] + n) / (n + 1))
     # M_k = 0 (no residue) gives log c_n = -inf: one term is exact
@@ -591,39 +601,79 @@ def _term_counts(log_tail, flow, budget):
     return counts, np.exp(log_tail[np.arange(len(flow)), counts - 1])
 
 
+def _taylor_steps(flat, scale, counts, x):
+    """The frames x[k], (K, d, b), each moved over its own step by the
+    Taylor series of dX/du = sum_p S_p/(u - p) X, step k summing exactly
+    counts[k] terms.
+
+    flat is the (d, P d) row [S_1 ... S_P] and scale the (K, P + 1, 1, 1)
+    stack of h_k w_{p,k}, h_k = u_{k+1} - u_k and w_{p,k} = 1/(p - u_k),
+    and of 1 in its last slot. With the terms scaled by h_k^n,
+    (n+1) X_{n+1} = -sum_p S_p Z_{p,n} and
+    Z_{p,n} = h_k w_{p,k} (X_n + Z_{p,n-1}), and the frame at u_{k+1} is
+    the sum of the terms. The residues are real, so a term of all K steps
+    is one (d, P d) @ (K, P d, 2b) product on the float view of the complex
+    Z. The last slot of Z, of scale 1, is filled by the recurrence itself
+    with the running sum of the terms. When a step reaches its count, its
+    term and its Z are zeroed, so it adds no further term.
+    """
+    steps, d, b = x.shape
+    npole = scale.shape[1] - 1
+    z = np.zeros((steps, npole + 1, d, b), dtype=complex)
+    zf = z.view(float).reshape(steps, -1, 2 * b)[:, :npole * d]
+    term = x.copy()
+    out, spread = term.view(float), term[:, None]
+    ends = set(counts.tolist())
+    for m in range(1, max(ends)):
+        z += spread
+        z *= scale
+        np.matmul(flat, zf, out=out)
+        term *= -1.0 / m
+        if m in ends:
+            done = counts == m
+            term[done] = 0
+            z[done, :npole] = 0
+    return z[:, npole] + term
+
+
 def _taylor_frame(res, poles, us, counts, x):
     """The frame x carried along the arc u_0, ..., u_K by the Taylor series
-    of dX/du = sum_p S_p/(u - p) X, and the Frobenius norm of each step's
-    starting frame.
+    of dX/du = sum_p S_p/(u - p) X (`_taylor_steps`), and the Frobenius
+    norm of each step's starting frame.
 
-    With w_p = 1/(p - u_k), (n+1) X_{n+1} = -sum_p S_p Z_{p,n} and
-    Z_{p,n} = w_p (X_n + Z_{p,n-1}); the terms are scaled by h^n,
-    h = u_{k+1} - u_k, so the frame at u_{k+1} is their sum. The residues
-    are real, so the one (d, P d) @ (P d, b) product of a term runs on the
-    float view of the complex Z.
+    A square frame (b = d) runs one recurrence for all K steps, on a stack
+    of K identities, and is then carried through the K step maps, each
+    applied as two real products (`_real_times`). A block frame (b < d)
+    runs one step at a time on the frame itself, since stacking identities
+    would cost d/b times the multiply-adds.
     """
-    npole = len(poles)
     d, b = x.shape
-    flat = np.ascontiguousarray(res.transpose(1, 0, 2).reshape(d, npole * d))
-    z = np.empty((npole, d, b), dtype=complex)
-    zf = z.view(float).reshape(npole * d, 2 * b)
+    flat = np.ascontiguousarray(res.transpose(1, 0, 2).reshape(d, -1))
+    h = np.diff(us)[:, None]
+    scale = np.concatenate((h / (poles - us[:-1, None]), np.ones_like(h)),
+                           axis=1)[..., None, None]
+    if b == d:
+        maps = _taylor_steps(flat, scale, counts, np.broadcast_to(
+            np.eye(d, dtype=complex), (len(counts), d, d)))
+        real, imag = maps.real.copy(), maps.imag.copy()
     norms = []
-    for k, count in enumerate(counts.tolist()):
+    for k in range(len(counts)):
         norms.append(np.linalg.norm(x))
-        scale = ((us[k + 1] - us[k]) / (poles - us[k]))[:, None, None]
-        terms = np.empty((count, d, b), dtype=complex)
-        terms[0] = x
-        z.fill(0)
-        prev = terms[0]
-        for m, term, out in zip(range(1, count), terms[1:],
-                                terms[1:].view(float)):
-            z += prev
-            z *= scale
-            np.matmul(flat, zf, out=out)
-            term *= -1.0 / m
-            prev = term
-        x = terms.sum(axis=0)
+        if b == d:
+            x = _real_times(real[k], x) + 1j * _real_times(imag[k], x)
+        else:
+            x = _taylor_steps(flat, scale[k:k + 1], counts[k:k + 1],
+                              x[None])[0]
     return x, np.array(norms)
+
+
+def _real_times(a, x):
+    """a @ x for a real a and a complex x, as one real product on the float
+    view of x. At d = 42 a complex product takes OpenBLAS's threaded path
+    and these real ones do not: with its default two threads on a 2-CPU
+    Xeon VM, the 13 complex step products of the A1 (1)^10 rotation loop
+    took about 200 ms in one fresh process of 30, against 0.2 ms."""
+    return (a @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def _merge_poles(poles):
@@ -651,9 +701,13 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
     loosest budget plans more multiply-adds sum_k (N_k - 1) P d^2 b than
     _TAYLOR_MAX_MADDS, or a step more than _TAYLOR_MAX_TERMS terms, this
     returns None before `KZForm.gram_residues` is built. Otherwise the
-    frame moves in Gram-orthonormal coordinates and the result is the
-    moved frame with a bound on its Frobenius error, the carried tails, at
-    most `bound`, in exact arithmetic.
+    frame moves in Gram-orthonormal coordinates (`_taylor_frame`: a square
+    frame through the step maps of one stacked recurrence, which runs
+    max_k N_k terms on every step but sums only each step's own N_k, a
+    block frame step by step) and the result is the moved frame with a
+    bound on its Frobenius error, the carried tails, at most `bound`, in
+    exact arithmetic; each step's tail is scaled by the norm of the frame
+    that starts it.
     """
     t = _guard_time(poles, sweep, floor / spans)
     if t is not None:
@@ -685,7 +739,7 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
     if not np.isfinite(res).all():
         raise TransportError("integrator failed: non-finite residue or pole")
     inv = np.linalg.inv(chol)
-    x = chol.T @ frame
+    x = _real_times(chol.T, frame)
     # the error is C^{-T} (the carried tails); ||C^{-T}||_2^2 is the largest
     # eigenvalue of C^{-T} C^{-1}, bounded from above
     lift = math.sqrt(spectral_bound(inv.T @ inv))
@@ -695,7 +749,8 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
     counts, tails = plan
     x, starts = _taylor_frame(sign * res, poles, us, counts, x)
     after = flow[::-1].cumsum()[::-1] - flow
-    return inv.T @ x, float((starts * tails * np.exp(after)).sum() * lift)
+    return _real_times(inv.T, x), float(
+        (starts * tails * np.exp(after)).sum() * lift)
 
 
 def braid_generator(form, block, i, tol=DEFAULT_TOL,

@@ -21,6 +21,7 @@ from kzmono.monodromy import (_FormOnPath, _arc_transport, _in_block_basis,
 from kzmono.reps import tensor_system
 
 from fraction_reference import rational
+from taylor_reference import step_by_step
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
@@ -601,6 +602,51 @@ def test_half_twist_with_coincident_poles(form_k2, monkeypatch):
             <= merged_est + apart_est + 1e-12
         assert braid_generator(form_k2, block, 2, clockwise=clockwise
                                ).block_residual < 1e-10
+
+
+@pytest.mark.parametrize("alg, weights, k, letter", [
+    (A1, ((1,),) * 4, 1, None), (A1, ((1,),) * 4, 2, None),
+    (A1, ((1,),) * 6, 2, None), (A1, ((1,),) * 6, 3, None),
+    (A1, ((1,), (2,), (1,), (2,)), 2, None), (G2, ((1, 0),) * 3, 1, None),
+    (A1, ((1,),) * 8, 2, None), (G2, ((1, 0),) * 3, 1, 1),
+    (A1, ((1,),) * 4, 2, 2), (A1, ((1,),) * 6, 2, 2),
+], ids=["4k1", "4", "6", "6k3", "1212k2", "G2k1", "8", "G2k1-s1", "4-s2",
+        "6-s2"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stacked_steps_match_step_by_step(alg, weights, k, letter, sign,
+                                          monkeypatch):
+    # the stacked recurrence against the former step-by-step one on the
+    # solver's own plans: rotation loops and square letters (b = d = 1 at
+    # G2, b = d = 2 at A1 (1)^4, where the step maps do not commute) run
+    # one recurrence for all steps, the A1 (1)^6 letter (b = 4 < d = 5)
+    # one step at a time; every plan ends on a shorter step, so a step
+    # that summed terms past its count would show at tol 1e-5
+    form = kz_form(tensor_system(alg, weights), k)
+    pts = (0, 1, 3, 7, 12, 20, 30, 42)[:len(weights)]
+    calls = []
+    stacked = monodromy._taylor_frame
+
+    def record(*args):
+        calls.append((args, stacked(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(monodromy, "_taylor_frame", record)
+    for tol in (1e-5, 1e-10):
+        if letter is None:
+            transport(form, rotation_path(pts), tol=tol, dual=sign > 0)
+        else:
+            z0 = tuple(map(complex, pts))
+            cols = block_subspace(form.system, k, pts).coeffs.to_array(
+                complex)
+            _arc_transport(form, np.pi, sign,
+                           *_twist_poles(form, z0, letter - 1, letter),
+                           1e-9 * _Points(form, z0).sep, cols, tol / 100)
+    assert len(calls) == 2
+    for (res, poles, us, counts, x), (frame, starts) in calls:
+        assert counts[-1] < counts.max()
+        ref, ref_starts = step_by_step(res, poles, us, counts, x)
+        assert np.linalg.norm(frame - ref) <= 1e-13 * np.linalg.norm(x)
+        assert np.allclose(starts, ref_starts, rtol=1e-14, atol=0)
 
 
 def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
