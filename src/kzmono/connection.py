@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import inf, lcm, sqrt
 
 import numpy as np
 
@@ -127,11 +127,23 @@ class KZForm:
         S[p] = C^T R_p C^{-T}, real, for the pairs in `pairs` order, built
         from the float rows. In the coordinates x = C^T y every Omega^p,
         self-adjoint for G, is symmetric, so S[p] is stored as the
-        symmetric part of the computed product. Built on first use.
+        symmetric part of the computed product. Built on first use,
+        together with `gram_lift`.
         """
         chol = np.linalg.cholesky(to_float(*self.system.invariant_gram()))
-        res = chol.T @ self.residues(slice(None)) @ np.linalg.inv(chol).T
+        inv = np.linalg.inv(chol)
+        res = chol.T @ self.residues(slice(None)) @ inv.T
+        # ||C^{-T}||_2^2 is the largest eigenvalue of C^{-T} C^{-1}
+        self._gram_lift = inv, sqrt(spectral_bound(inv.T @ inv))
         return chol, (res + res.transpose(0, 2, 1)) / 2
+
+    @property
+    def gram_lift(self):
+        """(C^{-1}, l) for the Cholesky factor C of `gram_residues`, built
+        with it: l is an upper bound on ||C^{-T}||_2, the most by which
+        y = C^{-T} x enlarges an error in Gram coordinates x."""
+        self.gram_residues
+        return self._gram_lift
 
     @cached_property
     def omega_full(self):

@@ -64,25 +64,33 @@ of the invariant Gram matrix, where each R_p is symmetric
 (`KZForm.gram_residues`). The arc goes in steps whose chord is at most
 half the distance rho to the nearest pole; at each centre u_0, with
 w_p = 1/(p - u_0), the Taylor coefficients obey
-(n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}). A
-square frame (b = d: the rotation's identity, or a letter whose block
-fills the invariants) runs this recurrence once for all K steps, on a
-stack of K identities, one (d, P d) @ (K, P d, d) product per term, and
-is then carried through the K step maps; a block frame (b < d) runs it
-one step at a time, one (d, P d) @ (P d, b) product per term. The series
-is majorised by ||Y_0|| (1 - x/rho)^{-M} (Cauchy's majorant method;
-Mezzarobba, "Rigorous multiple-precision evaluation of D-finite functions
-in SageMath", 2016), so every step's term count is fixed in advance from
-the closed-form tail, and the tails carried to the end by the flow
-majorant exp(int sum_p ||R_p||/|u - p| |du|) bound the error in exact
-arithmetic; float rounding is not covered. When every pole is 0, as on the
-rotation, the flow exp(+-i theta R) is unitary in Gram coordinates and
-carries the tails with factor 1. The plan needs only the residue norms
-(`KZForm.residue_norms`), so the Gram matrix is built only for arcs the
-solver then runs. Arcs whose planned work passes a fixed crossover (the
-multiply-adds sum_k N_k P d^2 b against DOP853's time, measured at
-A1 (1)^8 and (1)^10) are sampled and run DOP853 like any path, as are the
-paths of `braid_path`, `reverse_path`, `reparametrize` and `concat_paths`.
+(n+1) Y_{n+1} = -sum_p R_p Z_{p,n}, Z_{p,n} = w_p (Y_n + Z_{p,n-1}).
+Either this recurrence runs once for all K steps, on a stack of K
+identities ordered by term count, one (d, P d) @ (live, P d, d) product
+per term over the steps still summing, and the frame is then carried
+through the K step maps in step order; or it runs one step at a time on
+the d x b frame, one (d, P d) @ (P d, b) product per term. A cost rule
+picks the route: stacking saves sum_k (N_k - 1) - (max_k N_k - 1) rounds
+of numpy calls and adds sum_k (N_k - 1) P d^2 (d - b) multiply-adds plus
+the step maps, and it is taken when these cost no more than the rounds
+at a measured 10^4 multiply-adds each. So square frames up to d = 42
+(b = d: the rotation's identity, or a letter whose block fills the
+invariants) and the A1 (1)^6 letters (b = 4, d = 5) stack, and the
+letters of A1 (1)^8 k=2 (b = 8, d = 14) and (1)^10 (d = 42) go step by
+step. The series is majorised by ||Y_0|| (1 - x/rho)^{-M} (Cauchy's
+majorant method; Mezzarobba, "Rigorous multiple-precision evaluation of
+D-finite functions in SageMath", 2016), so every step's term count is
+fixed in advance from the closed-form tail, and the tails carried to the
+end by the flow majorant exp(int sum_p ||R_p||/|u - p| |du|) bound the
+error in exact arithmetic; float rounding is not covered. When every pole
+is 0, as on the rotation, the flow exp(+-i theta R) is unitary in Gram
+coordinates and carries the tails with factor 1. The plan needs only the
+residue norms (`KZForm.residue_norms`), so the Gram matrix is built only
+for arcs the solver then runs. Arcs whose planned work passes a fixed
+crossover (the multiply-adds sum_k N_k P d^2 b against DOP853's time,
+measured at A1 (1)^8 and (1)^10) are sampled and run DOP853 like any path,
+as are the paths of `braid_path`, `reverse_path`, `reparametrize` and
+`concat_paths`.
 
 Path segments take a 1-d array of times and return the points z(t) and
 velocities dz/dt as complex (times, n) arrays. The integrators ask for A(t)
@@ -105,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import dop853, expm, spectral_bound
+from ._integrators import dop853, expm
 from .blocks import block_subspace
 from .connection import _Points
 from .errors import (PathSingularError, TransportError, ValidationError,
@@ -128,6 +136,14 @@ _TAYLOR_MAX_TERMS = 1 << 8
 # 15-21 ms against DOP853's 15-27 ms, and at k=3 one of 3.5e8 took 68 ms
 # against 26 ms (2-CPU Xeon VM)
 _TAYLOR_MAX_MADDS = 250_000_000
+# the multiply-adds that one round of the Taylor recurrence's four numpy
+# calls costs in call overhead (`_stacked`): fitting a time per round and
+# per multiply-add to both routes on the letters of A1 (1)^6 k=2 and
+# (1)^8 k=2, k=3 gave 1.3-2.0e4 (about 3-4 us a round, 0.2-0.25 ns a
+# multiply-add at d <= 14, 2-CPU Xeon VM, one or two BLAS threads); the
+# (1)^8 k=2 letters, slower stacked, stack from 1.8e4 on, and the k=3
+# ones, faster stacked, from 3.2e3
+_ROUND_MADDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -604,36 +620,74 @@ def _term_counts(log_tail, flow, budget):
 def _taylor_steps(flat, scale, counts, x):
     """The frames x[k], (K, d, b), each moved over its own step by the
     Taylor series of dX/du = sum_p S_p/(u - p) X, step k summing exactly
-    counts[k] terms.
+    counts[k] terms; the steps come in order of non-increasing count.
 
     flat is the (d, P d) row [S_1 ... S_P] and scale the (K, P + 1, 1, 1)
     stack of h_k w_{p,k}, h_k = u_{k+1} - u_k and w_{p,k} = 1/(p - u_k),
     and of 1 in its last slot. With the terms scaled by h_k^n,
     (n+1) X_{n+1} = -sum_p S_p Z_{p,n} and
     Z_{p,n} = h_k w_{p,k} (X_n + Z_{p,n-1}), and the frame at u_{k+1} is
-    the sum of the terms. The residues are real, so a term of all K steps
-    is one (d, P d) @ (K, P d, 2b) product on the float view of the complex
-    Z. The last slot of Z, of scale 1, is filled by the recurrence itself
-    with the running sum of the terms. When a step reaches its count, its
-    term and its Z are zeroed, so it adds no further term.
+    the sum of the terms. The residues are real, so a term of all steps
+    still summing is one (d, P d) @ (live, P d, 2b) product on the float
+    view of the complex Z. The last slot of Z, of scale 1, is filled by the
+    recurrence itself with the running sum of the terms. The steps still
+    summing are a leading slice of the stack: when the last of them
+    reaches its count, its frame is taken and the slice shrinks, so no
+    step computes a term past its count.
     """
     steps, d, b = x.shape
     npole = scale.shape[1] - 1
-    z = np.zeros((steps, npole + 1, d, b), dtype=complex)
+    z = _aligned_zeros((steps, npole + 1, d, b))
     zf = z.view(float).reshape(steps, -1, 2 * b)[:, :npole * d]
     term = x.copy()
-    out, spread = term.view(float), term[:, None]
-    ends = set(counts.tolist())
-    for m in range(1, max(ends)):
-        z += spread
-        z *= scale
-        np.matmul(flat, zf, out=out)
-        term *= -1.0 / m
-        if m in ends:
-            done = counts == m
-            term[done] = 0
-            z[done, :npole] = 0
-    return z[:, npole] + term
+    out = term.view(float)
+    frames = np.empty_like(term)
+    ends = counts.tolist()
+    live = steps
+    zl, zfl, tl, ol, sl = z, zf, term, out, scale
+    spread = tl[:, None]
+    for m in range(1, ends[0]):
+        if ends[live - 1] == m:
+            # the steps of count m end on the term m - 1 last made
+            done = live
+            while ends[live - 1] == m:
+                live -= 1
+            frames[live:done] = z[live:done, npole] + term[live:done]
+            zl, zfl, tl, ol, sl = (z[:live], zf[:live], term[:live],
+                                   out[:live], scale[:live])
+            spread = tl[:, None]
+        zl += spread
+        zl *= sl
+        np.matmul(flat, zfl, out=ol)
+        tl *= -1.0 / m
+    frames[:live] = z[:live, npole] + term[:live]
+    return frames
+
+
+def _aligned_zeros(shape):
+    """Complex zeros whose data starts on a 64-byte boundary. The Taylor
+    products read Z from there: at d = 42, b = 16 a step took 2.7 ms on an
+    aligned Z and 3.3 ms on one at 16, 32 or 48 bytes past a boundary
+    (2-CPU Xeon VM, one or two BLAS threads), and which of these numpy's
+    own allocation gives depends on the state of the heap."""
+    size = 2 * math.prod(shape)
+    buf = np.zeros(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size].view(complex).reshape(shape)
+
+
+def _stacked(counts, npole, d, b):
+    """Whether `_taylor_frame` runs one recurrence for all K steps on a
+    stack of K identities rather than one recurrence per step on the
+    frame: iff the multiply-adds stacking adds, sum_k (N_k - 1) P d^2
+    (d - b) for the wider frames plus 2 K d^2 b for the K step maps, are
+    at most _ROUND_MADDS times the rounds it saves,
+    sum_k (N_k - 1) - (max_k N_k - 1). A multiply-add is one real number
+    times one complex number, as in the recurrence's products; a complex
+    step map on the frame is two of them per entry."""
+    rounds = int((counts - 1).sum())
+    extra = rounds * npole * d * d * (d - b) + 2 * len(counts) * d * d * b
+    return extra <= _ROUND_MADDS * (rounds - int(counts.max()) + 1)
 
 
 def _taylor_frame(res, poles, us, counts, x):
@@ -641,25 +695,32 @@ def _taylor_frame(res, poles, us, counts, x):
     of dX/du = sum_p S_p/(u - p) X (`_taylor_steps`), and the Frobenius
     norm of each step's starting frame.
 
-    A square frame (b = d) runs one recurrence for all K steps, on a stack
-    of K identities, and is then carried through the K step maps, each
-    applied as two real products (`_real_times`). A block frame (b < d)
-    runs one step at a time on the frame itself, since stacking identities
-    would cost d/b times the multiply-adds.
+    The route is chosen by cost (`_stacked`). Stacked, one recurrence runs
+    for all K steps, ordered by count, on a stack of K identities, and the
+    frame is then carried through the K step maps in step order, each
+    applied as two real products (`_real_times`); otherwise each step runs
+    its own recurrence on the frame itself. A square frame (b = d) adds
+    only the step maps, so it stacks unless d is large (every rotation loop
+    up to d = 42 stacks); a block frame (b < d) stacks when the rounds it
+    saves outweigh its d/b times wider products.
     """
     d, b = x.shape
     flat = np.ascontiguousarray(res.transpose(1, 0, 2).reshape(d, -1))
     h = np.diff(us)[:, None]
     scale = np.concatenate((h / (poles - us[:-1, None]), np.ones_like(h)),
                            axis=1)[..., None, None]
-    if b == d:
-        maps = _taylor_steps(flat, scale, counts, np.broadcast_to(
-            np.eye(d, dtype=complex), (len(counts), d, d)))
+    stacked = _stacked(counts, len(poles), d, b)
+    if stacked:
+        order = np.argsort(-counts, kind="stable")
+        maps = np.empty((len(counts), d, d), dtype=complex)
+        maps[order] = _taylor_steps(flat, scale[order], counts[order],
+                                    np.broadcast_to(np.eye(d, dtype=complex),
+                                                    (len(counts), d, d)))
         real, imag = maps.real.copy(), maps.imag.copy()
     norms = []
     for k in range(len(counts)):
         norms.append(np.linalg.norm(x))
-        if b == d:
+        if stacked:
             x = _real_times(real[k], x) + 1j * _real_times(imag[k], x)
         else:
             x = _taylor_steps(flat, scale[k:k + 1], counts[k:k + 1],
@@ -701,13 +762,13 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
     loosest budget plans more multiply-adds sum_k (N_k - 1) P d^2 b than
     _TAYLOR_MAX_MADDS, or a step more than _TAYLOR_MAX_TERMS terms, this
     returns None before `KZForm.gram_residues` is built. Otherwise the
-    frame moves in Gram-orthonormal coordinates (`_taylor_frame`: a square
-    frame through the step maps of one stacked recurrence, which runs
-    max_k N_k terms on every step but sums only each step's own N_k, a
-    block frame step by step) and the result is the moved frame with a
-    bound on its Frobenius error, the carried tails, at most `bound`, in
-    exact arithmetic; each step's tail is scaled by the norm of the frame
-    that starts it.
+    frame moves in Gram-orthonormal coordinates (`_taylor_frame`: through
+    the step maps of one stacked recurrence, in which each step stops at
+    its own N_k, or step by step, whichever the cost rule `_stacked`
+    picks), its error lifted back by `KZForm.gram_lift`, and the result is
+    the moved frame with a bound on its Frobenius error, the carried
+    tails, at most `bound`, in exact arithmetic; each step's tail is scaled
+    by the norm of the frame that starts it.
     """
     t = _guard_time(poles, sweep, floor / spans)
     if t is not None:
@@ -738,11 +799,9 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
         [res[rows[pos]].sum(axis=0) for pos in at])
     if not np.isfinite(res).all():
         raise TransportError("integrator failed: non-finite residue or pole")
-    inv = np.linalg.inv(chol)
+    inv, lift = form.gram_lift
+    # the error is C^{-T} (the carried tails)
     x = _real_times(chol.T, frame)
-    # the error is C^{-T} (the carried tails); ||C^{-T}||_2^2 is the largest
-    # eigenvalue of C^{-T} C^{-1}, bounded from above
-    lift = math.sqrt(spectral_bound(inv.T @ inv))
     plan = planned(bound / (lift * np.linalg.norm(x)))
     if plan is None:
         return None

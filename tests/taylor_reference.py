@@ -1,12 +1,13 @@
 """The former step-by-step Taylor route of the arc solver, as a test-only
 reference.
 
-`kzmono.monodromy._taylor_frame` moves a square frame by one recurrence
-for all steps of the arc, on a stack of identities, and then carries the
-frame through the step maps; a block frame goes one step at a time
-through the same stacked routine. `step_by_step` is the route it
-replaced: each step runs its own recurrence on the frame itself, keeps
-all its terms and sums them at the end.
+`kzmono.monodromy._taylor_frame` chooses between two routes by a cost
+rule (`_stacked`): one recurrence for all steps of the arc, on a stack of
+identities ordered by term count, whose step maps then carry the frame in
+step order; or one step at a time through the same routine on the frame
+itself. `step_by_step` is the route both replaced: each step runs its own
+recurrence on the frame itself, keeps all its terms and sums them at the
+end.
 """
 
 import numpy as np

@@ -604,33 +604,42 @@ def test_half_twist_with_coincident_poles(form_k2, monkeypatch):
                                ).block_residual < 1e-10
 
 
-@pytest.mark.parametrize("alg, weights, k, letter", [
-    (A1, ((1,),) * 4, 1, None), (A1, ((1,),) * 4, 2, None),
-    (A1, ((1,),) * 6, 2, None), (A1, ((1,),) * 6, 3, None),
-    (A1, ((1,), (2,), (1,), (2,)), 2, None), (G2, ((1, 0),) * 3, 1, None),
-    (A1, ((1,),) * 8, 2, None), (G2, ((1, 0),) * 3, 1, 1),
-    (A1, ((1,),) * 4, 2, 2), (A1, ((1,),) * 6, 2, 2),
+@pytest.mark.parametrize("alg, weights, k, letter, stacked", [
+    (A1, ((1,),) * 4, 1, None, True), (A1, ((1,),) * 4, 2, None, True),
+    (A1, ((1,),) * 6, 2, None, True), (A1, ((1,),) * 6, 3, None, True),
+    (A1, ((1,), (2,), (1,), (2,)), 2, None, True),
+    (G2, ((1, 0),) * 3, 1, None, True), (A1, ((1,),) * 8, 2, None, True),
+    (G2, ((1, 0),) * 3, 1, 1, True), (A1, ((1,),) * 4, 2, 2, True),
+    (A1, ((1,),) * 6, 2, 2, True), (A1, ((1,),) * 8, 2, 4, False),
 ], ids=["4k1", "4", "6", "6k3", "1212k2", "G2k1", "8", "G2k1-s1", "4-s2",
-        "6-s2"])
+        "6-s2", "8-s4"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_stacked_steps_match_step_by_step(alg, weights, k, letter, sign,
-                                          monkeypatch):
-    # the stacked recurrence against the former step-by-step one on the
-    # solver's own plans: rotation loops and square letters (b = d = 1 at
-    # G2, b = d = 2 at A1 (1)^4, where the step maps do not commute) run
-    # one recurrence for all steps, the A1 (1)^6 letter (b = 4 < d = 5)
-    # one step at a time; every plan ends on a shorter step, so a step
-    # that summed terms past its count would show at tol 1e-5
+def test_stacked_steps_match_step_by_step(alg, weights, k, letter, stacked,
+                                          sign, monkeypatch):
+    # the routes of `_taylor_frame` against the former step-by-step one on
+    # the solver's own plans: rotation loops, square letters (b = d = 1 at
+    # G2, b = d = 2 at A1 (1)^4, where the step maps do not commute) and the
+    # A1 (1)^6 letter (b = 4 < d = 5) run one recurrence for all steps; the
+    # A1 (1)^8 letter (b = 8 < d = 14) runs one per step. Every plan ends on
+    # a shorter step, so a step that summed terms past its count would show
+    # at tol 1e-5
     form = kz_form(tensor_system(alg, weights), k)
     pts = (0, 1, 3, 7, 12, 20, 30, 42)[:len(weights)]
-    calls = []
-    stacked = monodromy._taylor_frame
+    calls, recurrences = [], []
+    taylor_frame, steps = monodromy._taylor_frame, monodromy._taylor_steps
 
     def record(*args):
-        calls.append((args, stacked(*args)))
-        return calls[-1][1]
+        before = len(recurrences)
+        moved = taylor_frame(*args)
+        calls.append((args, moved, len(recurrences) - before))
+        return moved
+
+    def count(*args):
+        recurrences.append(args)
+        return steps(*args)
 
     monkeypatch.setattr(monodromy, "_taylor_frame", record)
+    monkeypatch.setattr(monodromy, "_taylor_steps", count)
     for tol in (1e-5, 1e-10):
         if letter is None:
             transport(form, rotation_path(pts), tol=tol, dual=sign > 0)
@@ -642,11 +651,49 @@ def test_stacked_steps_match_step_by_step(alg, weights, k, letter, sign,
                            *_twist_poles(form, z0, letter - 1, letter),
                            1e-9 * _Points(form, z0).sep, cols, tol / 100)
     assert len(calls) == 2
-    for (res, poles, us, counts, x), (frame, starts) in calls:
+    for (res, poles, us, counts, x), (frame, starts), made in calls:
         assert counts[-1] < counts.max()
+        assert made == (1 if stacked else len(counts))
         ref, ref_starts = step_by_step(res, poles, us, counts, x)
         assert np.linalg.norm(frame - ref) <= 1e-13 * np.linalg.norm(x)
         assert np.allclose(starts, ref_starts, rtol=1e-14, atol=0)
+
+
+@pytest.fixture(scope="module")
+def a1_10pt():
+    return tensor_system(A1, ((1,),) * 10)
+
+
+@pytest.mark.parametrize("n, k, letter, stacked", [
+    (4, 2, None, True), (6, 2, None, True), (10, 2, None, True),
+    (6, 2, 2, True), (8, 3, 4, True), (8, 2, 4, False), (10, 1, 5, False),
+], ids=["4", "6", "10", "6-s2", "8k3-s4", "8-s4", "10k1-s5"])
+def test_taylor_route_follows_the_cost_rule(n, k, letter, stacked, a1_10pt,
+                                           monkeypatch):
+    # on the solver's own plans: the square frames of the rotation loops
+    # (d = 2, 5, 42) stack, and so do the A1 (1)^6 letter (b = 4, d = 5),
+    # whose 280-350 rounds of small products are mostly call overhead, and
+    # the A1 (1)^8 k=3 letter (b = 13, d = 14); the A1 (1)^8 k=2 letter
+    # (b = 8, d = 14) and the A1 (1)^10 k=1 letter (b = 1, d = 42) go step
+    # by step, where stacking identities measured slower
+    system = a1_10pt if n == 10 else tensor_system(A1, ((1,),) * n)
+    form = kz_form(system, k)
+    pts = (0, 1, 3, 7, 12, 20, 30, 42, 56, 72)[:n]
+    plans = []
+    frame = monodromy._taylor_frame
+
+    def record(res, poles, us, counts, x):
+        plans.append(monodromy._stacked(counts, len(poles), *x.shape))
+        return frame(res, poles, us, counts, x)
+
+    monkeypatch.setattr(monodromy, "_taylor_frame", record)
+    if letter is None:
+        transport(form, rotation_path(pts))
+    else:
+        block = block_subspace(system, k, pts)
+        assert 0 < block.dim < form.dim
+        braid_generator(form, block, letter)
+    assert plans == [stacked]
 
 
 def test_braid_letter_past_the_crossover_runs_dop853(form_k2, block_k2,
