@@ -2,9 +2,10 @@
 genus-zero Knizhnik-Zamolodchikov connection.
 
 The exact layer (root data, highest-weight modules, Casimir operators,
-fusion rules, block subspaces, flatness) runs entirely in rational or
-Gaussian-rational arithmetic; floating point enters only for the
-configuration-space geometry and the transport ODE.
+fusion rules, block subspaces, flatness) runs in exact integer arithmetic,
+over Z or the Gaussian integers, with rational and Gaussian-rational values
+formed only where data enters or leaves it; floating point enters only for
+the configuration-space geometry and the transport ODE.
 """
 
 __version__ = "0.1.0"

@@ -22,9 +22,11 @@ from functools import lru_cache
 from math import lcm, prod
 from operator import mul
 
+import numpy as np
+
 from .errors import (ConstructionError, InvalidAlgebraError,
                      NonDominantWeightError, ValidationError, require_int)
-from .exact import SRMatrix, nullspace
+from .exact import nullspace
 
 # dual Coxeter numbers and algebra dimensions, used as hard cross-checks on
 # the constructed root systems
@@ -209,9 +211,9 @@ def build_algebra(series, rank):
     cartan = _cartan_matrix(series, rank)
     d = _symmetrizers(cartan)
     # A^-1 is the top block of the kernel of [A | -I], spanned by [A^-1; I]
-    a_inv = nullspace(SRMatrix.from_rows(
-        [list(row) + [-(i == j) for j in range(rank)]
-         for i, row in enumerate(cartan)])).to_rows()[:rank]
+    delta, kernel = nullspace(np.hstack([cartan, -np.eye(rank, dtype=int)]))
+    a_inv = [[Fraction(v, delta) for v in row]
+             for row in kernel[:rank].tolist()]
     # gram = D (A^{-1})^T from <w_i, a_j> = delta_ij d_j
     gram = tuple(tuple(d[i] * a_inv[j][i] for j in range(rank))
                  for i in range(rank))

@@ -30,8 +30,9 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -40,7 +41,7 @@ from . import algebra as la
 from .errors import (CoincidentPointsError, FusionValidationError,
                      InadmissibleWeightError, OracleMismatchError,
                      require_int)
-from .exact import QQi, SRMatrix, ZZi, exact_dtype, exact_matmul, exact_mul, \
+from .exact import QQi, SRMatrix, exact_dtype, exact_matmul, exact_mul, \
     nullspace
 from .reps import dense, irrep
 
@@ -271,26 +272,30 @@ def block_dim(ring, weights):
 class BlockSpace:
     """Conformal-block subspace inside the invariants at marked points.
 
-    coeffs gives the block basis in invariant-subspace coordinates (exact
-    Gaussian rationals); points are the gauge-fixed finite coordinates the
-    construction actually used. dim always equals the fusion oracle value.
+    coeff_ints = (delta, re, im) gives the block basis in invariant-subspace
+    coordinates as `nullspace` returns it over Z[i]: integer arrays with
+    re + i im = delta * basis. coeffs is the same basis as exact Gaussian
+    rationals, an SRMatrix of QQi formed from them on first use. points are
+    the gauge-fixed finite coordinates the construction actually used. dim
+    always equals the fusion oracle value.
     """
 
     system: object
     k: int
     points: tuple
     dim: int
-    coeffs: SRMatrix
+    coeff_ints: tuple
     at_infinity: int | None = None
     chart_center: int | None = None
-    _total: SRMatrix | None = field(default=None, repr=False)
 
-    def basis_in_total_space(self):
-        if self._total is None:
-            self._total = SRMatrix.from_rows(
-                (self.system.invariant_basis.to_array(object)
-                 @ self.coeffs.to_array(object)).tolist(), self.coeffs.ncols)
-        return self._total
+    @cached_property
+    def coeffs(self):
+        delta, re, im = self.coeff_ints
+        r, c = np.nonzero((re != 0) | (im != 0))
+        return SRMatrix(*re.shape, {
+            (i, j): QQi(Fraction(x, delta), Fraction(y, delta)) for i, j, x, y
+            in zip(r.tolist(), c.tolist(), re[r, c].tolist(),
+                   im[r, c].tolist())})
 
 
 def _require_distinct(points):
@@ -319,7 +324,8 @@ def block_subspace(system, k, points, at_infinity=None):
     (c D_f)^(k+1) delta times F(z)^(k+1) basis. A nonzero scalar changes
     no kernel, and the kernel's reduced basis is unique, so the
     coefficients are those of the rational route, bit for bit; the
-    integral image enters elimination as it is.
+    integral image enters elimination as it is, and the kernel stays in
+    integers, delta times the reduced basis (`BlockSpace.coeff_ints`).
     """
     k = require_int(k, "level", 1)
     ring = fusion_ring(system.alg, k)
@@ -354,27 +360,23 @@ def block_subspace(system, k, points, at_infinity=None):
     # c z_s = x + i y acts on (Re, Im) as [[x, -y], [y, x]]
     mixes = [np.array([[x, -y], [y, x]], dtype=object) for x, y in
              ((int(c * p.re), int(c * p.im)) for p in pts)]
-    b = system.integral_basis[1]
+    b = system.invariant_basis[1]
     parts = np.stack([b, np.zeros_like(b)], axis=1)
     for _ in range(k + 1):
         # exact terms, below 2^53 when int64, and fewer than 2^10 nonzero
         parts = sum(exact_matmul(mix, system.contract((s,), f, parts))
                     for s, (f, mix) in enumerate(zip(lowering, mixes)))
-    image = SRMatrix.from_rows(
-        [[ZZi(x, y) for x, y in zip(*row)]
-         for row in parts[parts.any(axis=(1, 2))].tolist()], b.shape[1])
-    # a zero image holds no ring to read: every invariant is a block
-    coeffs = nullspace(image) if image.data else SRMatrix(
-        image.ncols, image.ncols, {(j, j): QQi(1) for j in range(image.ncols)})
+    coeff_ints = nullspace(parts[:, 0], parts[:, 1])
+    dim = coeff_ints[1].shape[1]
 
     expected = block_dim(ring, weights)
-    if coeffs.ncols != expected:
+    if dim != expected:
         raise OracleMismatchError(
-            f"block subspace dimension {coeffs.ncols} != fusion dimension "
+            f"block subspace dimension {dim} != fusion dimension "
             f"{expected} for {system.alg.name} weights {weights} at "
             f"k={k}, z={[complex(p) for p in pts]}")
     return BlockSpace(system=system, k=k, points=pts, dim=expected,
-                      coeffs=coeffs, at_infinity=at_infinity,
+                      coeff_ints=coeff_ints, at_infinity=at_infinity,
                       chart_center=chart_center)
 
 

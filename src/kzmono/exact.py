@@ -1,34 +1,32 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the integers and the Gaussian integers.
 
-`SRMatrix` is storage only: dict-of-keys with `Fraction` (or `QQi`)
-entries, read at the boundaries and by elimination. Arithmetic runs on
-integer numpy arrays, int64 while float64 holds every partial sum and
-Python ints past that (`exact_dtype`): dense and entrywise products
-(`exact_matmul`, `exact_mul`), and sparse operators as their nonzero
-entries, matched by index (`join`) and summed by position (`sum_by_key`).
-Elimination runs on integers: `_clear_denominators` scales each row by the
-lcm of its denominators into Python ints (over Q) or `ZZi` Gaussian
-integers (over Q(i)), and Bareiss elimination divides with `//`, exactly
-by Sylvester's identity (Bareiss, Math. Comp. 22, 1968). `integral_echelon`
-back-substitutes on the same integers, to the rows D E_t of the unique
-reduced form; module construction reads them directly, and data over Z or
-Z[i] (see `integral`) enters elimination as it is. The one exact solve
-reads them too: `nullspace`, the joint kernel of sparse blocks, the
-identity on its free coordinates (restriction to its span is a row
-selection), lifts only the entries S_t[j] / D at the free columns j, into
-`QQi` over Q(i) and `Fraction` over Q. A rank is the column count minus
-the kernel's; for nonsingular A, [A | -I] has kernel [A^-1; I].
+Arithmetic runs on integer numpy arrays, int64 while float64 holds every
+partial sum and Python ints past that (`exact_dtype`): dense and entrywise
+products (`exact_matmul`, `exact_mul`), and sparse operators as their
+nonzero entries, matched by index (`join`) and summed by position
+(`sum_by_key`). Elimination runs on integer rows, Python ints over Z and
+`ZZi` Gaussian integers over Z[i]: Bareiss elimination divides with `//`,
+exactly by Sylvester's identity (Bareiss, Math. Comp. 22, 1968), and
+`integral_echelon` back-substitutes on the same integers, to the rows
+D E_t of the unique reduced form; module construction reads them
+directly. The one exact solve reads them too: `nullspace` takes integer
+equations, real and optionally imaginary parts, and returns the reduced
+kernel basis, the identity on its free coordinates (restriction to its
+span is a row selection), as delta times itself in integers. It serves
+invariants, blocks, intertwiners and their nonsingularity, and A^-1 of the
+Cartan matrix: for nonsingular A, [A | -I] has kernel [A^-1; I].
+`Fraction` and `QQi` values are formed only at the boundaries: `QQi`
+carries float and Gaussian-rational points in, and `SRMatrix` stores exact
+entries where callers read them (the total-space Omega, Casimir matrices
+and the block coefficients' view).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
-
-_ZERO = Fraction(0)
-
 
 class QQi:
     """Gaussian rational re + im*i with exact Fraction parts.
@@ -119,7 +117,8 @@ class QQi:
 
 
 class ZZi:
-    """Gaussian integer real + imag*i with int parts, for elimination only.
+    """Gaussian integer real + imag*i with int parts, for elimination only:
+    `nullspace` builds them from the parts of its equations over Z[i].
 
     The right operand may also be a plain int, which carries .real and
     .imag too (Bareiss starts from the divisor 1). `//` is exact division:
@@ -147,9 +146,6 @@ class ZZi:
         return ZZi((self.real * other.real + self.imag * other.imag) // n,
                    (self.imag * other.real - self.real * other.imag) // n)
 
-    def __neg__(self):
-        return ZZi(-self.real, -self.imag)
-
     def __bool__(self):
         return bool(self.real or self.imag)
 
@@ -173,10 +169,10 @@ def _coerce_qqi(x):
 class SRMatrix:
     """Sparse matrix with exact entries, dict-of-keys storage only.
 
-    Entries are Fraction or QQi over a field, or int or ZZi for data
-    scaled into Z or Z[i] (see `integral`); one kind per matrix. Zeros are
-    never stored. Shapes are explicit because all-zero matrices are common.
-    It holds no arithmetic: products and sums run on arrays (`to_array`).
+    Entries are Fraction or QQi, or int for data scaled into Z (see
+    `integral`); one kind per matrix. Zeros are never stored. Shapes are
+    explicit because all-zero matrices are common. It holds no arithmetic:
+    products and sums run on arrays (`to_array`).
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -186,29 +182,12 @@ class SRMatrix:
         self.ncols = ncols
         self.data = {} if data is None else data
 
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        nrows = len(rows)
-        ncols = len(rows[0]) if ncols is None and rows else (ncols or 0)
-        data = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = v
-        return cls(nrows, ncols, data)
-
     @property
     def nnz(self):
         return len(self.data)
 
-    def get(self, i, j):
-        return self.data.get((i, j), _ZERO)
-
     def copy(self):
         return SRMatrix(self.nrows, self.ncols, dict(self.data))
-
-    def is_zero(self):
-        return not self.data
 
     def __eq__(self, other):
         if not isinstance(other, SRMatrix):
@@ -221,44 +200,14 @@ class SRMatrix:
         for (r, c) in sorted(self.data):
             yield r, c, self.data[(r, c)]
 
-    def rows_with_support(self):
-        return sorted({r for (r, _c) in self.data})
-
-    def to_rows(self):
-        """Dense rows, filled with the zero of the ring of the entries."""
-        zero = _ring_zero(self.data.values())
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.data.items():
-            rows[r][c] = v
-        return rows
-
     def to_array(self, dtype):
         out = np.zeros((self.nrows, self.ncols), dtype=dtype)
         r, c = np.array(list(self.data), dtype=np.intp).reshape(-1, 2).T
         out[r, c] = list(self.data.values())
         return out
 
-    def submatrix_rows(self, rows):
-        index = {r: i for i, r in enumerate(rows)}
-        data = {}
-        for (r, c), v in self.data.items():
-            i = index.get(r)
-            if i is not None:
-                data[(i, c)] = v
-        return SRMatrix(len(rows), self.ncols, data)
-
     def __repr__(self):
         return f"SRMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def _ring_zero(values):
-    """The zero of the widest value type present, in the order QQi, ZZi,
-    Fraction, int; Fraction(0) when there are no values."""
-    kinds = {type(v) for v in values}
-    for kind in (QQi, ZZi, Fraction, int):
-        if kind in kinds:
-            return kind(0)
-    return _ZERO
 
 
 def integral(mats):
@@ -271,8 +220,8 @@ def integral(mats):
     """
     mats = list(mats)
     d = lcm(*{v.denominator for m in mats for v in m.data.values()})
-    return d, [SRMatrix(m.nrows, m.ncols,
-                        {k: _scaled(v, d) for k, v in m.data.items()})
+    return d, [SRMatrix(m.nrows, m.ncols, {
+        k: v.numerator * (d // v.denominator) for k, v in m.data.items()})
                for m in mats]
 
 
@@ -340,64 +289,14 @@ def sum_by_key(keys, values):
     return keys[order][first][sums != 0], sums[sums != 0]
 
 
-def _row_denominator_lcm(row):
-    d = 1
-    for v in row:
-        if isinstance(v, QQi):
-            if v.re:
-                d = lcm(d, v.re.denominator)
-            if v.im:
-                d = lcm(d, v.im.denominator)
-        elif v:
-            d = lcm(d, v.denominator)
-    return d
-
-
-def _scaled(q, d):
-    """The integer q * d for a rational q whose denominator divides d."""
-    return q.numerator * (d // q.denominator)
-
-
-def _clear_denominators(rows):
-    """Rows scaled by the lcm of their denominators, as integral rows.
-
-    Entries become ints when every input entry is rational, and `ZZi` when
-    any entry is a `QQi`, so one matrix is always over one ring. Rows that
-    are already integral (all int, or holding `ZZi`) have nothing to
-    clear: they come back as copies, unscaled, so an image computed over Z
-    or Z[i] enters elimination without a round trip through the fields,
-    and `bareiss_echelon` refuses them if they mix rings.
-    """
-    kinds = {type(v) for row in rows for v in row}
-    if kinds <= {int} or ZZi in kinds:
-        return [list(row) for row in rows]
-    gaussian = QQi in kinds
-    out = []
-    for row in rows:
-        d = _row_denominator_lcm(row)
-        if gaussian:
-            out.append([ZZi(_scaled(v.re, d), _scaled(v.im, d))
-                        if isinstance(v, QQi) else ZZi(_scaled(v, d))
-                        for v in row])
-        else:
-            out.append([_scaled(v, d) for v in row])
-    return out
-
-
-def _lift(v):
-    """An integral echelon entry back in its field: Fraction or QQi."""
-    return QQi(v.real, v.imag) if type(v) is ZZi else Fraction(v)
-
-
 def bareiss_echelon(rows, ncols):
     """Fraction-free row echelon form of integral rows, in place.
 
-    Entries must be all int or all `ZZi` (as `_clear_denominators` returns
-    them); anything else raises TypeError, since `//` on a non-integral
-    value would silently floor. Every row holds `ncols` entries, and pivots
-    are searched in all of them. Returns the list of pivot (row, col)
-    pairs. Every `//` is exact by Sylvester's identity, so entries stay
-    integral.
+    Entries must be all int or all `ZZi`; anything else raises TypeError,
+    since `//` on a non-integral value would silently floor. Every row
+    holds `ncols` entries, and pivots are searched in all of them. Returns
+    the list of pivot (row, col) pairs. Every `//` is exact by Sylvester's
+    identity, so entries stay integral.
     """
     kinds = {type(v) for row in rows for v in row}
     if not (kinds <= {int} or kinds <= {ZZi}):
@@ -439,22 +338,23 @@ def bareiss_echelon(rows, ncols):
 
 
 def integral_echelon(rows, ncols):
-    """Reduced row echelon form of dense rows over Q or Q(i), in integers.
+    """Reduced row echelon form of dense integral rows, all int or all
+    `ZZi`, in integers; the rows given are left as they are.
 
     Returns the pivot columns, D and the integral rows S_t = D E_t (ints
-    or `ZZi`), E_t the reduced rows (1 at their own pivot, 0 at every other
-    one); D is 1 when there are no pivots.
+    or `ZZi`), E_t the reduced rows over Q or Q(i) (1 at their own pivot, 0
+    at every other one); D is 1 when there are no pivots.
 
     The back-substitution stays in Z or Z[i]. Let R_t be the Bareiss rows,
     p_t their pivots at columns c_t and D the last pivot, the determinant
-    of the pivot block M of the cleared rows. The reduced rows are
+    of the pivot block M of the rows. The reduced rows are
     E = M^-1 times those rows, so S_t = D E_t = adj(M) times them is
     integral. Since R_t = p_t E_t + sum_{t' > t} R_t[c_t'] E_t' over Q,
     the rows are formed bottom-up as
         S_t = (D R_t - sum_{t' > t} R_t[c_t'] S_t') // p_t,
     an exact division.
     """
-    work = _clear_denominators(rows)
+    work = [list(row) for row in rows]
     pivots = [c for (_r, c) in bareiss_echelon(work, ncols)]
     if not pivots:
         return pivots, 1, []
@@ -478,36 +378,36 @@ def integral_echelon(rows, ncols):
     return pivots, det, reduced
 
 
-def nullspace(*mats):
-    """Joint right kernel of SRMatrix blocks with one column count.
+def nullspace(re, im=None):
+    """Right kernel of integer equations, as integers.
 
-    The supported rows of every block, in the order given, go through one
-    reduced echelon form (`integral_echelon`); the result has one column
-    per free column fc, 1 at its own free coordinate, 0 at every other free
-    coordinate and -S_t[fc] / D at the pivot of row t. Blocks
-    may hold field values (Fraction, QQi) or integers (int, ZZi); the
-    kernel is over Q(i) when any value is Gaussian and over Q otherwise,
-    and every one of its entries, the 1s included, is a QQi or a Fraction
-    accordingly.
+    re, with im its imaginary part for equations over Z[i], is an integer
+    array (int64 or Python ints) of shape (m, ncols). The nonzero rows, in
+    order, go through one reduced echelon form (`integral_echelon`), over
+    Z or, as `ZZi`, over Z[i]. The reduced kernel basis has one column per
+    free column fc: 1 at its own free coordinate, 0 at every other free
+    coordinate and -S_t[fc] / D at the pivot of row t. Returns (delta, K)
+    over Z and (delta, K_re, K_im) over Z[i]: K = delta times that basis,
+    integer arrays as `int_array` picks them, and delta > 0 the lcm of the
+    reduced denominators of its entries. All entries are first put over
+    the one denominator N(D) = |D|^2, with numerators -S_t[fc] conj(D);
+    dividing it and every numerator by their gcd gives delta and K.
     """
-    ncols = mats[0].ncols
-    gaussian = any(type(v) in (QQi, ZZi) for mat in mats
-                   for v in mat.data.values())
-    one = QQi(1) if gaussian else Fraction(1)
-    rows = []
-    for mat in mats:
-        if mat.ncols != ncols:
-            raise ValueError(f"column count mismatch: {mat.ncols} "
-                             f"vs {ncols}")
-        rows.extend(mat.submatrix_rows(mat.rows_with_support()).to_rows())
-    pivots, det, integral_rows = integral_echelon(rows, ncols)
-    lifted_det = _lift(det)
-    free_cols = sorted(set(range(ncols)) - set(pivots))
-    out = SRMatrix(ncols, len(free_cols))
-    for j, fc in enumerate(free_cols):
-        out.data[(fc, j)] = one
-        for c, row in zip(pivots, integral_rows):
-            if row[fc]:
-                out.data[(c, j)] = -(_lift(row[fc]) / lifted_det)
-    return out
-
+    nonzero = re != 0 if im is None else (re != 0) | (im != 0)
+    keep = nonzero.any(axis=1)
+    rows = re[keep].tolist() if im is None else [
+        list(map(ZZi, x, y)) for x, y in zip(re[keep].tolist(),
+                                             im[keep].tolist())]
+    pivots, det, reduced = integral_echelon(rows, re.shape[1])
+    free = sorted(set(range(re.shape[1])) - set(pivots))
+    x, y = np.array([[v.real, v.imag] for row in reduced for v in map(
+        row.__getitem__, free)], dtype=object).reshape(
+        len(pivots), len(free), 2).transpose(2, 0, 1)
+    a, b = det.real, det.imag           # an int carries .real and .imag
+    denom = a * a + b * b
+    nums = np.zeros((2, re.shape[1], len(free)), dtype=object)
+    nums[0, free, np.arange(len(free))] = denom
+    nums[:, pivots] = np.stack([-(x * a + y * b), x * b - y * a])
+    g = gcd(denom, *nums.ravel().tolist())
+    return denom // g, *(int_array(part // g)
+                         for part in nums[:1 if im is None else 2])

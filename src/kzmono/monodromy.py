@@ -812,6 +812,15 @@ def _arc_transport(form, sweep, sign, poles, rows, spans, floor, frame,
         (starts * tails * np.exp(after)).sum() * lift)
 
 
+def _columns(block):
+    """The block basis as a complex array, each part the float of its
+    exact value (`to_float` of `BlockSpace.coeff_ints`)."""
+    delta, re, im = block.coeff_ints
+    cols = to_float(delta, re).astype(complex)
+    cols.imag = to_float(delta, im)
+    return cols
+
+
 def braid_generator(form, block, i, tol=DEFAULT_TOL,
                     block_tol=DEFAULT_BLOCK_TOL, clockwise=False,
                     method="adaptive"):
@@ -847,7 +856,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
         raise ValidationError("block subspace is zero dimensional")
     _require_positive(block_tol, "block tolerance")
     z0 = tuple(complex(p) for p in block.points)
-    cols = block.coeffs.to_array(complex)
+    cols = _columns(block)
     moved = None
     if method == "adaptive":
         require_tol(tol)
@@ -874,7 +883,7 @@ def braid_generator(form, block, i, tol=DEFAULT_TOL,
         pts = list(block.points)
         pts[i - 1], pts[i] = pts[i], pts[i - 1]
         endpoint = block_subspace(system, block.k, pts)
-        target = endpoint.coeffs.to_array(complex)
+        target = _columns(endpoint)
 
     mat, residual = _in_block_basis(target, acting)
     if residual > block_tol:

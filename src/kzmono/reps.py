@@ -64,8 +64,7 @@ from . import algebra as la
 from .errors import (ConstructionError, DimensionCapError,
                      NonDominantWeightError, require_int)
 from .exact import (SRMatrix, exact_dtype, exact_matmul, exact_mul, int_array,
-                    integral, integral_echelon, join, max_abs, nullspace,
-                    sum_by_key)
+                    integral_echelon, join, max_abs, nullspace, sum_by_key)
 
 DEFAULT_DIMENSION_CAP = 200_000
 
@@ -484,13 +483,15 @@ class TensorSystem:
     from one reduced echelon form, so it is the identity on its
     free-coordinate rows, the last nonzero row of each vector; those rows
     are recorded and checked once with it, and restricting a slot-local
-    operator (`restrict_local`) selects them from its image. The basis is kept a second time as one dense integer
-    array, B = delta * basis with delta the lcm of its denominators
-    (`integral_basis`; delta is 1 on A1 spin-1/2 but 2 on A1 (1)(2)(1)(2)
-    and 6 on A2 (1,1)^3), so that restriction, the Gram matrix and the
-    block kernel multiply integers only, each local matrix applied as one
-    contraction (`contract`); the e_i images and `omega_pair` embed local
-    matrices at unit columns (`slot_embedding`).
+    operator (`restrict_local`) selects them from its image. It is kept as
+    `nullspace` returns it, one dense integer array B = delta * basis with
+    delta the lcm of its denominators (`invariant_basis`; delta is 1 on A1
+    spin-1/2 but 2 on A1 (1)(2)(1)(2) and 6 on A2 (1,1)^3), so that
+    restriction, the Gram matrix and the block kernel multiply integers
+    only, each local matrix applied as one contraction (`contract`); the
+    e_i images and `omega_pair` embed local matrices at unit columns
+    (`slot_embedding`). Restrictions of Omega^{ij} and of the slot swaps
+    are cached per slot pair and per slot.
     """
 
     def __init__(self, alg, weights, max_dim=DEFAULT_DIMENSION_CAP):
@@ -511,9 +512,9 @@ class TensorSystem:
         self.total_dim = total
         self.n = len(weights)
         self._omega_inv = {}
+        self._swap_inv = {}
         self._invariant = None
         self._unit_rows = None
-        self._integral = None
         self._max_b = None
         self._inv_gram = None
 
@@ -539,22 +540,17 @@ class TensorSystem:
 
     @property
     def invariant_basis(self):
+        """(delta, B): B = delta * basis as a dense array, int64 if float64
+        holds its entries and Python ints otherwise, delta the lcm of the
+        basis denominators; B is delta on the unit rows."""
         if self._invariant is None:
-            (self._invariant, self._unit_rows, self._integral,
-             self._max_b) = self._compute_invariants()
+            self._invariant, self._unit_rows, self._max_b = \
+                self._compute_invariants()
         return self._invariant
 
     @property
-    def integral_basis(self):
-        """(delta, B): B = delta * invariant_basis as a dense array, int64
-        if float64 holds its entries and Python ints otherwise, delta the
-        lcm of the basis denominators; B is delta on the unit rows."""
-        self.invariant_basis
-        return self._integral
-
-    @property
     def invariant_dim(self):
-        return self.invariant_basis.ncols
+        return self.invariant_basis[1].shape[1]
 
     def _compute_invariants(self):
         zero_idx = self.zero_weight_indices()
@@ -564,14 +560,15 @@ class TensorSystem:
                 self.dims, (s,), (d, *m), zero_idx) for s, (m, d) in
                 enumerate(zip(_over_lcm(rep.e_int[i] for rep in self.factors),
                               self.dims)))))
-            return _matrix(self.total_dim, len(zero_idx), rows, pos,
-                           values.tolist())
+            support, rows = np.unique(rows, return_inverse=True)
+            out = np.zeros((len(support), len(zero_idx)), dtype=values.dtype)
+            out[rows, pos] = values
+            return out
 
-        kernel = nullspace(*map(block, range(self.alg.rank)))
-        basis = SRMatrix(self.total_dim, kernel.ncols, {
-            (zero_idx[q].item(), j): v for (q, j), v in kernel.data.items()})
-        delta, (ints,) = integral([basis])
-        b = int_array(ints.to_array(object))
+        delta, kernel = nullspace(np.concatenate(
+            [block(i) for i in range(self.alg.rank)]))
+        b = np.zeros((self.total_dim, kernel.shape[1]), dtype=kernel.dtype)
+        b[zero_idx] = kernel
         # each vector is 1 at its free coordinate, its other entries sit at
         # pivots left of it: the basis is the identity on its last nonzeros
         # (checked here once; the basis never changes after)
@@ -590,11 +587,11 @@ class TensorSystem:
             if image.any():
                 raise ConstructionError(
                     f"invariant basis is not killed by f_{i + 1}")
-        return basis, unit_rows, (delta, b), max_abs(b)
+        return (delta, b), unit_rows, max_abs(b)
 
     def invariant_gram(self):
         """(delta^2, B^T (G_1 (x) ... (x) G_n) B), the product contravariant
-        form on the invariant basis over delta^2 (`integral_basis`).
+        form on the invariant basis over delta^2 (`invariant_basis`).
 
         Nondegenerate because the invariants are form-orthogonal to the
         image of the diagonal action; this is the pairing under which the
@@ -603,11 +600,13 @@ class TensorSystem:
         G_s (`Representation.gram_int`) is applied at a time.
         """
         if self._inv_gram is None:
-            delta, b = self.integral_basis
+            delta, b = self.invariant_basis
             image = b
             for s, rep in enumerate(self.factors):
-                image = self.contract((s,), int_array(SRMatrix(
-                    rep.dim, rep.dim, rep.gram_int).to_array(object)), image)
+                keys = np.array(list(rep.gram_int), dtype=np.intp)
+                gram = dense(rep.dim, *keys.T, int_array(np.array(
+                    list(rep.gram_int.values()), dtype=object)))
+                image = self.contract((s,), gram, image)
             self._inv_gram = delta * delta, int_array(exact_matmul(b.T,
                                                                    image))
         return self._inv_gram
@@ -628,7 +627,7 @@ class TensorSystem:
         and X = X_int/(D delta). Each witness entry sums m + 1 products of
         size at most max|B| max|L B|.
         """
-        delta, b = self.integral_basis   # computes the unit rows too
+        delta, b = self.invariant_basis   # computes the unit rows too
         image = self.contract(slots, dense(*local[1:]), b)
         xs = image[self._unit_rows]
         dtype = exact_dtype(b.shape[1] + 1, self._max_b, max_abs(image))
@@ -673,16 +672,18 @@ class TensorSystem:
 
     def swap_restricted(self, i):
         """Adjacent slot transposition on the invariants (equal factors),
-        as `restrict_local` returns it."""
+        as `restrict_local` returns it, cached."""
         i = require_int(i, "swap slot")
         if not (0 <= i < self.n - 1):
             raise ValueError("swap slot out of range")
         if self.weights[i] != self.weights[i + 1]:
             raise ValueError("slot swap needs equal weights on both slots")
-        a, b = np.divmod(np.arange(self.dims[i] ** 2), self.dims[i])
-        return self.restrict_local((i, i + 1), (1, len(a), b * self.dims[i]
-                                                + a, a * self.dims[i] + b,
-                                                np.ones_like(a)))
+        if i not in self._swap_inv:
+            a, b = np.divmod(np.arange(self.dims[i] ** 2), self.dims[i])
+            self._swap_inv[i] = self.restrict_local(
+                (i, i + 1), (1, len(a), b * self.dims[i] + a,
+                             a * self.dims[i] + b, np.ones_like(a)))
+        return self._swap_inv[i]
 
     def __repr__(self):
         return (f"TensorSystem({self.alg.name}, {self.weights}, "

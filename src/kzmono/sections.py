@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import build_algebra
 from .errors import NoIntertwinerError, require_int
-from .exact import SRMatrix, nullspace
+from .exact import nullspace
 from .reps import _simple, dense, irrep
 
 
@@ -62,8 +62,9 @@ class SectionSpace:
 def intertwiner(ss, rep):
     """Invertible T with T (model action) = (abstract action) T.
 
-    Solves the stacked linear system over the rationals; raises unless the
-    solution space is exactly one dimensional with invertible T.
+    Solves the stacked linear system in integers (`nullspace`) and returns
+    T as rows of Fractions; raises unless the solution space is exactly one
+    dimensional with invertible T.
     """
     if rep.dim != ss.dim:
         raise NoIntertwinerError(
@@ -75,18 +76,18 @@ def intertwiner(ss, rep):
     h = np.diag([w for (w,) in rep.basis_weights])
     # T flattened row-major: D (X_abs T - T X_mod) = 0 reads
     # (N (x) I - D I (x) X_mod^T) vec(T) = 0, stacked over e, f, h
-    basis = nullspace(SRMatrix.from_rows(np.concatenate([
+    delta, basis = nullspace(np.concatenate([
         np.kron(n_abs, eye) - den * np.kron(eye, x_mod.T)
         for x_mod, n_abs, den in [(ss.e, dense(d, *e), de),
                                   (ss.f, dense(d, *f), df),
-                                  (ss.h, h, 1)]]).tolist()))
-    if basis.ncols != 1:
+                                  (ss.h, h, 1)]]))
+    if basis.shape[1] != 1:
         raise NoIntertwinerError(
-            f"intertwiner space has dimension {basis.ncols}, expected 1")
-    t_rows = [[basis.get(r * d + c, 0) for c in range(d)] for r in range(d)]
-    if nullspace(SRMatrix.from_rows(t_rows, d)).ncols:
+            f"intertwiner space has dimension {basis.shape[1]}, expected 1")
+    t = basis.reshape(d, d)     # delta T, integral, with the kernel of T
+    if nullspace(t)[1].shape[1]:
         raise NoIntertwinerError("intertwiner is singular")
-    return t_rows
+    return [[Fraction(v, delta) for v in row] for row in t.tolist()]
 
 
 def verify_bbw(max_degree=6):

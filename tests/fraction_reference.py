@@ -14,19 +14,25 @@ both factors (`product`), so E6 and F4 modules stay within a second.
 the zero weight space, rows built digit by digit. The helpers the tests
 share sit here too: SRMatrix to object array (`dense`), to entry arrays
 (`entries`) and to `local_omega`'s layout (`local_of`), and back
-(`omega_matrix`); a (denominator, integer array) pair as the SRMatrix of
-Fractions it stands for (`rational`), a form's Omega stack as one such
-matrix per pair (`omega_of`), and the slot digits of a total index
-(`slot_strides`, `slot_digits`).
+(`omega_matrix`); dense rows as an SRMatrix (`from_rows`); a
+(denominator, integer array) pair as the SRMatrix of Fractions it stands
+for (`rational`), a form's Omega stack as one such matrix per pair
+(`omega_of`), and the slot digits of a total index (`slot_strides`,
+`slot_digits`). The former kernel over the fields, rows of Fractions or
+`QQi` in and the reduced basis out as an SRMatrix of them
+(`field_nullspace`), clears each row by the lcm of its denominators
+(`integer_equations`, or as ints and `ZZi` rows: `integral_rows`) and
+solves with the library's integer `nullspace`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
 from kzmono import reps
-from kzmono.exact import SRMatrix, integral, nullspace
+from kzmono.exact import QQi, SRMatrix, ZZi, integral, nullspace
 from kzmono.reps import casimir_constants, irrep
 
 
@@ -54,6 +60,54 @@ def dense(m):
     return m.to_array(object)
 
 
+def from_rows(rows, ncols=None):
+    """Dense rows as an SRMatrix, zeros dropped; ncols defaults to the
+    length of the first row."""
+    ncols = len(rows[0]) if ncols is None else ncols
+    return SRMatrix(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
+                                       for j, v in enumerate(row) if v})
+
+
+def integer_equations(rows, ncols):
+    """Rows over Q or Q(i) (int, Fraction or QQi entries), each times the
+    lcm of its denominators, as `nullspace`'s integer arrays of Python
+    ints: (re,) over Q, (re, im) when any entry is a QQi."""
+    gaussian = any(isinstance(v, QQi) for row in rows for v in row)
+    scaled_rows = []
+    for row in rows:
+        row = [QQi.from_complex(v) for v in row]
+        d = lcm(1, *(x.denominator for v in row for x in (v.re, v.im)))
+        scaled_rows.append([(int(v.re * d), int(v.im * d)) for v in row])
+    parts = np.array(scaled_rows, dtype=object).reshape(len(rows), ncols, 2)
+    return (parts[..., 0], parts[..., 1]) if gaussian else (parts[..., 0],)
+
+
+def integral_rows(rows, ncols):
+    """Rows over Q or Q(i) cleared row by row (`integer_equations`), as the
+    integer rows elimination takes: ints, or `ZZi` when any entry is a QQi,
+    as the former `exact._clear_denominators` gave them."""
+    parts = [p.tolist() for p in integer_equations(rows, ncols)]
+    if len(parts) == 1:
+        return parts[0]
+    return [list(map(ZZi, x, y)) for x, y in zip(*parts)]
+
+
+def field_nullspace(rows, ncols):
+    """The reduced kernel basis of rows over Q or Q(i) as an SRMatrix of
+    Fractions, or of QQi when any entry is a QQi, as the former
+    `exact.nullspace` returned it."""
+    equations = integer_equations(rows, ncols)
+    delta, *parts = nullspace(*equations)
+    if len(parts) == 1:
+        return rational((delta, parts[0]))
+    re, im = parts
+    r, c = np.nonzero((re != 0) | (im != 0))
+    return SRMatrix(*re.shape, {
+        (i, j): QQi(Fraction(int(re[i, j]), delta),
+                    Fraction(int(im[i, j]), delta))
+        for i, j in zip(r.tolist(), c.tolist())})
+
+
 def omega_matrix(local):
     """`local_omega`'s (D, size, rows, cols, values) as an SRMatrix of
     Fractions."""
@@ -64,8 +118,8 @@ def omega_matrix(local):
 
 
 def rational(pair):
-    """(D, X), X an integer array, as `restrict_local` and
-    `invariant_gram` return it: the SRMatrix of Fractions X / D."""
+    """(D, X), X an integer array, as `restrict_local`, `invariant_gram`
+    and `invariant_basis` return it: the SRMatrix of Fractions X / D."""
     denom, ints = pair
     r, c = np.nonzero(ints)
     return SRMatrix(*ints.shape, {
@@ -218,7 +272,6 @@ def ref_invariant_basis(system):
                         row = rows.setdefault((kind, i, g2),
                                               [Fraction(0)] * len(zero_idx))
                         row[local[g]] += v
-    kernel = nullspace(SRMatrix.from_rows(list(rows.values()),
-                                          len(zero_idx)))
+    kernel = field_nullspace(list(rows.values()), len(zero_idx))
     return SRMatrix(system.total_dim, kernel.ncols,
                     {(zero_idx[q], j): v for (q, j), v in kernel.data.items()})

@@ -16,6 +16,8 @@ from kzmono.errors import (CoincidentPointsError, FusionValidationError,
                            InadmissibleWeightError, ValidationError)
 from kzmono.reps import tensor_system
 
+from fraction_reference import dense, view
+
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
 G2 = build_algebra("G", 2)
@@ -206,9 +208,59 @@ def test_block_subspace_a1_four_points():
     assert sys.invariant_dim == 2
     bs2 = block_subspace(sys, 2, (0, 1, 3, 7))
     assert bs2.dim == 2
-    # basis columns really live in the invariants and are independent
-    total = bs.basis_in_total_space()
-    assert total.ncols == 1 and not total.is_zero()
+    # basis columns really live in the invariants and are independent: in
+    # the total space, B K = B (K_re + i K_im) is killed by every diagonal
+    # e_i and has rank dim
+    _delta, b = sys.invariant_basis
+    for block in (bs, bs2):
+        _d, re, im = block.coeff_ints
+        parts = [b.astype(object) @ part.astype(object) for part in (re, im)]
+        for i in range(A1.rank):
+            e = [dense(m) for m in (view(rep, "e")[i] for rep in sys.factors)]
+            diagonal = sum(kron_all([e[s] if s == t else np.eye(len(e[t]),
+                                                                dtype=int)
+                                     for t in range(sys.n)])
+                           for s in range(sys.n))
+            assert not any((diagonal @ part).any() for part in parts)
+        total = (parts[0] + 1j * parts[1]).astype(complex)
+        assert np.linalg.matrix_rank(total) == block.dim
+
+
+def kron_all(mats):
+    out = np.ones((1, 1), dtype=object)
+    for m in mats:
+        out = np.kron(out, m.astype(object))
+    return out
+
+
+def jittered_points(n, seed):
+    """2^i - 1 moved by at most 0.1 in each coordinate, from the seed:
+    float points whose exact Gaussian-rational values carry many bits."""
+    rng = random.Random(seed)
+    return [complex(2 ** i - 1 + rng.uniform(-0.1, 0.1),
+                    rng.uniform(-0.1, 0.1)) for i in range(n)]
+
+
+# sha256 of block_to_json at k=2 and jittered float points, frozen from
+# the Fraction kernel: coefficients of 345 bits at A1 (1)^6 and 840 bits
+# at (1)^8, and A1 (1)(2)(1)(2), whose invariant basis has delta = 2
+FROZEN_BLOCKS = [
+    (((1,),) * 6, 6,
+     "38ba6648b9e36f4462b13d725003236730ea35f17fbe3008085aea3df4220331"),
+    (((1,),) * 8, 8,
+     "ca350b3ff874cd3a2e8307566a2325bd2ea4fe6e63c0ef3af94dc394e3dd4841"),
+    (((1,), (2,), (1,), (2,)), 4,
+     "87bd1acb3584b61a0ad9a3b6e9da4c836c0bfd9cd5782fb13bbc132cc47e0320"),
+]
+
+
+@pytest.mark.parametrize("weights, seed, digest", FROZEN_BLOCKS,
+                         ids=["A1^6", "A1^8", "A1-mixed"])
+def test_block_coefficients_are_frozen(weights, seed, digest):
+    bs = block_subspace(tensor_system(A1, weights), 2,
+                        jittered_points(len(weights), seed))
+    text = block_to_json(bs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_block_subspace_z_dependence_and_genericity():

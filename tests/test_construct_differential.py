@@ -30,22 +30,21 @@ from kzmono import algebra as la
 from kzmono.algebra import build_algebra
 from kzmono.blocks import admissible_weights
 from kzmono.errors import ConstructionError
-from kzmono.exact import SRMatrix, _lift, integral_echelon
+from kzmono.exact import SRMatrix, integral_echelon
 
-from fraction_reference import view
+from fraction_reference import integer_equations, view
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 def ref_reduced_echelon(rows, ncols):
-    """The former `exact.reduced_echelon`: the pivot columns and the rows
-    of `integral_echelon` with every entry lifted into its field, as
-    S_t[j] / D."""
-    pivots, det, integral_rows = integral_echelon(rows, ncols)
-    lifted_det = _lift(det)
-    return pivots, [[_lift(v) / lifted_det if v else _lift(v) for v in row]
-                    for row in integral_rows]
+    """The former `exact.reduced_echelon` over Q: the pivot columns and the
+    rows of `integral_echelon`, run on the rows cleared of their
+    denominators (`integer_equations`), as the Fractions S_t[j] / D."""
+    (ints,) = integer_equations(rows, ncols)
+    pivots, det, integral_rows = integral_echelon(ints.tolist(), ncols)
+    return pivots, [[Fraction(v, det) for v in row] for row in integral_rows]
 
 
 def ref_construct(alg, lam):

@@ -6,17 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.exact import (QQi, SRMatrix, ZZi, bareiss_echelon, nullspace,
-                          to_float)
+from kzmono.exact import QQi, ZZi, bareiss_echelon, nullspace, to_float
 
 
-def random_fraction_matrix(rng, n, m, density=0.6):
-    rows = []
-    for _ in range(n):
-        rows.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     if rng.random() < density else Fraction(0)
-                     for _ in range(m)])
-    return rows
+def random_integer_matrix(rng, n, m, density=0.6):
+    return np.array([[rng.randint(-4, 4) if rng.random() < density else 0
+                      for _ in range(m)] for _ in range(n)],
+                    dtype=np.int64).reshape(n, m)
 
 
 def test_qqi_field_ops():
@@ -78,54 +74,44 @@ def test_nullspace_matches_rank_and_annihilates():
     rng = random.Random(3)
     for _ in range(30):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
-        rows = random_fraction_matrix(rng, n, m)
-        mat = SRMatrix.from_rows(rows, m)
-        ns = nullspace(mat)
-        assert not (mat.to_array(object) @ ns.to_array(object)).any()
+        mat = random_integer_matrix(rng, n, m)
+        delta, kernel = nullspace(mat)
+        assert delta >= 1 and not (mat @ kernel).any()
         # numpy cross-check of the rank
-        dense = np.array([[float(v) for v in row] for row in rows])
-        assert m - ns.ncols == np.linalg.matrix_rank(dense)
+        assert m - kernel.shape[1] == np.linalg.matrix_rank(mat)
 
 
 def test_nullspace_over_gaussian_rationals():
-    i = QQi(0, 1)
-    rows = [[QQi(1), i, QQi(0)],
-            [QQi(2), QQi(0, 2), QQi(0)]]  # second row = 2 * first
-    cols = nullspace(SRMatrix.from_rows(rows)).to_array(object).T.tolist()
-    assert len(cols) == 2
-    for col in cols:
-        for row in rows:
-            s = sum((row[j] * col[j] for j in range(3)), start=QQi(0))
-            assert s == QQi(0)
-    # the blocks of a joint kernel must share their column count
-    with pytest.raises(ValueError, match="column count"):
-        nullspace(SRMatrix.from_rows(rows), SRMatrix(1, 2))
+    # rows 1, i, 0 and twice it: the Z[i] equations as real and imaginary
+    # parts, the kernel delta^-1 (K_re + i K_im) over Q(i)
+    re = np.array([[1, 0, 0], [2, 0, 0]])
+    im = np.array([[0, 1, 0], [0, 2, 0]])
+    delta, k_re, k_im = nullspace(re, im)
+    assert k_re.shape == k_im.shape == (3, 2)
+    assert not (re @ k_re - im @ k_im).any()
+    assert not (re @ k_im + im @ k_re).any()
+    # the reduced basis: -i e_0 + e_1 and e_2
+    assert delta == 1
+    assert k_re.tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert k_im.tolist() == [[-1, 0], [0, 0], [0, 0]]
 
 
 def test_nullspace_has_one_value_type_per_field():
-    # over Q(i) the free coordinates hold QQi(1), like the pivot entries;
-    # blocks of Gaussian integers (ZZi) give the same Q(i) kernel, and
-    # integer blocks the Fraction kernel of their rationals
-    i = QQi(0, 1)
-    rows = [[QQi(1), i, QQi(2), QQi(0)],
-            [QQi(0), QQi(1), Fraction(1, 2), i]]
-    kernel = nullspace(SRMatrix.from_rows(rows))
-    assert kernel.ncols == 2
-    assert {type(v) for v in kernel.data.values()} == {QQi}
-    assert {type(v) for row in kernel.to_rows() for v in row} == {QQi}
-    integral = [[ZZi(int(2 * v.re), int(2 * v.im))
-                 for v in map(QQi.from_complex, row)] for row in rows]
-    assert nullspace(SRMatrix.from_rows(integral)) == kernel
-    assert {type(v) for v in
-            nullspace(SRMatrix.from_rows(integral)).data.values()} == {QQi}
-    ints = nullspace(SRMatrix.from_rows([[1, 2, 0], [0, 0, 3]]))
-    assert {type(v) for v in ints.data.values()} == {Fraction}
-    # to_rows fills with the zero of the entries' ring, whatever the
-    # dict order of a matrix mixing Q and Q(i) values
-    mixed = SRMatrix(1, 3, {(0, 0): Fraction(1), (0, 1): QQi(0, 1)})
-    assert {type(v) for v in mixed.to_rows()[0][1:]} == {QQi}
-    assert {type(v) for v in SRMatrix(1, 2, {(0, 0): 3}).to_rows()[0]} \
-        == {int}
+    # over Z the kernel is (delta, K), over Z[i] (delta, K_re, K_im), every
+    # entry an integer; Z[i] equations with no imaginary part give the
+    # kernel of their real parts, and entries past int64 come back as
+    # Python ints
+    re = np.array([[2, 4, 1, 0], [0, 2, 1, 3]])
+    delta, k = nullspace(re)
+    assert (delta, k.dtype, k.shape) == (2, np.int64, (4, 2))
+    assert k.tolist() == [[1, 6], [-1, -3], [2, 0], [0, 2]]
+    gaussian = nullspace(re, 0 * re)
+    assert gaussian[0] == delta and np.array_equal(gaussian[1], k)
+    assert gaussian[2].shape == k.shape and not gaussian[2].any()
+    wide = nullspace(np.array([[2 ** 70, 1]], dtype=object))
+    assert wide[0] == 2 ** 70 and wide[1].dtype == object
+    assert wide[1].tolist() == [[-1], [2 ** 70]]
+    assert {type(v) for v in wide[1].ravel()} == {int}
 
 
 @pytest.mark.parametrize("denom, ints", [

@@ -2,28 +2,34 @@
 
 The reference below is the earlier `Fraction`/`QQi` kernel: rows keep their
 field type after clearing denominators, Bareiss divides with `/` and the
-back-substitution runs in the field. The library clears into ints or `ZZi`
-Gaussian integers, divides with `//` and back-substitutes on the same
-integers. Every output (cleared rows, echelon form and pivots, nullspace,
-the joint nullspace of several row blocks, rank) must be exactly equal,
-over Q and over Q(i), including floats converted exactly into
-coefficients of more than 700 bits. The integral echelon rows of a
-symmetric matrix, lifted over D, must equal the reference solve on its
-pivot rows, the identity module construction relies on, and the inverse Cartan matrix read from
-the kernel of [A | -I] must equal the reference solve A X = I.
+back-substitution runs in the field. The library takes integer equations,
+divides ints or `ZZi` Gaussian integers with `//` and back-substitutes on
+the same integers, and `nullspace` returns delta times the reduced kernel
+basis as integers. Every output (echelon form and pivots, delta times the
+reference kernel, the kernel of several row blocks stacked, rank) must be
+exactly equal, over Z and Z[i], on rows over Q and Q(i) cleared of their
+denominators row by row (`fraction_reference.integer_equations`),
+including floats converted exactly into coefficients of more than 700
+bits, and on integers past 2^63. The integral echelon rows of a symmetric
+matrix, lifted over D, must equal the reference solve on its pivot rows,
+the identity module construction relies on, and the inverse Cartan matrix
+read from the kernel of [A | -I] must equal the reference solve A X = I.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzmono.algebra import build_algebra
 from kzmono.errors import InvalidAlgebraError
-from kzmono.exact import (QQi, SRMatrix, ZZi, _clear_denominators, _lift,
-                          bareiss_echelon, integral_echelon, nullspace)
+from kzmono.exact import (QQi, ZZi, bareiss_echelon, int_array,
+                          integral_echelon, nullspace)
+
+from fraction_reference import integer_equations, integral_rows
 
 
 # -- reference kernel (rational arithmetic throughout) ----------------------
@@ -143,6 +149,12 @@ def wide_float(draw):
 rational = st.one_of(st.just(Fraction(0)), small, wide_float())
 gaussian = st.one_of(st.just(QQi(0)), st.just(Fraction(0)),
                      st.builds(QQi, rational, rational))
+# integers past 2^63, which no int64 holds, beside small ones
+integer = st.one_of(st.just(0), st.integers(-12, 12),
+                    st.builds(lambda sign, m: sign * (2 ** 63 + m),
+                              st.sampled_from((1, -1)),
+                              st.integers(0, 2 ** 70)))
+gaussian_integer = st.builds(QQi, integer, integer)
 
 
 @st.composite
@@ -176,17 +188,50 @@ def copy(rows):
     return [list(row) for row in rows]
 
 
-def columns(vectors, nrows):
-    """The SRMatrix whose columns are the given vectors."""
-    return SRMatrix(nrows, len(vectors), {
-        (r, c): v for c, vec in enumerate(vectors) for r, v in enumerate(vec)
-        if v})
+def as_arrays(rows, ncols, gaussian):
+    """Rows of integral values (int, Fraction or QQi) as `nullspace`'s
+    equations: real parts, and imaginary parts over Z[i], each int64 where
+    float64 holds every entry and Python ints past that."""
+    rows = [[QQi.from_complex(v) for v in row] for row in rows]
+    return [int_array(np.array([[int(getattr(v, part)) for v in row]
+                                for row in rows],
+                               dtype=object).reshape(len(rows), ncols))
+            for part in ("re", "im")[:1 + gaussian]]
+
+
+def as_field_rows(parts):
+    """Integer equations as rows over Q, or over Q(i) with an imaginary
+    part, for the reference."""
+    if len(parts) == 1:
+        return [[Fraction(int(v)) for v in row] for row in parts[0]]
+    return [[QQi(int(x), int(y)) for x, y in zip(*rows)]
+            for rows in zip(*parts)]
 
 
 def assert_field_values(cols):
     for col in cols:
         for v in col:
             assert type(v) in (Fraction, QQi)
+
+
+def assert_delta_times_reference(parts, ref):
+    """`nullspace` of the integer equations is (delta, K), or (delta, K_re,
+    K_im) over Z[i], with K exactly delta times the reference kernel
+    vectors, delta > 0 and the gcd of delta and every entry of K 1, and
+    every entry an int or an int64."""
+    delta, *kernel = nullspace(*parts)
+    assert len(kernel) == len(parts)
+    assert type(delta) is int and delta > 0
+    ncols = parts[0].shape[1]
+    for k in kernel:
+        assert k.shape == (ncols, len(ref))
+        assert {type(v) for v in k.ravel()} <= {int, np.int64}
+    im = kernel[1] if len(kernel) == 2 else np.zeros_like(kernel[0])
+    got = [[QQi(int(kernel[0][j, c]), int(im[j, c])) for j in range(ncols)]
+           for c in range(len(ref))]
+    assert got == [[QQi.from_complex(v) * delta for v in vec] for vec in ref]
+    assert math.gcd(delta, *(int(v) for k in kernel for v in k.ravel())) == 1
+    return delta, kernel
 
 
 DOMAINS = pytest.mark.parametrize("entries", [rational, gaussian],
@@ -200,7 +245,7 @@ DOMAINS = pytest.mark.parametrize("entries", [rational, gaussian],
 @given(data=st.data())
 def test_clear_and_echelon_match_reference(entries, data):
     rows, ncols = data.draw(matrices(entries))
-    cleared = _clear_denominators(rows)
+    cleared = integral_rows(rows, ncols)
     ref = ref_clear_denominators(rows)
     assert lifted(cleared) == ref
     kinds = {type(v) for row in cleared for v in row}
@@ -214,12 +259,12 @@ def test_clear_and_echelon_match_reference(entries, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_nullspace_and_rank_match_reference(entries, data):
+    # a row times a nonzero scalar has the same kernel
     rows, ncols = data.draw(matrices(entries))
-    cols = nullspace(SRMatrix.from_rows(copy(rows), ncols))
+    equations = integer_equations(rows, ncols)
     ref = ref_nullspace_rows(copy(rows), ncols)
-    assert cols == columns(ref, ncols)
-    assert_field_values([cols.data.values()])
-    assert cols.ncols == ncols - ref_rank_rows(copy(rows), ncols)
+    _delta, kernel = assert_delta_times_reference(equations, ref)
+    assert kernel[0].shape[1] == ncols - ref_rank_rows(copy(rows), ncols)
 
 
 @DOMAINS
@@ -227,17 +272,75 @@ def test_nullspace_and_rank_match_reference(entries, data):
 @given(data=st.data())
 def test_joint_nullspace_is_the_nullspace_of_the_stacked_blocks(entries,
                                                                 data):
+    # each block cleared on its own, the blocks stacked: their joint kernel
     rows, ncols = data.draw(matrices(entries))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
     bounds = [0, *cuts, len(rows)]
-    blocks = [SRMatrix.from_rows(rows[a:b], ncols)
+    gaussian = len(integer_equations(rows, ncols)) == 2
+    blocks = [integer_equations(rows[a:b], ncols)
               for a, b in zip(bounds, bounds[1:])]
-    joint = nullspace(*blocks)
-    assert joint == nullspace(SRMatrix.from_rows(rows, ncols))
+    if gaussian:    # a block without a QQi has no imaginary part of its own
+        blocks = [(*b, 0 * b[0])[:2] for b in blocks]
+    stacked = [np.concatenate(part) for part in zip(*blocks)]
     ref = ref_nullspace_rows(copy(rows), ncols)
-    assert joint == columns(ref, ncols)
+    _delta, kernel = assert_delta_times_reference(stacked, ref)
+    k_im = kernel[1] if gaussian else 0 * kernel[0]
     for block in blocks:
-        assert not (block.to_array(object) @ joint.to_array(object)).any()
+        re, im = block if gaussian else (block[0], 0 * block[0])
+        assert not (re.astype(object) @ kernel[0] - im.astype(object) @ k_im
+                    ).any()
+        assert not (re.astype(object) @ k_im + im.astype(object) @ kernel[0]
+                    ).any()
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Z", "Z[i]"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_nullspace_is_delta_times_the_reference(gaussian, data):
+    rows, ncols = data.draw(matrices(gaussian_integer if gaussian
+                                     else integer))
+    parts = as_arrays(rows, ncols, gaussian)
+    assert_delta_times_reference(parts, ref_nullspace_rows(
+        as_field_rows(parts), ncols))
+
+
+WIDE = 2 ** 63
+EDGE_EQUATIONS = {
+    "zero": [[0, 0, 0], [0, 0, 0]],
+    "full-column-rank": [[1, 2], [3, 4], [5, 7]],
+    "one-row": [[2, -4, 6, 0]],
+    "past-2^63": [[WIDE + 1, 3, WIDE], [5, 2 ** 70, -7]],
+}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Z", "Z[i]"])
+@pytest.mark.parametrize("name", sorted(EDGE_EQUATIONS))
+def test_integer_nullspace_edge_cases(name, gaussian):
+    re = int_array(np.array(EDGE_EQUATIONS[name], dtype=object))
+    parts = [re, int_array(np.roll(re, 1, axis=1) - 2 * re)][:1 + gaussian]
+    delta, kernel = assert_delta_times_reference(parts, ref_nullspace_rows(
+        as_field_rows(parts), re.shape[1]))
+    if name == "zero":
+        assert delta == 1
+        assert np.array_equal(kernel[0], np.eye(3, dtype=np.int64))
+    if name == "full-column-rank":
+        assert (delta, kernel[0].shape) == (1, (2, 0))
+    if name == "past-2^63":
+        assert re.dtype == object
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Z", "Z[i]"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integral_echelon_leaves_its_rows_unmodified(gaussian, data):
+    rows, ncols = data.draw(matrices(gaussian_integer if gaussian
+                                     else integer, min_rows=1))
+    parts = [p.tolist() for p in as_arrays(rows, ncols, gaussian)]
+    rows = parts[0] if not gaussian else [list(map(ZZi, x, y))
+                                          for x, y in zip(*parts)]
+    before = copy(rows)
+    integral_echelon(rows, ncols)
+    assert rows == before
 
 
 @DOMAINS
@@ -247,17 +350,18 @@ def test_integral_echelon_of_symmetric_matrix_is_its_pivot_solve(entries,
                                                                   data):
     # S = B B^T is symmetric, so its rows at the pivot columns span its row
     # space and S_kk^-1 S[keep, :] is its reduced echelon form; the integral
-    # rows are D times it, over Z or Z[i]
+    # rows are D times it, over Z or Z[i], for S cleared row by row
     b_rows, _ = data.draw(matrices(entries, min_rows=1))
     n = len(b_rows)
     s = [[sum((x * y for x, y in zip(b_rows[i], b_rows[j])),
               start=Fraction(0)) for j in range(n)] for i in range(n)]
     keep = [c for (_r, c) in ref_bareiss_echelon(ref_clear_denominators(s),
                                                  n)]
-    pivots, det, integral_rows = integral_echelon(copy(s), n)
+    pivots, det, integral = integral_echelon(integral_rows(s, n), n)
     assert pivots == keep
-    assert all(type(v) in (int, ZZi) for row in integral_rows for v in row)
-    reduced = [[_lift(v) / _lift(det) for v in row] for row in integral_rows]
+    assert all(type(v) in (int, ZZi) for row in integral for v in row)
+    lift_det = lifted([[det]])[0][0]
+    reduced = [[v / lift_det for v in row] for row in lifted(integral)]
     if keep:
         s_kk = [[s[a][c] for c in keep] for a in keep]
         assert reduced == ref_solve_rows(s_kk, [s[a] for a in keep])

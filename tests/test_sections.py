@@ -7,11 +7,10 @@ import pytest
 
 from kzmono.algebra import build_algebra, casimir_scalar
 from kzmono.errors import NoIntertwinerError
-from kzmono.exact import SRMatrix, nullspace
 from kzmono.reps import irrep
 from kzmono.sections import SectionSpace, intertwiner, verify_bbw
 
-from fraction_reference import commutator, view
+from fraction_reference import commutator, field_nullspace, view
 
 A1 = build_algebra("A", 1)
 
@@ -50,7 +49,7 @@ def test_h_spectrum():
 def test_intertwiner_exists_and_unique(m):
     t = intertwiner(SectionSpace(m), irrep(A1, (m,)))
     d = m + 1
-    assert nullspace(SRMatrix.from_rows(t, d)).ncols == 0
+    assert field_nullspace(t, d).ncols == 0
     # T really intertwines: check the e generator explicitly
     ss = SectionSpace(m)
     rep = irrep(A1, (m,))

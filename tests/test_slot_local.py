@@ -23,12 +23,12 @@ import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar, pairing, weight_add
 from kzmono.blocks import block_subspace
 from kzmono.errors import ConstructionError
-from kzmono.exact import (QQi, SRMatrix, _clear_denominators, bareiss_echelon,
-                          nullspace)
+from kzmono.exact import QQi, SRMatrix, bareiss_echelon
 from kzmono.reps import (casimir_constants, local_omega, slot_embedding,
                          tensor_system)
 
-from fraction_reference import (dense, entries, local_of, product,
+from fraction_reference import (dense, entries, field_nullspace, from_rows,
+                                integral_rows, local_of, product,
                                 rational, ref_invariant_basis,
                                 ref_root_vectors, scaled, slot_digits,
                                 slot_strides, view)
@@ -135,7 +135,7 @@ def ref_block_coeffs(system, k, points, basis):
     image = dense(basis)
     for _ in range(k + 1):
         image = product(step, image)
-    kernel = nullspace(SRMatrix.from_rows(image.tolist(), basis.ncols))
+    kernel = field_nullspace(image.tolist(), basis.ncols)
     return SRMatrix(kernel.nrows, kernel.ncols, {
         rc: v if isinstance(v, QQi) else QQi(v)
         for rc, v in kernel.data.items()})
@@ -147,15 +147,15 @@ def ref_restrict(op, basis):
     Bareiss on the transposed basis picks rows R with basis[R] nonsingular;
     basis[R] X = (op @ basis)[R] is solved by its own back-substitution.
     """
-    support = basis.rows_with_support()
-    rows_t = dense(basis.submatrix_rows(support)).T.tolist()
-    sel = [support[c] for (_r, c) in
-           bareiss_echelon(_clear_denominators(rows_t), len(support))]
+    full = dense(basis)
+    support = sorted({r for (r, _c) in basis.data})
+    sel = [support[c] for (_r, c) in bareiss_echelon(
+        integral_rows(full[support].T.tolist(), len(support)), len(support))]
     n = basis.ncols
     assert len(sel) == n
-    lhs = basis.submatrix_rows(sel).to_rows()
-    rhs = product(op, dense(basis))[sel].tolist()
-    aug = _clear_denominators([a + b for a, b in zip(lhs, rhs)])
+    lhs = full[sel].tolist()
+    rhs = product(op, full)[sel].tolist()
+    aug = integral_rows([a + b for a, b in zip(lhs, rhs)], 2 * n)
     # lhs is nonsingular, so all n pivots fall in its n columns
     pivots = bareiss_echelon(aug, 2 * n)
     assert len(pivots) == n
@@ -167,7 +167,7 @@ def ref_restrict(op, basis):
             for c2 in range(c + 1, n):
                 acc -= row[c2] * x[c2][j]
             x[c][j] = acc / row[c]
-    return SRMatrix.from_rows(x, n)
+    return from_rows(x, n)
 
 
 @pytest.mark.parametrize("alg, weights, k, points", CASES, ids=IDS)
@@ -175,7 +175,7 @@ def test_slot_local_outputs_equal_total_space_reference(alg, weights, k,
                                                         points):
     system = tensor_system(alg, weights)
     basis = ref_invariant_basis(system)
-    assert system.invariant_basis == basis
+    assert rational(system.invariant_basis) == basis
     assert np.array_equal(dense(rational(system.invariant_gram())),
                           ref_invariant_gram(system, basis))
     for i in range(system.n):

@@ -31,7 +31,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -46,8 +46,9 @@ from kzmono.exact import (QQi, SRMatrix, exact_dtype, exact_matmul, integral,
                           nullspace)
 from kzmono.reps import TensorSystem, irrep, tensor_system
 
-from fraction_reference import (dense, entries, local_of, omega_matrix,
-                                omega_of, product, rational,
+from fraction_reference import (dense, entries, field_nullspace, from_rows,
+                                local_of, omega_matrix, omega_of, product,
+                                rational,
                                 ref_invariant_basis, ref_root_vectors,
                                 scaled, view)
 
@@ -93,19 +94,19 @@ def ref_slot_sum(system, mats, cols):
 
 
 def ref_restrict_local(system, slots, local):
-    basis = dense(system.invariant_basis)
+    basis = dense(rational(system.invariant_basis))
     image = ref_apply_local(system, slots, dense(local), basis)
     xs = image[system._unit_rows]
     if not np.array_equal(product(basis, xs), image):
         raise ValueError("operator does not preserve the subspace")
-    return SRMatrix.from_rows(xs.tolist(), xs.shape[1])
+    return from_rows(xs.tolist(), xs.shape[1])
 
 
 def ref_integer_restrict_local(system, slots, local):
     """The restriction over Z with an integer witness."""
-    delta, (ints,) = integral([system.invariant_basis])
+    delta, ints = system.invariant_basis
     scale, (op,) = integral([local])
-    b = dense(ints)
+    b = ints.astype(object)
     image = ref_apply_local(system, slots, dense(op), b)
     xs = image[system._unit_rows]
     if not np.array_equal(product(b, xs), delta * image):
@@ -116,21 +117,21 @@ def ref_integer_restrict_local(system, slots, local):
 
 
 def ref_invariant_gram(system):
-    b = dense(system.invariant_basis)
+    b = dense(rational(system.invariant_basis))
     image = b
     for s, rep in enumerate(system.factors):
         image = ref_apply_local(system, (s,), dense(view(rep, "gram")), image)
-    return SRMatrix.from_rows(product(b.T, image).tolist(), b.shape[1])
+    return from_rows(product(b.T, image).tolist(), b.shape[1])
 
 
 def ref_block_coeffs(system, k, points):
     """Block coefficients at the (already charted) points, over Q(i)."""
     step = [scaled(ref_root_vectors(rep)[1][-1], z)
             for rep, z in zip(system.factors, points)]
-    image = scaled(dense(system.invariant_basis), QQi(1))
+    image = scaled(dense(rational(system.invariant_basis)), QQi(1))
     for _ in range(k + 1):
         image = ref_slot_sum(system, step, image)
-    kernel = nullspace(SRMatrix.from_rows(image.tolist(), image.shape[1]))
+    kernel = field_nullspace(image.tolist(), image.shape[1])
     return SRMatrix(kernel.nrows, kernel.ncols, {
         rc: QQi.from_complex(v) for rc, v in kernel.data.items()})
 
@@ -209,35 +210,43 @@ def case(request):
 
 
 def test_integral_basis(case):
+    # B = delta * basis with delta the lcm of the basis denominators: no
+    # smaller delta leaves B integral
     name, system, _k = case
-    delta, ints = system.integral_basis
+    delta, ints = system.invariant_basis
     assert delta == DELTA.get(name, 1)
     assert ints.shape == (system.total_dim, system.invariant_dim)
     assert ints.dtype == np.int64
-    assert np.array_equal(ints, delta * dense(system.invariant_basis))
+    assert gcd(delta, *ints.ravel().tolist()) == 1
 
 
 def test_invariant_basis_matches_digit_loop_reference(case):
     # the e-rows alone against the joint kernel of the e- and f-rows
     _name, system, _k = case
-    assert_identical(system.invariant_basis, ref_invariant_basis(system))
+    assert_identical(rational(system.invariant_basis),
+                     ref_invariant_basis(system))
 
 
 def test_invariants_solve_the_e_rows_alone(monkeypatch):
-    # one block per simple root goes to the kernel, so the f-rows cannot
-    # come back unnoticed
+    # one kernel of the e_i images alone, one equation per vector of weight
+    # a_i (every one is reached here), so the f-rows, of weight -a_i,
+    # cannot come back unnoticed
     calls = []
 
-    def counting(*blocks):
-        calls.append(len(blocks))
-        return nullspace(*blocks)
+    def counting(*parts):
+        calls.append(parts[0].shape[0])
+        return nullspace(*parts)
 
     monkeypatch.setattr(reps, "nullspace", counting)
     for name in ("A1^4", "G2-mixed", "C3-mixed"):
         alg, weights, _k = SYSTEMS[name]
+        system = tensor_system(alg, weights)
+        total = reps.total_weights([rep.basis_weights
+                                    for rep in system.factors])
         calls.clear()
-        assert tensor_system(alg, weights).invariant_dim
-        assert calls == [alg.rank], name
+        assert system.invariant_dim
+        assert calls == [sum(int((total == alpha).all(axis=1).sum())
+                             for alpha in alg.cartan)], name
 
 
 @pytest.mark.parametrize("name", ["A1^4", "G2-mixed"])
@@ -259,7 +268,9 @@ def test_f_post_check_rejects_a_corrupted_f_column(name, corrupt):
         alg, rep.highest_weight, rep.basis_weights, rep.e_int, f_int,
         rep.gram_int), *system.factors[1:])
     if not corrupt:
-        assert system.invariant_basis == system_of(name).invariant_basis
+        (delta, b), (want_delta, want) = (system.invariant_basis,
+                                          system_of(name).invariant_basis)
+        assert delta == want_delta and np.array_equal(b, want)
         return
     with pytest.raises(ConstructionError, match=f"not killed by f_{i + 1}"):
         system.invariant_basis

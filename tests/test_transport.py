@@ -339,6 +339,26 @@ def test_braid_generator_inverse(form_k2, block_k2):
     assert np.linalg.norm(fwd @ bwd - np.eye(block_k2.dim)) < 1e-8
 
 
+def test_braid_letters_share_one_restricted_swap(monkeypatch):
+    # sigma_1, its inverse and sigma_1 again restrict the slot swap once:
+    # the letters read the system's cached swap of slot 0
+    form = kz_form(tensor_system(A1, ((1,),) * 4), 2)
+    block = block_subspace(form.system, 2, Z4)
+    real = form.system.restrict_local
+    calls = []
+
+    def counting(slots, local):
+        calls.append(slots)
+        return real(slots, local)
+
+    monkeypatch.setattr(form.system, "restrict_local", counting)
+    res = braid_word_transport(form, block, "1 -1 1", tol=1e-11)
+    assert calls == [(0, 1)]
+    assert np.linalg.norm(res.matrix - braid_generator(
+        form, block, 1, tol=1e-11).matrix) < 1e-8
+    assert calls == [(0, 1)]
+
+
 def test_braid_homotopy_invariance(form_k2, block_k2):
     plain = transport(form_k2, braid_path(Z4, 2), tol=1e-11).matrix
     bulged = transport(form_k2, braid_path(Z4, 2, wobble=0.25),
