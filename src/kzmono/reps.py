@@ -1,20 +1,40 @@
 """Exact irreducible highest-weight modules and their tensor products.
 
-A module is generated from a highest-weight vector by the lowering operators
-in one pass, weight space by weight space. A weight w is lowered by a_i only
-if w - a_i is a weight of the module: the a_i-string through w is unbroken,
-from w - r a_i to w + q a_i with r - q = w_i (Humphreys 21.3), and every
-w + a_i, w + 2 a_i, ... is built before w, so that holds iff w_i + q >= 1
-(`_lowers`). The candidates at a new weight mu are the vectors f_j y for y
-in the weight space of mu + a_j; each e_i f_j y is formed once, as
-f_j e_i y + delta_ij y_i y, and serves both as a row of the Gram matrix of
-the contravariant form on the candidates and, for a kept candidate, as its
-raising column. One reduced echelon form of that Gram matrix picks a basis
-and expresses every dependent candidate through it, which quotients out the
-radical and lands exactly on the irreducible module. The Weyl dimension
-bounds the basis as it grows and must equal its final size, so a defective
-echelon step stops the construction at once, and a wrongly skipped weight
-leaves the basis short of it.
+A module's weights come first, from root data alone (`_basis_weights`).
+The dominant weights of V_lam are the dominant weights below lam, and each
+is reached from lam by subtracting one positive root at a time through
+dominant weights only (Stembridge, Adv. Math. 136 (1998)). Freudenthal's
+formula gives their multiplicities in order of the height of lam - mu:
+
+    (|lam + rho|^2 - |mu + rho|^2) m(mu)
+        = 2 sum_{alpha > 0} sum_{k >= 1} <mu + k alpha, alpha> m(mu + k alpha)
+
+(Humphreys 22.3), on integers: L |x|^2 = x . form . x and
+L <x, alpha> = x . root_rows[a]. Each m(mu + k alpha) is read at the
+dominant conjugate of mu + k alpha, which lies higher than mu, and the sum
+over k stops at the first zero, since the alpha-string through mu is
+unbroken, or once mu + k alpha is longer than lam, as no weight of V_lam
+is. Each quotient must be exact, and the multiplicities over the
+W-orbits of the dominant weights must sum to the Weyl dimension, or
+ConstructionError is raised. `irrep` returns a module holding these weights;
+its integers are built on first read (`Representation`), so a caller that
+reads only weights and dimensions (Kac-Walton, `fusion_ring`) builds no
+module, and a construction error surfaces at that read.
+
+The integers come from a highest-weight vector by the lowering operators
+in one pass, weight space by weight space. A weight w is lowered by a_i
+only if w - a_i is a weight of the module, and every weight of the module
+but lam lies one simple root below another, which is built before it. The
+candidates at a new weight mu are the vectors f_j y for y in the weight
+space of mu + a_j; each e_i f_j y is formed once, as f_j e_i y + delta_ij
+y_i y, and serves both as a row of the Gram matrix of the contravariant
+form on the candidates and, for a kept candidate, as its raising column.
+One reduced echelon form of that Gram matrix picks a basis and expresses
+every dependent candidate through it, which quotients out the radical and
+lands exactly on the irreducible module. Freudenthal's multiplicities are a
+per-weight oracle: the basis kept at mu must have m(mu) vectors, so a
+defective echelon step stops the construction at the weight where it
+happens, and the constructed weights must equal the module's.
 
 The construction runs on integers. Every basis vector is a lowering
 monomial f_{j_m} ... f_{j_1} v_lam of Chevalley generators, and lam is
@@ -29,17 +49,17 @@ ConstructionError, so integrality is checked at every entry at no cost.
 Whether G_x . u is an integer does not depend on how u's fraction is
 written, so u is divided by its gcd only when it becomes a stored e column.
 The integral Gram matrix enters `exact.integral_echelon` as it is, and its
-rows D E_t are the lowering columns over the denominator D. A module is
-these integers (`Representation`): every reader takes the numerators over
-their denominators, and `rep_to_json` forms one `Fraction` per exported
-entry.
+rows D E_t are the lowering columns over the denominator D. A module's
+matrices are these integers (`Representation`): every reader takes the
+numerators over their denominators, and `rep_to_json` forms one `Fraction`
+per exported entry.
 
 Matrix conventions (weights are Dynkin labels):
     [h_i, e_j] = cartan[j][i] e_j,   [e_i, f_j] = delta_ij h_i,
 and h_i acts on a weight-mu vector as mu[i]. A basis vector is numbered when
 it is created, and weights are created by the height of lam - mu, then
 lexicographically by mu, so that construction order is the export order and
-exports are reproducible.
+exports are reproducible; `_basis_weights` lists the weights in that order.
 
 Root vectors for non-simple roots come from a fixed iterated-bracket scheme
 (always bracketing with the lowest simple index that stays in the root
@@ -53,10 +73,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -74,34 +95,60 @@ _ZERO_COLUMN = ({}, 1)      # a column not stored: no numerators over 1
 class Representation:
     """Irreducible module with exact sparse generator matrices.
 
-    basis_weights lists the weight of every basis vector, and h_i acts on
-    a basis vector as its weight's i-th label. The module holds
-    `_construct`'s integers: e_int and f_int give, per simple root, the
-    numerators {(row, col): int} with the per-column denominators
-    {col: int}, which have no entry for a zero column, and gram_int is the
-    contravariant form on the basis as {(row, col): int} (block diagonal
-    over weight spaces, e and f mutually adjoint for it). `generators`, the
-    integer basis of g acting here, is built on first use, so a caller that
-    reads only weights and dimensions (Kac-Walton, `fusion_ring`) builds
-    no matrix. Immutable.
+    basis_weights lists the weight of every basis vector, in construction
+    order, from Freudenthal's multiplicities (`_basis_weights`), and h_i
+    acts on a basis vector as its weight's i-th label. The integers are
+    built together by `_construct` on the first read of any of them: e_int
+    and f_int give, per simple root, the numerators {(row, col): int} with
+    the per-column denominators {col: int}, which have no entry for a zero
+    column, and gram_int is the contravariant form on the basis as
+    {(row, col): int} (block diagonal over weight spaces, e and f mutually
+    adjoint for it). So a caller that reads only weights and dimensions
+    (Kac-Walton, `fusion_ring`) builds no module, and ConstructionError,
+    if the construction fails a check, is raised at that first read.
+    `generators`, the integer basis of g acting here, is built from them on
+    first use. Immutable.
     """
 
-    def __init__(self, alg, highest_weight, basis_weights, e_int, f_int,
-                 gram_int):
+    def __init__(self, alg, highest_weight, basis_weights):
         self.alg = alg
         self.highest_weight = highest_weight
         self.basis_weights = tuple(basis_weights)
         self.dim = len(self.basis_weights)
-        self.e_int = tuple(e_int)
-        self.f_int = tuple(f_int)
-        self.gram_int = gram_int
+
+    @cached_property
+    def _integers(self):
+        _weights, e, f, gram = _construct(self.alg, self.highest_weight,
+                                          self.basis_weights)
+
+        def flat(cols):     # column dicts as (numerators, denominators)
+            return ({(r, c): v for c, (col, _den) in cols.items()
+                     for r, v in col.items()},
+                    {c: den for c, (_col, den) in cols.items()})
+
+        return (tuple(map(flat, e)), tuple(map(flat, f)),
+                {(r, c): v for c, col in gram.items() for r, v in col.items()})
+
+    @property
+    def e_int(self):
+        return self._integers[0]
+
+    @property
+    def f_int(self):
+        return self._integers[1]
+
+    @property
+    def gram_int(self):
+        return self._integers[2]
 
     @cached_property
     def generators(self):
         """x_k = (h_i, e_alpha, f_alpha), roots in `_bracket_scheme` order,
         as ((k, rows, cols, values), dens): x_k holds values[t] / dens[k] at
         (rows[t], cols[t]) where k[t] = k. Each bracket, an `exact_matmul`,
-        is divided by the gcd of its entries and its denominator."""
+        is divided by the gcd of its entries and its denominator. Built on
+        first use from e_int and f_int, so the first call builds the
+        module's integers too, and may raise ConstructionError."""
         n = self.dim
 
         def bracket(x, y):
@@ -165,35 +212,26 @@ def _reduced(vec, den):
     return {r: v // g for r, v in vec.items()}, den // g
 
 
-def _lowers(index_of, w, i, alpha_i):
-    """Whether w - alpha_i is a weight of the module, given index_of, which
-    holds every weight above w: the alpha_i-string through w is unbroken
-    and runs from w - r alpha_i to w + q alpha_i with r - q = w_i
-    (Humphreys 21.3), so it is iff w_i + q >= 1."""
-    up = w
-    for _ in range(1 - w[i]):      # q must reach 1 - w_i
-        up = tuple(map(add, up, alpha_i))
-        if up not in index_of:
-            return False
-    return True
-
-
-def _construct(alg, lam):
+def _construct(alg, lam, basis_weights):
     """One-pass lowering construction; see the module docstring.
 
-    Returns the basis weights, then e_i and f_i as column dicts
-    {index: (numerators, denominator)}, each nonzero column the integers
-    {row: numerator} over one positive denominator (zero columns are not
-    stored), and the Gram matrix as integer column dicts
-    {index: {row: value}}. Each basis vector gets its global index when it
-    is created, so no reassembly follows. u[i][b] = e_i f_j y for the b-th
-    candidate f_j y is formed once, unreduced; it gives the Gram entries
-    <f_i x, f_j y> = G_x . u[i][b], each an exact integer division, and, if
-    the candidate is kept, the raising column of e_i, reduced then.
+    basis_weights are the module's weights (`_basis_weights`): a weight is
+    a candidate only if it is one of them, the basis kept at each must
+    have its multiplicity there, and the constructed weights must equal
+    them, or ConstructionError is raised. Returns the basis weights, then
+    e_i and f_i as column dicts {index: (numerators, denominator)}, each
+    nonzero column the integers {row: numerator} over one positive
+    denominator (zero columns are not stored), and the Gram matrix as
+    integer column dicts {index: {row: value}}. Each basis vector gets its
+    global index when it is created, so no reassembly follows. u[i][b] =
+    e_i f_j y for the b-th candidate f_j y is formed once, unreduced; it
+    gives the Gram entries <f_i x, f_j y> = G_x . u[i][b], each an exact
+    integer division, and, if the candidate is kept, the raising column of
+    e_i, reduced then.
     """
     rank = alg.rank
     alpha = alg.cartan                 # row i: Dynkin labels of a_i
-    expected = la.weyl_dimension(alg, lam)
+    mult = Counter(basis_weights)
     weights = [lam]
     index_of = {lam: range(1)}         # weight -> indices of its basis
     e = [{} for _ in range(rank)]
@@ -205,9 +243,9 @@ def _construct(alg, lam):
         parents_of = {}
         for w in layer:
             for i in range(rank):
-                if _lowers(index_of, w, i, alpha[i]):
-                    parents_of.setdefault(tuple(map(sub, w, alpha[i])),
-                                          []).append((i, index_of[w]))
+                mu = tuple(map(sub, w, alpha[i]))
+                if mu in mult:
+                    parents_of.setdefault(mu, []).append((i, index_of[w]))
         layer = []
         for mu, parents in sorted(parents_of.items()):
             parents.sort()          # each i once, so no range is compared
@@ -252,13 +290,11 @@ def _construct(alg, lam):
             # S_kk^-1 S[keep, :], with unit columns on keep; its rows are
             # read as D times that form
             keep, det, coeff = integral_echelon(s_mat, len(span))
-            if not keep:
-                continue
-            new = range(len(weights), len(weights) + len(keep))
-            if new.stop > expected:
+            if len(keep) != mult[mu]:
                 raise ConstructionError(
-                    f"{alg.name} weight {lam}: basis outgrows the Weyl "
-                    f"dimension {expected} at weight {mu}")
+                    f"{alg.name} weight {lam}: {len(keep)} basis vectors "
+                    f"at weight {mu}, Freudenthal multiplicity {mult[mu]}")
+            new = range(len(weights), len(weights) + len(keep))
             weights.extend([mu] * len(keep))
             index_of[mu] = new
             layer.append(mu)
@@ -273,31 +309,90 @@ def _construct(alg, lam):
                 col = {n: row[b] for n, row in zip(new, coeff) if row[b]}
                 if col:
                     f[i][x] = _reduced(col, det)
-    if len(weights) != expected:
+    if tuple(weights) != tuple(basis_weights):
         raise ConstructionError(
-            f"{alg.name} weight {lam}: constructed dimension {len(weights)} "
-            f"!= Weyl dimension {expected}")
+            f"{alg.name} weight {lam}: the {len(weights)} constructed "
+            f"weights are not the module's {len(basis_weights)}")
     return weights, e, f, gram
 
 
+def _basis_weights(alg, lam):
+    """The weights of V_lam, each mu m(mu) times, by the height of
+    lam - mu and then mu (the construction order): Freudenthal's formula
+    on the dominant weights, on integers, then their W-orbits; see the
+    module docstring. An inexact quotient, or multiplicities that do not
+    sum to the Weyl dimension, raise ConstructionError."""
+    form, cartan = alg.form, alg.cartan
+    inv = alg.cartan_inverse
+    scale = lcm(*(q.denominator for row in inv for q in row))
+    # scale times the height of a weight in simple-root coordinates
+    heights = [int(sum(row) * scale) for row in inv]
+
+    def height(x):
+        return sum(map(mul, x, heights))
+
+    def norm(x):            # L <x, x>
+        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form))
+
+    def reflect(x, i):      # s_i x = x - x_i a_i
+        xi = x[i]
+        return tuple([xj - xi * c for xj, c in zip(x, cartan[i])])
+
+    def dominant(x):        # the dominant conjugate, by simple reflections
+        while min(x) < 0:
+            x = reflect(x, x.index(min(x)))
+        return x
+
+    def closure(start, steps):      # every weight the steps reach
+        seen, layer = {start}, {start}
+        while layer:
+            layer = {y for x in layer for y in steps(x)} - seen
+            seen |= layer
+        return seen
+
+    roots, rho = alg.positive_roots, alg.weyl_vector
+    below = sorted(closure(lam, lambda mu: [
+        nu for nu in (tuple(map(sub, mu, a)) for a in roots)
+        if min(nu) >= 0]), key=lambda x: (-height(x), x))
+    top, bound = norm(tuple(map(add, lam, rho))), norm(lam)
+    mult = {lam: 1}
+    for mu in below[1:]:
+        total = 0
+        for a, row in zip(roots, alg.root_rows):
+            x = tuple(map(add, mu, a))
+            # no weight of V_lam is longer than lam: a longer x is none
+            while norm(x) <= bound and (m_x := mult.get(dominant(x))):
+                total += sum(map(mul, x, row)) * m_x
+                x = tuple(map(add, x, a))
+        m, rem = divmod(2 * total, top - norm(tuple(map(add, mu, rho))))
+        if rem:
+            raise ConstructionError(
+                f"{alg.name} weight {lam}: Freudenthal quotient at weight "
+                f"{mu} is not an integer")
+        mult[mu] = m
+    orbits = sorted(((nu, m) for mu, m in mult.items() for nu in closure(
+        mu, lambda x: [reflect(x, i) for i, xi in enumerate(x) if xi > 0])),
+        key=lambda w: (-height(w[0]), w[0]))
+    weights = [nu for nu, m in orbits for _ in range(m)]
+    expected = la.weyl_dimension(alg, lam)
+    if len(weights) != expected:
+        raise ConstructionError(
+            f"{alg.name} weight {lam}: Freudenthal multiplicities sum to "
+            f"{len(weights)}, not the Weyl dimension {expected}")
+    return weights
+
+
 def irrep(alg, lam):
-    """The irreducible module of a dominant highest weight, exactly."""
+    """The irreducible module of a dominant highest weight, exactly: its
+    weights from Freudenthal's formula now, its integers on first read
+    (`Representation`)."""
     return _irrep(alg, la.require_dominant(alg, lam))
 
 
 # cached on the checked weight: (2.0,) must not hit the entry of (2,)
 @lru_cache(maxsize=None)
 def _irrep(alg, lam):
-    weights, e, f, gram = _construct(alg, lam)
-
-    def flat(cols):     # column dicts as (numerators, denominators)
-        return ({(r, c): v for c, (col, _den) in cols.items()
-                 for r, v in col.items()},
-                {c: den for c, (_col, den) in cols.items()})
-
-    return Representation(
-        alg, lam, weights, map(flat, e), map(flat, f),
-        {(r, c): v for c, col in gram.items() for r, v in col.items()})
+    return Representation(alg, lam, _basis_weights(alg, lam))
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,12 @@ types included.
 `ref_integer_construct` is the integer construction as it was before it
 skipped lowerings that leave the module: it forms candidates at every
 w - a_i, so most echelons on the E types are empty, and it reduces every
-raising vector u = e_i f_j y as it is formed. The library applies the
-a_i-string test first and reduces u only when it becomes a stored e
-column. Weights, every nonzero e and f column (numerators and
-denominator) and the Gram matrix must be equal.
+raising vector u = e_i f_j y as it is formed. The library lowers only to
+the module's weights, from Freudenthal's formula, and reduces u only when
+it becomes a stored e column. Weights, every nonzero e and f column
+(numerators and denominator) and the Gram matrix must be equal; and
+Freudenthal's weights alone (`reps._basis_weights`) must equal the weights
+this reference constructs, which never reads a multiplicity.
 """
 
 import builtins
@@ -217,7 +219,8 @@ def test_integer_construction_matches_fraction_route(series, rank, lam):
                          ids=[f"{s}{r}-{lam}" for s, r, lam in SKIP_CASES])
 def test_skipping_construction_matches_every_lowering(series, rank, lam):
     alg = build_algebra(series, rank)
-    weights, e, f, gram = reps._construct(alg, lam)
+    weights, e, f, gram = reps._construct(alg, lam,
+                                          reps._basis_weights(alg, lam))
     ref_weights, ref_e, ref_f, ref_gram = ref_integer_construct(alg, lam)
     assert weights == ref_weights
     for got, want in zip((*e, *f), (*ref_e, *ref_f)):
@@ -225,26 +228,55 @@ def test_skipping_construction_matches_every_lowering(series, rank, lam):
     assert gram == ref_gram
 
 
+# CASES hold every admissible weight of the fusion ladder (A2 k=5, A3 k=2,
+# G2 k=3, F4 k=2); E6 and E7 at k=2 add modules up to dimension 1539
+FREUDENTHAL_CASES = CASES + sorted(
+    (s, r, lam) for s, r, k in [("E", 6, 2), ("E", 7, 2)]
+    for lam in admissible_weights(build_algebra(s, r), k))
+
+
+@pytest.mark.parametrize(
+    "series, rank, lam", FREUDENTHAL_CASES,
+    ids=[f"{s}{r}-{lam}" for s, r, lam in FREUDENTHAL_CASES])
+def test_freudenthal_weights_match_the_construction(series, rank, lam):
+    alg = build_algebra(series, rank)
+    assert reps._basis_weights(alg, lam) == ref_integer_construct(alg, lam)[0]
+
+
+def test_inexact_freudenthal_quotient_is_refused(monkeypatch):
+    # one more in every numerator of Freudenthal's quotients: the first
+    # below the highest weight, at the zero weight of A2 (1,1), has a
+    # divisor above 1 and is refused, before any integer is built
+    monkeypatch.setattr(reps, "divmod", lambda n, d: builtins.divmod(n + 1, d),
+                        raising=False)
+    with pytest.raises(ConstructionError,
+                       match=r"A2 weight \(1, 1\): Freudenthal quotient at "
+                             r"weight \(0, 0\) is not an integer"):
+        reps._irrep.__wrapped__(build_algebra("A", 2), (1, 1))
+
+
 @pytest.mark.parametrize("series, rank, lam, refused", [
     ("A", 2, (1, 1), (0, 0)), ("G", 2, (1, 0), (0, 0))])
 def test_a_wrongly_skipped_weight_is_refused(monkeypatch, series, rank, lam,
                                              refused):
-    # a string test that wrongly skips the zero weight loses its basis
-    # vectors and all below them; the Weyl dimension catches the shortfall
-    real = reps._lowers
+    # a multiplicity one too large at the zero weight (2 on A2 (1,1), 1 on
+    # G2 (1,0)): the construction keeps the true basis there, and the
+    # per-weight oracle refuses it at that weight, on the first read of the
+    # integers
+    real = reps._construct
 
-    def refusing(index_of, w, i, alpha_i):
-        if tuple(a - b for a, b in zip(w, alpha_i)) == refused:
-            return False
-        return real(index_of, w, i, alpha_i)
+    def corrupted(alg, lam, basis_weights):
+        return real(alg, lam, (*basis_weights, refused))
 
-    monkeypatch.setattr(reps, "_lowers", refusing)
     alg = build_algebra(series, rank)
+    rep = reps._irrep.__wrapped__(alg, lam)
+    m = rep.basis_weights.count(refused)
+    monkeypatch.setattr(reps, "_construct", corrupted)
     with pytest.raises(ConstructionError,
                        match=rf"{alg.name} weight \({lam[0]}, {lam[1]}\): "
-                             r"constructed dimension \d+ != Weyl dimension "
-                             rf"{la.weyl_dimension(alg, lam)}"):
-        reps._irrep.__wrapped__(alg, lam)
+                             rf"{m} basis vectors at weight \(0, 0\), "
+                             rf"Freudenthal multiplicity {m + 1}"):
+        rep.gram_int
 
 
 def test_corrupted_gram_numerator_is_refused(monkeypatch):
@@ -252,12 +284,13 @@ def test_corrupted_gram_numerator_is_refused(monkeypatch):
     # divide it; one more in each numerator over a denominator above 1 is
     # refused at the first such entry, naming the module (G2 (1,1) has 21
     # such entries; the A2 modules here have none)
+    rep = reps._irrep.__wrapped__(build_algebra("G", 2), (1, 1))
     monkeypatch.setattr(reps, "divmod", lambda n, d: builtins.divmod(
         n + (d > 1), d), raising=False)
     with pytest.raises(ConstructionError,
                        match=r"G2 weight \(1, 1\): Gram entry at weight "
                              r"\(2, -1\) is not an integer"):
-        reps._irrep.__wrapped__(build_algebra("G", 2), (1, 1))
+        rep.gram_int
 
 
 def test_corrupted_lowering_columns_are_refused(monkeypatch):
@@ -274,18 +307,20 @@ def test_corrupted_lowering_columns_are_refused(monkeypatch):
             det += 1
         return keep, det, out
 
+    rep = reps._irrep.__wrapped__(build_algebra("G", 2), (1, 1))
     monkeypatch.setattr(reps, "integral_echelon", corrupted)
     with pytest.raises(ConstructionError,
                        match=r"G2 weight \(1, 1\): Gram entry at weight "
                              r"\(0, 1\) is not an integer"):
-        reps._irrep.__wrapped__(build_algebra("G", 2), (1, 1))
+        rep.gram_int
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
 def test_basis_outgrowing_the_weyl_dimension_is_refused(monkeypatch, lam):
     # one more in S[0][0] of every rank-deficient Gram matrix keeps a
-    # candidate the radical should have removed; each kept vector spawns
-    # more, so without the Weyl bound the lowering never ends
+    # candidate the radical should have removed, so the basis outgrows its
+    # multiplicity at the first such weight, and the construction stops there
+    mu = {(1, 1): (-2, 1), (2, 1): (-1, 1)}[lam]
     real = reps.integral_echelon
 
     def corrupted(rows, ncols):
@@ -296,8 +331,12 @@ def test_basis_outgrowing_the_weyl_dimension_is_refused(monkeypatch, lam):
             keep, det, out = real(rows, ncols)
         return keep, det, out
 
+    rep = reps._irrep.__wrapped__(build_algebra("A", 2), lam)
+    m = rep.basis_weights.count(mu)
     monkeypatch.setattr(reps, "integral_echelon", corrupted)
     with pytest.raises(ConstructionError,
-                       match=rf"A2 weight \({lam[0]}, {lam[1]}\): basis "
-                             r"outgrows the Weyl dimension"):
-        reps._irrep.__wrapped__(build_algebra("A", 2), lam)
+                       match=rf"A2 weight \({lam[0]}, {lam[1]}\): "
+                             rf"{m + 1} basis vectors at weight "
+                             rf"\({mu[0]}, {mu[1]}\), Freudenthal "
+                             rf"multiplicity {m}"):
+        rep.gram_int

@@ -15,7 +15,7 @@ import kzmono.algebra as la
 import kzmono.exact as exact
 import kzmono.reps as reps
 from kzmono.algebra import build_algebra, casimir_scalar
-from kzmono.blocks import admissible_weights, fusion_ring
+from kzmono.blocks import admissible_weights, fusion_ring, fusion_to_csv
 from kzmono.errors import (ConstructionError, DimensionCapError,
                            NonDominantWeightError)
 from kzmono.exact import SRMatrix, exact_matmul, nullspace
@@ -609,7 +609,8 @@ def test_weight_multiplicities_are_weyl_symmetric(series, rank, lam):
 def eager_matrices(alg, lam):
     """e, f, h and the Gram matrix as `irrep` wrapped them eagerly before
     the module kept its integers: SRMatrix of Fractions, gram a 1-tuple."""
-    weights, e, f, gram = reps._construct(alg, lam)
+    weights, e, f, gram = reps._construct(alg, lam,
+                                          irrep(alg, lam).basis_weights)
     dim = len(weights)
 
     def matrix(cols):
@@ -638,14 +639,23 @@ def assert_matches_eager_wrap(rep):
 
 
 def test_fusion_builds_no_module_matrices(monkeypatch):
-    # a fresh module cache, so no earlier test has touched these modules
+    # a fresh module cache, so no earlier test has touched these modules;
+    # the ring, its modules' weights and its table read no integers, so a
+    # construction that refuses to run is never reached
     monkeypatch.setattr(reps, "_irrep",
                         lru_cache(maxsize=None)(reps._irrep.__wrapped__))
-    ring = fusion_ring.__wrapped__(A2, 5)
-    modules = [irrep(A2, lam) for lam in ring.weights]
+
+    def refuse(alg, lam, basis_weights):
+        raise AssertionError(f"_construct({alg.name}, {lam}) was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "_construct", refuse)
+        ring = fusion_ring.__wrapped__(A2, 5)
+        modules = [irrep(A2, lam) for lam in admissible_weights(A2, 5)]
+        fusion_to_csv(ring)
     assert len(modules) == 21
     for rep in modules:
-        assert "generators" not in vars(rep), rep
+        assert not {"_integers", "generators"} & set(vars(rep)), rep
     for rep in modules:
         assert_matches_eager_wrap(rep)
 
@@ -658,11 +668,15 @@ def test_module_matrices_match_eager_wrap():
 
 
 def test_dimension_check_raises(monkeypatch):
-    # negative control: a Weyl dimension one too large must be caught
+    # negative control: a Weyl dimension one too large must be caught, by
+    # `irrep` itself, before any integer is built
     true_dim = irrep(A2, (1, 1)).dim
     monkeypatch.setattr("kzmono.algebra.weyl_dimension",
                         lambda alg, lam: true_dim + 1)
-    with pytest.raises(ConstructionError, match="Weyl dimension"):
+    with pytest.raises(ConstructionError,
+                       match=r"A2 weight \(1, 1\): Freudenthal multiplicities "
+                             rf"sum to {true_dim}, not the Weyl dimension "
+                             rf"{true_dim + 1}"):
         reps._irrep.__wrapped__(A2, (1, 1))
 
 

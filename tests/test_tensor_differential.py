@@ -264,9 +264,9 @@ def test_f_post_check_rejects_a_corrupted_f_column(name, corrupt):
     if corrupt:
         f_int[i] = ({rc: 2 * v if rc[1] == 0 else v
                      for rc, v in nums.items()}, dens)
-    system.factors = (reps.Representation(
-        alg, rep.highest_weight, rep.basis_weights, rep.e_int, f_int,
-        rep.gram_int), *system.factors[1:])
+    copy = reps.Representation(alg, rep.highest_weight, rep.basis_weights)
+    copy._integers = rep.e_int, tuple(f_int), rep.gram_int
+    system.factors = (copy, *system.factors[1:])
     if not corrupt:
         (delta, b), (want_delta, want) = (system.invariant_basis,
                                           system_of(name).invariant_basis)
